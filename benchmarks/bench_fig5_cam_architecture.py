@@ -14,6 +14,7 @@ from bench_util import print_table
 from repro.bricks import cam_brick, generate_brick_library, \
     single_partition
 from repro.rtl import LogicSimulator, build_cam, elaborate
+from repro.session import Session
 from repro.spgemm import (
     CAMGeometry,
     CAMSpGEMMAccelerator,
@@ -68,7 +69,7 @@ def test_fig5_gate_level_cam_bank(benchmark, tech, stdlib):
     """The same structure synthesized from a compiled CAM brick."""
     config = single_partition(cam_brick(16, 10), 16)
     bricks, _ = generate_brick_library(
-        [(config.brick, config.stack)], tech)
+        [(config.brick, config.stack)], Session(tech))
     library = stdlib.merged_with(bricks)
     module = build_cam(config)
 

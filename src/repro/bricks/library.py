@@ -144,32 +144,26 @@ def brick_cell_model(compiled: CompiledBrick, tech: Technology,
 
 def generate_brick_library(
         requests: Sequence[Tuple[BrickSpec, int]],
-        tech: Optional[Technology] = None,
-        name: str = "bricks",
-        jobs: Optional[int] = None,
-        cache=None,
-        session=None) -> Tuple[LibraryModel, float]:
+        session,
+        name: str = "bricks") -> Tuple[LibraryModel, float]:
     """Compile and characterize a batch of (spec, stack) requests.
 
     Returns ``(library, wall_clock_seconds)`` — the elapsed time backs the
     paper's "compiling the netlists and generating the library estimations
     were finalized within 2 seconds" claim (Fig 4c).
 
-    Characterization routes through :mod:`repro.perf` under the resolved
-    :class:`~repro.session.Session`: repeated requests (and requests
+    Characterization routes through :mod:`repro.perf` under ``session``
+    (a :class:`~repro.session.Session`): repeated requests (and requests
     already characterized earlier in the process, or in a previous run
     when a disk cache is configured) are computed exactly once, and cold
     points fan out over the session's ``jobs`` worker processes with
-    results identical to the serial order.  The ``tech``/``jobs``/
-    ``cache`` keywords are the deprecated pre-session shims.
+    results identical to the serial order.
     """
     if not requests:
         raise LibraryError("empty brick library request")
     from ..obs.trace import maybe_span
     from ..perf.characterize import characterize_cells
     from ..perf.timer import Stopwatch
-    from ..session import Session
-    session = Session.ensure(session, tech=tech, jobs=jobs, cache=cache)
     watch = Stopwatch()
     library = LibraryModel(name=f"{name}_{session.tech.name}",
                            tech_name=session.tech.name)

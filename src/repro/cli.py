@@ -536,9 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-stages", action="store_true",
                         help="print per-stage wall clock of every "
                              "pipeline run to stderr")
-    parser.add_argument("--max-retries", type=int, default=1,
-                        help="parallel-task retry rounds after a "
-                             "failure (default: 1)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         help="per-task timeout in seconds for parallel "
                              "characterization (default: none)")
@@ -867,8 +864,7 @@ def main(argv: Optional[Sequence[str]] = None,
     # called repeatedly in-process.
     reset_executor_stats()
     set_default_executor_policy(ExecutorPolicy(
-        task_timeout_s=args.task_timeout,
-        max_retries=args.max_retries))
+        task_timeout_s=args.task_timeout))
     try:
         with maybe_span(tracer, f"cli:{args.command}", kind="command",
                         tech=args.tech):

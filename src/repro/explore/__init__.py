@@ -3,9 +3,9 @@
 The supported sweep entry point is :class:`SweepEngine` — one facade
 for everything from the 9-point Fig. 4c study to a million-point
 sharded, checkpointed lattice sweep (``plan() -> run() ->
-iter_results()/frontier()``).  The module-level ``plan_sweep`` /
-``sweep_partitions`` / ``execute_sweep_plan`` trio remains as
-deprecated shims.
+iter_results()/frontier()``).  The Fig. 4c partition sweep and brick
+selection are also reachable as :class:`~repro.session.Session`
+methods.
 """
 
 from .chip_gen import (
@@ -47,10 +47,6 @@ from .sweep import (
     SweepPlan,
     SweepPoint,
     SweepResult,
-    execute_sweep_plan,
-    optimize_brick_selection,
-    plan_sweep,
-    sweep_partitions,
 )
 
 __all__ = [
@@ -64,6 +60,5 @@ __all__ = [
     "ScalePoint", "ShardResult", "price_combos", "price_shard",
     "refine_candidates", "shard_bounds", "shard_checkpoint_key",
     "BrickChoice", "FailedPoint", "SweepPlan", "SweepPoint",
-    "SweepResult", "execute_sweep_plan", "optimize_brick_selection",
-    "plan_sweep", "sweep_partitions",
+    "SweepResult",
 ]

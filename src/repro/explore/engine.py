@@ -1,8 +1,8 @@
-"""The redesigned exploration facade: one engine for sweeps of any size.
+"""The exploration facade: one engine for sweeps of any size.
 
-:class:`SweepEngine` subsumes the deprecated ``plan_sweep`` /
-``sweep_partitions`` / ``execute_sweep_plan`` trio behind a single
-``plan() -> run() -> iter_results()/frontier()`` shape:
+:class:`SweepEngine` runs every sweep under one
+:class:`~repro.session.Session` behind a single ``plan() -> run() ->
+iter_results()/frontier()`` shape:
 
 * **cached mode** (small sweeps, the Fig. 4c path): delegates to the
   historical grid executor, so per-point cache keys, tracing spans and
@@ -160,9 +160,8 @@ class ScaleResult:
 class SweepEngine:
     """Plan, run and stream one design-space sweep of any size.
 
-    Construction resolves a :class:`~repro.session.Session` exactly
-    like the legacy entry points (``tech``/``jobs``/``cache`` shims
-    accepted); the exploration space comes either from a
+    Construction takes the :class:`~repro.session.Session` the sweep
+    runs under; the exploration space comes either from a
     :class:`~repro.explore.lattice.SweepSpace` or the familiar
     per-axis keywords.  Typical use::
 
@@ -174,8 +173,7 @@ class SweepEngine:
             ...
     """
 
-    def __init__(self, session: Optional[Session] = None, *,
-                 tech=None, jobs: Optional[int] = None, cache=None,
+    def __init__(self, session: Session, *,
                  space: Optional[SweepSpace] = None,
                  total_words_options: Sequence[int] = (128,),
                  bits_options: Sequence[int] = (8, 16, 32),
@@ -186,8 +184,7 @@ class SweepEngine:
                  top_k: int = 16,
                  shard_size: int = 8192,
                  mode: str = "auto") -> None:
-        self.session = Session.ensure(session, tech=tech, jobs=jobs,
-                                      cache=cache)
+        self.session = session
         if space is None:
             space = SweepSpace.from_options(
                 total_words_options=total_words_options,

@@ -2,29 +2,28 @@
 
 "Enabled by the automated brick generation, we performed rapid
 design-space exploration to compare various system-level tradeoffs"
-(Section 3, Fig. 4c).  :func:`sweep_partitions` reproduces that study:
-for every (memory size, brick size) combination it compiles the brick,
+(Section 3, Fig. 4c).  :meth:`Session.sweep_partitions
+<repro.session.Session.sweep_partitions>` reproduces that study: for
+every (memory size, brick size) combination it compiles the brick,
 generates its library model and records performance/energy/area — in
 milliseconds per point, which is the paper's headline usability claim.
 
-:func:`optimize_brick_selection` implements the paper's *future work*
-(Section 6): let the flow pick the brick size like a standard-cell drive
-selection instead of taking it as an input.
+:meth:`Session.optimize_brick_selection
+<repro.session.Session.optimize_brick_selection>` implements the
+paper's *future work* (Section 6): let the flow pick the brick size
+like a standard-cell drive selection instead of taking it as an input.
 
-The module-level trio ``plan_sweep`` / ``sweep_partitions`` /
-``execute_sweep_plan`` is **deprecated** in favour of the
-:class:`~repro.explore.engine.SweepEngine` facade, which subsumes all
-three behind one ``plan() -> run() -> frontier()`` shape and scales the
-same sweep to 10^6 points.  The shims below keep old callers working
-(identical results, a :class:`DeprecationWarning` on call); the private
-``_plan_grid`` / ``_execute_grid`` / ``_sweep_partitions_impl``
-functions are the warning-free implementations the engine's
-small-sweep path and :class:`~repro.session.Session` delegate to.
+The supported sweep entry point is the
+:class:`~repro.explore.engine.SweepEngine` facade (one ``plan() ->
+run() -> frontier()`` shape up to 10^6 points).  This module holds the
+grid path its ``cached`` mode runs on: ``_plan_grid`` (pure lattice +
+fingerprint) and ``_execute_grid`` (blocking characterization), plus
+the private implementations the :class:`~repro.session.Session`
+methods delegate to.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -126,7 +125,7 @@ class SweepResult:
 class SweepPlan:
     """The pure planning half of a partition sweep.
 
-    Built by :func:`plan_sweep` without touching the cache or the
+    Built by ``_plan_grid`` without touching the cache or the
     executor: the lattice ``grid`` (``(bits, brick_words, total_words,
     stack)`` rows), the characterization ``tasks`` in grid order, and a
     content ``fingerprint`` over every input that shapes the result —
@@ -173,30 +172,24 @@ def _plan_grid(tech: Technology,
 
 
 def _sweep_partitions_impl(
-        tech: Optional[Technology] = None,
+        session: Session,
         total_words_options: Sequence[int] = (128,),
         bits_options: Sequence[int] = (8, 16, 32),
         brick_words_options: Sequence[int] = (16, 32, 64),
         memory_type: str = "8T",
-        jobs: Optional[int] = None,
-        cache=None,
-        keep_going: bool = False,
-        session: Optional[Session] = None) -> SweepResult:
+        keep_going: bool = False) -> SweepResult:
     """The Fig. 4c sweep: single-partition memories of each size built
     from each brick flavour.
 
     The default arguments are exactly the paper's: 128x{8,16,32} bit
     SRAMs built from 16/32/64-word bricks (9 brick compilations).
-    The composition of :func:`plan_sweep` (pure lattice + fingerprint)
-    and :func:`execute_sweep_plan` (blocking characterization) — the
-    halves the brick-library server calls separately.
+    The composition of ``_plan_grid`` (pure lattice + fingerprint) and
+    ``_execute_grid`` (blocking characterization).
 
-    Characterization routes through :mod:`repro.perf` under the
-    resolved :class:`~repro.session.Session`: repeated points hit the
-    content-addressed cache, cold points fan out over the session's
-    ``jobs`` processes, and the returned point list is ordered
-    identically regardless of ``jobs``.  The ``tech``/``jobs``/
-    ``cache`` keywords are the deprecated pre-session shims.
+    Characterization routes through :mod:`repro.perf` under
+    ``session``: repeated points hit the content-addressed cache, cold
+    points fan out over the session's ``jobs`` processes, and the
+    returned point list is ordered identically regardless of ``jobs``.
 
     With ``keep_going=True`` a design point whose characterization
     fails is skipped and recorded (one :class:`FailedPoint` in
@@ -205,7 +198,6 @@ def _sweep_partitions_impl(
     healthy point still comes back, in grid order.  A sweep in which
     *every* point failed raises :class:`ExplorationError`.
     """
-    session = Session.ensure(session, tech=tech, jobs=jobs, cache=cache)
     plan = _plan_grid(session.tech,
                       total_words_options=total_words_options,
                       bits_options=bits_options,
@@ -306,16 +298,13 @@ class BrickChoice:
 
 
 def _optimize_brick_selection_impl(
-        tech: Optional[Technology] = None,
+        session: Session,
         total_words: int = 128, bits: int = 8,
         brick_words_options: Sequence[int] = (8, 16, 32, 64, 128),
         delay_weight: float = 1.0,
         energy_weight: float = 1.0,
         area_weight: float = 0.5,
-        memory_type: str = "8T",
-        jobs: Optional[int] = None,
-        cache=None,
-        session: Optional[Session] = None) -> BrickChoice:
+        memory_type: str = "8T") -> BrickChoice:
     """Pick the brick size minimizing a weighted delay/energy/area cost.
 
     Implements the paper's Section 6 future work: "the synthesis tools
@@ -324,7 +313,6 @@ def _optimize_brick_selection_impl(
     normalized to the best candidate per axis, so weights express
     relative priorities without unit juggling.
     """
-    session = Session.ensure(session, tech=tech, jobs=jobs, cache=cache)
     viable = tuple(bw for bw in brick_words_options
                    if total_words % bw == 0 and bw <= total_words)
     if not viable:
@@ -332,9 +320,9 @@ def _optimize_brick_selection_impl(
             f"no brick size in {list(brick_words_options)} divides "
             f"{total_words}")
     result = _sweep_partitions_impl(
-        total_words_options=(total_words,), bits_options=(bits,),
-        brick_words_options=viable, memory_type=memory_type,
-        session=session)
+        session, total_words_options=(total_words,),
+        bits_options=(bits,), brick_words_options=viable,
+        memory_type=memory_type)
     candidates: List[SweepPoint] = result.points
     best_delay = min(p.read_delay for p in candidates)
     best_energy = min(p.read_energy for p in candidates)
@@ -348,72 +336,3 @@ def _optimize_brick_selection_impl(
     winner = min(candidates, key=cost)
     return BrickChoice(point=winner, objective_value=cost(winner))
 
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead "
-        f"(see repro.explore.SweepEngine)",
-        DeprecationWarning, stacklevel=3)
-
-
-def plan_sweep(tech: Technology,
-               total_words_options: Sequence[int] = (128,),
-               bits_options: Sequence[int] = (8, 16, 32),
-               brick_words_options: Sequence[int] = (16, 32, 64),
-               memory_type: str = "8T") -> SweepPlan:
-    """Deprecated shim: use ``SweepEngine(...).plan()``."""
-    _deprecated("plan_sweep()", "SweepEngine(...).plan()")
-    return _plan_grid(tech, total_words_options=total_words_options,
-                      bits_options=bits_options,
-                      brick_words_options=brick_words_options,
-                      memory_type=memory_type)
-
-
-def execute_sweep_plan(plan: SweepPlan, session: Session,
-                       keep_going: bool = False) -> SweepResult:
-    """Deprecated shim: use ``SweepEngine(...).run()``."""
-    _deprecated("execute_sweep_plan()", "SweepEngine(...).run()")
-    return _execute_grid(plan, session, keep_going=keep_going)
-
-
-def sweep_partitions(tech: Optional[Technology] = None,
-                     total_words_options: Sequence[int] = (128,),
-                     bits_options: Sequence[int] = (8, 16, 32),
-                     brick_words_options: Sequence[int] = (16, 32, 64),
-                     memory_type: str = "8T",
-                     jobs: Optional[int] = None,
-                     cache=None,
-                     keep_going: bool = False,
-                     session: Optional[Session] = None) -> SweepResult:
-    """Deprecated shim: use ``Session.sweep_partitions`` or
-    ``SweepEngine(...).run().to_sweep_result()``."""
-    _deprecated("sweep_partitions()", "Session.sweep_partitions() or "
-                "SweepEngine(...).run()")
-    return _sweep_partitions_impl(
-        tech=tech, total_words_options=total_words_options,
-        bits_options=bits_options,
-        brick_words_options=brick_words_options,
-        memory_type=memory_type, jobs=jobs, cache=cache,
-        keep_going=keep_going, session=session)
-
-
-def optimize_brick_selection(
-        tech: Optional[Technology] = None,
-        total_words: int = 128, bits: int = 8,
-        brick_words_options: Sequence[int] = (8, 16, 32, 64, 128),
-        delay_weight: float = 1.0,
-        energy_weight: float = 1.0,
-        area_weight: float = 0.5,
-        memory_type: str = "8T",
-        jobs: Optional[int] = None,
-        cache=None,
-        session: Optional[Session] = None) -> BrickChoice:
-    """Deprecated shim: use ``Session.optimize_brick_selection``."""
-    _deprecated("optimize_brick_selection()",
-                "Session.optimize_brick_selection()")
-    return _optimize_brick_selection_impl(
-        tech=tech, total_words=total_words, bits=bits,
-        brick_words_options=brick_words_options,
-        delay_weight=delay_weight, energy_weight=energy_weight,
-        area_weight=area_weight, memory_type=memory_type, jobs=jobs,
-        cache=cache, session=session)

@@ -136,8 +136,7 @@ def analyze_yield(spec: BrickSpec, stack: int = 1, partitions: int = 1,
                   n_bricks: int = 1000,
                   model: Optional[DefectModel] = None,
                   plan: Optional[RepairPlan] = None,
-                  session: Optional[Session] = None,
-                  tech=None, cache=None, seed=None) -> YieldReport:
+                  *, session: Session) -> YieldReport:
     """Monte-Carlo yield of a brick population under a repair plan.
 
     The defect stream is ``session.rng(f"faults:{spec.name}:s{stack}")``:
@@ -146,7 +145,6 @@ def analyze_yield(spec: BrickSpec, stack: int = 1, partitions: int = 1,
     Raw and repaired yields score the *same* sampled population, which
     guarantees repair can only help.
     """
-    session = Session.ensure(session, tech=tech, cache=cache, seed=seed)
     model = model or DefectModel()
     plan = plan or RepairPlan()
     if n_bricks < 1:

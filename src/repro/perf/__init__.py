@@ -19,9 +19,9 @@ exploration of Fig. 4c.  This package makes repeated characterization
     characterization points over ``concurrent.futures``
     ``ProcessPoolExecutor`` with a serial fallback for ``jobs=1`` (and
     for sandboxes that forbid multiprocessing primitives), governed by
-    an :class:`ExecutorPolicy` (per-task timeout, bounded retry with
-    exponential backoff, crashed-worker recovery that re-executes only
-    the failed tasks serially).
+    an :class:`ExecutorPolicy` (per-task timeout); a timed-out, failed
+    or crashed task is re-executed serially in the parent, and only
+    those tasks.  :func:`parallel_imap` streams the same loop.
 ``repro.perf.characterize``
     Cached + parallel entry points for the expensive brick artifacts:
     compiled bricks, closed-form estimates, library cell models,

@@ -218,7 +218,7 @@ def _batched(points: Sequence[Tuple[BrickSpec, int]], tech: Technology,
     """Shared dedup → cache-probe → fan-out → reassemble skeleton.
 
     With ``keep_going=True`` a point whose characterization fails (even
-    after the executor's retries) yields a
+    on the executor's serial re-execution) yields a
     :class:`~repro.perf.parallel.TaskFailure` at its position instead of
     raising; failures are never written to the cache, so a later retry
     recomputes them.

@@ -7,22 +7,23 @@ subtleties remain:
 * **Determinism** — results must come back in task order regardless of
   worker scheduling, and ``jobs=1`` must take the plain serial path (no
   pool, no pickling) so single-threaded behavior is bit-for-bit what it
-  always was.  Results are reassembled by task index, so any submission
-  or completion order yields the same list.
+  always was.  :func:`parallel_map` fills its result list by task index,
+  so any submission or completion order yields the same list.
 * **Fault tolerance** — a production sweep must survive a crashed
   worker (``BrokenProcessPool``), a hung task, or a flaky transient
-  failure.  :func:`parallel_map` therefore takes an
-  :class:`ExecutorPolicy` with a per-task timeout and a bounded retry
-  budget with exponential backoff; whatever still fails after the last
-  pool round is re-executed **serially in the parent process**, one
-  task at a time, so healthy tasks always complete and a deterministic
-  task error surfaces with its original traceback chained into an
-  :class:`~repro.errors.ExecutorError`.
+  failure.  One loop, :func:`_imap_core`, owns submission, the
+  per-task timeout of an :class:`ExecutorPolicy`, broken-pool restart
+  and recovery: whatever fails in the pool round is re-executed
+  **serially in the parent process**, one task at a time, so healthy
+  tasks always complete and a deterministic task error surfaces with
+  its original traceback chained into an
+  :class:`~repro.errors.ExecutorError`.  :func:`parallel_imap` streams
+  that loop; :func:`parallel_map` collects it in task order.
 
 Degraded-serial path: sandboxed environments that forbid
 multiprocessing primitives (no ``/dev/shm``, no ``fork``) fall back to
 in-process execution instead of crashing — results are identical either
-way, only the wall clock differs.  The same serial path is the final
+way, only the wall clock differs.  The same serial path is the
 recovery tier after pool failures.
 """
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 import weakref
 from dataclasses import dataclass
 from typing import (
@@ -53,31 +53,20 @@ R = TypeVar("R")
 
 @dataclass(frozen=True)
 class ExecutorPolicy:
-    """Fault-tolerance knobs for one :func:`parallel_map` run.
+    """Fault-tolerance knob for one :func:`parallel_map` run.
 
-    ``task_timeout_s`` bounds how long the parent waits for any single
-    task's result before treating it as failed (``None`` = forever);
-    ``max_retries`` is how many *extra* pool rounds a failed task gets
-    before the serial fallback; ``backoff_s`` is the base of the
-    exponential sleep between rounds (round ``k`` sleeps
-    ``backoff_s * 2**k``).
+    ``task_timeout_s`` bounds how long the parent waits for the next
+    task completion before treating every still-pending task as timed
+    out and recovering it serially (``None`` = forever).
     """
 
     task_timeout_s: Optional[float] = None
-    max_retries: int = 1
-    backoff_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ExecutorError(
                 f"task timeout must be positive, got "
                 f"{self.task_timeout_s}")
-        if self.max_retries < 0:
-            raise ExecutorError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_s < 0:
-            raise ExecutorError(
-                f"backoff_s must be >= 0, got {self.backoff_s}")
 
 
 @dataclass(frozen=True)
@@ -101,11 +90,11 @@ class ExecutorStats:
     """Process-wide counters over every :func:`parallel_map` call.
 
     ``tasks`` counts tasks submitted; ``pool_tasks``/``serial_tasks``
-    where they executed (a task retried across tiers counts in each);
-    ``retried_tasks`` counts task-retry events (a task failing a pool
-    round and getting another shot, pooled or serial); ``timeouts`` and
-    ``pool_restarts`` the absorbed executor faults; ``failures`` the
-    terminal per-task failures that survived every recovery tier.
+    where they executed (a task recovered serially after its pool
+    round counts in both); ``retried_tasks`` counts those serial
+    recoveries; ``timeouts`` and ``pool_restarts`` the absorbed
+    executor faults; ``failures`` the terminal per-task failures that
+    failed even serially.
     """
 
     tasks: int = 0
@@ -144,8 +133,8 @@ def reset_executor_stats() -> ExecutorStats:
 
 
 #: Callback invoked once per *absorbed* executor fault — a task timing
-#: out, failing a pool round, or losing its pool — before the task is
-#: retried or recovered serially.  Called as ``on_fault(kind, index,
+#: out, failing in the pool, or losing its pool — before the task is
+#: recovered serially.  Called as ``on_fault(kind, index,
 #: error)``; terminal failures surface through return values/raises
 #: instead.
 FaultCallback = Callable[[str, int, str], None]
@@ -163,10 +152,10 @@ class TraceTap:
     under span id ``under`` with ``keep_remote=False`` (the local
     parent link replaces the remote ref) — so pool-side work stitches
     into the caller's tree as if it had run in-process.  Grafting
-    happens in result order: index order for :func:`parallel_map` and
-    the serial tiers, completion order for a pooled
-    :func:`parallel_imap` (matching the span order such a stream
-    already produces).
+    happens in result order: task-index order for :func:`parallel_map`
+    (so stitched traces are deterministic at any ``jobs``), yield
+    order for :func:`parallel_imap` (completion order for a pooled
+    stream, matching the span order it already produces).
     """
 
     tracer: Any
@@ -192,10 +181,10 @@ class _TracedResult:
 class _TracedTask:
     """Picklable wrapper running ``fn`` under a worker-side tracer.
 
-    Used on every execution tier (pool rounds, serial fallback, plain
+    Used on every execution tier (pool round, serial recovery, plain
     serial path) so traced runs produce the same span shape no matter
     where a task lands; a task that raises contributes no spans — its
-    retry or serial re-execution records the surviving attempt.
+    serial re-execution records the surviving attempt.
     """
 
     def __init__(self, fn: Callable[..., Any],
@@ -224,18 +213,12 @@ def _absorb(value: Any, trace: TraceTap) -> Any:
     return value
 
 
-def _absorb_all(results: List[Any],
-                trace: Optional[TraceTap]) -> List[Any]:
-    if trace is None:
-        return results
-    return [_absorb(value, trace) for value in results]
-
 _default_policy = ExecutorPolicy()
 
 
 def set_default_executor_policy(policy: ExecutorPolicy) -> ExecutorPolicy:
-    """Install the process-wide policy (the CLI's ``--task-timeout`` /
-    ``--max-retries``); returns it for chaining."""
+    """Install the process-wide policy (the CLI's ``--task-timeout``);
+    returns it for chaining."""
     global _default_policy
     _default_policy = policy
     return _default_policy
@@ -371,37 +354,6 @@ def live_worker_pools() -> List[WorkerPool]:
     return [pool for pool in _live_pools]
 
 
-def _serial_round(fn: Callable[[T], R], tasks: Sequence[T],
-                  indices: Sequence[int], results: List[Any],
-                  return_errors: bool, wrap: bool) -> None:
-    """Run ``indices`` in-process, filling ``results`` in place.
-
-    Used both as the plain ``jobs=1`` path (``wrap=False``: exceptions
-    propagate untouched, bit-for-bit the historical behavior) and as the
-    last-resort recovery tier after pool rounds (``wrap=True``: the
-    original exception is chained into :class:`ExecutorError` so the
-    failure is attributed to the executor that exhausted its retries).
-    No timeout applies in-process — a task that deterministically hangs
-    cannot be preempted without a pool.
-    """
-    for index in indices:
-        _executor_stats.serial_tasks += 1
-        try:
-            results[index] = fn(tasks[index])
-        except Exception as exc:
-            _executor_stats.failures += 1
-            if return_errors:
-                results[index] = TaskFailure(
-                    index=index, error=str(exc),
-                    kind=type(exc).__name__)
-            elif wrap:
-                raise ExecutorError(
-                    f"task {index} failed after retries and serial "
-                    f"re-execution: {exc}") from exc
-            else:
-                raise
-
-
 def parallel_map(fn: Callable[[T], R], tasks: Sequence[T],
                  jobs: int = 1,
                  policy: Optional[ExecutorPolicy] = None,
@@ -411,140 +363,66 @@ def parallel_map(fn: Callable[[T], R], tasks: Sequence[T],
                  trace: Optional[TraceTap] = None) -> List[Any]:
     """``[fn(t) for t in tasks]`` fanned over ``jobs`` processes.
 
-    Results are returned in task order.  ``fn`` and every task must be
-    picklable when ``jobs > 1``; ``jobs <= 1`` (or a single task) runs
-    serially in-process.  If the platform cannot start a process pool,
-    the serial path is used as a silent fallback — results are identical
-    either way, only the wall clock differs.
+    The task-ordered collect of :func:`parallel_imap`'s loop: results
+    are filled by task index, so the list is identical whatever order
+    tasks complete in.  ``fn`` and every task must be picklable when
+    ``jobs > 1``; ``jobs <= 1`` (or a single task) runs serially
+    in-process, and a platform that cannot start a process pool falls
+    back to that path silently.
 
     Failure handling is governed by ``policy`` (default: the
     process-wide :func:`default_executor_policy`): a task whose worker
-    crashes, times out, or raises gets up to ``max_retries`` extra pool
-    rounds (exponential backoff between rounds, fresh pool after a
-    crash), and whatever still fails is re-executed serially in the
-    parent — so one poisoned task never discards its healthy siblings'
-    results.  A task that fails even serially raises
-    :class:`~repro.errors.ExecutorError` (chaining the original
+    crashes, times out, or raises is re-executed serially in the
+    parent after the pool round — so one poisoned task never discards
+    its healthy siblings' results.  A task that fails even serially
+    raises :class:`~repro.errors.ExecutorError` (chaining the original
     exception) or, under ``return_errors=True``, yields a
     :class:`TaskFailure` placeholder at its index so callers can
-    skip-and-record.
+    skip-and-record.  On the serial path the task's own exception
+    propagates unwrapped.
 
     ``on_fault`` (see :data:`FaultCallback`) observes every *absorbed*
-    recovery — timeout, retried pool failure, broken pool — which is how
-    the session layer routes executor faults to its event sink; the
+    fault — timeout, failed pool task, broken pool — which is how the
+    session layer routes executor faults to its event sink; the
     process-wide :func:`executor_stats` counters record the same events
     unconditionally.
 
     ``pool`` (a :class:`WorkerPool`) reuses a persistent executor
     instead of paying pool startup per call — the warm-service path.
     A broken or timed-out shared pool is :meth:`~WorkerPool.restart`-ed
-    rather than abandoned, so the stranded-worker leak of repeated
-    cold pools cannot occur; without ``pool`` the historical
-    one-pool-per-call behavior is preserved exactly.
+    rather than abandoned; without ``pool`` each call builds and tears
+    down its own.
 
     ``trace`` (a :class:`TraceTap`) threads a serializable trace
     context into every task and grafts the worker-side spans back into
-    the caller's tracer — the cross-process half of one end-to-end
-    request trace.
+    the caller's tracer in task-index order — the cross-process half
+    of one end-to-end request trace.
     """
-    if trace is not None:
-        fn = _TracedTask(fn, trace.context)
-    policy = policy if policy is not None else _default_policy
-    n = len(tasks)
-    results: List[Any] = [None] * n
-    pending = list(range(n))
-    jobs = resolve_jobs(jobs, n_tasks=n)
-    _executor_stats.tasks += n
-    if jobs <= 1 or n <= 1:
-        _serial_round(fn, tasks, pending, results, return_errors,
-                      wrap=False)
-        return _absorb_all(results, trace)
-    try:
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FutureTimeout
-    except ImportError:
-        _serial_round(fn, tasks, pending, results, return_errors,
-                      wrap=False)
-        return _absorb_all(results, trace)
-
-    rounds = 1 + policy.max_retries
-    used_pool = False
-    for attempt in range(rounds):
-        if not pending:
-            break
-        if attempt > 0 and policy.backoff_s > 0:
-            time.sleep(policy.backoff_s * (2 ** (attempt - 1)))
-        workers = min(jobs, len(pending))
-        still_failed: List[int] = []
-        try:
-            if pool is not None:
-                executor = pool.executor()
-            else:
-                executor = ProcessPoolExecutor(max_workers=workers)
-        except (OSError, PermissionError, NotImplementedError,
-                ExecutorError):
-            # No multiprocessing in this sandbox (or the shared pool is
-            # closed): degrade to serial.
-            break
-        used_pool = True
-        timed_out = False
-        pool_broke = False
-        try:
-            futures: Dict[int, Any] = {
-                index: executor.submit(fn, tasks[index])
-                for index in pending}
-            _executor_stats.pool_tasks += len(pending)
-            for index, future in futures.items():
-                try:
-                    results[index] = future.result(
-                        timeout=policy.task_timeout_s)
-                except FutureTimeout:
-                    timed_out = True
-                    future.cancel()
-                    still_failed.append(index)
-                    _executor_stats.timeouts += 1
-                    if on_fault is not None:
-                        on_fault("Timeout", index,
-                                 f"no result within "
-                                 f"{policy.task_timeout_s}s")
-                except BrokenExecutor as exc:
-                    # The pool died (worker crash / OOM kill): every
-                    # task without a result must be retried.
-                    pool_broke = True
-                    still_failed.append(index)
-                    if on_fault is not None:
-                        on_fault("BrokenPool", index, str(exc))
-                except Exception as exc:
-                    still_failed.append(index)
-                    if on_fault is not None:
-                        on_fault(type(exc).__name__, index, str(exc))
-        finally:
-            if pool is not None:
-                # A shared pool survives the call warm; a hung task or a
-                # dead pool is replaced (never abandoned) so the next
-                # caller inherits a healthy executor, not the corpse.
-                if timed_out or pool_broke:
-                    pool.restart(wait=False)
-            else:
-                # A hung task would make a waiting shutdown block
-                # forever; abandon the pool instead (workers are reaped
-                # at exit).
-                executor.shutdown(wait=not timed_out, cancel_futures=True)
-        if pool_broke:
-            _executor_stats.pool_restarts += 1
-        _executor_stats.retried_tasks += len(still_failed)
-        pending = still_failed
-    if pending:
-        _serial_round(fn, tasks, pending, results, return_errors,
-                      wrap=used_pool)
-    return _absorb_all(results, trace)
+    results: List[Any] = [None] * len(tasks)
+    for index, value in _imap_core(
+            fn if trace is None else _TracedTask(fn, trace.context),
+            tasks, jobs=jobs, policy=policy,
+            return_errors=return_errors, on_fault=on_fault, pool=pool):
+        results[index] = value
+    if trace is None:
+        return results
+    return [_absorb(value, trace) for value in results]
 
 
 def _serial_iter(fn: Callable[[T], R], tasks: Sequence[T],
                  indices: Sequence[int], return_errors: bool,
                  wrap: bool) -> Iterator[Tuple[int, Any]]:
-    """Generator analogue of :func:`_serial_round`: yields ``(index,
-    result)`` pairs in ``indices`` order."""
+    """Run ``indices`` in-process, yielding ``(index, result)`` pairs
+    in ``indices`` order.
+
+    Used both as the plain serial path (``wrap=False``: exceptions
+    propagate untouched, bit-for-bit the historical behavior) and as
+    the recovery tier after the pool round (``wrap=True``: the original
+    exception is chained into :class:`ExecutorError` so the failure is
+    attributed to the executor that gave up on the pool).  No timeout
+    applies in-process — a task that deterministically hangs cannot be
+    preempted without a pool.
+    """
     for index in indices:
         _executor_stats.serial_tasks += 1
         try:
@@ -557,7 +435,7 @@ def _serial_iter(fn: Callable[[T], R], tasks: Sequence[T],
                 continue
             if wrap:
                 raise ExecutorError(
-                    f"task {index} failed after retries and serial "
+                    f"task {index} failed in the pool and on serial "
                     f"re-execution: {exc}") from exc
             raise
         else:
@@ -575,8 +453,8 @@ def parallel_imap(fn: Callable[[T], R], tasks: Sequence[T],
     """Streaming :func:`parallel_map`: yield ``(index, result)`` pairs
     as tasks *complete* instead of one ordered list at the end.
 
-    ``trace`` follows :func:`parallel_map`: worker-side spans graft
-    into the caller's tracer as each result is yielded.
+    ``trace`` follows :func:`parallel_map`, except that worker-side
+    spans graft into the caller's tracer as each result is yielded.
 
     This is the work-stealing shape the sharded design-space explorer
     consumes — each completed shard is checkpointed and folded into the
@@ -613,35 +491,28 @@ def _imap_core(fn: Callable[[T], Any], tasks: Sequence[T],
                on_fault: Optional[FaultCallback] = None,
                pool: Optional[WorkerPool] = None
                ) -> Iterator[Tuple[int, Any]]:
+    """The one submit / timeout / restart / serial-recovery loop behind
+    :func:`parallel_map` and :func:`parallel_imap`."""
     policy = policy if policy is not None else _default_policy
     n = len(tasks)
     jobs = resolve_jobs(jobs, n_tasks=n)
     _executor_stats.tasks += n
-    if jobs <= 1 or n <= 1:
+    executor = None
+    if jobs > 1 and n > 1:
+        try:
+            from concurrent.futures import ProcessPoolExecutor
+            executor = (pool.executor() if pool is not None
+                        else ProcessPoolExecutor(max_workers=jobs))
+        except (ImportError, OSError, NotImplementedError,
+                ExecutorError):
+            # No multiprocessing in this sandbox (or the shared pool is
+            # closed): degrade to serial.
+            pass
+    if executor is None:
         yield from _serial_iter(fn, tasks, range(n), return_errors,
                                 wrap=False)
         return
-    try:
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            BrokenExecutor,
-            ProcessPoolExecutor,
-            wait,
-        )
-    except ImportError:
-        yield from _serial_iter(fn, tasks, range(n), return_errors,
-                                wrap=False)
-        return
-    try:
-        if pool is not None:
-            executor = pool.executor()
-        else:
-            executor = ProcessPoolExecutor(max_workers=min(jobs, n))
-    except (OSError, PermissionError, NotImplementedError,
-            ExecutorError):
-        yield from _serial_iter(fn, tasks, range(n), return_errors,
-                                wrap=False)
-        return
+    from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
     recover: List[int] = []
     timed_out = False
     pool_broke = False
@@ -656,7 +527,7 @@ def _imap_core(fn: Callable[[T], Any], tasks: Sequence[T],
                                   return_when=FIRST_COMPLETED)
             if not done:
                 timed_out = True
-                for future in not_done:
+                for future in sorted(not_done, key=future_index.get):
                     index = future_index[future]
                     future.cancel()
                     recover.append(index)
@@ -687,9 +558,14 @@ def _imap_core(fn: Callable[[T], Any], tasks: Sequence[T],
                 break
     finally:
         if pool is not None:
+            # A shared pool survives the call warm; a hung task or a
+            # dead pool is replaced (never abandoned) so the next
+            # caller inherits a healthy executor, not the corpse.
             if timed_out or pool_broke:
                 pool.restart(wait=False)
         else:
+            # A hung task would make a waiting shutdown block forever;
+            # abandon the pool instead (workers are reaped at exit).
             executor.shutdown(wait=not timed_out, cancel_futures=True)
     if pool_broke:
         _executor_stats.pool_restarts += 1

@@ -550,7 +550,7 @@ def handle_yield(ctx: ServeContext, request: Request) -> Dict[str, Any]:
             spare_rows=_require_int(params, "spare_rows", 2, minimum=0),
             spare_cols=_require_int(params, "spare_cols", 1, minimum=0),
             ecc=bool(params.get("ecc", False))),
-        session=session, seed=seed)
+        session=session if seed is None else session.derive(seed=seed))
     data = {"render": report.render(),
             "raw_yield": report.raw_yield}
     key = coalesce_key(request, session)

@@ -13,10 +13,10 @@ emulation.  A :class:`Session` owns that cross-cutting state once:
 * an **event sink** receiving structured :class:`StageEvent` records
   (one timed event per pipeline stage) for observability.
 
-Entry points construct one Session and pass it down; every layer that
-used to take ``jobs=``/``cache=``/``seed=`` keeps those keywords as
-deprecated shims resolved through :meth:`Session.ensure`, so existing
-callers keep working unchanged while new code writes::
+Entry points construct one Session and pass it down: every layer
+takes it as a required ``session`` argument, in the slot the
+technology used to occupy, and reads ``tech``/``jobs``/``cache``/
+``seed`` from it::
 
     from repro.session import Session
     from repro.tech import cmos65
@@ -288,42 +288,6 @@ class Session:
         fields_.update(overrides)
         return Session(**fields_)
 
-    @classmethod
-    def ensure(cls, session: Optional["Session"] = None, *,
-               tech: Optional[Technology] = None,
-               jobs: Optional[int] = None,
-               cache: Optional[CharacterizationCache] = None,
-               seed: Optional[int] = None,
-               sink: Optional[EventSink] = None,
-               tracer: Optional[Tracer] = None,
-               metrics: Optional[MetricsRegistry] = None,
-               profile_dir: Optional[str] = None) -> "Session":
-        """Resolve the deprecated kwarg shims into a Session.
-
-        When ``session`` is given it wins, with any explicitly passed
-        keyword applied as an override; otherwise a throwaway session is
-        built from the legacy keywords (``jobs=1``, ``seed=2015``
-        defaults, exactly the pre-session behaviour).
-        """
-        if session is not None:
-            overrides = {key: value for key, value in
-                         (("tech", tech), ("jobs", jobs),
-                          ("cache", cache), ("seed", seed),
-                          ("sink", sink), ("tracer", tracer),
-                          ("metrics", metrics),
-                          ("profile_dir", profile_dir))
-                         if value is not None}
-            return session.derive(**overrides) if overrides else session
-        if tech is None:
-            raise SessionError(
-                "a Technology (or an explicit Session) is required")
-        return cls(tech=tech,
-                   jobs=1 if jobs is None else jobs,
-                   cache=cache,
-                   seed=DEFAULT_SEED if seed is None else seed,
-                   sink=sink, tracer=tracer, metrics=metrics,
-                   profile_dir=profile_dir)
-
     # --- entry points -----------------------------------------------------
     # Convenience delegates so callers can stay entirely in the session
     # API.  Imports are deferred: the flow layers import this module.
@@ -344,22 +308,16 @@ class Session:
         return generate_brick_library(requests, name=name, session=self)
 
     def sweep_partitions(self, **kwargs):
-        """:func:`repro.explore.sweep` partition sweep, this session.
-
-        Delegates to the warning-free implementation (the session
-        method is the supported spelling; only the module-level
-        function is deprecated).
-        """
+        """:func:`repro.explore.sweep` partition sweep, this session."""
         from .explore.sweep import _sweep_partitions_impl
-        return _sweep_partitions_impl(session=self, **kwargs)
+        return _sweep_partitions_impl(self, **kwargs)
 
     def optimize_brick_selection(self, total_words: int, bits: int,
                                  **kwargs):
         """:func:`repro.explore.sweep` brick selection, this session."""
         from .explore.sweep import _optimize_brick_selection_impl
-        return _optimize_brick_selection_impl(total_words=total_words,
-                                              bits=bits, session=self,
-                                              **kwargs)
+        return _optimize_brick_selection_impl(self, total_words=total_words,
+                                              bits=bits, **kwargs)
 
     def sweep_engine(self, **kwargs):
         """A :class:`repro.explore.SweepEngine` bound to this session."""

@@ -315,9 +315,8 @@ class SignoffReport:
 class SignoffEngine:
     """Plan and run one Monte Carlo signoff.
 
-    Construction resolves a :class:`~repro.session.Session` exactly
-    like the other engines (``tech``/``jobs``/``cache`` shims
-    accepted).  Typical use::
+    Construction takes the :class:`~repro.session.Session` the
+    signoff runs under.  Typical use::
 
         engine = SignoffEngine(session, memory_type="8T", words=16,
                                bits=10, n_samples=2000,
@@ -326,8 +325,7 @@ class SignoffEngine:
         print(report.render())
     """
 
-    def __init__(self, session: Optional[Session] = None, *,
-                 tech=None, jobs: Optional[int] = None, cache=None,
+    def __init__(self, session: Session, *,
                  spec: Optional[BrickSpec] = None,
                  memory_type: str = "8T", words: int = 16,
                  bits: int = 10, stack: int = 1,
@@ -338,8 +336,7 @@ class SignoffEngine:
                  model: Optional[VariationModel] = None,
                  defects: Optional[DefectModel] = None,
                  repair: Optional[RepairPlan] = None) -> None:
-        self.session = Session.ensure(session, tech=tech, jobs=jobs,
-                                      cache=cache)
+        self.session = session
         self.spec = spec if spec is not None else BrickSpec(
             memory_type, words, bits)
         if stack < 1:

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import SiliconError
 from ..session import Session
 from ..tech.corners import BEST, WORST
-from ..tech.technology import Technology
 from .testchip import run_config_flow
 from .variation import VariationModel
 
@@ -81,15 +80,12 @@ class CornerSimulation:
 
 
 def measure_chips(configs: Sequence[str],
-                  tech: Optional[Technology] = None,
+                  session: Session,
                   n_chips: int = 8,
                   variation: Optional[VariationModel] = None,
                   seed: int = 65,
                   anneal_moves: int = 2000,
-                  jobs: Optional[int] = None,
-                  cache=None,
                   defect_model=None,
-                  session: Optional[Session] = None,
                   seed_stream: bool = False
                   ) -> Dict[str, ConfigMeasurements]:
     """Emulate multi-chip measurement of the test-chip configurations.
@@ -104,7 +100,7 @@ def measure_chips(configs: Sequence[str],
     Every die re-runs the full flow (library regeneration included) at
     its perturbed technology — dies are physical objects, and their
     periphery, bricks and wires all shift together.  Each die's flow
-    runs under a per-die child of the resolved session (same cache and
+    runs under a per-die child of ``session`` (same cache and
     sink, the die's technology): the tech fingerprints differently per
     die, so the characterization cache reuses nothing *across* dies
     (correct: their bricks really differ) while configurations sharing
@@ -118,7 +114,6 @@ def measure_chips(configs: Sequence[str],
     order-independent.  The default stays the legacy sequential
     sampler, whose seed-65 output existing goldens pin.
     """
-    session = Session.ensure(session, tech=tech, jobs=jobs, cache=cache)
     if variation is None:
         variation = VariationModel()
     if seed_stream:
@@ -174,18 +169,14 @@ def measure_chips(configs: Sequence[str],
 
 
 def simulate_corners(configs: Sequence[str],
-                     tech: Optional[Technology] = None,
-                     anneal_moves: int = 2000,
-                     jobs: Optional[int] = None,
-                     cache=None,
-                     session: Optional[Session] = None
+                     session: Session,
+                     anneal_moves: int = 2000
                      ) -> Dict[str, CornerSimulation]:
     """Library-based corner simulations (the Fig. 4b overlay).
 
     Each corner runs under a child session carrying the derated
     technology; the cache and sink are shared across corners.
     """
-    session = Session.ensure(session, tech=tech, jobs=jobs, cache=cache)
     results: Dict[str, CornerSimulation] = {}
     for config in configs:
         with session.span("best", kind="corner", config=config):

@@ -10,7 +10,7 @@ through the whole physical synthesis flow.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from ..bricks.spec import sram_brick
 from ..bricks.stack import BankConfig, partitioned, single_partition
@@ -20,7 +20,6 @@ from ..rtl.memory import build_sram
 from ..rtl.module import Module
 from ..session import Session
 from ..synth.flow import FlowResult, prepare_libraries, run_flow
-from ..tech.technology import Technology
 
 #: The five taped-out configurations of Fig. 4a.
 CONFIG_NAMES = ("A", "B", "C", "D", "E")
@@ -44,19 +43,15 @@ def config_bank(name: str) -> BankConfig:
         f"{CONFIG_NAMES}")
 
 
-def build_config(name: str, tech: Optional[Technology] = None,
-                 jobs: Optional[int] = None, cache=None,
-                 session: Optional[Session] = None
+def build_config(name: str, session: Session
                  ) -> Tuple[Module, LibraryModel, BankConfig]:
     """RTL plus merged (std cell + brick) libraries for a config at a
     given technology (nominal, corner-derated, or a chip sample).
 
     Library generation routes through the session's cache, so configs
     sharing a brick point (B and E both stack the 16x10 brick 2x) and
-    repeated builds at the same technology characterize it once.  The
-    ``tech``/``jobs``/``cache`` keywords are the pre-session shims.
+    repeated builds at the same technology characterize it once.
     """
-    session = Session.ensure(session, tech=tech, jobs=jobs, cache=cache)
     bank = config_bank(name)
     library = prepare_libraries([(bank.brick, bank.stack)],
                                 session=session)
@@ -79,16 +74,10 @@ def read_stimulus(bank: BankConfig, n_cycles: int = 64,
     return stimulate
 
 
-def run_config_flow(name: str, tech: Optional[Technology] = None,
+def run_config_flow(name: str, session: Session,
                     with_power: bool = True,
-                    anneal_moves: int = 4000,
-                    seed: Optional[int] = None,
-                    jobs: Optional[int] = None,
-                    cache=None,
-                    session: Optional[Session] = None) -> FlowResult:
+                    anneal_moves: int = 4000) -> FlowResult:
     """Push one test-chip configuration through the full flow."""
-    session = Session.ensure(session, tech=tech, jobs=jobs,
-                             cache=cache, seed=seed)
     with session.span(f"config:{name}", kind="flow",
                       with_power=with_power):
         top, library, bank = build_config(name, session=session)

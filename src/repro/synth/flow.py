@@ -18,8 +18,7 @@ cache, executor, master seed, event sink) and emits one timed
 :class:`~repro.session.StageEvent`, so every flow run is observable
 per-stage.  The returned :class:`FlowResult` carries every intermediate
 so benchmarks and the design-space explorer can report area/timing/
-power consistently; its summaries are identical whether the flow is
-invoked through the legacy keyword signature or through a Session.
+power consistently.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from ..liberty.models import LibraryModel
 from ..rtl.module import FlatNetlist, Module, elaborate
 from ..rtl.simulate import LogicSimulator
 from ..session import FaultEvent, Session
-from ..tech.technology import Technology
 from .clock import ClockTree, build_clock_tree
 from .floorplan import Floorplan, build_floorplan
 from .mapper import resize_for_load
@@ -47,9 +45,7 @@ from .timing import TimingReport, analyze_timing
 Stimulus = Callable[[LogicSimulator], None]
 
 
-def prepare_libraries(brick_requests, tech: Optional[Technology] = None,
-                      jobs: Optional[int] = None, cache=None,
-                      session: Optional[Session] = None) -> LibraryModel:
+def prepare_libraries(brick_requests, session: Session) -> LibraryModel:
     """Standard cells + brick macros for a flow run, via ``repro.perf``.
 
     ``brick_requests`` is a sequence of ``(BrickSpec, stack)`` pairs.
@@ -57,13 +53,10 @@ def prepare_libraries(brick_requests, tech: Optional[Technology] = None,
     route through the session's content-addressed cache, so running the
     flow on N designs sharing bricks (the Fig. 4b configs A–E all use
     the 16x10 brick) characterizes each unique point exactly once; cold
-    points fan out over the session's ``jobs`` processes.  The
-    ``tech``/``jobs``/``cache`` keywords are the deprecated pre-session
-    shims.
+    points fan out over the session's ``jobs`` processes.
     """
     from ..bricks.library import generate_brick_library
     from ..perf.characterize import cached_stdcell_library
-    session = Session.ensure(session, tech=tech, jobs=jobs, cache=cache)
     std = cached_stdcell_library(session.tech, cache=session.cache)
     bricks, _ = generate_brick_library(brick_requests, session=session)
     return std.merged_with(bricks)
@@ -316,15 +309,13 @@ def _result_from_state(state: FlowState) -> FlowResult:
 
 
 def run_flow(top: Module, library: LibraryModel,
-             tech: Optional[Technology] = None,
+             session: Session,
              stimulus: Optional[Stimulus] = None,
              freq_hz: Optional[float] = None,
              utilization: float = 0.65,
              anneal_moves: Optional[int] = None,
              resize: bool = True,
-             seed: Optional[int] = None,
-             continue_on_error: bool = False,
-             session: Optional[Session] = None
+             continue_on_error: bool = False
              ) -> Union[FlowResult, PartialFlowResult]:
     """Run the full LiM synthesis flow on ``top``.
 
@@ -333,10 +324,7 @@ def run_flow(top: Module, library: LibraryModel,
     :meth:`LibraryModel.merged_with`).  When ``stimulus`` is given, power
     is analyzed at ``freq_hz`` (default: the design's Fmax).
 
-    Either pass a :class:`~repro.session.Session` (which owns the
-    technology, master seed and event sink) or the legacy
-    ``tech``/``seed`` keywords; both spellings produce identical results
-    for the same technology and seed.
+    ``session`` owns the technology, master seed and event sink.
 
     With ``continue_on_error=True`` a stage failure no longer raises:
     the run always returns a :class:`PartialFlowResult` whose fault list
@@ -344,7 +332,6 @@ def run_flow(top: Module, library: LibraryModel,
     :class:`~repro.session.FaultEvent` on the session sink), with every
     artifact the healthy stages produced still attached.
     """
-    session = Session.ensure(session, tech=tech, seed=seed)
     state = FlowState(top=top, library=library, stimulus=stimulus,
                       freq_hz=freq_hz, utilization=utilization,
                       anneal_moves=anneal_moves, resize=resize)

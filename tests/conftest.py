@@ -11,6 +11,7 @@ import pytest
 
 from repro.bricks import compile_brick, generate_brick_library, sram_brick
 from repro.cells import make_stdcell_library
+from repro.session import Session
 from repro.tech import cmos65
 
 
@@ -65,5 +66,6 @@ def perf_close():
 @pytest.fixture(scope="session")
 def fig3_library(tech, stdlib):
     """Std cells plus the 2-stacked 16x10 brick of Fig. 3."""
-    bricks, _ = generate_brick_library([(sram_brick(16, 10), 2)], tech)
+    bricks, _ = generate_brick_library([(sram_brick(16, 10), 2)],
+                                       Session(tech))
     return stdlib.merged_with(bricks)

@@ -14,6 +14,7 @@ from repro.bricks import (
     sram_brick,
 )
 from repro.errors import BrickError, LibraryError
+from repro.session import Session
 
 
 class TestBrickCellModel:
@@ -66,18 +67,18 @@ class TestGenerateLibrary:
         """The paper's wall-clock claim, asserted as a hard bound."""
         requests = [(sram_brick(w, b), 128 // w)
                     for w in (16, 32, 64) for b in (8, 16, 32)]
-        library, elapsed = generate_brick_library(requests, tech)
+        library, elapsed = generate_brick_library(requests, Session(tech))
         assert len(library) == 9
         assert elapsed < 2.0
 
     def test_names_follow_convention(self, tech):
         library, _ = generate_brick_library(
-            [(sram_brick(16, 10), 2)], tech)
+            [(sram_brick(16, 10), 2)], Session(tech))
         assert bank_cell_name(sram_brick(16, 10), 2) in library.cells
 
     def test_empty_request_rejected(self, tech):
         with pytest.raises(LibraryError):
-            generate_brick_library([], tech)
+            generate_brick_library([], Session(tech))
 
 
 class TestBankConfig:

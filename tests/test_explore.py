@@ -14,7 +14,7 @@ from repro.session import Session
 
 
 def _session(tech):
-    return Session.ensure(None, tech=tech)
+    return Session(tech)
 
 
 class TestSweep:

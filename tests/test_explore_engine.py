@@ -1,9 +1,8 @@
-"""The SweepEngine facade, deprecation shims, serve progress and CLI.
+"""The SweepEngine facade, session sweep methods, serve progress, CLI.
 
-The engine's cached mode must be indistinguishable from the legacy
-``sweep_partitions`` path; the deprecated module-level trio must warn;
-the serve layer must surface shard progress in ``stats``; and the CLI
-must accept the scale flags.
+The engine's cached mode must be indistinguishable from the
+``Session.sweep_partitions`` path; the serve layer must surface shard
+progress in ``stats``; and the CLI must accept the scale flags.
 """
 
 from __future__ import annotations
@@ -12,52 +11,21 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.errors import ExplorationError
-from repro.explore import (
-    AUTO_SHARD_THRESHOLD,
-    SweepEngine,
-    execute_sweep_plan,
-    optimize_brick_selection,
-    plan_sweep,
-    sweep_partitions,
-)
+from repro.explore import AUTO_SHARD_THRESHOLD, SweepEngine
 from repro.session import Session
 
 
 def _session(tech):
-    return Session.ensure(None, tech=tech)
+    return Session(tech)
 
 
-class TestDeprecatedShims:
-    def test_plan_sweep_warns(self, tech):
-        with pytest.warns(DeprecationWarning, match="plan_sweep"):
-            plan_sweep(tech)
-
-    def test_execute_sweep_plan_warns(self, tech):
-        with pytest.warns(DeprecationWarning, match="plan_sweep"):
-            plan = plan_sweep(tech)
-        with pytest.warns(DeprecationWarning,
-                          match="execute_sweep_plan"):
-            result = execute_sweep_plan(plan, session=_session(tech))
-        assert len(result.points) == 9
-
-    def test_sweep_partitions_warns_and_still_works(self, tech):
-        with pytest.warns(DeprecationWarning,
-                          match="sweep_partitions"):
-            result = sweep_partitions(tech)
-        assert len(result.points) == 9
-
-    def test_optimize_brick_selection_warns(self, tech):
-        with pytest.warns(DeprecationWarning,
-                          match="optimize_brick_selection"):
-            choice = optimize_brick_selection(tech, 128, 16)
-        assert choice.point.total_words == 128
-
-    def test_session_methods_do_not_warn(self, tech, recwarn):
+class TestSessionSweepMethods:
+    def test_sweep_and_brick_selection(self, tech, recwarn):
         session = _session(tech)
-        session.sweep_partitions()
-        session.optimize_brick_selection(128, 16)
-        assert not [w for w in recwarn
-                    if issubclass(w.category, DeprecationWarning)]
+        assert len(session.sweep_partitions().points) == 9
+        choice = session.optimize_brick_selection(128, 16)
+        assert choice.point.total_words == 128
+        assert not recwarn.list
 
 
 class TestPlanModes:
@@ -148,7 +116,7 @@ class TestShardedMode:
 
     def test_counters_and_spans(self, tech):
         from repro.obs import MetricsRegistry, Tracer
-        session = Session.ensure(None, tech=tech)
+        session = Session(tech)
         session.metrics = MetricsRegistry()
         session.tracer = Tracer()
         session.sweep_engine(

@@ -181,7 +181,7 @@ class TestAccumulatorProperty:
 
 
 def _session(tech, cache=None):
-    return Session.ensure(None, tech=tech, cache=cache)
+    return Session(tech, cache=cache)
 
 
 class TestPriceShard:

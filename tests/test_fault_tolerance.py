@@ -21,6 +21,7 @@ from repro.perf import (
     ExecutorPolicy,
     TaskFailure,
     default_executor_policy,
+    parallel_imap,
     parallel_map,
     resolve_jobs,
     set_default_executor_policy,
@@ -29,12 +30,18 @@ from repro.session import FaultEvent, RecordingSink, Session
 from repro.tech import cmos65
 
 _PARENT_PID = os.getpid()
-_FAST = ExecutorPolicy(max_retries=1, backoff_s=0.0)
 
 
 def _fail_on_two(x):
     if x == 2:
         raise ValueError(f"bad value {x}")
+    return x * 10
+
+
+def _fail_on_two_in_child(x):
+    # Fails only inside a pool worker, so serial recovery succeeds.
+    if x == 2 and os.getpid() != _PARENT_PID:
+        raise ValueError(f"bad value {x} in worker")
     return x * 10
 
 
@@ -69,35 +76,52 @@ class TestExecutorPolicy:
         with pytest.raises(ExecutorError):
             ExecutorPolicy(task_timeout_s=0.0)
         with pytest.raises(ExecutorError):
-            ExecutorPolicy(max_retries=-1)
-        with pytest.raises(ExecutorError):
-            ExecutorPolicy(backoff_s=-0.1)
+            ExecutorPolicy(task_timeout_s=-1.0)
 
     def test_process_default_is_swappable(self):
         original = default_executor_policy()
         try:
-            mine = ExecutorPolicy(max_retries=3)
+            mine = ExecutorPolicy(task_timeout_s=3.0)
             assert set_default_executor_policy(mine) is mine
             assert default_executor_policy() is mine
         finally:
             set_default_executor_policy(original)
 
 
+def _collect_imap(fn, tasks, **kwargs):
+    """``parallel_imap`` gathered into a task-ordered list."""
+    results = [None] * len(tasks)
+    for index, value in parallel_imap(fn, tasks, **kwargs):
+        results[index] = value
+    return results
+
+
 class TestParallelMapFaults:
+    """Executor faults through ``parallel_map``; the subclass below
+    runs every case again through a collected ``parallel_imap``, since
+    both drive the same loop."""
+
+    run = staticmethod(parallel_map)
+
     def test_serial_path_raises_original_exception(self):
         # jobs=1 keeps the historical contract: the task's own error
         # type propagates, not an ExecutorError wrapper.
         with pytest.raises(ValueError):
-            parallel_map(_fail_on_two, [1, 2, 3], jobs=1)
+            self.run(_fail_on_two, [1, 2, 3], jobs=1)
 
     def test_pool_failure_wraps_in_executor_error(self):
         with pytest.raises(ExecutorError) as excinfo:
-            parallel_map(_fail_on_two, [1, 2, 3], jobs=2, policy=_FAST)
+            self.run(_fail_on_two, [1, 2, 3], jobs=2)
         assert isinstance(excinfo.value.__cause__, ValueError)
+        assert "bad value 2" in str(excinfo.value.__cause__)
+
+    def test_pool_failure_recovers_serially(self):
+        assert self.run(_fail_on_two_in_child, [1, 2, 3],
+                        jobs=2) == [10, 20, 30]
 
     def test_return_errors_yields_placeholders(self):
-        results = parallel_map(_fail_on_two, [1, 2, 3], jobs=2,
-                               policy=_FAST, return_errors=True)
+        results = self.run(_fail_on_two, [1, 2, 3], jobs=2,
+                           return_errors=True)
         assert results[0] == 10 and results[2] == 30
         failure = results[1]
         assert isinstance(failure, TaskFailure)
@@ -105,22 +129,37 @@ class TestParallelMapFaults:
         assert failure.index == 1 and failure.kind == "ValueError"
 
     def test_serial_return_errors(self):
-        results = parallel_map(_fail_on_two, [1, 2, 3], jobs=1,
-                               return_errors=True)
+        results = self.run(_fail_on_two, [1, 2, 3], jobs=1,
+                           return_errors=True)
         assert isinstance(results[1], TaskFailure)
         assert results[0] == 10 and results[2] == 30
 
     def test_broken_pool_recovers_serially(self):
         """Acceptance: a crashing worker never loses healthy results."""
-        results = parallel_map(_crash_pool_in_child, [1, 2, 3], jobs=2,
-                               policy=_FAST)
-        assert results == [101, 102, 103]
+        assert self.run(_crash_pool_in_child, [1, 2, 3],
+                        jobs=2) == [101, 102, 103]
 
     def test_task_timeout_recovers_serially(self):
-        policy = ExecutorPolicy(task_timeout_s=0.25, max_retries=0)
-        results = parallel_map(_hang_in_child, [5, 6], jobs=2,
-                               policy=policy)
+        policy = ExecutorPolicy(task_timeout_s=0.25)
+        faults = []
+        results = self.run(_hang_in_child, [5, 6], jobs=2,
+                           policy=policy,
+                           on_fault=lambda *f: faults.append(f[:2]))
         assert results == [4, 5]
+        assert faults == [("Timeout", 0), ("Timeout", 1)]
+
+
+class TestParallelImapFaults(TestParallelMapFaults):
+    run = staticmethod(_collect_imap)
+
+    def test_recovered_results_arrive_last_in_index_order(self):
+        pairs = list(parallel_imap(_fail_on_two_in_child,
+                                   [2, 1, 2, 3, 2, 4], jobs=2))
+        order = [index for index, _ in pairs]
+        assert sorted(order[:3]) == [1, 3, 5]
+        assert order[3:] == [0, 2, 4]
+        assert dict(pairs) == {0: 20, 1: 10, 2: 20, 3: 30, 4: 20,
+                               5: 40}
 
 
 class TestPipelinePartial:
@@ -289,10 +328,11 @@ class TestExitCodes:
         from repro.cli import main
         original = default_executor_policy()
         try:
-            assert main(["--no-cache", "--max-retries", "3",
-                         "--task-timeout", "2.5", "brick"]) == 0
-            policy = default_executor_policy()
-            assert policy.max_retries == 3
-            assert policy.task_timeout_s == 2.5
+            assert main(["--no-cache", "--task-timeout", "2.5",
+                         "brick"]) == 0
+            assert default_executor_policy().task_timeout_s == 2.5
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--no-cache", "--max-retries", "3", "brick"])
+            assert excinfo.value.code == 2
         finally:
             set_default_executor_policy(original)

@@ -20,6 +20,7 @@ from repro.bricks import (
 from repro.cells import make_stdcell_library
 from repro.liberty import LibertyWriter
 from repro.rtl import LogicSimulator, build_sram, elaborate
+from repro.session import Session
 from repro.spgemm import (
     CAMSpGEMMAccelerator,
     HeapSpGEMMAccelerator,
@@ -35,7 +36,7 @@ class TestFullSynthesisPipeline:
     def pipeline(self, tech, stdlib):
         config = single_partition(sram_brick(16, 8), 32)
         bricks, elapsed = generate_brick_library(
-            [(config.brick, config.stack)], tech)
+            [(config.brick, config.stack)], Session(tech))
         library = stdlib.merged_with(bricks)
         module = build_sram(config)
 
@@ -48,7 +49,7 @@ class TestFullSynthesisPipeline:
                 sim.set_input("we", 1)
                 sim.clock()
 
-        result = run_flow(module, library, tech, stimulus=stimulus,
+        result = run_flow(module, library, Session(tech), stimulus=stimulus,
                           anneal_moves=1000)
         return config, library, result, elapsed
 
@@ -74,9 +75,9 @@ class TestFullSynthesisPipeline:
         worst_tech = WORST.apply(tech)
         worst_std = make_stdcell_library(worst_tech)
         bricks, _ = generate_brick_library(
-            [(config.brick, config.stack)], worst_tech)
+            [(config.brick, config.stack)], Session(worst_tech))
         worst = run_flow(build_sram(config),
-                         worst_std.merged_with(bricks), worst_tech,
+                         worst_std.merged_with(bricks), Session(worst_tech),
                          anneal_moves=1000)
         assert worst.fmax < nominal.fmax
 
@@ -115,7 +116,7 @@ class TestFullApplicationPipeline:
 
         config = single_partition(cam_brick(16, 10), 16)
         bricks, _ = generate_brick_library(
-            [(config.brick, config.stack)], tech)
+            [(config.brick, config.stack)], Session(tech))
         module = build_cam(config)
         sim = LogicSimulator(elaborate(module,
                                        stdlib.merged_with(bricks)))

@@ -11,6 +11,7 @@ from repro.liberty import (
     read_liberty,
     write_liberty,
 )
+from repro.session import Session
 
 
 class TestGroupParsing:
@@ -61,7 +62,7 @@ class TestRoundTrip:
         small = make_stdcell_library(
             tech, gates=["INV", "NAND2", "NOR2", "DFF"])
         bricks, _ = generate_brick_library(
-            [(sram_brick(16, 10), 2)], tech)
+            [(sram_brick(16, 10), 2)], Session(tech))
         original = small.merged_with(bricks)
         parsed = parse_library(LibertyWriter(original).text())
         return original, parsed

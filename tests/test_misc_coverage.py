@@ -15,6 +15,7 @@ from repro.errors import (
     TechnologyError,
     TimingError,
 )
+from repro.session import Session
 
 
 class TestErrorHierarchy:
@@ -81,7 +82,8 @@ class TestReports:
         from repro.rtl import fig3_sram
         from repro.synth import run_flow, timing_report
         module, _ = fig3_sram()
-        result = run_flow(module, fig3_library, tech, anneal_moves=200)
+        result = run_flow(module, fig3_library, Session(tech),
+                          anneal_moves=200)
         text = timing_report(result.timing,
                              period=result.timing.min_period * 2)
         assert "slack" in text
@@ -103,7 +105,7 @@ class TestReports:
                 sim.set_input("we", 1)
                 sim.clock()
 
-        result = run_flow(module, fig3_library, tech,
+        result = run_flow(module, fig3_library, Session(tech),
                           stimulus=stimulus, anneal_moves=200)
         text = power_report(result.power)
         assert "dynamic" in text

@@ -23,7 +23,7 @@ from repro.perf import (
     default_cache,
     fingerprint,
 )
-from repro.tech import cmos65
+from repro.session import Session
 from repro.tech.corners import WORST
 
 
@@ -365,9 +365,9 @@ class TestDefaultCache:
         try:
             configure_default_cache()
             requests = [(sram_brick(16, 10), 2)]
-            generate_brick_library(requests, tech)
+            generate_brick_library(requests, Session(tech))
             before = default_cache().stats.hits
-            generate_brick_library(requests, tech)
+            generate_brick_library(requests, Session(tech))
             assert default_cache().stats.hits > before
         finally:
             configure_default_cache()
@@ -391,7 +391,6 @@ class TestWriterLock:
         """
         import fcntl
         import threading
-        import time
         lock_path = (tmp_path / f"v{KEY_SCHEMA_VERSION}"
                      / ".writer.lock")
         lock_path.parent.mkdir(parents=True, exist_ok=True)

@@ -25,18 +25,6 @@ def _sq(x):
     return x * x
 
 
-def sweep_partitions(tech, jobs=None, cache=None, **kwargs):
-    """Legacy-shaped helper over the supported session API."""
-    session = Session.ensure(None, tech=tech, jobs=jobs, cache=cache)
-    return session.sweep_partitions(**kwargs)
-
-
-def optimize_brick_selection(tech, total_words, bits, jobs=None,
-                             cache=None, **kwargs):
-    session = Session.ensure(None, tech=tech, jobs=jobs, cache=cache)
-    return session.optimize_brick_selection(total_words, bits, **kwargs)
-
-
 class TestParallelMap:
     def test_serial_path(self):
         assert parallel_map(_sq, [1, 2, 3], jobs=1) == [1, 4, 9]
@@ -61,10 +49,10 @@ class TestSweepParallel:
     def test_fig4c_parallel_points_byte_identical(self, tech):
         """Acceptance: jobs>1 produces byte-identical SweepResult points
         to jobs=1 on the paper's 9-brick sweep."""
-        serial = sweep_partitions(tech, jobs=1,
-                                  cache=CharacterizationCache())
-        parallel = sweep_partitions(tech, jobs=4,
-                                    cache=CharacterizationCache())
+        serial = Session(tech, jobs=1, cache=CharacterizationCache()
+                         ).sweep_partitions()
+        parallel = Session(tech, jobs=4, cache=CharacterizationCache()
+                           ).sweep_partitions()
         assert [pickle.dumps(p) for p in serial.points] == \
             [pickle.dumps(p) for p in parallel.points]
 
@@ -86,20 +74,18 @@ class TestSweepParallel:
         kwargs = dict(total_words_options=(total_words,),
                       bits_options=tuple(bits),
                       brick_words_options=tuple(brick_words))
-        serial = sweep_partitions(tech, jobs=1,
-                                  cache=CharacterizationCache(),
-                                  **kwargs)
-        parallel = sweep_partitions(tech, jobs=jobs,
-                                    cache=CharacterizationCache(),
-                                    **kwargs)
+        serial = Session(tech, jobs=1, cache=CharacterizationCache()
+                         ).sweep_partitions(**kwargs)
+        parallel = Session(tech, jobs=jobs, cache=CharacterizationCache()
+                           ).sweep_partitions(**kwargs)
         assert [pickle.dumps(p) for p in serial.points] == \
             [pickle.dumps(p) for p in parallel.points]
 
     def test_sweep_cache_sharing_is_byte_identical(self, tech):
         """A warm-cache sweep returns the same bytes as a cold one."""
-        cache = CharacterizationCache()
-        cold = sweep_partitions(tech, cache=cache)
-        warm = sweep_partitions(tech, cache=cache)
+        session = Session(tech, cache=CharacterizationCache())
+        cold = session.sweep_partitions()
+        warm = session.sweep_partitions()
         assert [pickle.dumps(p) for p in cold.points] == \
             [pickle.dumps(p) for p in warm.points]
 
@@ -111,9 +97,9 @@ class TestSweepParallel:
         margin even on a noisy CI box.  Best-of-3 warm runs guard
         against scheduler hiccups.
         """
-        cache = CharacterizationCache()
-        cold = sweep_partitions(tech, cache=cache)
-        warm = min(sweep_partitions(tech, cache=cache).wall_clock_s
+        session = Session(tech, cache=CharacterizationCache())
+        cold = session.sweep_partitions()
+        warm = min(session.sweep_partitions().wall_clock_s
                    for _ in range(3))
         assert cold.wall_clock_s >= 5.0 * warm, \
             f"cold {cold.wall_clock_s * 1e3:.2f} ms vs " \
@@ -121,8 +107,8 @@ class TestSweepParallel:
 
     def test_empty_sweep_still_raises(self, tech):
         with pytest.raises(ExplorationError):
-            sweep_partitions(tech, total_words_options=(100,),
-                             brick_words_options=(64,))
+            Session(tech).sweep_partitions(total_words_options=(100,),
+                                           brick_words_options=(64,))
 
 
 class TestLibraryParallel:
@@ -130,9 +116,10 @@ class TestLibraryParallel:
         requests = [(sram_brick(w, b), 128 // w)
                     for w in (16, 32, 64) for b in (8, 16)]
         serial, _ = generate_brick_library(
-            requests, tech, cache=CharacterizationCache())
+            requests, Session(tech, cache=CharacterizationCache()))
         parallel, _ = generate_brick_library(
-            requests, tech, jobs=3, cache=CharacterizationCache())
+            requests, Session(tech, jobs=3,
+                              cache=CharacterizationCache()))
         assert sorted(serial.cells) == sorted(parallel.cells)
         for name in serial.cells:
             assert pickle.dumps(serial.cells[name]) == \
@@ -159,17 +146,18 @@ class TestLibraryParallel:
 class TestOptimizerRouting:
     def test_optimize_uses_cache(self, tech):
         cache = CharacterizationCache()
-        first = optimize_brick_selection(tech, 128, 16, cache=cache)
+        session = Session(tech, cache=cache)
+        first = session.optimize_brick_selection(128, 16)
         warm_hits = cache.stats.hits
-        second = optimize_brick_selection(tech, 128, 16, cache=cache)
+        second = session.optimize_brick_selection(128, 16)
         assert cache.stats.hits > warm_hits
         assert pickle.dumps(first) == pickle.dumps(second)
 
     def test_optimize_parallel_identical(self, tech):
-        serial = optimize_brick_selection(
-            tech, 128, 16, cache=CharacterizationCache())
-        parallel = optimize_brick_selection(
-            tech, 128, 16, jobs=3, cache=CharacterizationCache())
+        serial = Session(tech, cache=CharacterizationCache()
+                         ).optimize_brick_selection(128, 16)
+        parallel = Session(tech, jobs=3, cache=CharacterizationCache()
+                           ).optimize_brick_selection(128, 16)
         assert pickle.dumps(serial) == pickle.dumps(parallel)
 
 
@@ -177,11 +165,10 @@ class TestFlowRouting:
     def test_prepare_libraries_shares_characterization(self, tech):
         from repro.synth import prepare_libraries
         cache = CharacterizationCache()
-        lib1 = prepare_libraries([(sram_brick(16, 10), 2)], tech,
-                                 cache=cache)
+        session = Session(tech, cache=cache)
+        lib1 = prepare_libraries([(sram_brick(16, 10), 2)], session)
         misses_after_cold = cache.stats.misses
-        lib2 = prepare_libraries([(sram_brick(16, 10), 2)], tech,
-                                 cache=cache)
+        lib2 = prepare_libraries([(sram_brick(16, 10), 2)], session)
         assert cache.stats.misses == misses_after_cold
         assert sorted(lib1.cells) == sorted(lib2.cells)
 
@@ -190,8 +177,8 @@ class TestFlowRouting:
         must characterize that point once."""
         from repro.silicon import build_config
         cache = CharacterizationCache()
-        build_config("B", tech, cache=cache)
+        build_config("B", Session(tech, cache=cache))
         misses_after_b = cache.stats.misses
-        build_config("E", tech, cache=cache)
+        build_config("E", Session(tech, cache=cache))
         # E adds no new characterization work (stdlib + brick cached).
         assert cache.stats.misses == misses_after_b

@@ -21,11 +21,12 @@ from repro.rtl import (
     emit_module,
     fig3_sram,
 )
+from repro.session import Session
 
 
 def _library_for(stdlib, tech, config):
     bricks, _ = generate_brick_library(
-        [(config.brick, config.stack)], tech)
+        [(config.brick, config.stack)], Session(tech))
     return stdlib.merged_with(bricks)
 
 

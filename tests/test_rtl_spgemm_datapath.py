@@ -11,12 +11,13 @@ from repro.rtl import (
     elaborate,
     update_datapath_reference,
 )
+from repro.session import Session
 
 
 @pytest.fixture(scope="module")
 def datapath(tech, stdlib):
     module, spec = build_update_datapath(words=8, value_bits=8)
-    bricks, _ = generate_brick_library([(spec, 1)], tech)
+    bricks, _ = generate_brick_library([(spec, 1)], Session(tech))
     flat = elaborate(module, stdlib.merged_with(bricks))
     return module, flat
 

@@ -1,12 +1,11 @@
 """Tests for the session run context and the staged synthesis pipeline.
 
 Covers the :class:`~repro.session.Session` contract (construction,
-shims, derivation, seeded RNG streams), the generic
+derivation, seeded RNG streams), the generic
 :class:`~repro.synth.pipeline.Pipeline` runner (ordering, events,
 failure wrapping), the purity of the clock-tree power fold, and the
-end-to-end guarantees: legacy keyword callers and session callers get
-byte-identical flow summaries, an injected session's cache and jobs
-reach the characterization layers, and a CLI ``sram`` run emits one
+end-to-end guarantees: an injected session's cache and jobs reach the
+characterization layers, and a flow or CLI ``sram`` run emits one
 timed event per pipeline stage.
 """
 
@@ -33,12 +32,11 @@ from repro.synth import (
     PowerReport,
     fold_clock_tree_energy,
     prepare_libraries,
-    run_flow,
 )
 from repro.synth.clock import ClockTree
 
 
-# --- Session construction and shims ---------------------------------------
+# --- Session construction ------------------------------------------------
 
 
 class TestSession:
@@ -66,25 +64,6 @@ class TestSession:
     def test_derive_rejects_unknown_field(self, tech):
         with pytest.raises(SessionError, match="unknown session field"):
             Session(tech).derive(threads=4)
-
-    def test_ensure_builds_from_legacy_kwargs(self, tech):
-        session = Session.ensure(None, tech=tech, jobs=2, seed=5)
-        assert (session.tech, session.jobs, session.seed) == (tech, 2, 5)
-
-    def test_ensure_requires_tech_without_session(self):
-        with pytest.raises(SessionError, match="Technology"):
-            Session.ensure(None)
-
-    def test_ensure_explicit_session_wins(self, tech):
-        session = Session(tech, jobs=4, seed=3)
-        assert Session.ensure(session) is session
-
-    def test_ensure_kwargs_override_session(self, tech):
-        base = Session(tech, jobs=4, seed=3)
-        resolved = Session.ensure(base, seed=77)
-        assert resolved.seed == 77
-        assert resolved.jobs == 4
-        assert resolved.cache is base.cache
 
     def test_rng_streams_deterministic_and_independent(self, tech):
         session = Session(tech, seed=42)
@@ -246,12 +225,12 @@ class TestSessionReachesLayers:
         assert len(spy.get_keys) > first
 
 
-# --- Legacy keywords vs session: identical flows --------------------------
+# --- Flows under a session -----------------------------------------------
 
 
 def _flow_inputs(tech):
     bank = single_partition(sram_brick(16, 8), 16)
-    library = prepare_libraries([(bank.brick, bank.stack)], tech=tech)
+    library = prepare_libraries([(bank.brick, bank.stack)], Session(tech))
     module = build_sram(bank)
 
     def stimulus(sim):
@@ -267,16 +246,6 @@ def _flow_inputs(tech):
 
 
 class TestGoldenEquivalence:
-    def test_legacy_and_session_summaries_identical(self, tech):
-        bank, library, _, stimulus = _flow_inputs(tech)
-        legacy = run_flow(build_sram(bank), library, tech,
-                          stimulus=stimulus, anneal_moves=300, seed=5)
-        session = Session(tech, seed=5)
-        via_session = session.run_flow(build_sram(bank), library,
-                                       stimulus=stimulus,
-                                       anneal_moves=300)
-        assert legacy.summary() == via_session.summary()
-
     def test_run_flow_emits_one_event_per_stage(self, tech):
         bank, library, _, stimulus = _flow_inputs(tech)
         sink = RecordingSink()

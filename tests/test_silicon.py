@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SiliconError
+from repro.session import Session
 from repro.silicon import (
     CONFIG_NAMES,
     VariationModel,
@@ -67,21 +68,21 @@ class TestTestchipConfigs:
             config_bank("F")
 
     def test_build_config_produces_merged_library(self, tech):
-        module, library, bank = build_config("A", tech)
+        module, library, bank = build_config("A", Session(tech))
         assert "INV_X1" in library.cells
         assert any(c.is_brick for c in library)
 
     def test_run_config_flow_a(self, tech):
-        result = run_config_flow("A", tech, anneal_moves=300)
+        result = run_config_flow("A", Session(tech), anneal_moves=300)
         assert result.fmax > 0
         assert result.power.energy_per_cycle > 0
 
 
 class TestMeasurement:
     def test_measurements_spread_and_track_corners(self, tech):
-        measured = measure_chips(["A"], tech, n_chips=3,
+        measured = measure_chips(["A"], Session(tech), n_chips=3,
                                  anneal_moves=200)
-        corners = simulate_corners(["A"], tech, anneal_moves=200)
+        corners = simulate_corners(["A"], Session(tech), anneal_moves=200)
         m = measured["A"]
         c = corners["A"]
         assert m.min_fmax <= m.mean_fmax <= m.max_fmax

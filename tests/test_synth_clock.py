@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SynthesisError
 from repro.rtl import Module, as_bus, elaborate, fig3_sram, register
+from repro.session import Session
 from repro.synth import build_clock_tree, build_floorplan, place, \
     run_flow
 
@@ -78,7 +79,7 @@ class TestFlowIntegration:
                 sim.set_input("we", 1)
                 sim.clock()
 
-        result = run_flow(module, fig3_library, tech,
+        result = run_flow(module, fig3_library, Session(tech),
                           stimulus=stimulus, anneal_moves=300)
         assert result.clock_tree is not None
         assert "clock_network" in result.power.by_category

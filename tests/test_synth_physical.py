@@ -6,6 +6,7 @@ from repro.bricks import generate_brick_library, single_partition, \
     sram_brick
 from repro.errors import SynthesisError
 from repro.rtl import build_sram, elaborate, fig3_sram
+from repro.session import Session
 from repro.synth import build_floorplan, place, route
 
 
@@ -52,7 +53,7 @@ class TestFloorplan:
     def test_stacked_macros_are_tall(self, stdlib, tech):
         config = single_partition(sram_brick(16, 10), 128)
         bricks, _ = generate_brick_library(
-            [(config.brick, config.stack)], tech)
+            [(config.brick, config.stack)], Session(tech))
         flat = elaborate(build_sram(config),
                          stdlib.merged_with(bricks))
         fp = build_floorplan(flat, tech)
@@ -116,7 +117,7 @@ class TestRouting:
         different heights — the Fig. 4b config-D routing penalty."""
         config = single_partition(sram_brick(16, 10), 128)
         bricks, _ = generate_brick_library(
-            [(config.brick, config.stack)], tech)
+            [(config.brick, config.stack)], Session(tech))
         flat = elaborate(build_sram(config),
                          stdlib.merged_with(bricks))
         fp = build_floorplan(flat, tech)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import PowerError, SynthesisError, TimingError
 from repro.rtl import LogicSimulator, Module, as_bus, elaborate, fig3_sram
+from repro.session import Session
 from repro.synth import (
     analyze_power,
     build_floorplan,
@@ -20,7 +21,8 @@ from repro.units import GHZ, MHZ
 
 
 def _flow(module, library, tech, **kwargs):
-    return run_flow(module, library, tech, anneal_moves=500, **kwargs)
+    return run_flow(module, library, Session(tech), anneal_moves=500,
+                    **kwargs)
 
 
 class TestSTA:
@@ -80,17 +82,17 @@ class TestResize:
         """The ECO pass must leave the die larger than the final cell
         area (resizing cannot silently overflow the floorplan)."""
         module, _ = fig3_sram()
-        result = run_flow(module, fig3_library, tech,
+        result = run_flow(module, fig3_library, Session(tech),
                           anneal_moves=500)
         assert result.area_um2 > result.cell_area_um2
 
     def test_resize_improves_timing(self, fig3_library, tech):
         module, _ = fig3_sram()
-        base = run_flow(module, fig3_library, tech, anneal_moves=0,
-                        resize=False)
+        base = run_flow(module, fig3_library, Session(tech),
+                        anneal_moves=0, resize=False)
         module2, _ = fig3_sram()
-        sized = run_flow(module2, fig3_library, tech, anneal_moves=0,
-                         resize=True)
+        sized = run_flow(module2, fig3_library, Session(tech),
+                         anneal_moves=0, resize=True)
         assert sized.timing.min_period <= base.timing.min_period * 1.02
 
 

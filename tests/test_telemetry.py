@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 
 import pytest
 
@@ -344,8 +345,31 @@ class TestTraceTap:
         assert all(s.parent_id == group.span_id for s in tasks)
         assert all(s.remote_parent is None for s in tasks)
 
+    def test_pooled_spans_graft_in_task_order(self):
+        # Task 0 sleeps in its worker, so it completes last; its span
+        # must still be grafted first.
+        tracer = Tracer()
+        group = tracer.open("parallel_map")
+        tap = TraceTap.for_span(tracer, group)
+        results = parallel_map(_double_slow_first, [0, 1, 2, 3], jobs=2,
+                               trace=tap)
+        tracer.close(group)
+        assert results == [0, 2, 4, 6]
+        tasks = sorted((s for s in tracer.spans if s.kind == "task"),
+                       key=lambda s: s.span_id)
+        assert [s.name for s in tasks] == ["task:_double_slow_first"] * 4
+        assert all(s.parent_id == group.span_id for s in tasks)
+        durations = [s.dur_s for s in tasks]
+        assert durations[0] >= 0.4 > max(durations[1:])
+
 
 def _double(x):
+    return 2 * x
+
+
+def _double_slow_first(x):
+    if x == 0:
+        time.sleep(0.5)
     return 2 * x
 
 
