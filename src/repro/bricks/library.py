@@ -169,11 +169,6 @@ def generate_brick_library(
                            tech_name=session.tech.name)
     with maybe_span(session.tracer, f"brick_library:{name}",
                     kind="library", n_requests=len(requests)):
-        for cell in characterize_cells(requests, session.tech,
-                                       jobs=session.jobs,
-                                       cache=session.cache,
-                                       tracer=session.tracer,
-                                       sink=session.sink,
-                                       pool=session.pool):
+        for cell in characterize_cells(requests, session):
             library.add(cell)
     return library, watch.elapsed()

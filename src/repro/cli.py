@@ -15,7 +15,7 @@ produce, so the flow is scriptable without writing Python.
 
 Each invocation builds one :class:`~repro.session.Session` from the
 global flags (``--tech``, ``--jobs``, ``--seed`` where applicable) and
-the process-wide cache configured by ``--cache-dir``/``--no-cache``;
+a characterization cache built from ``--cache-dir``/``--no-cache``;
 the session is passed down through every layer instead of loose
 keyword arguments.  ``--trace-stages`` attaches a printing event sink
 so each pipeline stage reports its wall clock on stderr.
@@ -62,9 +62,8 @@ from .obs.report import filter_request_records, render_report
 from .obs.telemetry import OpsLog, render_dashboard, render_prometheus
 from .obs.trace import Tracer, maybe_span
 from .perf import (
+    CharacterizationCache,
     ExecutorPolicy,
-    configure_default_cache,
-    default_cache,
     executor_stats,
     reset_executor_stats,
     set_default_executor_policy,
@@ -81,13 +80,13 @@ def _session(args) -> Session:
 
     An injected session (``main(argv, session=...)``) wins — that is the
     embedding/test hook; otherwise the session is assembled from the
-    parsed flags.  The cache is the process default, which ``main`` has
-    already configured from ``--cache-dir``/``--no-cache``.
+    parsed flags, around the cache ``main`` built from
+    ``--cache-dir``/``--no-cache``.
     """
     if getattr(args, "_session", None) is not None:
         return args._session
     sink = PrintingSink() if args.trace_stages else None
-    return Session(by_name(args.tech), jobs=args.jobs,
+    return Session(by_name(args.tech), jobs=args.jobs, cache=args._cache,
                    seed=getattr(args, "seed", DEFAULT_SEED), sink=sink,
                    tracer=getattr(args, "_tracer", None),
                    metrics=getattr(args, "_metrics", None),
@@ -857,8 +856,11 @@ def main(argv: Optional[Sequence[str]] = None,
                if getattr(args, "metrics", False) else None)
     args._tracer = tracer
     args._metrics = metrics
-    configure_default_cache(cache_dir=args.cache_dir,
-                            enabled=not args.no_cache)
+    # The run's one cache: --cache-stats, --metrics and the trace's
+    # metrics record all read the cache the session characterizes into.
+    args._cache = (session.cache if session is not None
+                   else CharacterizationCache(cache_dir=args.cache_dir,
+                                              enabled=not args.no_cache))
     # Fresh executor counters per invocation (like the cache stats), so
     # a --metrics snapshot covers exactly this run even when main() is
     # called repeatedly in-process.
@@ -879,7 +881,7 @@ def main(argv: Optional[Sequence[str]] = None,
         # embedded metrics record, so every surface agrees.
         snapshot = None
         if tracer is not None or metrics is not None or args.cache_stats:
-            snapshot = collect_snapshot(metrics, default_cache().stats,
+            snapshot = collect_snapshot(metrics, args._cache.stats,
                                         executor_stats())
         if tracer is not None:
             write_trace_jsonl(tracer.spans, args.trace_out,

@@ -359,7 +359,6 @@ class SweepEngine:
             shard = price_combos(combos, session.tech,
                                  objectives=self.objectives,
                                  top_k=self.top_k,
-                                 keep_going=keep_going,
                                  start_index=self._refine_offset)
             self._refine_offset += len(combos)
             self._refined_combos.update(combos)
@@ -487,7 +486,7 @@ class SweepEngine:
             self._resumed = done
             tasks = [(plan.space, index, plan.shards[index][0],
                       plan.shards[index][1], session.tech,
-                      self.objectives, self.top_k, keep_going)
+                      self.objectives, self.top_k)
                      for index in todo]
             on_fault = _executor_fault_sink(session.sink)
             tap = (TraceTap.for_span(session.tracer, span)

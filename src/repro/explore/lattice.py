@@ -25,6 +25,7 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from ..bricks.spec import MAX_BITS, MAX_WORDS
 from ..cells.bitcells import MEMORY_TYPES
 from ..errors import ExplorationError
 
@@ -65,6 +66,16 @@ class SweepSpace:
                     raise ExplorationError(
                         f"{name} must be positive integers, "
                         f"got {value!r}")
+        # Lattice columns reach the batch kernel without BrickSpec's
+        # range checks, so the spec domain is enforced here, once, for
+        # both sweep modes.
+        for name, limit in (("bits_options", MAX_BITS),
+                            ("brick_words_options", MAX_WORDS)):
+            over = [value for value in getattr(self, name)
+                    if value > limit]
+            if over:
+                raise ExplorationError(
+                    f"{name} must be <= {limit}, got {over}")
 
     @classmethod
     def from_options(cls, total_words_options: Sequence[int] = (128,),

@@ -9,7 +9,11 @@ in fixed-size *shards* instead:
   columns, rides :func:`repro.bricks.batch.estimate_metric_columns`
   (no per-point Python objects), reduces the slice to its local Pareto
   front with one :func:`~repro.explore.pareto.pareto_mask` call plus a
-  deterministic top-K, and returns only those survivors;
+  deterministic top-K, and returns only those survivors.  The batch
+  kernel is the only pricing path: a kernel error fails the whole
+  shard through the executor, and a point prices identically whatever
+  shard it lands in, so results do not depend on ``shard_size`` or
+  ``jobs``;
 * the engine (:mod:`repro.explore.engine`) fans shards over
   ``perf.parallel``, merges shard fronts into one online
   :class:`~repro.explore.pareto.ParetoAccumulator`, and checkpoints
@@ -34,9 +38,6 @@ from ..bricks.batch import (
     compile_batch,
     estimate_metric_columns,
 )
-from ..bricks.compiler import compile_brick
-from ..bricks.estimator import estimate_brick
-from ..bricks.spec import BrickSpec
 from ..errors import ExplorationError
 from ..perf.fingerprint import cache_key
 from ..perf.timer import Stopwatch
@@ -98,7 +99,8 @@ class ScalePoint:
 
 @dataclass(frozen=True)
 class ScaleFailure:
-    """One lattice point skipped under ``keep_going``."""
+    """One point skipped under ``keep_going`` (recorded by the cached
+    mode's grid path; the sharded path prices whole shards)."""
 
     index: int
     memory_type: str
@@ -151,88 +153,32 @@ def shard_checkpoint_key(fingerprint: str, keep_going: bool,
     return cache_key("explore-shard", fingerprint, keep_going, shard)
 
 
-def _column_kernel(lattice: Lattice, start: int, stop: int,
-                   tech: Technology) -> Dict[str, np.ndarray]:
-    """Price ``[start, stop)`` as pure metric columns.
+def price_shard(space: SweepSpace, shard: int, start: int, stop: int,
+                tech: Technology,
+                objectives: Sequence[str] = DEFAULT_OBJECTIVES,
+                top_k: int = 16) -> ShardResult:
+    """Price one lattice slice and reduce it to its survivors.
 
-    Separate function so tests can monkeypatch it to force the scalar
-    fallback path (mirroring ``perf.characterize._batch_kernel``).
+    Columns in, columns out: the slice is priced by the batch kernel
+    and reduced with one :func:`~repro.explore.pareto.pareto_mask`
+    call.  Only the local front and top-K materialize as
+    :class:`ScalePoint` objects.  A kernel error propagates and fails
+    the whole shard.
     """
+    watch = Stopwatch()
+    lattice = Lattice(space)
     cols = lattice.columns(start, stop)
     batch = BrickSpecBatch(memory_code=cols["memory_code"],
                            words=cols["words"], bits=cols["bits"],
                            stack=cols["stack"])
-    return estimate_metric_columns(compile_batch(batch, tech), tech)
-
-
-def _scalar_fallback(points: Sequence[LatticePoint], tech: Technology,
-                     keep_going: bool
-                     ) -> Tuple[Dict[str, np.ndarray], np.ndarray,
-                                List[ScaleFailure]]:
-    """Per-point pricing when the vector kernel fails.
-
-    Returns compacted metric columns, the global indices they cover,
-    and the failures (under ``keep_going``; otherwise the first error
-    propagates).
-    """
-    names = OBJECTIVE_COLUMNS
-    columns: Dict[str, List[float]] = {name: [] for name in names}
-    indices: List[int] = []
-    failures: List[ScaleFailure] = []
-    for point in points:
-        try:
-            spec = BrickSpec(point.memory_type, point.brick_words,
-                             point.bits)
-            compiled = compile_brick(spec, tech,
-                                     target_stack=point.stack)
-            perf = estimate_brick(compiled, tech, stack=point.stack)
-        except Exception as exc:
-            if not keep_going:
-                raise
-            failures.append(ScaleFailure(
-                index=point.index, memory_type=point.memory_type,
-                total_words=point.total_words, bits=point.bits,
-                brick_words=point.brick_words, stack=point.stack,
-                error=f"{type(exc).__name__}: {exc}"))
-            continue
-        indices.append(point.index)
-        for name in names:
-            columns[name].append(float(getattr(perf, name)))
-    packed = {name: np.asarray(values, dtype=np.float64)
-              for name, values in columns.items()}
-    return packed, np.asarray(indices, dtype=np.int64), failures
-
-
-def price_shard(space: SweepSpace, shard: int, start: int, stop: int,
-                tech: Technology,
-                objectives: Sequence[str] = DEFAULT_OBJECTIVES,
-                top_k: int = 16,
-                keep_going: bool = False) -> ShardResult:
-    """Price one lattice slice and reduce it to its survivors.
-
-    Vector path first (columns in, columns out, one
-    :func:`~repro.explore.pareto.pareto_mask` reduction); on kernel
-    failure falls back to per-point scalar pricing, recording
-    :class:`ScaleFailure` entries when ``keep_going``.  Only the local
-    front and top-K materialize as :class:`ScalePoint` objects.
-    """
-    watch = Stopwatch()
-    lattice = Lattice(space)
-    failures: List[ScaleFailure] = []
-    try:
-        columns = _column_kernel(lattice, start, stop, tech)
-        indices = np.arange(start, stop, dtype=np.int64)
-    except Exception:
-        columns, indices, failures = _scalar_fallback(
-            lattice.points(start, stop), tech, keep_going)
+    columns = estimate_metric_columns(compile_batch(batch, tech), tech)
+    indices = np.arange(start, stop, dtype=np.int64)
     frontier, top = _reduce(columns, indices, lattice.point,
                             objectives, top_k)
-    failures.sort(key=lambda f: f.index)
     return ShardResult(shard=shard, start=start, stop=stop,
                        n_priced=int(indices.shape[0]),
                        frontier=frontier.entries(),
                        top=top.entries(),
-                       failures=failures,
                        wall_clock_s=watch.elapsed())
 
 
@@ -294,7 +240,6 @@ def price_combos(combos: Sequence[Tuple[str, int, int, int]],
                  tech: Technology,
                  objectives: Sequence[str] = DEFAULT_OBJECTIVES,
                  top_k: int = 16,
-                 keep_going: bool = False,
                  start_index: int = 0,
                  shard: int = -1) -> ShardResult:
     """Price an explicit ``(memory_type, total_words, bits,
@@ -307,38 +252,27 @@ def price_combos(combos: Sequence[Tuple[str, int, int, int]],
                            stack=tw // bw)
               for i, (mt, tw, bits, bw) in enumerate(combos)]
     by_index = {p.index: p for p in points}
-    failures: List[ScaleFailure] = []
-    try:
-        batch = BrickSpecBatch.from_arrays(
-            [p.memory_type for p in points],
-            [p.brick_words for p in points],
-            [p.bits for p in points],
-            [p.stack for p in points])
-        columns = estimate_metric_columns(compile_batch(batch, tech),
-                                          tech)
-        indices = np.asarray([p.index for p in points],
-                             dtype=np.int64)
-    except Exception:
-        columns, indices, failures = _scalar_fallback(points, tech,
-                                                      keep_going)
+    batch = BrickSpecBatch.from_arrays(
+        [p.memory_type for p in points],
+        [p.brick_words for p in points],
+        [p.bits for p in points],
+        [p.stack for p in points])
+    columns = estimate_metric_columns(compile_batch(batch, tech), tech)
+    indices = np.asarray([p.index for p in points], dtype=np.int64)
     frontier, top = _reduce(columns, indices, by_index.__getitem__,
                             objectives, top_k)
-    failures.sort(key=lambda f: f.index)
     return ShardResult(shard=shard, start=start_index,
                        stop=start_index + len(points),
                        n_priced=int(indices.shape[0]),
                        frontier=frontier.entries(),
-                       top=top.entries(),
-                       failures=failures)
+                       top=top.entries())
 
 
 def _shard_worker(task: Tuple) -> ShardResult:
     """Top-level picklable entry point for ``perf.parallel`` workers."""
-    space, shard, start, stop, tech, objectives, top_k, keep_going = \
-        task
+    space, shard, start, stop, tech, objectives, top_k = task
     return price_shard(space, shard, start, stop, tech,
-                       objectives=objectives, top_k=top_k,
-                       keep_going=keep_going)
+                       objectives=objectives, top_k=top_k)
 
 
 def shard_bounds(n_points: int,

@@ -221,14 +221,8 @@ def _execute_grid(plan: SweepPlan, session: Session,
     with maybe_span(session.tracer, "sweep_partitions", kind="sweep",
                     n_points=len(grid),
                     memory_type=memory_type) as sweep_span:
-        estimates = estimate_points(list(plan.tasks), session.tech,
-                                    jobs=session.jobs,
-                                    cache=session.cache,
-                                    keep_going=keep_going,
-                                    tracer=session.tracer,
-                                    sink=session.sink,
-                                    metrics=session.metrics,
-                                    pool=session.pool)
+        estimates = estimate_points(list(plan.tasks), session,
+                                    keep_going=keep_going)
         points: List[SweepPoint] = []
         failures: List[FailedPoint] = []
         for grid_index, ((bits, brick_words, total_words, stack),

@@ -6,14 +6,14 @@ rolls the results up to bank granularity (a bank needs *all* its
 ``stack x partitions`` bricks good).  The price of the repair
 resources — spare rows/columns and optional SEC-DED check bits — is
 charged through one :func:`repro.perf.characterize.estimate_points`
-batch (nominal + expanded geometry priced by the vectorized kernel),
-plus the elaborated standard-cell area of the ECC
-encoder/decoder, so overhead numbers come from the same models as
-every other figure in the flow.
+batch (nominal + expanded geometry priced by the vectorized kernel in
+one serial chunk, under a ``jobs=1`` child of the session), plus the
+elaborated standard-cell area of the ECC encoder/decoder, so overhead
+numbers come from the same models as every other figure in the flow.
 
 Determinism: the same ``(seed, spec, stack, model, plan, n_bricks)``
-produces a byte-identical :meth:`YieldReport.render` — the CI smoke
-job diffs two runs to hold that line.
+produces a byte-identical :meth:`YieldReport.render` — a tier-1 test
+runs ``repro faults`` twice in-process and diffs the reports.
 """
 
 from __future__ import annotations
@@ -189,9 +189,7 @@ def analyze_yield(spec: BrickSpec, stack: int = 1, partitions: int = 1,
                           ecc=plan.ecc):
             nominal, expanded = estimate_points(
                 [(spec, stack), (repaired_spec(spec, plan), stack)],
-                session.tech, jobs=1, cache=session.cache,
-                tracer=session.tracer, sink=session.sink,
-                metrics=session.metrics)
+                session.derive(jobs=1))
             ecc_area = (_ecc_logic_area(spec.bits, session)
                         if plan.ecc else 0.0)
     bank_area = nominal.area_um2 * stack

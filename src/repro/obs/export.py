@@ -56,7 +56,7 @@ def span_record(span: Span) -> Dict[str, Any]:
 def _is_timing_gauge(name: str) -> bool:
     """Gauge names whose value is wall-clock-derived, by convention:
     the last dotted component is ``ns_*`` / ``*_ns`` / ``*_s`` (e.g.
-    ``estimator.batch.ns_per_point``)."""
+    ``characterize.estimate.ns_per_point``)."""
     leaf = name.rsplit(".", 1)[-1]
     return (leaf.startswith("ns_") or leaf.endswith("_ns")
             or leaf.endswith("_s"))

@@ -13,7 +13,8 @@ exploration of Fig. 4c.  This package makes repeated characterization
 ``repro.perf.cache``
     :class:`CharacterizationCache` — an in-memory LRU tier over an
     optional on-disk tier (safe to delete, versioned key schema) with
-    hit/miss/byte statistics, plus a process-wide default instance.
+    hit/miss/byte statistics.  Each :class:`~repro.session.Session`
+    owns (or shares) one instance; there is no process-wide cache.
 ``repro.perf.parallel``
     :func:`parallel_map` — deterministic-order fan-out of independent
     characterization points over ``concurrent.futures``
@@ -24,30 +25,21 @@ exploration of Fig. 4c.  This package makes repeated characterization
     those tasks.  :func:`parallel_imap` streams the same loop.
 ``repro.perf.characterize``
     Cached + parallel entry points for the expensive brick artifacts:
-    compiled bricks, closed-form estimates, library cell models,
-    RC-extraction measurements and the standard-cell library.
+    compiled bricks, closed-form estimates, library cell models and the
+    standard-cell library.  The batch entry points take a Session and
+    price estimates through the vectorized batch kernel only.
 ``repro.perf.timer``
     ``perf_counter``-based wall-clock measurement helpers so no timing
     claim is ever skewed by wall-clock adjustments.
 """
 
-from .cache import (
-    CacheStats,
-    CharacterizationCache,
-    configure_default_cache,
-    default_cache,
-    resolve_cache,
-)
+from .cache import CacheStats, CharacterizationCache
 from .characterize import (
-    EstimatePlan,
-    cached_cell_model,
     cached_compile,
     cached_estimate,
-    cached_measure_read,
     cached_stdcell_library,
     characterize_cells,
     estimate_points,
-    execute_estimates,
     plan_estimates,
 )
 from .fingerprint import KEY_SCHEMA_VERSION, cache_key, fingerprint
@@ -70,11 +62,8 @@ from .timer import Stopwatch
 
 __all__ = [
     "CacheStats", "CharacterizationCache",
-    "configure_default_cache", "default_cache", "resolve_cache",
-    "EstimatePlan", "cached_cell_model", "cached_compile",
-    "cached_estimate", "cached_measure_read", "cached_stdcell_library",
-    "characterize_cells", "estimate_points", "execute_estimates",
-    "plan_estimates",
+    "cached_compile", "cached_estimate", "cached_stdcell_library",
+    "characterize_cells", "estimate_points", "plan_estimates",
     "KEY_SCHEMA_VERSION", "cache_key", "fingerprint",
     "ExecutorPolicy", "ExecutorStats", "TaskFailure", "WorkerPool",
     "chunk_slices", "default_executor_policy", "executor_stats",

@@ -50,10 +50,6 @@ from .fingerprint import KEY_SCHEMA_VERSION
 #: the largest sweeps while bounding a long-running service's footprint.
 DEFAULT_MAX_ENTRIES = 4096
 
-#: Environment variable consulted for an on-disk tier when the process
-#: never calls :func:`configure_default_cache` explicitly.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
 
 @dataclass
 class CacheStats:
@@ -133,8 +129,9 @@ class CharacterizationCache:
         # Event sinks (weakly held) receiving a FaultEvent per
         # quarantine, so a Session sink sees absorbed cache corruption
         # alongside pipeline/sweep/executor faults.  Weak references
-        # keep short-lived sessions from accumulating dead listeners on
-        # the process-wide default cache.
+        # keep the short-lived sessions sharing one cache (derived
+        # children, per-request serve sessions) from accumulating dead
+        # listeners on it.
         self._fault_sinks: "weakref.WeakSet" = weakref.WeakSet()
 
     def add_fault_sink(self, sink: Callable[[Any], None]) -> None:
@@ -412,45 +409,3 @@ class CharacterizationCache:
 
     def __len__(self) -> int:
         return len(self._memory)
-
-
-# --- process-wide default cache ------------------------------------------
-
-_default_cache: Optional[CharacterizationCache] = None
-_default_lock = threading.Lock()
-
-
-def configure_default_cache(cache_dir: Optional[str] = None,
-                            enabled: bool = True,
-                            max_entries: int = DEFAULT_MAX_ENTRIES
-                            ) -> CharacterizationCache:
-    """(Re)build the process-wide cache; returns the new instance.
-
-    The CLI calls this from ``--cache-dir`` / ``--no-cache``; library
-    users may call it directly or pass explicit caches instead.
-    """
-    global _default_cache
-    with _default_lock:
-        _default_cache = CharacterizationCache(
-            max_entries=max_entries, cache_dir=cache_dir,
-            enabled=enabled)
-        return _default_cache
-
-
-def default_cache() -> CharacterizationCache:
-    """The process-wide cache, created on first use.
-
-    Honors ``REPRO_CACHE_DIR`` for an on-disk tier when set.
-    """
-    global _default_cache
-    with _default_lock:
-        if _default_cache is None:
-            _default_cache = CharacterizationCache(
-                cache_dir=os.environ.get(CACHE_DIR_ENV) or None)
-        return _default_cache
-
-
-def resolve_cache(cache: Optional[CharacterizationCache]
-                  ) -> CharacterizationCache:
-    """``cache`` if given, else the process default."""
-    return cache if cache is not None else default_cache()

@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, TextIO
 from .errors import SessionError
 from .obs.metrics import MetricsRegistry, collect_snapshot
 from .obs.trace import SpanEvent, Tracer, maybe_span
-from .perf.cache import CharacterizationCache, resolve_cache
+from .perf.cache import CharacterizationCache
 from .perf.parallel import WorkerPool
 from .tech.technology import Technology
 
@@ -144,10 +144,13 @@ class PrintingSink:
 class Session:
     """Run context owning technology, cache, executor, seed and sink.
 
-    ``cache=None`` resolves to the process-wide default cache (which the
-    CLI configures from ``--cache-dir``/``--no-cache``), so a Session is
-    cheap to build and always has a working cache.  ``jobs`` follows the
-    ``repro.perf`` convention: 1 = serial, 0 = all cores.
+    ``cache=None`` builds a fresh in-memory
+    :class:`~repro.perf.cache.CharacterizationCache` owned by this
+    session, so a Session is cheap to build and always has a working
+    cache; pass a cache (the CLI builds one from ``--cache-dir``/
+    ``--no-cache``) to add a disk tier or share it across sessions.
+    ``jobs`` follows the ``repro.perf`` convention: 1 = serial, 0 = all
+    cores.
     """
 
     tech: Technology
@@ -161,7 +164,8 @@ class Session:
     pool: Optional[WorkerPool] = None
 
     def __post_init__(self) -> None:
-        self.cache = resolve_cache(self.cache)
+        if self.cache is None:
+            self.cache = CharacterizationCache()
         self._closed = False
         # True only for the session that *created* its pool: derived
         # children share the reference but never own the lifetime, so a

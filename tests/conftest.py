@@ -69,3 +69,23 @@ def fig3_library(tech, stdlib):
     bricks, _ = generate_brick_library([(sram_brick(16, 10), 2)],
                                        Session(tech))
     return stdlib.merged_with(bricks)
+
+
+@pytest.fixture()
+def fail_chunks_with_32_words(monkeypatch):
+    """Make the batch estimation kernel raise ``BrickError`` for any
+    chunk holding a 32-word brick.
+
+    The patch lands before any pool starts, and pools fork, so worker
+    processes see it as well as the parent's serial re-execution.
+    """
+    from repro.bricks import batch
+    from repro.errors import BrickError
+    real = batch.estimate_brick_batch
+
+    def kernel(points, tech):
+        if any(spec.words == 32 for spec, _ in points):
+            raise BrickError("injected failure")
+        return real(points, tech)
+
+    monkeypatch.setattr(batch, "estimate_brick_batch", kernel)

@@ -3,8 +3,9 @@
 Covers the struct-of-arrays :class:`BrickSpecBatch` construction and
 validation, the batched Elmore ladder solve against the scalar
 :class:`RCTree`, the batch-first ``estimate_points`` routing (cache
-short-circuit, executor batching, keep-going failure expansion) and the
-``estimator.batch.*`` metrics.
+short-circuit, executor batching, keep-going failure expansion,
+``jobs``-independence), the ``characterize.estimate.*`` metrics and
+the kernel's behaviour at the corners of the spec domain.
 """
 
 import math
@@ -20,9 +21,11 @@ from repro.bricks import (
     estimate_brick_batch,
     sram_brick,
 )
+from repro.bricks.batch import compile_batch, estimate_metric_columns
 from repro.bricks.spec import BrickSpec
 from repro.circuit.rc_tree import RCTree, ladder_elmore_batch
-from repro.errors import BrickError, NetlistError
+from repro.cells.bitcells import MEMORY_TYPES
+from repro.errors import BrickError, ExecutorError, NetlistError
 from repro.obs.metrics import MetricsRegistry
 from repro.perf import (
     CharacterizationCache,
@@ -32,7 +35,8 @@ from repro.perf import (
     executor_stats,
     reset_executor_stats,
 )
-from repro.perf.characterize import _estimate_batch_worker
+from repro.session import Session
+from repro.tech.corners import CORNERS
 
 
 class TestBrickSpecBatch:
@@ -173,12 +177,16 @@ class TestEstimatePointsBatchFirst:
         return [(sram_brick(16, 8 + (i % 4)), 1 + (i % 3))
                 for i in range(n)]
 
+    def _session(self, tech, **kwargs):
+        return Session(tech, cache=CharacterizationCache(cache_dir=None),
+                       **kwargs)
+
     def test_matches_scalar_and_caches(self, tech, perf_close):
-        cache = CharacterizationCache(cache_dir=None)
+        session = self._session(tech)
         points = self._points(9)
-        results = estimate_points(points, tech, cache=cache)
+        results = estimate_points(points, session)
         unique = len(set(points))
-        assert cache.stats.misses == unique
+        assert session.cache.stats.misses == unique
         for (spec, stack), vector in zip(points, results):
             scalar = estimate_brick(
                 compile_brick(spec, tech, target_stack=stack), tech,
@@ -186,31 +194,30 @@ class TestEstimatePointsBatchFirst:
             perf_close(scalar, vector)
         # Warm run: every point short-circuits in the cache probe, the
         # kernel is never invoked.
-        again = estimate_points(points, tech, cache=cache)
+        again = estimate_points(points, session)
         assert again == results
-        assert cache.stats.misses == unique
+        assert session.cache.stats.misses == unique
 
     def test_warm_run_skips_kernel(self, tech, monkeypatch):
-        from repro.perf import characterize
-        cache = CharacterizationCache(cache_dir=None)
+        from repro.bricks import batch
+        session = self._session(tech)
         points = self._points(5)
-        estimate_points(points, tech, cache=cache)
+        estimate_points(points, session)
         calls = []
 
         def counting_kernel(pts, t):
             calls.append(len(pts))
             raise AssertionError("kernel must not run on a warm cache")
 
-        monkeypatch.setattr(characterize, "_batch_kernel",
+        monkeypatch.setattr(batch, "estimate_brick_batch",
                             counting_kernel)
-        estimate_points(points, tech, cache=cache)
+        estimate_points(points, session)
         assert calls == []
 
     def test_executor_counts_batches_not_points(self, tech):
         reset_executor_stats()
         try:
-            estimate_points(self._points(12), tech,
-                            cache=CharacterizationCache(cache_dir=None))
+            estimate_points(self._points(12), self._session(tech))
             # One chunk (jobs=1) for twelve points: one executor task.
             assert executor_stats().tasks == 1
         finally:
@@ -219,52 +226,70 @@ class TestEstimatePointsBatchFirst:
     def test_metrics_record_batch_throughput(self, tech):
         metrics = MetricsRegistry()
         points = self._points(8)
-        estimate_points(points, tech,
-                        cache=CharacterizationCache(cache_dir=None),
-                        metrics=metrics)
+        estimate_points(points, self._session(tech, metrics=metrics))
         unique = len(set(points))
-        assert metrics.counter("estimator.batch.points").value == unique
-        ns = metrics.gauge("estimator.batch.ns_per_point").value
+        assert metrics.counter(
+            "characterize.estimate.points").value == unique
+        ns = metrics.gauge("characterize.estimate.ns_per_point").value
         assert math.isfinite(ns) and ns > 0
 
-    def test_keep_going_reindexes_failures(self, tech, monkeypatch):
-        from repro.perf import characterize
-        monkeypatch.setattr(
-            characterize, "_batch_kernel",
-            lambda pts, t: (_ for _ in ()).throw(
-                BrickError("kernel disabled")))
-        real_worker = characterize._estimate_worker
+    def test_bit_identical_across_jobs(self, tech):
+        # A point prices the same alone or inside any chunk, so the
+        # chunking ``jobs`` implies cannot change a single bit.
+        points = [(BrickSpec(memory_type, words, bits), stack)
+                  for memory_type in MEMORY_TYPES
+                  for words, bits, stack in ((16, 10, 1), (64, 8, 4),
+                                             (8, 32, 2))]
+        serial = estimate_points(points, self._session(tech, jobs=1))
+        for jobs in (2, 3):
+            with self._session(tech, jobs=jobs) as session:
+                assert estimate_points(points, session) == serial
 
-        def boom_on_32(task):
-            spec, stack, tech_ = task
-            if spec.words == 32:
-                raise BrickError("injected failure")
-            return real_worker(task)
-
-        monkeypatch.setattr(characterize, "_estimate_worker",
-                            boom_on_32)
-        points = [(sram_brick(16, 10), 1), (sram_brick(32, 10), 1),
+    def test_keep_going_reindexes_failures(self, tech,
+                                          fail_chunks_with_32_words):
+        session = self._session(tech, jobs=2)
+        warm = (sram_brick(8, 10), 1)
+        estimate_points([warm], session)
+        # Cold points 16/32/64 split into chunks [16, 32] and [64]: the
+        # first chunk fails as a whole, in the pool and on its serial
+        # re-execution.
+        points = [warm, (sram_brick(16, 10), 1), (sram_brick(32, 10), 1),
                   (sram_brick(64, 10), 1)]
-        results = estimate_points(
-            points, tech, cache=CharacterizationCache(cache_dir=None),
-            keep_going=True)
+        results = estimate_points(points, session, keep_going=True)
         assert not isinstance(results[0], TaskFailure)
-        assert isinstance(results[1], TaskFailure)
-        assert results[1].index == 1
-        assert "injected failure" in results[1].error
-        assert not isinstance(results[2], TaskFailure)
+        for position, cold_index in ((1, 0), (2, 1)):
+            failure = results[position]
+            assert isinstance(failure, TaskFailure)
+            assert failure.index == cold_index
+            assert "injected failure" in failure.error
+        assert not isinstance(results[3], TaskFailure)
+        # Failures are never cached, so a strict rerun recomputes the
+        # failed chunk and the executor's error propagates.
+        with pytest.raises(ExecutorError) as info:
+            estimate_points(points, session)
+        assert isinstance(info.value.__cause__, BrickError)
 
-    def test_worker_falls_back_per_point(self, tech, monkeypatch):
-        from repro.perf import characterize
-        monkeypatch.setattr(
-            characterize, "_batch_kernel",
-            lambda pts, t: (_ for _ in ()).throw(
-                RuntimeError("no numpy here")))
-        points = tuple(self._points(3))
-        results = _estimate_batch_worker((points, tech, False))
-        assert len(results) == 3
-        for (spec, stack), value in zip(points, results):
-            scalar = estimate_brick(
-                compile_brick(spec, tech, target_stack=stack), tech,
-                stack=stack)
-            assert value.read_delay == scalar.read_delay
+
+class TestKernelDomainCorners:
+    def test_spec_domain_corners_are_finite(self, tech):
+        from repro.bricks.spec import MAX_BITS, MAX_WORDS
+        rows = [(memory_type, words, bits, stack)
+                for memory_type in MEMORY_TYPES
+                for words in (1, MAX_WORDS)
+                for bits in (1, MAX_BITS)
+                for stack in (1, 2 ** 20)]
+        types, words, bits, stacks = (list(col) for col in zip(*rows))
+        for corner in CORNERS.values():
+            derated = corner.apply(tech)
+            batch = BrickSpecBatch.from_arrays(types, words, bits, stacks)
+            columns = estimate_metric_columns(
+                compile_batch(batch, derated), derated)
+            for name in ("read_delay", "read_energy", "write_energy",
+                         "area_um2", "leakage_w"):
+                assert np.all(np.isfinite(columns[name])), \
+                    (corner.name, name)
+            perfs = estimate_brick_batch(
+                [(BrickSpec(t, w, b), k) for t, w, b, k in rows],
+                derated)
+            assert all(math.isfinite(p.read_delay)
+                       and math.isfinite(p.read_energy) for p in perfs)

@@ -132,11 +132,24 @@ class TestCommands:
         assert "1 disk" in err
 
     def test_no_cache_disables_default(self, capsys):
-        from repro.perf import default_cache
-        try:
-            assert main(["--no-cache", "sweep", "--total-words", "32",
-                         "--bits", "8", "--brick-words", "8"]) == 0
-            assert not default_cache().enabled
-        finally:
-            from repro.perf import configure_default_cache
-            configure_default_cache()
+        assert main(["--no-cache", "--cache-stats", "sweep",
+                     "--total-words", "32", "--bits", "8",
+                     "--brick-words", "8"]) == 0
+        err = capsys.readouterr().err
+        # A disabled cache misses every lookup and stores nothing.
+        assert "cache: 0 hits" in err
+        assert "0 puts" in err
+
+    def test_cache_stats_reads_the_session_cache(self, capsys):
+        from repro.perf import CharacterizationCache
+        from repro.session import Session
+        from repro.tech import cmos65
+        session = Session(cmos65(), cache=CharacterizationCache())
+        assert main(["--cache-stats", "brick", "--words", "16",
+                     "--bits", "10"], session=session) == 0
+        err = capsys.readouterr().err
+        stats = session.cache.stats
+        assert stats.misses > 0
+        assert (f"cache: {stats.hits} hits ({stats.memory_hits} memory, "
+                f"{stats.disk_hits} disk), {stats.misses} misses") in err
+        assert f"{stats.puts} puts" in err

@@ -2,8 +2,9 @@
 
 Covers the lattice's fidelity to the legacy grid order, the streaming
 Pareto/top-K accumulators against full materialization (property
-tests), shard pricing with the scalar fallback, checkpoint/resume
-golden identity, and successive-halving refinement.
+tests), batch-only shard pricing and its independence from the shard
+size, checkpoint/resume golden identity, and successive-halving
+refinement.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BrickError, ExplorationError
+from repro.errors import ExplorationError
 from repro.explore import (
     Lattice,
     LatticePoint,
@@ -56,6 +57,17 @@ class TestSweepSpace:
     def test_rejects_empty_axis(self):
         with pytest.raises(ExplorationError):
             SweepSpace.from_options((), (8,), (16,))
+
+    @pytest.mark.parametrize("mode", ["cached", "sharded"])
+    def test_rejects_bricks_outside_spec_domain(self, tech, mode):
+        from repro.bricks.spec import MAX_BITS, MAX_WORDS
+        for bits, brick_words in (((8, MAX_BITS + 44), (16,)),
+                                  ((8,), (16, 2 * MAX_WORDS))):
+            with pytest.raises(ExplorationError, match="must be <="):
+                _session(tech).sweep_engine(
+                    mode=mode, total_words_options=(4096,),
+                    bits_options=bits,
+                    brick_words_options=brick_words).run()
 
     def test_rejects_unknown_memory_type(self):
         with pytest.raises(ExplorationError):
@@ -193,56 +205,30 @@ class TestPriceShard:
         assert len(result.top) == 4
         assert not result.failures
 
-    def test_scalar_fallback_matches_vector(self, tech, monkeypatch):
-        space = SweepSpace.from_options((64, 128), (8,), (16, 32))
-        vector = price_shard(space, 0, 0, 4, tech)
-        monkeypatch.setattr(
-            scale, "_column_kernel",
-            lambda *a, **k: (_ for _ in ()).throw(
-                RuntimeError("no vector kernel")))
-        scalar = price_shard(space, 0, 0, 4, tech)
-        assert scalar.n_priced == vector.n_priced
-        for (ka, pa, va), (kb, pb, vb) in zip(vector.frontier,
-                                              scalar.frontier):
-            assert ka == kb
-            assert va == pytest.approx(vb)
+    def test_shard_size_does_not_change_results(self, tech):
+        # Every point prices identically whatever shard it lands in, so
+        # the merged frontier and top-K cannot depend on shard_size.
+        space = SweepSpace.from_options(
+            (64, 128, 256), (8, 16), (16, 32, 64),
+            memory_types=("8T", "6T"))
+        n_points = len(Lattice(space))
 
-    def test_keep_going_records_sorted_failures(self, tech,
-                                                monkeypatch):
-        space = SweepSpace.from_options((64,), (8,), (16, 32, 64))
-        monkeypatch.setattr(
-            scale, "_column_kernel",
-            lambda *a, **k: (_ for _ in ()).throw(
-                RuntimeError("no vector kernel")))
-        real = scale.compile_brick
+        def merged(shard_size):
+            front, top = ParetoAccumulator(), TopKAccumulator(8)
+            for shard, (start, stop) in enumerate(
+                    shard_bounds(n_points, shard_size)):
+                result = price_shard(space, shard, start, stop, tech,
+                                     top_k=8)
+                for key, point, vector in result.frontier:
+                    front.add(key, point, vector)
+                for score, key, point in result.top:
+                    top.add(key, point, score)
+            return front.front(), top.entries()
 
-        def boom(spec, tech_, target_stack=1):
-            if spec.words == 32:
-                raise BrickError("injected failure")
-            return real(spec, tech_, target_stack=target_stack)
-
-        monkeypatch.setattr(scale, "compile_brick", boom)
-        result = price_shard(space, 0, 0, 3, tech, keep_going=True)
-        assert result.n_priced == 2
-        assert len(result.failures) == 1
-        assert result.failures[0].brick_words == 32
-        assert "injected failure" in result.failures[0].error
-        assert [f.index for f in result.failures] == \
-            sorted(f.index for f in result.failures)
-
-    def test_without_keep_going_raises(self, tech, monkeypatch):
-        space = SweepSpace.from_options((64,), (8,), (16, 32))
-        monkeypatch.setattr(
-            scale, "_column_kernel",
-            lambda *a, **k: (_ for _ in ()).throw(
-                RuntimeError("no vector kernel")))
-
-        def boom(spec, tech_, target_stack=1):
-            raise BrickError("nothing works")
-
-        monkeypatch.setattr(scale, "compile_brick", boom)
-        with pytest.raises(BrickError):
-            price_shard(space, 0, 0, 2, tech, keep_going=False)
+        whole = merged(8192)
+        assert whole[0] and len(whole[1]) == 8
+        for shard_size in (1, 7):
+            assert merged(shard_size) == whole
 
 
 class TestEngineEquivalence:

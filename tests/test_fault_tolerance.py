@@ -215,79 +215,52 @@ class TestPipelinePartial:
         assert partial.to_flow_result().timing is not None
 
 
-from repro.perf.characterize import _estimate_worker as _real_estimate
-
-
-def _estimate_worker_boom(task):
-    spec, stack, tech = task
-    if spec.words == 32:
-        raise BrickError("injected failure")
-    return _real_estimate(task)
-
-
-def _batch_kernel_boom(points, tech):
-    raise BrickError("vector kernel disabled for test")
-
-
-def _disable_batch_kernel(monkeypatch):
-    """Force estimate_points down the scalar per-point fallback so the
-    patched ``_estimate_worker`` seam is actually exercised."""
-    from repro.perf import characterize
-    monkeypatch.setattr(characterize, "_batch_kernel",
-                        _batch_kernel_boom)
-
-
 class TestSweepKeepGoing:
-    def _session(self, sink=None):
-        return Session(cmos65(), seed=2015, sink=sink,
+    # jobs=2 splits the three cold points (16/32/64-word bricks) into
+    # the chunks [16, 32] and [64]; the injected failure takes out the
+    # whole first chunk, in the pool and on its serial re-execution.
+
+    def _session(self, sink=None, jobs=2):
+        return Session(cmos65(), seed=2015, sink=sink, jobs=jobs,
                        cache=CharacterizationCache(cache_dir=None))
 
-    def test_failed_point_skipped_and_recorded(self, monkeypatch):
-        from repro.perf import characterize
-        _disable_batch_kernel(monkeypatch)
-        monkeypatch.setattr(characterize, "_estimate_worker",
-                            _estimate_worker_boom)
-        sink = RecordingSink()
-        result = self._session(sink).sweep_partitions(
-            total_words_options=(64,),
-            bits_options=(8,),
-            brick_words_options=(16, 32, 64),
-            keep_going=True)
-        assert len(result.points) == 2
-        assert len(result.failures) == 1
-        failed = result.failures[0]
-        assert failed.brick_words == 32
-        assert "injected failure" in failed.error
-        fault_events = [e for e in sink.events
-                        if isinstance(e, FaultEvent)]
-        assert [f.domain for f in fault_events] == ["sweep"]
+    def _sweep(self, session, **kwargs):
+        return session.sweep_partitions(
+            total_words_options=(64,), bits_options=(8,),
+            brick_words_options=(16, 32, 64), **kwargs)
 
-    def test_without_keep_going_raises(self, monkeypatch):
-        from repro.perf import characterize
-        _disable_batch_kernel(monkeypatch)
-        monkeypatch.setattr(characterize, "_estimate_worker",
-                            _estimate_worker_boom)
-        with pytest.raises(BrickError):
-            self._session().sweep_partitions(
-                total_words_options=(64,),
-                bits_options=(8,),
-                brick_words_options=(16, 32, 64))
+    def test_failed_point_skipped_and_recorded(
+            self, fail_chunks_with_32_words):
+        sink = RecordingSink()
+        result = self._sweep(self._session(sink), keep_going=True)
+        assert [p.brick_words for p in result.points] == [64]
+        assert [f.brick_words for f in result.failures] == [16, 32]
+        assert [f.index for f in result.failures] == [0, 1]
+        assert all("injected failure" in f.error
+                   for f in result.failures)
+        sweep_faults = [e for e in sink.events
+                        if isinstance(e, FaultEvent)
+                        and e.domain == "sweep"]
+        assert len(sweep_faults) == 2
+        # The pool failure the executor absorbed before its serial
+        # re-execution is reported too.
+        assert any(isinstance(e, FaultEvent) and e.domain == "executor"
+                   for e in sink.events)
+
+    def test_without_keep_going_raises(self, fail_chunks_with_32_words):
+        with pytest.raises(ExecutorError) as info:
+            self._sweep(self._session())
+        assert isinstance(info.value.__cause__, BrickError)
 
     def test_all_points_failed_raises(self, monkeypatch):
-        from repro.perf import characterize
+        from repro.bricks import batch
 
-        def _always_boom(task):
+        def _always_boom(points, tech):
             raise BrickError("nothing works")
 
-        _disable_batch_kernel(monkeypatch)
-        monkeypatch.setattr(characterize, "_estimate_worker",
-                            _always_boom)
+        monkeypatch.setattr(batch, "estimate_brick_batch", _always_boom)
         with pytest.raises(ExplorationError, match="every sweep point"):
-            self._session().sweep_partitions(
-                total_words_options=(64,),
-                bits_options=(8,),
-                brick_words_options=(16, 32),
-                keep_going=True)
+            self._sweep(self._session(jobs=1), keep_going=True)
 
 
 class TestExitCodes:
@@ -316,6 +289,17 @@ class TestExitCodes:
         assert first == second
         assert "yield report" in first
         assert "repair plan: 2R/1C+SECDED" in first
+
+    def test_cli_faults_reproducible_at_population_500(self, capsys):
+        from repro.cli import main
+        argv = ["--no-cache", "faults", "--words", "32", "--bits", "16",
+                "--stack", "4", "--population", "500", "--ecc",
+                "--seed", "2015"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert "brick yield" in first
 
     def test_cli_brick_yield_flag(self, capsys):
         from repro.cli import main

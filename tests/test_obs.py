@@ -244,21 +244,21 @@ class TestExport:
 
     def test_strip_timing_strips_timing_gauges(self):
         registry = MetricsRegistry()
-        registry.gauge("estimator.batch.ns_per_point").set(1234.5)
+        registry.gauge("characterize.estimate.ns_per_point").set(1234.5)
         registry.gauge("explore.sweep.depth").set(3.0)
-        registry.counter("estimator.batch.points").inc(9)
+        registry.counter("characterize.estimate.points").inc(9)
         record = {"type": "metrics",
                   "metrics": collect_snapshot(registry)}
         stripped = strip_timing(record)
         # Wall-clock-derived gauges go; deterministic values stay.
-        assert "estimator.batch.ns_per_point" \
+        assert "characterize.estimate.ns_per_point" \
             not in stripped["metrics"]["gauges"]
         assert stripped["metrics"]["gauges"]["explore.sweep.depth"] \
             == 3.0
         assert stripped["metrics"]["counters"][
-            "estimator.batch.points"] == 9
+            "characterize.estimate.points"] == 9
         # The original record is untouched (strip copies).
-        assert "estimator.batch.ns_per_point" \
+        assert "characterize.estimate.ns_per_point" \
             in record["metrics"]["gauges"]
 
     def test_stripped_lines_identical_across_runs(self, tmp_path):

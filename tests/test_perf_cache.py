@@ -15,12 +15,10 @@ from repro.perf import (
     KEY_SCHEMA_VERSION,
     CharacterizationCache,
     cache_key,
-    cached_cell_model,
     cached_compile,
     cached_estimate,
     cached_stdcell_library,
-    configure_default_cache,
-    default_cache,
+    characterize_cells,
     fingerprint,
 )
 from repro.session import Session
@@ -332,11 +330,11 @@ class TestCachedArtifacts:
                                 cache=cache)
         assert worst.read_delay > nominal.read_delay
 
-    def test_cached_cell_model_matches_direct(self, tech):
+    def test_characterize_cells_matches_direct(self, tech):
         from repro.bricks import brick_cell_model, compile_brick
-        cache = CharacterizationCache()
+        session = Session(tech, cache=CharacterizationCache())
         spec = sram_brick(16, 10)
-        via_cache = cached_cell_model(spec, tech, stack=2, cache=cache)
+        via_cache, = characterize_cells([(spec, 2)], session)
         direct = brick_cell_model(
             compile_brick(spec, tech, target_stack=2), tech, stack=2)
         assert pickle.dumps(via_cache) == pickle.dumps(direct)
@@ -351,26 +349,21 @@ class TestCachedArtifacts:
         assert len(lib2) == n
 
 
-class TestDefaultCache:
-    def test_configure_and_resolve(self, tmp_path):
-        try:
-            cache = configure_default_cache(cache_dir=str(tmp_path))
-            assert default_cache() is cache
-            assert cache.cache_dir == str(tmp_path)
-        finally:
-            configure_default_cache()  # reset to a clean default
+class TestSessionCache:
+    def test_each_session_owns_its_cache(self, tech):
+        one, two = Session(tech), Session(tech)
+        assert isinstance(one.cache, CharacterizationCache)
+        assert one.cache is not two.cache
+        assert one.derive(jobs=2).cache is one.cache
 
-    def test_generate_brick_library_uses_default(self, tech):
+    def test_generate_brick_library_uses_session_cache(self, tech):
         from repro.bricks import generate_brick_library
-        try:
-            configure_default_cache()
-            requests = [(sram_brick(16, 10), 2)]
-            generate_brick_library(requests, Session(tech))
-            before = default_cache().stats.hits
-            generate_brick_library(requests, Session(tech))
-            assert default_cache().stats.hits > before
-        finally:
-            configure_default_cache()
+        session = Session(tech)
+        requests = [(sram_brick(16, 10), 2)]
+        generate_brick_library(requests, session)
+        before = session.cache.stats.hits
+        generate_brick_library(requests, session)
+        assert session.cache.stats.hits > before
 
 
 class TestWriterLock:

@@ -128,7 +128,7 @@ class TestLibraryParallel:
     def test_repeated_requests_characterized_once(self, tech):
         cache = CharacterizationCache()
         requests = [(sram_brick(16, 10), 2)] * 5
-        cells = characterize_cells(requests, tech, cache=cache)
+        cells = characterize_cells(requests, Session(tech, cache=cache))
         assert len(cells) == 5
         assert all(c is cells[0] for c in cells)
         # 5 requests, 1 computation: one cellmodel + one compiled put.
@@ -137,7 +137,7 @@ class TestLibraryParallel:
     def test_estimate_points_order(self, tech):
         cache = CharacterizationCache()
         pts = [(sram_brick(16, 10), s) for s in (8, 1, 4, 1, 2)]
-        ests = estimate_points(pts, tech, cache=cache)
+        ests = estimate_points(pts, Session(tech, cache=cache))
         assert [e.stack for e in ests] == [8, 1, 4, 1, 2]
         # stacks {8,1,4,2}: four unique computations for five requests
         assert cache.stats.misses == 4

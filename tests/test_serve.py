@@ -179,6 +179,20 @@ class TestRoundTrips:
             assert c.ping()["pong"] is True
 
 
+    def test_out_of_domain_sweep_gets_exploration_error(self, harness):
+        # Bricks wider than MAX_BITS or deeper than MAX_WORDS are
+        # rejected up front by the sweep space, in every mode.
+        for params in ({"bits": [8, 300], "brick_words": [16]},
+                       {"bits": [8], "brick_words": [16, 2048],
+                        "total_words": 4096}):
+            with harness.client() as c:
+                with pytest.raises(ServeError) as err:
+                    c.request("sweep", params)
+            assert err.value.code == "internal"
+            assert "exploration: " in str(err.value)
+            assert "must be <=" in str(err.value)
+
+
 class TestWireErrors:
     def _raw(self, harness, payload: bytes):
         sock = socket.create_connection(("127.0.0.1", harness.port),
