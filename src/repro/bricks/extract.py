@@ -9,9 +9,12 @@ as switch-level devices.  The testbenches clock the brick for several
 cycles and measure 50 %-crossing delays and per-cycle supply energy in the
 last (steady-state) cycle — the way one measures a SPICE deck.
 
-Fidelity knobs (segment counts) trade nodes for accuracy; the defaults keep
-a 16x10 brick testbench around a few hundred nodes, which the backward-
-Euler solver integrates in seconds.
+Fidelity knobs (segment counts) trade nodes for accuracy.  With the
+defaults a 16x10/1x read testbench has 138 free nodes and a 32x12/8x
+write testbench 465.  On a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS) the
+read and write transients of one Table-1 cell take together ~1 s at
+16x10/1x, ~2 s at 32x12/1x, ~3 s / ~6 s at 4x and ~11 s / ~18 s at 8x;
+the dense LU dominates the stacked cells.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import TechnologyError
 from .technology import Technology
 
@@ -76,3 +78,17 @@ class Transistor:
         v_sat = tech.v_sat_frac * tech.vdd
         overdrive = min((v_gs - v_th) / max(v_sat - v_th, 1e-12), 1.0)
         return overdrive / self.r_on(tech)
+
+
+def conductances(drive: np.ndarray, r_on: np.ndarray,
+                 tech: Technology) -> np.ndarray:
+    """Array form of :meth:`Transistor.conductance`.
+
+    ``drive`` holds each device's gate-drive magnitude and ``r_on`` its
+    on-resistance.  The law runs the scalar method's IEEE operations in the
+    same order, so every element equals the scalar result bit for bit.
+    """
+    v_th = tech.v_th
+    v_sat = tech.v_sat_frac * tech.vdd
+    overdrive = np.minimum((drive - v_th) / max(v_sat - v_th, 1e-12), 1.0)
+    return np.where(drive <= v_th, 0.0, overdrive / r_on)

@@ -1,5 +1,6 @@
 """Property-based tests for circuit engines, LUTs and pareto fronts."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from repro.circuit import RCTree, gate_type
 from repro.explore import dominates, pareto_front
 from repro.liberty import LUT2D
+from repro.tech import NMOS, PMOS, Transistor, cmos65
+from repro.tech.transistor import conductances
 
 _settings = settings(max_examples=50, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -42,6 +45,41 @@ class TestElmoreProperties:
         before = tree.elmore("a")
         tree.add_cap("a", extra)
         assert tree.elmore("a") >= before
+
+
+class TestDeviceLawProperties:
+    """The array device law the transient reference runs equals the
+    scalar ``Transistor.conductance`` bit for bit."""
+
+    _TECH = cmos65()
+    _V_TH = _TECH.v_th
+    _V_SAT = _TECH.v_sat_frac * _TECH.vdd
+    _drives = st.one_of(
+        st.sampled_from([_V_TH, _V_SAT, 0.0, -0.0, _TECH.vdd,
+                         -_TECH.vdd]),
+        st.floats(-2 * _TECH.vdd, 2 * _TECH.vdd, allow_nan=False))
+
+    @given(st.lists(st.tuples(_drives, st.sampled_from([NMOS, PMOS]),
+                              st.floats(0.12, 10.0)),
+                    min_size=1, max_size=16))
+    @_settings
+    def test_array_law_equals_scalar_law(self, devices):
+        tech = self._TECH
+        transistors = [Transistor(kind, w) for _, kind, w in devices]
+        drive = np.array([d for d, _, _ in devices])
+        r_on = np.array([t.r_on(tech) for t in transistors])
+        got = conductances(drive, r_on, tech)
+        for g, t, d in zip(got, transistors, drive):
+            assert g == t.conductance(float(d), tech)
+
+    def test_threshold_and_saturation_edges(self):
+        tech = self._TECH
+        device = Transistor(NMOS, 1.0)
+        drive = np.array([self._V_TH, np.nextafter(self._V_TH, 1.0),
+                          self._V_SAT, -1.0])
+        got = conductances(drive, np.full(4, device.r_on(tech)), tech)
+        assert got[0] == 0.0 and got[3] == 0.0
+        assert 0.0 < got[1] < got[2] == 1.0 / device.r_on(tech)
 
 
 class TestLUTProperties:
