@@ -22,35 +22,30 @@ from repro.tech import cmos14, cmos28, cmos45, cmos65
 from repro.units import PJ, PS
 
 
-def test_ablation_brick_selection_gain(benchmark, session):
+def test_ablation_brick_selection_gain(session):
     """Automatic brick selection vs the worst fixed brick choice."""
+    rows = []
+    for total_words, bits in [(128, 8), (128, 16), (256, 16)]:
+        sweep = session.sweep_partitions(
+            total_words_options=(total_words,),
+            bits_options=(bits,),
+            brick_words_options=(8, 16, 32, 64))
+        choice = session.optimize_brick_selection(
+            total_words, bits,
+            brick_words_options=(8, 16, 32, 64))
 
-    def kernel():
-        rows = []
-        for total_words, bits in [(128, 8), (128, 16), (256, 16)]:
-            sweep = session.sweep_partitions(
-                total_words_options=(total_words,),
-                bits_options=(bits,),
-                brick_words_options=(8, 16, 32, 64))
-            choice = session.optimize_brick_selection(
-                total_words, bits,
-                brick_words_options=(8, 16, 32, 64))
+        def cost(p):
+            best_d = min(q.read_delay for q in sweep.points)
+            best_e = min(q.read_energy for q in sweep.points)
+            best_a = min(q.area_um2 for q in sweep.points)
+            return ((p.read_delay / best_d)
+                    * (p.read_energy / best_e)
+                    * (p.area_um2 / best_a) ** 0.5)
 
-            def cost(p):
-                best_d = min(q.read_delay for q in sweep.points)
-                best_e = min(q.read_energy for q in sweep.points)
-                best_a = min(q.area_um2 for q in sweep.points)
-                return ((p.read_delay / best_d)
-                        * (p.read_energy / best_e)
-                        * (p.area_um2 / best_a) ** 0.5)
-
-            worst = max(sweep.points, key=cost)
-            rows.append((total_words, bits, choice.point.brick_words,
-                         worst.brick_words,
-                         cost(worst) / cost(choice.point)))
-        return rows
-
-    rows = benchmark.pedantic(kernel, rounds=1, iterations=1)
+        worst = max(sweep.points, key=cost)
+        rows.append((total_words, bits, choice.point.brick_words,
+                     worst.brick_words,
+                     cost(worst) / cost(choice.point)))
     print_table(
         "Ablation — automatic brick selection (Section 6 future work)",
         ("words", "bits", "chosen brick", "worst brick",
@@ -61,7 +56,7 @@ def test_ablation_brick_selection_gain(benchmark, session):
         assert gain > 1.1  # the optimizer must beat the worst choice
 
 
-def test_ablation_drive_resizing(benchmark, session, stdlib):
+def test_ablation_drive_resizing(session, stdlib):
     """Post-route drive selection vs everything at X1."""
     from repro.bricks import generate_brick_library
 
@@ -70,15 +65,10 @@ def test_ablation_drive_resizing(benchmark, session, stdlib):
     bricks, _ = generate_brick_library(
         [(config.brick, config.stack)], session=session)
     library = stdlib.merged_with(bricks)
-
-    def kernel():
-        unsized = session.run_flow(module_a, library,
-                                   anneal_moves=1000, resize=False)
-        sized = session.run_flow(module_b, library,
-                                 anneal_moves=1000, resize=True)
-        return unsized, sized
-
-    unsized, sized = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    unsized = session.run_flow(module_a, library,
+                               anneal_moves=1000, resize=False)
+    sized = session.run_flow(module_b, library,
+                             anneal_moves=1000, resize=True)
     speedup = unsized.timing.min_period / sized.timing.min_period
     print(f"\nresizing ablation: X1-only {unsized.timing.min_period / PS:.0f} ps "
           f"-> resized {sized.timing.min_period / PS:.0f} ps "
@@ -87,19 +77,14 @@ def test_ablation_drive_resizing(benchmark, session, stdlib):
     assert speedup >= 0.98  # resizing never badly hurts
 
 
-def test_ablation_retargeting(benchmark):
+def test_ablation_retargeting():
     """Section 6: the methodology retargets by recharacterization."""
-
-    def kernel():
-        rows = []
-        for factory in (cmos65, cmos45, cmos28, cmos14):
-            tech = factory()
-            compiled = compile_brick(sram_brick(16, 10), tech)
-            est = estimate_brick(compiled, tech)
-            rows.append((tech.name, est.read_delay, est.read_energy))
-        return rows
-
-    rows = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    rows = []
+    for factory in (cmos65, cmos45, cmos28, cmos14):
+        tech = factory()
+        compiled = compile_brick(sram_brick(16, 10), tech)
+        est = estimate_brick(compiled, tech)
+        rows.append((tech.name, est.read_delay, est.read_energy))
     print_table(
         "Ablation — 16x10b brick across technology nodes",
         ("node", "read delay", "read energy"),

@@ -42,8 +42,7 @@ def fig1():
     return rows
 
 
-def test_fig1_report_and_ordering(benchmark, fig1):
-    benchmark.pedantic(lambda: fig1, rounds=1, iterations=1)
+def test_fig1_report_and_ordering(fig1):
     print_table(
         "Fig. 1 — Printability of logic next to bitcell arrays",
         ("panel", "hotspots", "printability"),
@@ -51,36 +50,17 @@ def test_fig1_report_and_ordering(benchmark, fig1):
          for r in fig1])
     by_panel = {r["panel"][:2]: r for r in fig1}
     assert by_panel["1a"]["hotspots"] == 0
-    assert by_panel["1b"]["hotspots"] > 0
+    assert by_panel["1b"]["hotspots"] == 16  # one per boundary row
     assert by_panel["1c"]["hotspots"] == 0
     assert by_panel["1b"]["printability"] < 1.0
     assert by_panel["1a"]["printability"] == 1.0
     assert by_panel["1c"]["printability"] == 1.0
 
 
-def test_generated_brick_layouts_are_pattern_legal(benchmark, tech):
+def test_generated_brick_layouts_are_pattern_legal(tech):
     """The methodology's layout-level guarantee, checked on a spread of
     brick geometries."""
-
-    def kernel():
-        results = []
-        for words, bits in [(4, 4), (16, 10), (32, 12), (13, 7)]:
-            compiled = compile_brick(sram_brick(words, bits), tech)
-            layout = generate_layout(compiled, tech)
-            results.append(len(find_hotspots(layout.pattern_grid)))
-        return results
-
-    hotspot_counts = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert all(count == 0 for count in hotspot_counts)
-
-
-def test_benchmark_hotspot_checker(benchmark):
-    """Throughput of the pattern checker on a large grid."""
-    grid = scenario_conventional_next_to_bitcells(
-        rows=64, array_cols=32, logic_cols=32)
-
-    def kernel():
-        return len(find_hotspots(grid))
-
-    count = benchmark(kernel)
-    assert count == 64  # one hotspot per boundary row
+    for words, bits in [(4, 4), (16, 10), (32, 12), (13, 7)]:
+        compiled = compile_brick(sram_brick(words, bits), tech)
+        layout = generate_layout(compiled, tech)
+        assert find_hotspots(layout.pattern_grid) == [], (words, bits)

@@ -38,9 +38,8 @@ def fig3(session, stdlib):
     return module, config, library, flat, flow, gen_seconds
 
 
-def test_fig3_structure_report(benchmark, fig3):
+def test_fig3_structure_report(fig3):
     module, config, library, flat, flow, gen_seconds = fig3
-    benchmark.pedantic(lambda: flat.stats(), rounds=1, iterations=1)
     stats = flat.stats()
     print_table(
         "Fig. 3 — 32x10b 1R1W SRAM from two stacked 16x10b bricks",
@@ -58,10 +57,9 @@ def test_fig3_structure_report(benchmark, fig3):
     assert stats["combinational"] > 80  # two 5->32 decoders dominate
 
 
-def test_fig3_verilog_matches_papers_listing_shape(benchmark, fig3):
+def test_fig3_verilog_matches_papers_listing_shape(fig3):
     module, *_ = fig3
-    text = benchmark.pedantic(lambda: emit_module(module), rounds=1,
-                              iterations=1)
+    text = emit_module(module)
     # The constructs the paper's listing shows: brick instantiation by
     # name, decoders, 1R1W port structure.
     assert "brick_16_10_s2" in text
@@ -72,33 +70,22 @@ def test_fig3_verilog_matches_papers_listing_shape(benchmark, fig3):
     print("\n".join(text.splitlines()[:12]))
 
 
-def test_fig3_functional_equivalence(benchmark, fig3):
+def test_fig3_functional_equivalence(fig3):
     """Random-traffic equivalence against a dict-based memory model."""
     module, config, library, *_ = fig3
-
-    def kernel():
-        sim = LogicSimulator(elaborate(module, library))
-        rng = random.Random(11)
-        model = {}
-        for _ in range(200):
-            ra, wa = rng.randrange(32), rng.randrange(32)
-            di, we = rng.randrange(1024), rng.random() < 0.5
-            sim.set_input("raddr", ra)
-            sim.set_input("waddr", wa)
-            sim.set_input("din", di)
-            sim.set_input("we", int(we))
-            sim.clock()
-            expect = model.get(ra)
-            if expect is not None:
-                assert sim.get_output("dout") == expect
-            if we:
-                model[wa] = di
-        return True
-
-    assert benchmark.pedantic(kernel, rounds=1, iterations=1)
-
-
-def test_benchmark_elaboration(benchmark, fig3):
-    module, config, library, *_ = fig3
-    flat = benchmark(lambda: elaborate(module, library))
-    assert flat.stats()["bricks"] == 1
+    sim = LogicSimulator(elaborate(module, library))
+    rng = random.Random(11)
+    model = {}
+    for _ in range(200):
+        ra, wa = rng.randrange(32), rng.randrange(32)
+        di, we = rng.randrange(1024), rng.random() < 0.5
+        sim.set_input("raddr", ra)
+        sim.set_input("waddr", wa)
+        sim.set_input("din", di)
+        sim.set_input("we", int(we))
+        sim.clock()
+        expect = model.get(ra)
+        if expect is not None:
+            assert sim.get_output("dout") == expect
+        if we:
+            model[wa] = di

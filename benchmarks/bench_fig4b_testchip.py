@@ -37,9 +37,8 @@ def fig4b(session):
     return measured, simulated
 
 
-def test_fig4b_report(benchmark, fig4b):
+def test_fig4b_report(fig4b):
     measured, simulated = fig4b
-    benchmark.pedantic(lambda: fig4b, rounds=1, iterations=1)
     rows = []
     for name in _CONFIGS:
         m = measured[name]
@@ -61,9 +60,8 @@ def test_fig4b_report(benchmark, fig4b):
         rows)
 
 
-def test_fig4b_performance_ordering(benchmark, fig4b):
+def test_fig4b_performance_ordering(fig4b):
     measured, _ = fig4b
-    benchmark.pedantic(lambda: measured, rounds=1, iterations=1)
     fmax = {name: measured[name].mean_fmax for name in _CONFIGS}
     # 1. A > B > C > D.
     assert fmax["A"] > fmax["B"] > fmax["C"] > fmax["D"]
@@ -73,9 +71,8 @@ def test_fig4b_performance_ordering(benchmark, fig4b):
     assert fmax["E"] < fmax["B"]
 
 
-def test_fig4b_energy_and_area_tradeoff(benchmark, fig4b, session):
+def test_fig4b_energy_and_area_tradeoff(fig4b, session):
     measured, _ = fig4b
-    benchmark.pedantic(lambda: measured, rounds=1, iterations=1)
     # 4. "E consume less energy compared to D ... traded off with larger
     # area consumption".
     assert measured["E"].mean_energy < measured["D"].mean_energy
@@ -91,12 +88,11 @@ def test_fig4b_energy_and_area_tradeoff(benchmark, fig4b, session):
     assert flow_e.area_um2 > flow_d.area_um2
 
 
-def test_fig4b_simulations_track_measurements(benchmark, fig4b):
+def test_fig4b_simulations_track_measurements(fig4b):
     """The validation claim: estimated-library simulations 'capture the
     trend of chip results over the range of different configurations
     within a small error rate'."""
     measured, simulated = fig4b
-    benchmark.pedantic(lambda: simulated, rounds=1, iterations=1)
     for name in _CONFIGS:
         m, s = measured[name], simulated[name]
         # Nominal simulation within 25 % of the multi-chip mean, and the
@@ -111,10 +107,9 @@ def test_fig4b_simulations_track_measurements(benchmark, fig4b):
     assert meas_rank == sim_rank
 
 
-def test_fig4b_energy_grows_with_size(benchmark, fig4b):
+def test_fig4b_energy_grows_with_size(fig4b):
     """Paper: 'As SRAM size increases for a single partition (from A to
     D), performance drops and energy increases as it is expected.'"""
     measured, _ = fig4b
-    benchmark.pedantic(lambda: measured, rounds=1, iterations=1)
     energy = {name: measured[name].mean_energy for name in _CONFIGS}
     assert energy["A"] < energy["B"] < energy["C"] < energy["D"]

@@ -7,17 +7,11 @@ netlists and generating the library estimations were finalized within 2
 seconds of wall clock time."
 """
 
-import time
-
 import pytest
 
-from bench_util import emit_bench_json, print_table
+from bench_util import print_table
 from repro.bricks import generate_brick_library, sram_brick
 from repro.explore import pareto_front
-from repro.obs.export import span_record
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import stage_breakdown
-from repro.obs.trace import Tracer
 from repro.perf import CharacterizationCache
 from repro.units import PJ, PS
 
@@ -27,8 +21,7 @@ def fig4c(session):
     return session.sweep_partitions()
 
 
-def test_fig4c_report(benchmark, fig4c):
-    benchmark.pedantic(lambda: fig4c, rounds=1, iterations=1)
+def test_fig4c_report(fig4c):
     reference = fig4c.point(128, 8, 16)
     rows = []
     for point in sorted(fig4c.points,
@@ -54,34 +47,33 @@ def test_fig4c_report(benchmark, fig4c):
           f"(paper: 'within 2 seconds')")
 
 
-def test_fig4c_two_second_claim(benchmark, session):
+def test_fig4c_two_second_claim(session):
     """Both the estimator sweep and full library generation (netlists +
-    LUT characterization) must finish within the paper's 2 seconds."""
-
-    def kernel():
-        requests = [(sram_brick(w, b), 128 // w)
-                    for w in (16, 32, 64) for b in (8, 16, 32)]
-        return generate_brick_library(requests, session=session)
-
-    library, elapsed = benchmark.pedantic(kernel, rounds=1,
-                                          iterations=1)
+    LUT characterization) must finish within the paper's 2 seconds,
+    each measured cold on an empty characterization cache."""
+    sweep = session.derive(
+        cache=CharacterizationCache()).sweep_partitions()
+    assert len(sweep.points) == 9
+    assert sweep.wall_clock_s < 2.0
+    requests = [(sram_brick(w, b), 128 // w)
+                for w in (16, 32, 64) for b in (8, 16, 32)]
+    library, elapsed = generate_brick_library(
+        requests, session=session.derive(cache=CharacterizationCache()))
     assert len(library) == 9
     assert elapsed < 2.0
 
 
-def test_fig4c_trend_larger_bricks_slower(benchmark, fig4c):
+def test_fig4c_trend_larger_bricks_slower(fig4c):
     """'As the brick size gets larger, critical path also increases.'"""
-    benchmark.pedantic(lambda: fig4c, rounds=1, iterations=1)
     for bits in (8, 16, 32):
         delays = [fig4c.point(128, bits, bw).read_delay
                   for bw in (16, 32, 64)]
         assert delays[0] < delays[1] < delays[2]
 
 
-def test_fig4c_trend_larger_bricks_cheaper(benchmark, fig4c):
+def test_fig4c_trend_larger_bricks_cheaper(fig4c):
     """'Partition with larger bricks consume less energy and area' —
     area strictly, energy against the smallest-brick build."""
-    benchmark.pedantic(lambda: fig4c, rounds=1, iterations=1)
     for bits in (8, 16, 32):
         energies = [fig4c.point(128, bits, bw).read_energy
                     for bw in (16, 32, 64)]
@@ -91,12 +83,11 @@ def test_fig4c_trend_larger_bricks_cheaper(benchmark, fig4c):
         assert energies[0] == max(energies)
 
 
-def test_fig4c_cross_analysis(benchmark, fig4c):
+def test_fig4c_cross_analysis(fig4c):
     """'128x16bit memory built with 16x16bit bricks is still faster than
     128x8bit memory built with 64x8bit bricks, while it consumes nearly
     the same energy as the 128x32bit memory built with 64x32bit
     bricks.'"""
-    benchmark.pedantic(lambda: fig4c, rounds=1, iterations=1)
     p16_16 = fig4c.point(128, 16, 16)
     p8_64 = fig4c.point(128, 8, 64)
     p32_64 = fig4c.point(128, 32, 64)
@@ -106,111 +97,11 @@ def test_fig4c_cross_analysis(benchmark, fig4c):
     assert 0.4 < ratio < 1.6
 
 
-def test_fig4c_pareto_front(benchmark, fig4c):
+def test_fig4c_pareto_front(fig4c):
     """The flow's purpose: pareto curves over block designs."""
-    benchmark.pedantic(lambda: fig4c, rounds=1, iterations=1)
     front = pareto_front(
         fig4c.points,
         lambda p: (p.read_delay, p.read_energy, p.area_um2))
     assert 1 <= len(front) <= len(fig4c.points)
     print(f"\npareto-optimal designs: "
           f"{[(p.label) for p in front]}")
-
-
-def test_benchmark_sweep_throughput(benchmark, session):
-    result = benchmark(lambda: session.sweep_partitions())
-    assert len(result.points) == 9
-
-
-def _time_best(fn, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _vector_kernel_section(tech, points):
-    """Scalar vs vectorized pricing of one population, uncached."""
-    from repro.bricks import compile_brick, estimate_brick, \
-        estimate_brick_batch
-
-    def scalar():
-        for spec, stack in points:
-            compiled = compile_brick(spec, tech, target_stack=stack)
-            estimate_brick(compiled, tech, stack=stack)
-
-    scalar_s = _time_best(scalar, 5)
-    batch_s = _time_best(lambda: estimate_brick_batch(points, tech), 20)
-    n = len(points)
-    return {
-        "n_points": n,
-        "scalar_points_per_s": n / scalar_s,
-        "batch_points_per_s": n / batch_s,
-        "speedup": scalar_s / batch_s,
-    }
-
-
-def test_fig4c_cold_vs_warm_cache_json(benchmark, session):
-    """Perf tracking artifact: cold vs warm-cache wall clock for the
-    paper's 9-brick sweep, emitted as BENCH_fig4c.json.
-
-    Floors: warm cache >= 2x faster than even the vectorized cold path,
-    and cold throughput >= 10x the pre-vectorization seed (~578/s).
-
-    The artifact also carries a ``vector_kernel`` section (scalar vs
-    batch pricing of the same population), the run's unified metrics
-    snapshot (cache/executor/counter state) and the per-stage timing
-    breakdown aggregated from the trace spans, so the JSON answers not
-    just "how fast" but "where the time went"."""
-    tracer = Tracer()
-    cold_session = session.derive(cache=CharacterizationCache(),
-                                  tracer=tracer,
-                                  metrics=MetricsRegistry())
-
-    def run():
-        return cold_session.sweep_partitions()
-
-    cold = benchmark.pedantic(run, rounds=1, iterations=1)
-    # One-shot cold timing is noisy at millisecond scale; keep the best
-    # of a few fresh-cache runs as the representative cold number.
-    for _ in range(4):
-        rerun_session = session.derive(cache=CharacterizationCache(),
-                                       metrics=MetricsRegistry())
-        rerun = rerun_session.sweep_partitions()
-        if rerun.wall_clock_s < cold.wall_clock_s:
-            cold = rerun
-    warm = min((run() for _ in range(5)),
-               key=lambda r: r.wall_clock_s)
-    n = len(cold.points)
-    speedup = cold.wall_clock_s / warm.wall_clock_s
-    tracer.validate()
-    records = [span_record(span) for span in tracer.spans]
-    breakdown = [
-        {"stage": name, "calls": calls,
-         "total_s": total, "percent": pct}
-        for name, calls, total, pct in stage_breakdown(records)]
-    vector_kernel = _vector_kernel_section(
-        session.tech,
-        [(sram_brick(w, b), 128 // w)
-         for w in (16, 32, 64) for b in (8, 16, 32)])
-    emit_bench_json("fig4c", {
-        "n_points": n,
-        "cold_wall_clock_s": cold.wall_clock_s,
-        "warm_wall_clock_s": warm.wall_clock_s,
-        "warm_speedup": speedup,
-        "cold_points_per_s": n / cold.wall_clock_s,
-        "warm_points_per_s": n / warm.wall_clock_s,
-        "paper_claim_s": 2.0,
-        "within_paper_claim": cold.wall_clock_s < 2.0,
-        "vector_kernel": vector_kernel,
-        "stage_breakdown": breakdown,
-        "metrics": cold_session.metrics_snapshot(),
-    })
-    assert cold.wall_clock_s < 2.0
-    assert speedup >= 2.0, (
-        f"warm cache only {speedup:.1f}x faster than cold")
-    assert n / cold.wall_clock_s >= 5780.0, (
-        f"cold sweep at {n / cold.wall_clock_s:.0f} points/s, "
-        f"below 10x the pre-vectorization seed")

@@ -1,6 +1,6 @@
 """Benchmark: the observability plane must be (nearly) free.
 
-Tracing and metrics ride inside every hot path — sweep points, cache
+Tracing and metrics ride inside every hot path — sweep shards, cache
 probes, parallel task groups — so their cost is paid per *operation*,
 not per run.  This benchmark prices the same warm sweep kernel twice
 on one shared warm cache:
@@ -8,21 +8,21 @@ on one shared warm cache:
 * **off** — a session with no tracer and no metrics registry (every
   ``maybe_span`` short-circuits);
 * **on** — a session with both attached, spans recorded for every
-  stage/point and counters/histograms bumped throughout.
+  stage/shard and counters/histograms bumped throughout.
 
-Emits ``BENCH_obs_overhead.json`` and asserts the instrumented path
-costs at most :data:`OVERHEAD_CEILING` over the bare one — the floor
-that keeps "always-on telemetry" an honest default for the serve
-daemon.  Micro-costs (one span open/close, one telemetry record) are
-reported alongside for the trajectory.
+It asserts the instrumented path costs at most
+:data:`OVERHEAD_CEILING` over the bare one — the floor that keeps
+"always-on telemetry" an honest default for the serve daemon.
+perfbench's ``obs.overhead_pct`` prices perfbench's own
+instrumentation, not ``repro.obs``, so this is the only guard on it.
 """
 
+import statistics
 import time
 
-from bench_util import emit_bench_json, print_table
+from bench_util import print_table
 from repro.explore import SweepEngine
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import Telemetry
 from repro.obs.trace import Tracer
 from repro.perf.cache import CharacterizationCache
 from repro.session import Session
@@ -39,27 +39,10 @@ SWEEP_KWARGS = dict(total_words_options=tuple(2 ** i
                     brick_words_options=(8, 16, 32, 64, 128, 256),
                     mode="sharded", shard_size=2048)
 
-ROUNDS = 12
+ROUNDS = 60
 
 
-def _span_cost_ns(n=20_000):
-    tracer = Tracer()
-    start = time.perf_counter()
-    for i in range(n):
-        span = tracer.open("point", kind="sweep_point", index=i)
-        tracer.close(span)
-    return (time.perf_counter() - start) / n * 1e9
-
-
-def _telemetry_record_cost_ns(n=20_000):
-    tele = Telemetry()
-    start = time.perf_counter()
-    for i in range(n):
-        tele.record("sweep", (i % 97 + 1) * 1e-5)
-    return (time.perf_counter() - start) / n * 1e9
-
-
-def test_obs_overhead_json(benchmark):
+def test_obs_overhead_within_ceiling():
     cache = CharacterizationCache()
     bare = Session(cmos65(), jobs=1, cache=cache)
     traced = Session(cmos65(), jobs=1, cache=cache,
@@ -73,47 +56,31 @@ def test_obs_overhead_json(benchmark):
     # One cold pass fills the shared characterization cache; both
     # timed paths then pay identical warm costs and differ only in
     # the instrumentation.
-    result = kernel(bare)
+    kernel(bare)
     kernel(traced)
 
-    def measure():
-        # Interleaved best-of: both paths sample the same machine
-        # weather, so the ratio is robust to background drift.
-        off_s = on_s = float("inf")
-        for _ in range(ROUNDS):
-            start = time.perf_counter()
-            kernel(bare)
-            off_s = min(off_s, time.perf_counter() - start)
-            start = time.perf_counter()
-            kernel(traced)
-            on_s = min(on_s, time.perf_counter() - start)
-        return off_s, on_s
-
-    off_s, on_s = benchmark.pedantic(measure, rounds=1, iterations=1)
-    overhead = on_s / off_s - 1.0
-    span_ns = _span_cost_ns()
-    record_ns = _telemetry_record_cost_ns()
+    # Paired rounds, off then on back to back, so both halves of a pair
+    # see the same machine weather.  On a shared 2-vCPU Xeon the median
+    # pair ratio read +1 to +4 % over ten runs, where the best-of-12
+    # ratio read -21 to +31 % as host speed swung between rounds.
+    off_s, on_s = [], []
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        kernel(bare)
+        mid = time.perf_counter()
+        kernel(traced)
+        off_s.append(mid - start)
+        on_s.append(time.perf_counter() - mid)
+    overhead = statistics.median(
+        on / off for off, on in zip(off_s, on_s)) - 1.0
 
     print_table(
         "Observability overhead — warm sweep, tracing+metrics on/off",
-        ("path", "best wall", "overhead"),
-        [("off (bare session)", f"{off_s * 1e3:.2f}ms", "-"),
-         ("on (tracer+metrics)", f"{on_s * 1e3:.2f}ms",
-          f"{overhead * 100:+.1f}%"),
-         ("one span open+close", f"{span_ns:.0f}ns", "-"),
-         ("one telemetry record", f"{record_ns:.0f}ns", "-")])
-
-    emit_bench_json("obs_overhead", {
-        "sweep_points": result.n_priced,
-        "sweep_shards": result.shards_total,
-        "sweep_warm_off_s": off_s,
-        "sweep_warm_on_s": on_s,
-        "overhead_fraction": overhead,
-        "overhead_ceiling": OVERHEAD_CEILING,
-        "span_open_close_ns": span_ns,
-        "telemetry_record_ns": record_ns,
-        "spans_recorded": len(traced.tracer.spans),
-    })
+        ("path", "median wall", "overhead"),
+        [("off (bare session)", f"{statistics.median(off_s) * 1e3:.2f}ms",
+          "-"),
+         ("on (tracer+metrics)", f"{statistics.median(on_s) * 1e3:.2f}ms",
+          f"{overhead * 100:+.1f}%")])
     assert overhead <= OVERHEAD_CEILING, (
         f"tracing+metrics cost {overhead * 100:.1f}% on the warm "
         f"sweep (ceiling {OVERHEAD_CEILING * 100:.0f}%)")

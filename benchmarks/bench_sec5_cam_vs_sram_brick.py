@@ -35,8 +35,7 @@ def sec5(tech):
     }
 
 
-def test_sec5_report(benchmark, sec5):
-    benchmark.pedantic(lambda: sec5, rounds=1, iterations=1)
+def test_sec5_report(sec5):
     sram, cam = sec5["sram_est"], sec5["cam_est"]
     area_ratio = sec5["cam_layout"].area_um2 / \
         sec5["sram_layout"].area_um2
@@ -61,22 +60,19 @@ def test_sec5_report(benchmark, sec5):
                 ("metric", "value", "note"), rows)
 
 
-def test_sec5_area_ratio(benchmark, sec5):
-    benchmark.pedantic(lambda: sec5, rounds=1, iterations=1)
+def test_sec5_area_ratio(sec5):
     ratio = sec5["cam_layout"].area_um2 / sec5["sram_layout"].area_um2
     # Paper: 1.83x. Band keeps the ordering meaningful.
     assert 1.5 < ratio < 2.2
 
 
-def test_sec5_delay_ratio(benchmark, sec5):
-    benchmark.pedantic(lambda: sec5, rounds=1, iterations=1)
+def test_sec5_delay_ratio(sec5):
     ratio = sec5["cam_est"].match_delay / sec5["sram_est"].read_delay
     # Paper: 1.26x slower.
     assert 1.05 < ratio < 1.8
 
 
-def test_sec5_power_ordering(benchmark, sec5):
-    benchmark.pedantic(lambda: sec5, rounds=1, iterations=1)
+def test_sec5_power_ordering(sec5):
     sram, cam = sec5["sram_est"], sec5["cam_est"]
     p_sram_read = sram.read_power(_FREQ)
     p_cam_read = cam.read_power(_FREQ)
@@ -87,25 +83,22 @@ def test_sec5_power_ordering(benchmark, sec5):
     assert 1.5 < p_cam_match / p_cam_read < 3.5
 
 
-def test_sec5_same_bitcell_count(benchmark, tech, sec5):
+def test_sec5_same_bitcell_count(tech):
     """'Both implementations use the same bitcells' — the arrays match,
     only the cell type and periphery differ."""
-    benchmark.pedantic(lambda: sec5, rounds=1, iterations=1)
     sram = compile_brick(sram_brick(16, 10), tech)
     cam = compile_brick(cam_brick(16, 10), tech)
     assert sram.spec.words == cam.spec.words
     assert sram.spec.bits == cam.spec.bits
 
 
-def test_sec5_match_path_validated_against_reference(benchmark,
-                                                      tech):
+def test_sec5_match_path_validated_against_reference(tech):
     """Extension: the CAM match path gets the same estimator-vs-
     transient-reference validation Table 1 gives the SRAM read path."""
     from repro.bricks import measure_match
     compiled = compile_brick(cam_brick(16, 10), tech)
     est = estimate_brick(compiled, tech)
-    delay, energy = benchmark.pedantic(
-        lambda: measure_match(compiled, tech), rounds=1, iterations=1)
+    delay, energy = measure_match(compiled, tech)
     delay_err = (est.match_delay - delay) / delay
     energy_err = (est.match_energy - energy) / energy
     print(f"\nCAM match: tool {est.match_delay * 1e12:.0f} ps / "
@@ -114,9 +107,3 @@ def test_sec5_match_path_validated_against_reference(benchmark,
           f"({delay_err:+.1%} / {energy_err:+.1%})")
     assert abs(delay_err) < 0.15
     assert abs(energy_err) < 0.20
-
-
-def test_benchmark_cam_estimation(benchmark, tech):
-    compiled = compile_brick(cam_brick(16, 10), tech)
-    est = benchmark(lambda: estimate_brick(compiled, tech))
-    assert est.match_delay is not None

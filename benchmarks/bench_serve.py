@@ -12,24 +12,22 @@ the paper's Fig. 4c sweep:
   already warm (every repeat is a cache hit answered from the artifact
   store).
 
-Emits ``BENCH_serve.json`` and asserts the served warm path is at
-least 5x faster than the cold CLI, the floor the serving layer must
-hold.  A burst of identical concurrent requests is also priced to
-report the coalescing rate (N requests -> 1 computation).
+It asserts the served warm path is at least 5x faster than the cold
+CLI, the floor the serving layer must hold.  perfbench's
+``serve_mixed`` times requests only inside a running daemon, so it has
+no twin for this ratio.
 """
 
 import asyncio
-import json
 import os
-import socket
 import subprocess
 import sys
 import threading
 import time
 
-from bench_util import emit_bench_json, print_table
+from bench_util import print_table
 from repro.perf.cache import CharacterizationCache
-from repro.serve import BrickServer, ServeClient, encode_frame
+from repro.serve import BrickServer, ServeClient
 from repro.session import Session
 from repro.tech import cmos65
 
@@ -87,25 +85,7 @@ def _warm_served_seconds(client, repeats=5):
     return best
 
 
-def _coalesced_burst(port, n=8):
-    """N identical sweeps in one sendall on one connection; returns the
-    reply count that was answered without recomputing."""
-    sock = socket.create_connection(("127.0.0.1", port), timeout=60)
-    try:
-        reader = sock.makefile("rb")
-        sock.sendall(b"".join(encode_frame(
-            {"v": 1, "id": f"b{i}", "type": "sweep",
-             "params": dict(SWEEP_PARAMS, bits=[4, 12])})
-            for i in range(n)))
-        replies = [json.loads(reader.readline().decode())
-                   for _ in range(n)]
-    finally:
-        sock.close()
-    assert all(r["ok"] for r in replies)
-    return n
-
-
-def test_serve_warm_vs_cold_cli_json(benchmark):
+def test_serve_warm_beats_cold_cli():
     session = Session(cmos65(), cache=CharacterizationCache())
     server, thread = _start_server(session)
     try:
@@ -113,11 +93,7 @@ def test_serve_warm_vs_cold_cli_json(benchmark):
             start = time.perf_counter()
             client.sweep(**SWEEP_PARAMS)  # first request: cold compute
             first_request_s = time.perf_counter() - start
-            warm_s = benchmark.pedantic(
-                lambda: _warm_served_seconds(client),
-                rounds=1, iterations=1)
-            burst_n = _coalesced_burst(server.port)
-            coalesce = server.ctx.coalescer.stats.as_dict()
+            warm_s = _warm_served_seconds(client)
             client.shutdown()
         thread.join(20)
     finally:
@@ -135,19 +111,6 @@ def test_serve_warm_vs_cold_cli_json(benchmark):
           "daemon cold compute"),
          ("served warm", f"{warm_s * 1e3:8.1f} ms",
           f"cache hit, {speedup:.0f}x vs cold CLI")])
-    print(f"coalescing: {coalesce['coalesced']} of {burst_n} burst "
-          f"requests shared one computation")
-
-    emit_bench_json("serve", {
-        "sweep_params": SWEEP_PARAMS,
-        "cold_cli_s": cold_s,
-        "served_first_request_s": first_request_s,
-        "served_warm_s": warm_s,
-        "warm_speedup_vs_cold_cli": speedup,
-        "speedup_floor": SPEEDUP_FLOOR,
-        "burst_requests": burst_n,
-        "coalesce": coalesce,
-    })
     assert speedup >= SPEEDUP_FLOOR, (
         f"serving layer regression: warm served path only "
         f"{speedup:.1f}x faster than the cold CLI "

@@ -48,8 +48,7 @@ def table1(tech):
     return rows
 
 
-def test_table1_report_and_error_bands(benchmark, table1):
-    benchmark.pedantic(lambda: table1, rounds=1, iterations=1)
+def test_table1_report_and_error_bands(table1):
     printable = []
     for r in table1:
         printable.append((
@@ -69,6 +68,8 @@ def test_table1_report_and_error_bands(benchmark, table1):
          "toolWr[pJ]", "refWr[pJ]", "wr_err"),
         printable)
     for r in table1:
+        assert all(value > 0 for key, value in r.items()
+                   if key.startswith(("tool_", "ref_"))), r
         delay_err = abs(ratio_percent(r["tool_delay"], r["ref_delay"]))
         read_err = abs(ratio_percent(r["tool_read"], r["ref_read"]))
         write_err = abs(ratio_percent(r["tool_write"], r["ref_write"]))
@@ -79,10 +80,9 @@ def test_table1_report_and_error_bands(benchmark, table1):
         assert write_err < 20.0, r
 
 
-def test_table1_stacking_trends(benchmark, table1):
+def test_table1_stacking_trends(table1):
     """Delay and energy must grow monotonically with stacking on BOTH
     sides of the comparison, as in the paper's rows."""
-    benchmark.pedantic(lambda: table1, rounds=1, iterations=1)
     for brick in ("16x10", "32x12"):
         rows = [r for r in table1 if r["brick"] == brick]
         for key in ("tool_delay", "ref_delay", "tool_read", "ref_read"):
@@ -90,31 +90,8 @@ def test_table1_stacking_trends(benchmark, table1):
             assert values[0] < values[1] < values[2], (brick, key)
 
 
-def test_table1_anchor_point(benchmark, table1):
+def test_table1_anchor_point(table1):
     """Calibration anchor: 16x10 @ 1x near the paper's 247 ps."""
-    benchmark.pedantic(lambda: table1, rounds=1, iterations=1)
     row = next(r for r in table1
                if r["brick"] == "16x10" and r["stack"] == 1)
     assert abs(row["tool_delay"] - 247 * PS) / (247 * PS) < 0.10
-
-
-def test_benchmark_estimator_throughput(benchmark, tech):
-    """The estimator is the 'instantaneous' half of Table 1: time it."""
-    compiled = compile_brick(sram_brick(16, 10), tech, target_stack=8)
-
-    def kernel():
-        return estimate_brick(compiled, tech, stack=8)
-
-    result = benchmark(kernel)
-    assert result.read_delay > 0
-
-
-def test_benchmark_reference_transient(benchmark, tech):
-    """The reference simulation cost (one 16x10 1x read transient)."""
-    compiled = compile_brick(sram_brick(16, 10), tech, target_stack=1)
-
-    def kernel():
-        return measure_read(compiled, tech, stack=1)
-
-    delay, energy = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert delay > 0 and energy > 0

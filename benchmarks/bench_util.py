@@ -1,8 +1,4 @@
-"""Shared rendering + reporting helpers for the benchmark harnesses."""
-
-import json
-import os
-import tempfile
+"""Shared rendering helper for the benchmark harnesses."""
 
 
 def print_table(title, header, rows):
@@ -17,31 +13,3 @@ def print_table(title, header, rows):
     print("-" * len(line))
     for row in rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-
-
-def emit_bench_json(name, payload, directory=None):
-    """Write ``BENCH_<name>.json`` atomically; returns the path.
-
-    The JSON artifacts are the machine-readable side of the benchmark
-    suite: each run overwrites the file in the repo root (default) so
-    the perf trajectory — e.g. cold vs warm-cache wall clock — can be
-    diffed and tracked across PRs.
-    """
-    if directory is None:
-        directory = os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__)))
-    path = os.path.join(directory, f"BENCH_{name}.json")
-    blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    print(f"\nwrote {path}")
-    return path

@@ -59,6 +59,13 @@ class TestBrickSpecBatch:
                   (BrickSpec("EDRAM", 64, 16), 4),
                   (BrickSpec("DP", 16, 10), 8),
                   (cam_brick(16, 10), 1)]
+        # A population spanning every type, 4-128 words, 4-32 bits and
+        # stacks 1-8 in one batch.
+        words, bits = (4, 8, 16, 32, 64, 128), (4, 8, 10, 12, 16, 32)
+        points += [(BrickSpec(MEMORY_TYPES[i % len(MEMORY_TYPES)],
+                              words[i % len(words)],
+                              bits[(i // 3) % len(bits)]), 1 + i % 8)
+                   for i in range(50)]
         vectors = estimate_brick_batch(points, tech)
         for (spec, stack), vector in zip(points, vectors):
             scalar = estimate_brick(

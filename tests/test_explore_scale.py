@@ -249,11 +249,16 @@ class TestEngineEquivalence:
 
 
 class TestCheckpointResume:
-    def _engine(self, tech, cache):
-        return _session(tech, cache=cache).sweep_engine(
-            total_words_options=(64, 128, 256), bits_options=(8, 16),
-            brick_words_options=(16, 32, 64), mode="sharded",
-            shard_size=4)
+    SMALL = dict(total_words_options=(64, 128, 256), bits_options=(8, 16),
+                 brick_words_options=(16, 32, 64), shard_size=4)
+    #: 64 sizes x 32 widths x 5 brick shapes = 10,240 points, 10 shards.
+    LARGE = dict(total_words_options=tuple(range(64, 4097, 64)),
+                 bits_options=tuple(range(2, 34)),
+                 brick_words_options=(4, 8, 16, 32, 64), shard_size=1024)
+
+    def _engine(self, tech, cache, space=SMALL):
+        return _session(tech, cache=cache).sweep_engine(mode="sharded",
+                                                        **space)
 
     def test_resume_reprices_nothing(self, tech):
         cache = CharacterizationCache()
@@ -266,9 +271,6 @@ class TestCheckpointResume:
     def test_killed_then_resumed_is_byte_identical(self, tech):
         """Kill the sweep mid-flight; the resumed run must reproduce
         the uninterrupted frontier byte for byte."""
-        golden = self._engine(tech, CharacterizationCache()).run()
-
-        cache = CharacterizationCache()
 
         class Kill(Exception):
             pass
@@ -277,12 +279,16 @@ class TestCheckpointResume:
             if done >= total // 2:
                 raise Kill()
 
-        with pytest.raises(Kill):
-            self._engine(tech, cache).run(progress=killer)
-        resumed = self._engine(tech, cache).run()
-        assert resumed.resumed_shards >= 1
-        assert resumed.resumed_shards < resumed.shards_total
-        assert resumed.frontier_json() == golden.frontier_json()
+        for space in (self.SMALL, self.LARGE):
+            golden = self._engine(tech, CharacterizationCache(),
+                                  space).run()
+            cache = CharacterizationCache()
+            with pytest.raises(Kill):
+                self._engine(tech, cache, space).run(progress=killer)
+            resumed = self._engine(tech, cache, space).run()
+            assert resumed.resumed_shards >= 1
+            assert resumed.resumed_shards < resumed.shards_total
+            assert resumed.frontier_json() == golden.frontier_json()
 
     def test_no_resume_ignores_checkpoints(self, tech):
         cache = CharacterizationCache()

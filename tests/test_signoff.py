@@ -160,11 +160,6 @@ class TestEngineDeterminism:
         assert one.render() == two.render()
 
     def test_killed_run_resumes_byte_identical(self, tech):
-        kwargs = dict(spec=SPEC, n_samples=512, chunk_size=64)
-        golden = SignoffEngine(_session(tech), **kwargs).run()
-
-        cache = CharacterizationCache()
-
         class Killed(Exception):
             pass
 
@@ -172,13 +167,18 @@ class TestEngineDeterminism:
             if done >= total // 2:
                 raise Killed()
 
-        with pytest.raises(Killed):
-            SignoffEngine(_session(tech, cache=cache),
-                          **kwargs).run(progress=killer)
-        resumed = SignoffEngine(_session(tech, cache=cache),
-                                **kwargs).run()
-        assert resumed.resumed_chunks >= 1
-        assert resumed.render() == golden.render()
+        for n_samples, chunk_size in ((512, 64), (2048, 128)):
+            kwargs = dict(spec=SPEC, n_samples=n_samples,
+                          chunk_size=chunk_size)
+            golden = SignoffEngine(_session(tech), **kwargs).run()
+            cache = CharacterizationCache()
+            with pytest.raises(Killed):
+                SignoffEngine(_session(tech, cache=cache),
+                              **kwargs).run(progress=killer)
+            resumed = SignoffEngine(_session(tech, cache=cache),
+                                    **kwargs).run()
+            assert resumed.resumed_chunks >= 1
+            assert resumed.render() == golden.render()
 
     def test_no_resume_ignores_checkpoints(self, tech):
         cache = CharacterizationCache()
