@@ -35,7 +35,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bricks import (
     BrickSpec,
@@ -494,15 +494,23 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _jobs_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, "
-                                         f"got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0 (0 = all cores)")
-    return value
+def _non_negative_int(zero_means: str) -> Callable[[str], int]:
+    """An argparse ``type`` accepting integers >= 0."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, "
+                                             f"got {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(
+                f"must be >= 0 (0 = {zero_means})")
+        return value
+    return parse
+
+
+_jobs_count = _non_negative_int("all cores")
+_anneal_moves = _non_negative_int("no annealing")
 
 
 def _utilization(text: str) -> float:
@@ -608,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partitions", type=int, default=1)
     p.add_argument("--type", default="8T")
     p.add_argument("--cycles", type=int, default=64)
-    p.add_argument("--anneal", type=int, default=2000)
+    p.add_argument("--anneal", type=_anneal_moves, default=2000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="session master seed: placement annealing and "
                         f"stimulus (default: {DEFAULT_SEED})")
@@ -781,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configs", nargs="+", default=["A", "B", "C"],
                    choices=["A", "B", "C", "D", "E"])
     p.add_argument("--chips", type=int, default=3)
-    p.add_argument("--anneal", type=int, default=1000)
+    p.add_argument("--anneal", type=_anneal_moves, default=1000)
     p.set_defaults(func=cmd_testchip)
 
     p = sub.add_parser("report",

@@ -10,6 +10,7 @@ static timing engine.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -72,8 +73,9 @@ class LUT2D:
         n = len(axis)
         if n == 1:
             return 0, 0.0
-        lo = int(np.searchsorted(axis, x, side="right")) - 1
-        lo = min(max(lo, 0), n - 2)
+        # bisect_right finds np.searchsorted(side="right")'s index, NaN
+        # included (NaN compares greater than nothing, so it lands at n).
+        lo = min(max(bisect_right(axis, x) - 1, 0), n - 2)
         span = axis[lo + 1] - axis[lo]
         frac = (x - axis[lo]) / span
         return lo, frac  # frac < 0 or > 1 implements linear extrapolation

@@ -11,7 +11,8 @@ functions of their library model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..circuit.gates import gate_type
 from ..errors import SimulationError
@@ -55,14 +56,18 @@ class _BrickState:
         self.storage: List[int] = [0] * self.words
         self.out_word = 0
         self.match_vector = 0
+        self._buses: Dict[str, Tuple[int, ...]] = {}
 
-    def pin_bus(self, base: str) -> List[int]:
-        """Net ids of an expanded bus pin, LSB first."""
-        nets = []
-        i = 0
-        while f"{base}[{i}]" in self.cell.pins:
-            nets.append(self.cell.pins[f"{base}[{i}]"])
-            i += 1
+    def pin_bus(self, base: str) -> Tuple[int, ...]:
+        """Net ids of an expanded bus pin, LSB first (cached per base)."""
+        nets = self._buses.get(base)
+        if nets is None:
+            found = []
+            i = 0
+            while f"{base}[{i}]" in self.cell.pins:
+                found.append(self.cell.pins[f"{base}[{i}]"])
+                i += 1
+            nets = self._buses[base] = tuple(found)
         return nets
 
 
@@ -95,21 +100,10 @@ class LogicSimulator:
                 self._flops.append(cell)
             else:
                 self._comb_cells.append(cell)
-        self._fanout: Dict[int, List[FlatCell]] = {}
-        for cell in self._comb_cells:
-            for pin, net in cell.pins.items():
-                base = cell.base_pin(pin)
-                if cell.model.pins[base].direction != "output":
-                    self._fanout.setdefault(net, []).append(cell)
         self._levelize()
 
     def _levelize(self) -> None:
         """Topological order of combinational cells (loop check)."""
-        order: List[FlatCell] = []
-        indegree: Dict[int, int] = {}
-        producers: Dict[int, FlatCell] = {}
-        consumers: Dict[int, List[FlatCell]] = {}
-        cell_index = {id(c): i for i, c in enumerate(self._comb_cells)}
         deps: Dict[int, Set[int]] = {i: set()
                                      for i in range(len(self._comb_cells))}
         out_of: Dict[int, int] = {}
@@ -140,7 +134,20 @@ class LogicSimulator:
         if len(topo) != len(self._comb_cells):
             raise SimulationError(
                 "combinational loop detected in netlist")
-        self._topo_order = [self._comb_cells[i] for i in topo]
+        # One (function, input getter, output net) per cell in
+        # topological order, so settle() touches no catalog, pin dict or
+        # arity check.  A getter returns the input values in pin order
+        # (a 1-element slice for 1-input gates).
+        self._comb_ops: List[Tuple[Callable[..., bool],
+                                   Callable[[List[bool]], Sequence[bool]],
+                                   int]] = []
+        for i in topo:
+            cell = self._comb_cells[i]
+            gate = gate_type(cell.model.gate_name)
+            ins = [cell.pins[pin] for pin in gate.pins]
+            getter = itemgetter(*ins) if len(ins) > 1 else \
+                itemgetter(slice(ins[0], ins[0] + 1))
+            self._comb_ops.append((gate.func, getter, cell.pins["Y"]))
 
     # --- value access -----------------------------------------------------------
 
@@ -172,20 +179,18 @@ class LogicSimulator:
 
     # --- evaluation ------------------------------------------------------------
 
-    def _eval_cell(self, cell: FlatCell) -> None:
-        gate = gate_type(cell.model.gate_name)
-        in_values = []
-        out_net = None
-        for pin in gate.pins:
-            in_values.append(self.values[cell.pins[pin]])
-        out_net = cell.pins["Y"]
-        self._set_net(out_net, gate.evaluate(in_values))
-
     def settle(self) -> None:
         """Propagate combinational logic to a fixpoint (single pass over
         the topological order, which is exact for loop-free logic)."""
-        for cell in self._topo_order:
-            self._eval_cell(cell)
+        values = self.values
+        toggles = self.activity.toggles
+        # Net values are always bools, so the catalog functions return
+        # bools: no bool() wrapper needed.
+        for func, inputs, out in self._comb_ops:
+            value = func(*inputs(values))
+            if values[out] != value:  # _set_net, inlined
+                values[out] = value
+                toggles[out] = toggles.get(out, 0) + 1
 
     def clock(self) -> None:
         """One rising clock edge: settle, capture sequential state,

@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from ..errors import SynthesisError
 from ..rtl.module import FlatCell, FlatNetlist
 from .floorplan import Floorplan, Placement
 
@@ -69,10 +70,14 @@ def _connectivity_order(netlist: FlatNetlist) -> List[FlatCell]:
         seeds.extend(nets)
     order: List[FlatCell] = []
     seen = set()
+    visited: Set[int] = set()  # a net's cells are all seen on 1st visit
     frontier = list(dict.fromkeys(seeds))
     while frontier:
         next_frontier: List[int] = []
         for net in frontier:
+            if net in visited:
+                continue
+            visited.add(net)
             for cell in net_to_cells.get(net, []):
                 if cell.name in seen:
                     continue
@@ -94,6 +99,9 @@ def place(netlist: FlatNetlist, floorplan: Floorplan,
     ``anneal_moves`` bounds the refinement effort (default scales with
     design size); pass 0 for construction-only placement in fast sweeps.
     """
+    if anneal_moves is not None and anneal_moves < 0:
+        raise SynthesisError(
+            f"anneal_moves must be >= 0, got {anneal_moves}")
     rng = random.Random(seed)
     core = floorplan.core
     row_height = floorplan.row_height
@@ -101,7 +109,6 @@ def place(netlist: FlatNetlist, floorplan: Floorplan,
 
     std_cells = _connectivity_order(netlist)
     # Row fill in serpentine order.
-    slots: List[Tuple[float, float, float]] = []  # (x, y, width)
     x = core.x
     row = 0
     for cell in std_cells:
@@ -115,57 +122,133 @@ def place(netlist: FlatNetlist, floorplan: Floorplan,
         positions[cell.name] = Placement(x, y, width, row_height)
         x += width
 
-    design = PlacedDesign(netlist, floorplan, positions)
     if anneal_moves is None:
         anneal_moves = min(20000, 40 * len(std_cells))
     if anneal_moves and len(std_cells) >= 2:
-        _anneal(design, std_cells, rng, anneal_moves)
-        design = PlacedDesign(netlist, floorplan, design.positions)
-    return design
+        _anneal(netlist, floorplan, positions, std_cells, rng,
+                anneal_moves)
+    return PlacedDesign(netlist, floorplan, positions)
 
 
 def _cells_nets(cell: FlatCell) -> List[int]:
     return list(set(cell.pins.values()))
 
 
-def _anneal(design: PlacedDesign, std_cells: List[FlatCell],
+def _anneal(netlist: FlatNetlist, floorplan: Floorplan,
+            positions: Dict[str, Placement], std_cells: List[FlatCell],
             rng: random.Random, moves: int) -> None:
-    """Pairwise-swap annealing on HPWL."""
-    netlist = design.netlist
-    positions = design.positions
-    net_cells: Dict[int, List[str]] = {}
-    cell_nets: Dict[str, List[int]] = {}
-    for cell in netlist.cells:
-        cell_nets[cell.name] = _cells_nets(cell)
-        for net in cell_nets[cell.name]:
-            net_cells.setdefault(net, []).append(cell.name)
+    """Pairwise-swap annealing on HPWL, in place on ``positions``.
 
-    def net_len(net: int) -> float:
-        names = net_cells.get(net, [])
-        if len(names) < 2:
-            return 0.0
-        xs = [positions[n].cx for n in names]
-        ys = [positions[n].cy for n in names]
-        return (max(xs) - min(xs)) + (max(ys) - min(ys))
+    Cells are indexed by their position in ``netlist.cells``, and every
+    net of two or more pins keeps its pin bounding box, updated per swap
+    by :func:`_span`.  The boxes are exactly the min/max of a full scan,
+    so each net length, accept decision and final position equals a
+    from-scratch HPWL evaluation bit for bit.  The per-swap sums run in
+    the iteration order of ``set(nets of a) | set(nets of b)``, because
+    float sums depend on order.
+    """
+    cells = netlist.cells
+    index = {cell.name: i for i, cell in enumerate(cells)}
+    x: List[float] = []
+    y: List[float] = []
+    w: List[float] = []
+    h: List[float] = []
+    for cell in cells:
+        p = positions[cell.name]
+        x.append(p.x)
+        y.append(p.y)
+        w.append(p.width)
+        h.append(p.height)
+    cx = [x[i] + w[i] / 2.0 for i in range(len(cells))]
+    cy = [y[i] + h[i] / 2.0 for i in range(len(cells))]
 
-    names = [c.name for c in std_cells]
-    current_cost = {net: net_len(net) for net in net_cells}
-    temp = 0.3 * (design.floorplan.die_width
-                  + design.floorplan.die_height)
+    cell_nets: List[Set[int]] = []
+    net_pins: Dict[int, List[int]] = {}
+    for i, cell in enumerate(cells):
+        nets = _cells_nets(cell)
+        cell_nets.append(set(nets))
+        for net in nets:
+            net_pins.setdefault(net, []).append(i)
+    # box[net] = (xmin, xmax, ymin, ymax) for nets of >= 2 pins;
+    # cost[net] is the net's HPWL (0.0 for single-pin nets).
+    box: Dict[int, Tuple[float, float, float, float]] = {}
+    cost: Dict[int, float] = {}
+    for net, pins in net_pins.items():
+        if len(pins) < 2:
+            cost[net] = 0.0
+            continue
+        xs = [cx[i] for i in pins]
+        ys = [cy[i] for i in pins]
+        bb = (min(xs), max(xs), min(ys), max(ys))
+        box[net] = bb
+        cost[net] = (bb[1] - bb[0]) + (bb[3] - bb[2])
+
+    movable = [index[cell.name] for cell in std_cells]
+    temp = 0.3 * (floorplan.die_width + floorplan.die_height)
     cooling = 0.995 ** (1.0 / max(1, moves / 1000))
     for _ in range(moves):
-        a, b = rng.sample(names, 2)
-        affected = set(cell_nets[a]) | set(cell_nets[b])
-        before = sum(current_cost[n] for n in affected)
-        pa, pb = positions[a], positions[b]
-        positions[a] = Placement(pb.x, pb.y, pa.width, pa.height)
-        positions[b] = Placement(pa.x, pa.y, pb.width, pb.height)
-        after_costs = {n: net_len(n) for n in affected}
-        after = sum(after_costs.values())
-        delta = after - before
+        a, b = rng.sample(movable, 2)
+        nets_a, nets_b = cell_nets[a], cell_nets[b]
+        affected = nets_a | nets_b
+        before = sum([cost[n] for n in affected])
+        ax, ay, acx, acy = x[a], y[a], cx[a], cy[a]
+        bx, by, bcx, bcy = x[b], y[b], cx[b], cy[b]
+        x[a], y[a], x[b], y[b] = bx, by, ax, ay
+        ncx_a = cx[a] = bx + w[a] / 2.0
+        ncy_a = cy[a] = by + h[a] / 2.0
+        ncx_b = cx[b] = ax + w[b] / 2.0
+        ncy_b = cy[b] = ay + h[b] / 2.0
+
+        new_boxes = []
+        after_costs = []
+        for n in affected:
+            bb = box.get(n)
+            if bb is None:
+                after_costs.append(0.0)
+                continue
+            on_a = n in nets_a
+            on_b = n in nets_b
+            xmin, xmax = _span(bb[0], bb[1], cx, net_pins[n], on_a, acx,
+                               ncx_a, on_b, bcx, ncx_b)
+            ymin, ymax = _span(bb[2], bb[3], cy, net_pins[n], on_a, acy,
+                               ncy_a, on_b, bcy, ncy_b)
+            new_boxes.append((n, (xmin, xmax, ymin, ymax)))
+            after_costs.append((xmax - xmin) + (ymax - ymin))
+        delta = sum(after_costs) - before
         if delta <= 0 or rng.random() < math.exp(-delta / max(temp,
                                                               1e-9)):
-            current_cost.update(after_costs)
+            cost.update(zip(affected, after_costs))
+            box.update(new_boxes)
         else:
-            positions[a], positions[b] = pa, pb
+            x[a], y[a], cx[a], cy[a] = ax, ay, acx, acy
+            x[b], y[b], cx[b], cy[b] = bx, by, bcx, bcy
         temp *= cooling
+
+    for i in movable:
+        positions[cells[i].name] = Placement(x[i], y[i], w[i], h[i])
+
+
+def _span(lo: float, hi: float, coord: List[float], pins: List[int],
+          on_a: bool, old_a: float, new_a: float,
+          on_b: bool, old_b: float, new_b: float) -> Tuple[float, float]:
+    """A net's new (min, max) along one axis after pins a/b moved.
+
+    A moved pin that sat on the old ``lo``/``hi`` may have been the only
+    one there, so the net is rescanned; otherwise an unmoved pin still
+    holds each bound and the new coordinates can only widen it.
+    """
+    if (on_a and (old_a == lo or old_a == hi)) or \
+            (on_b and (old_b == lo or old_b == hi)):
+        vals = [coord[i] for i in pins]
+        return min(vals), max(vals)
+    if on_a:
+        if new_a < lo:
+            lo = new_a
+        elif new_a > hi:
+            hi = new_a
+    if on_b:
+        if new_b < lo:
+            lo = new_b
+        elif new_b > hi:
+            hi = new_b
+    return lo, hi

@@ -47,6 +47,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--jobs", "abc", "sweep"])
 
+    @pytest.mark.parametrize("verb", ["sram", "testchip"])
+    def test_negative_or_garbage_anneal_rejected(self, verb, capsys):
+        for bad in ("-5", "abc"):
+            with pytest.raises(SystemExit) as exc:
+                main([verb, "--anneal", bad])
+            assert exc.value.code == 2
+            assert "--anneal" in capsys.readouterr().err
+        assert build_parser().parse_args([verb, "--anneal", "0"]) \
+            .anneal == 0
+
     def test_trace_stages_flag(self):
         args = build_parser().parse_args(["--trace-stages", "brick"])
         assert args.trace_stages

@@ -91,7 +91,16 @@ class TestPlacement:
         fp = build_floorplan(fig3_flat, tech)
         a = place(fig3_flat, fp, seed=1, anneal_moves=500)
         b = place(fig3_flat, fp, seed=1, anneal_moves=500)
-        assert a.hpwl() == pytest.approx(b.hpwl())
+        assert list(a.positions) == list(b.positions)
+        for name, p in a.positions.items():
+            assert b.positions[name] == p, name
+        assert a.hpwl() == b.hpwl()
+
+    @pytest.mark.parametrize("moves", [-1, -5])
+    def test_negative_anneal_moves_rejected(self, fig3_flat, tech, moves):
+        fp = build_floorplan(fig3_flat, tech)
+        with pytest.raises(SynthesisError, match="anneal_moves"):
+            place(fig3_flat, fp, anneal_moves=moves)
 
 
 class TestRouting:
