@@ -20,9 +20,10 @@ population a pure function of the master seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 import random
 
@@ -56,16 +57,32 @@ class Defect:
                 f"{DEFECT_KINDS}")
 
 
-def _poisson(rng: random.Random, lam: float) -> int:
-    """Knuth's product-of-uniforms Poisson sampler (lam is small)."""
-    if lam <= 0.0:
+def _poisson(rng: random.Random, threshold: Optional[float]) -> int:
+    """Knuth's product-of-uniforms Poisson sampler (lam is small).
+
+    ``threshold`` is ``exp(-lam)``, or ``None`` when ``lam <= 0``: then
+    the count is 0 and nothing is drawn from ``rng``.
+    """
+    if threshold is None:
         return 0
-    threshold = math.exp(-lam)
     count, product = 0, rng.random()
     while product > threshold:
         count += 1
         product *= rng.random()
     return count
+
+
+@functools.lru_cache(maxsize=64)
+def _thresholds(model: "DefectModel",
+                spec: BrickSpec) -> Tuple[Optional[float], ...]:
+    """Poisson thresholds of the four mechanisms of one brick geometry:
+    stuck cells, bridged row pairs, weak sense amps, open vias."""
+    rates = ((model.p_stuck_at, spec.words * spec.bits),
+             (model.p_wordline_bridge, spec.words - 1),
+             (model.p_weak_sense, spec.bits),
+             (model.p_open_via, spec.bits))
+    return tuple(math.exp(-(rate * sites)) if rate * sites > 0.0
+                 else None for rate, sites in rates)
 
 
 @dataclass(frozen=True)
@@ -95,29 +112,32 @@ class DefectModel:
 
     def sample(self, spec: BrickSpec,
                rng: random.Random) -> Tuple[Defect, ...]:
-        """Draw one brick's defects.  Deterministic in ``rng`` state."""
+        """Draw one brick's defects.  Deterministic in ``rng`` state.
+
+        A mechanism whose Poisson count is 0 draws no positions, which
+        is exactly what ``rng.sample(population, 0)`` would consume.
+        """
         defects = []
+        stuck, bridge, weak, via = _thresholds(self, spec)
         n_cells = spec.words * spec.bits
-        for _ in range(min(_poisson(rng, self.p_stuck_at * n_cells),
-                           n_cells)):
+        for _ in range(min(_poisson(rng, stuck), n_cells)):
             cell = rng.randrange(n_cells)
             kind = STUCK_AT_1 if rng.random() < 0.5 else STUCK_AT_0
             defects.append(Defect(kind, row=cell // spec.bits,
                                   bit=cell % spec.bits))
         n_pairs = spec.words - 1
-        lam = self.p_wordline_bridge * n_pairs
-        for pair in sorted(rng.sample(range(n_pairs),
-                                      min(_poisson(rng, lam), n_pairs)) if
-                           n_pairs else []):
-            defects.append(Defect(WORDLINE_BRIDGE, row=pair))
-        lam = self.p_weak_sense * spec.bits
-        for bit in sorted(rng.sample(range(spec.bits),
-                                     min(_poisson(rng, lam), spec.bits))):
-            defects.append(Defect(WEAK_SENSE, bit=bit))
-        lam = self.p_open_via * spec.bits
-        for bit in sorted(rng.sample(range(spec.bits),
-                                     min(_poisson(rng, lam), spec.bits))):
-            defects.append(Defect(OPEN_VIA, bit=bit))
+        count = min(_poisson(rng, bridge), n_pairs)
+        if count:
+            for pair in sorted(rng.sample(range(n_pairs), count)):
+                defects.append(Defect(WORDLINE_BRIDGE, row=pair))
+        count = min(_poisson(rng, weak), spec.bits)
+        if count:
+            for bit in sorted(rng.sample(range(spec.bits), count)):
+                defects.append(Defect(WEAK_SENSE, bit=bit))
+        count = min(_poisson(rng, via), spec.bits)
+        if count:
+            for bit in sorted(rng.sample(range(spec.bits), count)):
+                defects.append(Defect(OPEN_VIA, bit=bit))
         return tuple(defects)
 
 

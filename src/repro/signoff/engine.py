@@ -53,7 +53,7 @@ from ..tech.corners import corner
 from ..units import format_si
 from . import rng as streams
 from .sampling import pvt_columns
-from .stats import N_BOOT, ci_half_width, proportion_summary, summarize
+from .stats import ci_half_width, proportion_summary, summarize
 
 #: Default population and chunking (2000 samples in 256-sample chunks).
 DEFAULT_SAMPLES = 2000
@@ -156,20 +156,27 @@ def _chunk_worker(task: Tuple) -> ChunkResult:
     PVT columns come vectorized from the counter streams; the defect
     draw is per-sample from a ``random.Random`` seeded by the global
     sample index, so any chunking or worker count sees the same dies.
+    A die with no defects is raw- and repair-ok at derate 1.0 (no plan
+    fails an empty brick: spare counts are validated >= 0), so only
+    defective dies reach :func:`apply_repair`.
     """
     (spec, model, defects, repair, chunk, start, stop, key) = task
     cols = pvt_columns(model, key, start, stop)
     n = stop - start
     derate = np.ones(n, dtype=np.float64)
-    raw_ok = np.zeros(n, dtype=bool)
-    repaired_ok = np.zeros(n, dtype=bool)
+    raw_ok = np.ones(n, dtype=bool)
+    repaired_ok = np.ones(n, dtype=bool)
     counts: Dict[str, int] = {}
+    die = random.Random()
     for i in range(n):
-        die = random.Random(f"{key}:defect:{start + i}")
+        # Re-seeding gives the state of ``random.Random(seed)``.
+        die.seed(f"{key}:defect:{start + i}")
         faulty = inject(spec, defects, die)
+        if faulty.is_perfect:
+            continue
         for defect in faulty.defects:
             counts[defect.kind] = counts.get(defect.kind, 0) + 1
-        raw_ok[i] = faulty.is_perfect
+        raw_ok[i] = False
         repaired_ok[i] = apply_repair(faulty, repair).ok
         derate[i] = faulty.delay_derate(defects)
     return ChunkResult(
@@ -590,34 +597,28 @@ class SignoffEngine:
         boot_key = streams.stream_key(
             plan.seed,
             f"signoff-boot:{plan.spec.name}:s{plan.stack}")
-        # One paired-bootstrap index matrix shared by every metric:
-        # generating the resample stream dominates the reduction, and
-        # shared resamples make the CIs comparable across metrics.
-        boot_idx = (streams.resample_indices(boot_key, samples_ok,
-                                             n_boot=N_BOOT)
-                    if samples_ok > 1 else None)
         v2 = cat["vdd_scale"] * cat["vdd_scale"]
-        metrics: Dict[str, Dict[str, Dict[str, float]]] = {}
+        columns: List[np.ndarray] = []
         for name in plan.corners:
             base = bases[name]
-            columns = {
-                "read_delay": (base["read_delay"] * cat["r_scale"]
-                               * cat["c_scale"] * cat["derate"]),
-                "read_energy": (base["read_energy"]
-                                * cat["c_scale"] * v2),
-                "write_energy": (base["write_energy"]
-                                 * cat["c_scale"] * v2),
-                "leakage_w": (base["leakage_w"] * cat["leak_scale"]
-                              * cat["vdd_scale"]),
-            }
-            metrics[name] = {}
-            for metric in REPORT_METRICS:
-                metrics[name][metric] = summarize(
-                    columns[metric], key=boot_key, idx=boot_idx)
-        raw_yield = proportion_summary(cat["raw_ok"], boot_key,
-                                       idx=boot_idx)
-        repaired_yield = proportion_summary(cat["repaired_ok"],
-                                            boot_key, idx=boot_idx)
+            columns += [
+                (base["read_delay"] * cat["r_scale"] * cat["c_scale"]
+                 * cat["derate"]),
+                base["read_energy"] * cat["c_scale"] * v2,
+                base["write_energy"] * cat["c_scale"] * v2,
+                (base["leakage_w"] * cat["leak_scale"]
+                 * cat["vdd_scale"]),
+            ]
+        columns += [cat["raw_ok"], cat["repaired_ok"]]
+        # One paired bootstrap over every metric and both yields:
+        # generating the resample stream dominates the reduction, and
+        # shared resamples make the CIs comparable across metrics.
+        rows = iter(summarize(np.stack(columns), key=boot_key))
+        metrics: Dict[str, Dict[str, Dict[str, float]]] = {
+            name: {metric: next(rows) for metric in REPORT_METRICS}
+            for name in plan.corners}
+        raw_yield = proportion_summary(next(rows))
+        repaired_yield = proportion_summary(next(rows))
         defect_counts: Dict[str, int] = {}
         for record in results:
             for kind, count in record.defect_counts.items():

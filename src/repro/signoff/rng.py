@@ -91,18 +91,21 @@ def normals(key: int, start: int, stop: int,
 
 
 def resample_indices(key: int, n_values: int, n_boot: int,
-                     block: int = 0) -> np.ndarray:
+                     block: int = 0, start: int = 0) -> np.ndarray:
     """Bootstrap resampling indices: ``(n_boot, n_values)`` ints in
     ``[0, n_values)``, deterministic in ``(key, block)``.
 
-    ``block`` offsets the counter space so several independent
-    bootstrap passes (one per metric) can share one key.
+    Row ``r`` is resample ``start + r``: its counters do not depend on
+    how many rows one call generates, so a long bootstrap can be drawn
+    a few rows at a time.  ``block`` offsets the counter space so
+    several independent bootstrap passes can share one key.
     """
     if n_values < 1:
         raise ValueError("need at least one value to resample")
-    total = n_boot * n_values
     offset = np.uint64(block) * np.uint64(0x1000000000)
-    counters = offset + np.arange(total, dtype=np.uint64)
+    counters = offset + np.arange(start * n_values,
+                                  (start + n_boot) * n_values,
+                                  dtype=np.uint64)
     u = uniforms(key, counters)
     # u is in (0, 1]; flip to [0, 1) so the floor never reaches n.
     idx = np.floor((1.0 - u) * n_values).astype(np.int64)

@@ -12,7 +12,7 @@ byte-identical statistics.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -23,6 +23,10 @@ PERCENTILES = (50.0, 95.0, 99.9)
 
 #: Bootstrap resamples per confidence interval.
 N_BOOT = 200
+
+#: Resample indices generated at a time (rows x samples): three
+#: resamples of a 40k-sample population.
+BOOT_BATCH = 1 << 17
 
 #: z-score of the two-sided 95 % normal interval.
 Z95 = 1.959963984540054
@@ -50,66 +54,92 @@ def ci_half_width(n: int, total: float, total_sq: float) -> float:
 
 def bootstrap_mean_ci(values: np.ndarray, key: int,
                       block: int = 0,
-                      n_boot: int = N_BOOT,
-                      idx: Optional[np.ndarray] = None
-                      ) -> Dict[str, float]:
-    """Deterministic bootstrap 95 % CI of the mean.
+                      n_boot: int = N_BOOT
+                      ) -> Union[Dict[str, float], List[Dict[str, float]]]:
+    """Deterministic *paired* bootstrap 95 % CI of the mean.
 
-    Resampling indices come from the counter stream at ``(key,
-    block)``, so the interval is reproducible and independent of how
-    the values were produced.  Degenerate inputs (n == 1) collapse the
-    interval onto the value.
+    ``values`` is one column ``(n,)`` or a block of columns ``(k, n)``;
+    a block returns one ``{"lo", "hi"}`` per row.  Every row is
+    resampled with the same indices, drawn from the counter stream at
+    ``(key, block)``, so the intervals are reproducible, independent of
+    how the values were produced, and comparable across rows.
+    Degenerate inputs (n == 1) collapse the interval onto the value.
 
-    Generating the index stream dominates the cost, so a caller
-    reducing many same-length metrics may pass a precomputed ``idx``
-    (from :func:`~repro.signoff.rng.resample_indices`) — the *paired*
-    bootstrap: every metric's CI uses the same resamples, which also
-    makes the intervals directly comparable across metrics.
+    The resample matrix is never materialized: it is generated a few
+    rows at a time (:data:`BOOT_BATCH` indices), and each column is
+    gathered with its own 1-D fancy index.  ``col[ir]`` is C-ordered,
+    so every resample's mean is the same pairwise sum as over the whole
+    ``(n_boot, n)`` matrix.  (``cols[:, ir]`` is not: NumPy returns
+    that gather in F order, and its row sums round differently.)
     """
-    n = int(values.shape[0])
+    cols = _as_rows(values)
+    k, n = cols.shape
     if n == 0:
         raise ValueError("cannot bootstrap an empty sample")
     if n == 1:
-        v = float(values[0])
-        return {"lo": v, "hi": v}
-    if idx is None:
-        idx = resample_indices(key, n, n_boot, block=block)
-    means = values[idx].mean(axis=1)
-    lo, hi = np.percentile(means, (2.5, 97.5))
-    return {"lo": float(lo), "hi": float(hi)}
+        out = [{"lo": float(col[0]), "hi": float(col[0])} for col in cols]
+    else:
+        means = np.empty((k, n_boot))
+        step = max(1, BOOT_BATCH // n)
+        for first in range(0, n_boot, step):
+            last = min(first + step, n_boot)
+            ir = resample_indices(key, n, last - first, block=block,
+                                  start=first)
+            for row, col in enumerate(cols):
+                means[row, first:last] = col[ir].mean(axis=1)
+        out = []
+        for row_means in means:
+            lo, hi = np.percentile(row_means, (2.5, 97.5))
+            out.append({"lo": float(lo), "hi": float(hi)})
+    return out[0] if values.ndim == 1 else out
 
 
 def summarize(values: np.ndarray, key: Optional[int] = None,
-              block: int = 0,
-              idx: Optional[np.ndarray] = None) -> Dict[str, float]:
+              block: int = 0
+              ) -> Union[Dict[str, float], List[Dict[str, float]]]:
     """Mean, report percentiles and (when ``key`` given) bootstrap CI.
 
-    ``values`` must be in global sample-index order; the summary is
-    then invariant to the chunking that produced them.  ``idx``
-    forwards to :func:`bootstrap_mean_ci` (paired bootstrap).
+    ``values`` is one column ``(n,)`` or a block of columns ``(k, n)``
+    (bool columns count as 0/1); a block returns one summary per row,
+    with the CIs of :func:`bootstrap_mean_ci` paired across rows.
+    Columns must be in global sample-index order; the summary is then
+    invariant to the chunking that produced them.
     """
-    if values.shape[0] == 0:
+    cols = _as_rows(values)
+    if cols.shape[1] == 0:
         raise ValueError("cannot summarize an empty sample")
-    p50, p95, p999 = np.percentile(values, PERCENTILES)
-    out = {
-        "mean": float(values.mean()),
-        "p50": float(p50),
-        "p95": float(p95),
-        "p99_9": float(p999),
-    }
+    out = []
+    for col in cols:
+        p50, p95, p999 = np.percentile(col, PERCENTILES)
+        out.append({
+            "mean": float(col.mean()),
+            "p50": float(p50),
+            "p95": float(p95),
+            "p99_9": float(p999),
+        })
     if key is not None:
-        ci = bootstrap_mean_ci(values, key, block=block, idx=idx)
-        out["ci_lo"] = ci["lo"]
-        out["ci_hi"] = ci["hi"]
-    return out
+        for summary, ci in zip(out, bootstrap_mean_ci(cols, key,
+                                                      block=block)):
+            summary["ci_lo"] = ci["lo"]
+            summary["ci_hi"] = ci["hi"]
+    return out[0] if values.ndim == 1 else out
 
 
-def proportion_summary(flags: np.ndarray, key: int,
-                       block: int = 0,
-                       idx: Optional[np.ndarray] = None
-                       ) -> Dict[str, float]:
-    """Yield-style summary of a boolean column: rate + bootstrap CI."""
-    values = flags.astype(np.float64)
-    ci = bootstrap_mean_ci(values, key, block=block, idx=idx)
-    return {"rate": float(values.mean()),
-            "ci_lo": ci["lo"], "ci_hi": ci["hi"]}
+def proportion_summary(summary: Dict[str, float]) -> Dict[str, float]:
+    """Yield-style view of a 0/1 column's :func:`summarize` row: the
+    rate (its mean) and the mean's bootstrap CI."""
+    return {"rate": summary["mean"], "ci_lo": summary["ci_lo"],
+            "ci_hi": summary["ci_hi"]}
+
+
+def _as_rows(values: np.ndarray) -> np.ndarray:
+    """``values`` as C-ordered float64 rows ``(k, n)``; 1-D is k = 1.
+
+    Contiguous rows matter: NumPy sums a contiguous row pairwise in
+    one pass, so a row's mean has the bits of the same column alone.
+    """
+    if values.ndim not in (1, 2):
+        raise ValueError(
+            f"expected a column or a block of columns, got "
+            f"{values.ndim}-D values")
+    return np.ascontiguousarray(np.atleast_2d(values), dtype=np.float64)

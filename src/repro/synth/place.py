@@ -117,7 +117,11 @@ def place(netlist: FlatNetlist, floorplan: Floorplan,
             row += 1
             x = core.x
             if row >= floorplan.rows:
-                row = floorplan.rows - 1  # overflow into last row
+                raise SynthesisError(
+                    f"placement overflow: {len(std_cells)} std cells "
+                    f"do not fit in {floorplan.rows} core rows at "
+                    f"utilization {floorplan.utilization_target:g}; "
+                    f"lower the utilization")
         y = core.y + row * row_height
         positions[cell.name] = Placement(x, y, width, row_height)
         x += width

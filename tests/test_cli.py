@@ -120,6 +120,15 @@ class TestCommands:
         # The failure domain is named so scripts can triage on stderr.
         assert "error: brick:" in err
 
+    def test_sram_overfull_core_is_a_synth_error(self, capsys):
+        from repro.errors import SynthesisError, exit_code_for
+        code = main(["--no-cache", "sram", "--utilization", "1.0",
+                     "--cycles", "4"])
+        assert code == exit_code_for(SynthesisError("x")) != 0
+        err = capsys.readouterr().err
+        assert "error: synthesis:" in err
+        assert "placement overflow" in err
+
     def test_sweep_with_jobs(self, capsys):
         assert main(["--jobs", "2", "sweep", "--total-words", "32",
                      "--bits", "8", "--brick-words", "8", "16"]) == 0

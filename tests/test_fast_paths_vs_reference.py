@@ -1,12 +1,16 @@
-"""The flow's fast paths against the straightforward code they replaced.
+"""The fast paths against the straightforward code they replaced.
 
 Three hot loops of the Fig-3 flow are written for speed: placement (a
 BFS seed order that visits each net once, then an annealer over index
 arrays with incremental net bounding boxes), the logic simulator's
 ``settle`` (precompiled gate tuples) and the LUT axis lookup
-(``bisect``).  Each must give *exactly* the result of the plain version
-kept below as an oracle: every final cell position, every toggle count
-and every interpolated value ``==``, not approximately equal.
+(``bisect``).  Two more belong to Monte Carlo signoff: the chunk
+worker's per-die loop (one re-seeded ``random.Random``, perfect dies
+skip repair) and the row-blocked paired bootstrap.  Each must give
+*exactly* the result of the plain version kept below as an oracle:
+every final cell position, every toggle count, every interpolated
+value, every die's outcome and every bootstrap bound ``==``, not
+approximately equal.
 """
 
 import math
@@ -19,10 +23,28 @@ import pytest
 
 from repro.bricks import cam_brick, generate_brick_library, \
     single_partition, sram_brick
+from repro.bricks.spec import BrickSpec
+from repro.faults import DefectModel, RepairPlan, apply_repair
+from repro.faults.defects import (
+    OPEN_VIA,
+    STUCK_AT_0,
+    STUCK_AT_1,
+    WEAK_SENSE,
+    WORDLINE_BRIDGE,
+    Defect,
+    FaultyBrick,
+)
 from repro.liberty.lut import LUT2D
 from repro.rtl import LogicSimulator, build_cam, build_sram, elaborate
 from repro.rtl.module import FlatCell, FlatNetlist
 from repro.session import Session
+from repro.signoff import normals, pvt_columns, resample_indices, \
+    stream_key, uniforms
+from repro.signoff import stats as signoff_stats
+from repro.signoff.engine import ChunkResult, _chunk_worker
+from repro.signoff.stats import N_BOOT, PERCENTILES, proportion_summary, \
+    summarize
+from repro.silicon.variation import VariationModel
 from repro.synth import build_floorplan, place
 from repro.synth.floorplan import Floorplan, Placement
 
@@ -78,8 +100,7 @@ def reference_place(netlist, floorplan, seed=2015, anneal_moves=None):
         if x + width > core.x + core.width:
             row += 1
             x = core.x
-            if row >= floorplan.rows:
-                row = floorplan.rows - 1
+            assert row < floorplan.rows, "core rows ran out"
         y = core.y + row * row_height
         positions[cell.name] = Placement(x, y, width, row_height)
         x += width
@@ -374,3 +395,216 @@ class TestLUTMatchesReference:
                 got, want = lut.value(s, ld), reference_value(lut, s, ld)
                 assert got == want or (math.isnan(got)
                                        and math.isnan(want)), (s, ld)
+
+
+# --- reference signoff worker: a fresh Random per die, every die repaired ---
+
+
+def _reference_poisson(rng, lam):
+    if lam <= 0.0:
+        return 0
+    threshold = math.exp(-lam)
+    count, product = 0, rng.random()
+    while product > threshold:
+        count += 1
+        product *= rng.random()
+    return count
+
+
+def reference_sample(model, spec, rng):
+    """``DefectModel.sample`` computing each threshold per call and
+    calling ``rng.sample`` even for a count of 0."""
+    defects = []
+    n_cells = spec.words * spec.bits
+    for _ in range(min(_reference_poisson(rng, model.p_stuck_at * n_cells),
+                       n_cells)):
+        cell = rng.randrange(n_cells)
+        kind = STUCK_AT_1 if rng.random() < 0.5 else STUCK_AT_0
+        defects.append(Defect(kind, row=cell // spec.bits,
+                              bit=cell % spec.bits))
+    n_pairs = spec.words - 1
+    lam = model.p_wordline_bridge * n_pairs
+    for pair in sorted(rng.sample(range(n_pairs),
+                                  min(_reference_poisson(rng, lam), n_pairs))
+                       if n_pairs else []):
+        defects.append(Defect(WORDLINE_BRIDGE, row=pair))
+    lam = model.p_weak_sense * spec.bits
+    for bit in sorted(rng.sample(range(spec.bits),
+                                 min(_reference_poisson(rng, lam),
+                                     spec.bits))):
+        defects.append(Defect(WEAK_SENSE, bit=bit))
+    lam = model.p_open_via * spec.bits
+    for bit in sorted(rng.sample(range(spec.bits),
+                                 min(_reference_poisson(rng, lam),
+                                     spec.bits))):
+        defects.append(Defect(OPEN_VIA, bit=bit))
+    return tuple(defects)
+
+
+def reference_chunk_worker(task):
+    (spec, model, defects, repair, chunk, start, stop, key) = task
+    cols = pvt_columns(model, key, start, stop)
+    n = stop - start
+    derate = np.ones(n, dtype=np.float64)
+    raw_ok = np.zeros(n, dtype=bool)
+    repaired_ok = np.zeros(n, dtype=bool)
+    counts: Dict[str, int] = {}
+    for i in range(n):
+        die = random.Random(f"{key}:defect:{start + i}")
+        faulty = FaultyBrick(spec, reference_sample(defects, spec, die))
+        for defect in faulty.defects:
+            counts[defect.kind] = counts.get(defect.kind, 0) + 1
+        raw_ok[i] = faulty.is_perfect
+        repaired_ok[i] = apply_repair(faulty, repair).ok
+        derate[i] = faulty.delay_derate(defects)
+    return ChunkResult(
+        chunk=chunk, start=start, stop=stop,
+        r_scale=cols["r_scale"], c_scale=cols["c_scale"],
+        vdd_scale=cols["vdd_scale"], leak_scale=cols["leak_scale"],
+        derate=derate, raw_ok=raw_ok, repaired_ok=repaired_ok,
+        defect_counts=counts)
+
+
+# --- reference bootstrap: the whole (n_boot, n) index matrix at once --------
+
+
+def reference_resample_indices(key, n_values, n_boot, block=0):
+    offset = np.uint64(block) * np.uint64(0x1000000000)
+    counters = offset + np.arange(n_boot * n_values, dtype=np.uint64)
+    u = uniforms(key, counters)
+    idx = np.floor((1.0 - u) * n_values).astype(np.int64)
+    return idx.reshape(n_boot, n_values)
+
+
+def reference_summary(values, key, idx):
+    p50, p95, p999 = np.percentile(values, PERCENTILES)
+    if values.shape[0] == 1:
+        lo = hi = values[0]
+    else:
+        lo, hi = np.percentile(values[idx].mean(axis=1), (2.5, 97.5))
+    return {"mean": float(values.mean()), "p50": float(p50),
+            "p95": float(p95), "p99_9": float(p999),
+            "ci_lo": float(lo), "ci_hi": float(hi)}
+
+
+SIGNOFF_BRICKS = {
+    "8T_16x10": BrickSpec("8T", 16, 10),
+    "1_word": BrickSpec("8T", 1, 8),    # no adjacent row pairs
+    "8T_64x32": BrickSpec("8T", 64, 32),
+}
+#: The default rates, a hot model (every mechanism fires in a few
+#: hundred dies) and one with two mechanisms switched off.
+DEFECT_MODELS = {
+    "default": DefectModel(),
+    "hot": DefectModel(p_stuck_at=2e-3, p_wordline_bridge=2e-3,
+                       p_weak_sense=5e-3, p_open_via=2e-3),
+    "no_stuck_no_via": DefectModel(p_stuck_at=0.0, p_open_via=0.0,
+                                   p_weak_sense=5e-3),
+}
+REPAIR_PLANS = {"spares": RepairPlan(), "ecc": RepairPlan(ecc=True)}
+#: (chunk index, start, stop): the first chunk and one further in.
+SIGNOFF_CHUNKS = ((0, 0, 300), (5, 1280, 1580))
+CHUNK_FIELDS = ("r_scale", "c_scale", "vdd_scale", "leak_scale", "derate",
+                "raw_ok", "repaired_ok")
+
+
+def _chunk_task(brick, model, plan, chunk):
+    spec = SIGNOFF_BRICKS[brick]
+    index, start, stop = chunk
+    key = stream_key(11, f"signoff:{spec.name}:s1")
+    return (spec, VariationModel(), DEFECT_MODELS[model],
+            REPAIR_PLANS[plan], index, start, stop, key)
+
+
+class TestSignoffWorkerMatchesReference:
+    @pytest.mark.parametrize("brick", sorted(SIGNOFF_BRICKS))
+    @pytest.mark.parametrize("model", ["default", "hot"])
+    @pytest.mark.parametrize("plan", sorted(REPAIR_PLANS))
+    @pytest.mark.parametrize("chunk", SIGNOFF_CHUNKS,
+                             ids=["start0", "start1280"])
+    def test_chunk_identical(self, brick, model, plan, chunk):
+        task = _chunk_task(brick, model, plan, chunk)
+        fast, expected = _chunk_worker(task), reference_chunk_worker(task)
+        assert (fast.chunk, fast.start, fast.stop) == \
+            (expected.chunk, expected.start, expected.stop)
+        for name in CHUNK_FIELDS:
+            got, want = getattr(fast, name), getattr(expected, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert fast.defect_counts == expected.defect_counts
+
+    @pytest.mark.parametrize("brick", sorted(SIGNOFF_BRICKS))
+    @pytest.mark.parametrize("model", sorted(DEFECT_MODELS))
+    def test_sampler_consumes_the_same_draws(self, brick, model):
+        """One stream over many dies, as ``analyze_yield`` draws them:
+        equal defects and an equal generator state after every die."""
+        spec, defects = SIGNOFF_BRICKS[brick], DEFECT_MODELS[model]
+        fast, ref = random.Random(2015), random.Random(2015)
+        for _ in range(400):
+            assert defects.sample(spec, fast) == \
+                reference_sample(defects, spec, ref)
+            assert fast.getstate() == ref.getstate()
+
+    def test_cases_are_not_vacuous(self):
+        """The compared chunks hold perfect dies, defective dies that
+        repair, dies that do not, and weak-column derates."""
+        default = _chunk_worker(_chunk_task("8T_16x10", "default",
+                                            "spares", SIGNOFF_CHUNKS[0]))
+        assert default.raw_ok.any() and not default.raw_ok.all()
+        assert (default.repaired_ok & ~default.raw_ok).any()
+        hot = _chunk_worker(_chunk_task("8T_64x32", "hot", "ecc",
+                                        SIGNOFF_CHUNKS[1]))
+        assert hot.repaired_ok.any() and not hot.repaired_ok.all()
+        assert (hot.derate > 1.0).any()
+        assert set(hot.defect_counts) == {STUCK_AT_0, STUCK_AT_1,
+                                          WORDLINE_BRIDGE, WEAK_SENSE,
+                                          OPEN_VIA}
+        one_word = _chunk_worker(_chunk_task("1_word", "hot", "spares",
+                                             SIGNOFF_CHUNKS[0]))
+        assert one_word.defect_counts
+        assert WORDLINE_BRIDGE not in one_word.defect_counts
+
+
+BOOT_SIZES = (1, 2, 37, 5000)
+
+
+def _boot_columns(n):
+    """Three float columns of different scales and two 0/1 columns."""
+    g = normals(stream_key(4, f"boot-columns:{n}"), 0, n, 3)
+    floats = [2e-10 * np.exp(0.1 * g[:, 0]), g[:, 1],
+              1e-12 * (1.0 + g[:, 2] * g[:, 2])]
+    flags = [g[:, 0] > -1.6, g[:, 1] > 0.3]
+    return floats, flags
+
+
+class TestBootstrapMatchesReference:
+    @pytest.mark.parametrize("n", BOOT_SIZES)
+    @pytest.mark.parametrize("boot_batch", [None, 64],
+                             ids=["default-blocks", "one-row-blocks"])
+    def test_summaries_identical(self, monkeypatch, n, boot_batch):
+        if boot_batch is not None:
+            monkeypatch.setattr(signoff_stats, "BOOT_BATCH", boot_batch)
+        floats, flags = _boot_columns(n)
+        key = stream_key(11, "signoff-boot:oracle")
+        idx = reference_resample_indices(key, n, N_BOOT)
+        want = ([reference_summary(col, key, idx) for col in floats]
+                + [reference_summary(f.astype(np.float64), key, idx)
+                   for f in flags])
+        assert summarize(np.stack(floats + flags), key=key) == want
+        for col, expected in zip(floats, want):
+            assert summarize(col, key=key) == expected
+        for f, expected in zip(flags, want[len(floats):]):
+            assert proportion_summary(summarize(f, key=key)) == {
+                "rate": expected["mean"], "ci_lo": expected["ci_lo"],
+                "ci_hi": expected["ci_hi"]}
+
+    @pytest.mark.parametrize("block", [0, 3])
+    def test_resample_rows_identical(self, block):
+        key = stream_key(9, "boot")
+        whole = reference_resample_indices(key, 37, 50, block=block)
+        assert np.array_equal(resample_indices(key, 37, 50, block=block),
+                              whole)
+        parts = [resample_indices(key, 37, min(7, 50 - first),
+                                  block=block, start=first)
+                 for first in range(0, 50, 7)]
+        assert np.array_equal(np.concatenate(parts), whole)

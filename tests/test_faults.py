@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bricks import sram_brick
 from repro.errors import FaultError, YieldError
@@ -187,6 +189,20 @@ class TestRepair:
         assert outcome.ok
         assert (outcome.rows_used, outcome.cols_used,
                 outcome.ecc_words) == (0, 0, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spare_rows=st.integers(0, 64), spare_cols=st.integers(0, 64),
+           ecc=st.booleans(), words=st.integers(1, 128),
+           bits=st.integers(1, 64))
+    def test_every_plan_repairs_a_perfect_brick(self, spare_rows,
+                                                spare_cols, ecc, words,
+                                                bits):
+        """Signoff scores a die without defects as repaired without
+        calling ``apply_repair``; this is the property that allows it."""
+        plan = RepairPlan(spare_rows=spare_rows, spare_cols=spare_cols,
+                          ecc=ecc)
+        brick = FaultyBrick(sram_brick(words, bits), ())
+        assert apply_repair(brick, plan).ok
 
     def test_bad_columns_use_spares_then_fail(self):
         spec = sram_brick(16, 8)

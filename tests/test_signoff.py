@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,21 @@ class TestStats:
         assert set(s) == {"mean", "p50", "p95", "p99_9",
                           "ci_lo", "ci_hi"}
         assert s["ci_lo"] <= s["mean"] <= s["ci_hi"]
+
+    def test_block_bootstrap_memory_is_bounded(self):
+        """The paired bootstrap of a (14, 20000) block never holds the
+        (200, 20000) resample matrix: its int64 indices alone are
+        32 MB.  NumPy reports its buffers to ``tracemalloc``."""
+        block = np.exp(normals(stream_key(6, "mem"), 0, 20_000, 14)).T
+        block = np.ascontiguousarray(block)
+        tracemalloc.start()
+        try:
+            rows = summarize(block, key=stream_key(6, "boot"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+        assert len(rows) == 14
 
 
 class TestEngineDeterminism:

@@ -102,6 +102,30 @@ class TestPlacement:
         with pytest.raises(SynthesisError, match="anneal_moves"):
             place(fig3_flat, fp, anneal_moves=moves)
 
+    def test_full_utilization_overflow_raises(self, fig3_flat, tech):
+        """At utilization 1.0 the Fig-3 bank's cells need more rows than
+        the core has: placement refuses rather than stack them."""
+        fp = build_floorplan(fig3_flat, tech, utilization=1.0)
+        n_std = sum(1 for c in fig3_flat.cells if not c.model.is_brick)
+        with pytest.raises(SynthesisError) as err:
+            place(fig3_flat, fp, anneal_moves=0)
+        message = str(err.value)
+        assert f"{n_std} std cells" in message
+        assert f"{fp.rows} core rows" in message
+        assert "utilization 1" in message
+
+    def test_row_fill_has_no_overlap(self, fig3_flat, tech):
+        fp = build_floorplan(fig3_flat, tech, utilization=0.9)
+        design = place(fig3_flat, fp, anneal_moves=0)
+        boxes = sorted((p.y, p.x, p.x + p.width)
+                       for name, p in design.positions.items()
+                       if name not in fp.macros)
+        for (y0, _, right), (y1, left, _) in zip(boxes, boxes[1:]):
+            assert y0 != y1 or left >= right - 1e-9
+        for _, left, right in boxes:
+            assert fp.core.x - 1e-9 <= left
+            assert right <= fp.core.x + fp.core.width + 1e-9
+
 
 class TestRouting:
     def test_parasitics_for_multi_pin_nets(self, fig3_flat, tech):
