@@ -11,10 +11,12 @@ last (steady-state) cycle — the way one measures a SPICE deck.
 
 Fidelity knobs (segment counts) trade nodes for accuracy.  With the
 defaults a 16x10/1x read testbench has 138 free nodes and a 32x12/8x
-write testbench 465.  On a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS) the
-read and write transients of one Table-1 cell take together ~1 s at
-16x10/1x, ~2 s at 32x12/1x, ~3 s / ~6 s at 4x and ~11 s / ~18 s at 8x;
-the dense LU dominates the stacked cells.
+write testbench 465.  Every testbench is a forest of RC paths, so the
+simulator's banded Cholesky runs at bandwidth 1 and a factorization
+costs about as much as a step.  On a 2-vCPU x86-64 host (numpy 2.4,
+OpenBLAS) the read and write transients of one Table-1 cell take
+together ~0.3 s at 1x and 0.3-0.6 s at 4x/8x (32x12/8x the slowest); the
+per-step array work, not the solve, dominates.
 """
 
 from __future__ import annotations

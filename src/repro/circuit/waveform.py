@@ -48,22 +48,20 @@ class Waveform:
         """
         t, v = self.t, self.v
         above = v >= level
-        for i in range(1, t.size):
-            if above[i] == above[i - 1]:
-                continue
-            is_rising = above[i] and not above[i - 1]
-            if rising is not None and rising != is_rising:
-                continue
-            # Linear interpolation inside the bracketing interval.
-            dv = v[i] - v[i - 1]
-            if dv == 0:
-                crossing_time = float(t[i])
-            else:
-                frac = (level - v[i - 1]) / dv
-                crossing_time = float(t[i - 1] + frac * (t[i] - t[i - 1]))
-            if crossing_time < after:
-                continue
-            return crossing_time
+        # Intervals where ``above`` flips, in the requested direction (a
+        # flip is rising exactly when its right end is above).
+        flips = above[1:] != above[:-1]
+        if rising is not None:
+            flips &= above[1:] == rising
+        i = np.flatnonzero(flips) + 1
+        # Linear interpolation inside each bracketing interval; its ends
+        # differ, so the divisor is never 0 (it is NaN next to a NaN).
+        with np.errstate(invalid="ignore"):
+            frac = (level - v[i - 1]) / (v[i] - v[i - 1])
+            times = t[i - 1] + frac * (t[i] - t[i - 1])
+        first = np.flatnonzero(~(times < after))
+        if first.size:
+            return float(times[first[0]])
         raise SimulationError(
             f"waveform never crosses {level} (rising={rising}) after "
             f"{after}")

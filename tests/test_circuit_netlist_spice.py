@@ -5,7 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.bricks import measure_read, measure_write
+from repro.bricks import build_match_testbench, build_read_testbench, \
+    build_write_testbench, cam_brick, compile_brick, measure_read, \
+    measure_write, sram_brick
 from repro.circuit import GND, SpiceCircuit, TransientSimulator, ramp
 from repro.errors import NetlistError, SimulationError
 from repro.units import FF, KOHM, NS, PS
@@ -190,12 +192,52 @@ class TestTransient:
         with pytest.raises(SimulationError, match="at step 0 "):
             sim.run(t_stop=1 * NS, dt=1 * PS, v_init={"b": float("inf")})
 
-    def test_singular_pivot_warns(self):
-        from scipy.linalg import LinAlgWarning
-
+    @pytest.mark.parametrize("matrix", [[[1.0, 2.0], [2.0, 4.0]],
+                                        [[1.0, 2.0], [2.0, 1.0]],
+                                        [[0.0, 0.0], [0.0, 1.0]]],
+                             ids=["singular", "indefinite", "zero-pivot"])
+    def test_non_positive_definite_system_raises(self, matrix):
         from repro.circuit.spice import lu_factor
-        with pytest.warns(LinAlgWarning, match="exactly zero"):
-            lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        a = np.array(matrix)
+        band = np.asfortranarray([np.diag(a), [a[1, 0], 0.0]])
+        with pytest.raises(SimulationError, match="not positive definite"):
+            lu_factor(band)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"t_stop": float("nan"), "dt": 1 * PS},
+        {"t_stop": 1 * NS, "dt": float("nan")},
+        {"t_stop": float("inf"), "dt": 1 * PS},
+        {"t_stop": float("inf"), "dt": float("inf")},
+        {"t_stop": 1e300, "dt": 1e-300},
+        {"t_stop": 1 * NS, "dt": 0.0},
+        {"t_stop": -1 * NS, "dt": 1 * PS},
+        {"t_stop": 1 * NS, "dt": 1 * PS, "refactor_tol": float("nan")},
+        {"t_stop": 1 * NS, "dt": 1 * PS, "refactor_tol": float("inf")},
+        {"t_stop": 1 * NS, "dt": 1 * PS, "refactor_tol": -1e-3},
+    ], ids=["nan-t_stop", "nan-dt", "inf-t_stop", "inf-both",
+            "overflowing-steps", "zero-dt", "negative-t_stop",
+            "nan-refactor_tol", "inf-refactor_tol",
+            "negative-refactor_tol"])
+    def test_bad_run_arguments_rejected(self, tech, kwargs):
+        ckt = SpiceCircuit()
+        ckt.add_vsource("v", "a", 1.0)
+        ckt.add_resistor("r", "a", "b", 1.0)
+        ckt.add_capacitor("c", "b", 1 * FF)
+        with pytest.raises(SimulationError):
+            TransientSimulator(ckt, tech).run(**kwargs)
+
+    def test_zero_refactor_tol_refactors_more_often(self, tech,
+                                                    monkeypatch):
+        from repro.circuit import spice
+        factor, calls = spice.lu_factor, []
+        monkeypatch.setattr(spice, "lu_factor",
+                            lambda band: calls.append(1) or factor(band))
+        ckt, kwargs = _inverter_chain(tech)
+        sim = TransientSimulator(ckt, tech)
+        sim.run(**kwargs)
+        default = len(calls)
+        sim.run(**kwargs, refactor_tol=0.0)
+        assert len(calls) - default > default > 1
 
     def test_unrecorded_node_raises(self, tech):
         ckt = SpiceCircuit()
@@ -211,11 +253,13 @@ class TestTransient:
 # --- bit-identity goldens ---------------------------------------------------
 #
 # The transient reference is Table 1's SPICE column, so its output bits are
-# pinned: a faster assembly of the same backward-Euler scheme must leave
-# every voltage and energy sample unchanged.  The digests below were taken
-# from the per-device stamping loop the simulator used to run, with numpy
-# 2.4 / scipy 1.17 and their bundled OpenBLAS on x86-64; the last bits of
-# a dense LU or a dot product may differ under another BLAS build.
+# pinned: a faster assembly of the same scheme that moves any voltage or
+# energy sample fails here, and must be shown equal to the dense-LU oracle
+# (``tests/test_fast_paths_vs_reference.py``, within 1e-9) before the
+# goldens are recaptured.  The digests were taken from the banded-Cholesky
+# simulator with numpy 2.4 / scipy 1.17 and their bundled OpenBLAS on
+# x86-64; the last bits of a band solve or a dot product may differ under
+# another BLAS build.
 
 
 def _rc_step(tech):
@@ -310,25 +354,27 @@ _CIRCUITS = {
 
 _HISTORY_DIGESTS = {
     "all_driven":
-        "341e19cb1eb0bb92706631d6ad1424120be7d89550ba6a000555e20d082d6682",
+        "2c408da7d346785fbb8659aa077f530f81d8b1e81e2247ce5d91da031823d219",
     "rc_step":
-        "dc1c08fd8c7b2d2f832cd8f3851c568a8159bd725df338ebdae06d2c51247d7b",
+        "ac712ece4503dfd02da47e30ba74159796fe7c6fa1d4f6c1c3f75d37b00622c9",
     "rc_coupled":
-        "a1c1f66cb616d1fbea6e03f7816031f1981aefaedd1b2fe443acd86847d35626",
+        "7dc022536aedca8f2c9d04b270e757ddc09608fbc91179328ea34554b9ee04b4",
     "inverter_chain":
-        "a1dc552895462bd6bc3c2d56f7d4562fd8b85ca5d7bed6fd1a6e1ba205bc1d63",
+        "0e8d02b98663e5397499d0eb4d89b698b8f90236f59c75dac0b5719ad947825a",
     "grounded_terminals":
-        "50eb0ed1652b2a16e116a6404a44ac83e13daf31638f6ad47fb756edc31b3576",
+        "5d15ff234c104a0f2be9165237d986a22ef2a4f50129eae929b747e6f191c201",
     "sourceless":
-        "dfc9426af84ee0b68ae69d263b61cd64174321fa3cb6d97a91e34dbe40d5731c",
+        "0dc42f36586fa9ce9e0020f83c6dfa6bef2d47121b8b2a42f91224882a2e58fd",
 }
 
-#: ``repr`` of (measure_read, measure_write) at 1x stacking.
+#: ``repr`` of (measure_read, measure_write) per (words, bits, stack).
 _BRICK_GOLDENS = {
-    (4, 4): ("(1.7169942976750195e-10, 6.951370600956245e-14)",
-             "4.426857267044136e-14"),
-    (16, 10): ("(2.482873042702754e-10, 2.5255214969490884e-13)",
-               "1.2080940240706327e-13"),
+    (4, 4, 1): ("(1.7169942976904216e-10, 6.951370600817741e-14)",
+                "4.426857267002545e-14"),
+    (16, 10, 1): ("(2.482873042705012e-10, 2.52552149694447e-13)",
+                  "1.2080940240557536e-13"),
+    (16, 10, 8): ("(2.9558894572548327e-10, 8.868958068865447e-13)",
+                  "7.413518429076922e-13"),
 }
 
 
@@ -345,12 +391,48 @@ class TestReferenceGoldens:
         first = _history_digest(sim.run(**kwargs))
         assert _history_digest(sim.run(**kwargs)) == first
 
+    def test_rerun_of_a_brick_testbench_is_identical(self, tech,
+                                                     small_brick):
+        bench = build_read_testbench(small_brick, tech, stack=1)
+        sim = TransientSimulator(bench.circuit, tech)
+        kwargs = {"t_stop": bench.window[1], "dt": 1 * PS}
+        first = _history_digest(sim.run(**kwargs))
+        assert _history_digest(sim.run(**kwargs)) == first
+
     def test_small_brick(self, tech, small_brick):
-        read, write = _BRICK_GOLDENS[(4, 4)]
+        read, write = _BRICK_GOLDENS[(4, 4, 1)]
         assert repr(measure_read(small_brick, tech, stack=1)) == read
         assert repr(measure_write(small_brick, tech, stack=1)) == write
 
     def test_table1_16x10_1x_cell(self, tech, brick_16x10):
-        read, write = _BRICK_GOLDENS[(16, 10)]
+        read, write = _BRICK_GOLDENS[(16, 10, 1)]
         assert repr(measure_read(brick_16x10, tech, stack=1)) == read
         assert repr(measure_write(brick_16x10, tech, stack=1)) == write
+
+    def test_table1_16x10_8x_cell(self, tech):
+        """The stacked path: a 395-node write bench, idle-brick control."""
+        compiled = compile_brick(sram_brick(16, 10), tech, target_stack=8)
+        read, write = _BRICK_GOLDENS[(16, 10, 8)]
+        assert repr(measure_read(compiled, tech, stack=8)) == read
+        assert repr(measure_write(compiled, tech, stack=8)) == write
+
+
+class TestBandStructure:
+    """The node order keeps every brick testbench's free block inside a
+    narrow band, the premise of the banded factorization."""
+
+    @pytest.mark.parametrize("stack", [1, 4, 8])
+    @pytest.mark.parametrize("words,bits", [(16, 10), (32, 12)])
+    @pytest.mark.parametrize("build", [build_read_testbench,
+                                       build_write_testbench],
+                             ids=["read", "write"])
+    def test_table1_testbenches(self, tech, build, words, bits, stack):
+        compiled = compile_brick(sram_brick(words, bits), tech,
+                                 target_stack=stack)
+        bench = build(compiled, tech, stack=stack)
+        assert TransientSimulator(bench.circuit, tech).bandwidth <= 2
+
+    def test_cam_match_testbench(self, tech):
+        compiled = compile_brick(cam_brick(16, 10), tech)
+        bench = build_match_testbench(compiled, tech)
+        assert TransientSimulator(bench.circuit, tech).bandwidth <= 2

@@ -6,11 +6,16 @@ arrays with incremental net bounding boxes), the logic simulator's
 ``settle`` (precompiled gate tuples) and the LUT axis lookup
 (``bisect``).  Two more belong to Monte Carlo signoff: the chunk
 worker's per-die loop (one re-seeded ``random.Random``, perfect dies
-skip repair) and the row-blocked paired bootstrap.  Each must give
-*exactly* the result of the plain version kept below as an oracle:
-every final cell position, every toggle count, every interpolated
-value, every die's outcome and every bootstrap bound ``==``, not
-approximately equal.
+skip repair) and the row-blocked paired bootstrap.  The waveform
+crossing search of the Table-1 measurements is array operations.  Each
+must give *exactly* the result of the plain version kept below as an
+oracle: every final cell position, every toggle count, every
+interpolated value, every die's outcome, every bootstrap bound and
+every crossing time ``==``, not approximately equal.
+
+The transient reference is the exception: its banded Cholesky solves
+the systems of the dense LU kept below in another order of operations,
+so it must agree within 1e-9 and factorize at the same steps.
 """
 
 import math
@@ -20,10 +25,20 @@ from typing import Dict, List, Set
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.bricks import cam_brick, generate_brick_library, \
-    single_partition, sram_brick
+from repro.bricks import build_match_testbench, build_read_testbench, \
+    build_write_testbench, cam_brick, compile_brick, \
+    generate_brick_library, single_partition, sram_brick
+from repro.bricks import extract
 from repro.bricks.spec import BrickSpec
+from repro.circuit import GND, SpiceCircuit, TransientSimulator, \
+    Waveform, ramp
+from repro.circuit import spice
+from repro.circuit.spice import TransientResult
+from repro.errors import SimulationError
 from repro.faults import DefectModel, RepairPlan, apply_repair
 from repro.faults.defects import (
     OPEN_VIA,
@@ -47,6 +62,10 @@ from repro.signoff.stats import N_BOOT, PERCENTILES, proportion_summary, \
 from repro.silicon.variation import VariationModel
 from repro.synth import build_floorplan, place
 from repro.synth.floorplan import Floorplan, Placement
+from repro.tech.transistor import NMOS, PMOS, Transistor, conductances
+from repro.units import FF, PS
+
+from .test_circuit_netlist_spice import _CIRCUITS as GOLDEN_CIRCUITS
 
 
 # --- reference placer: dict/Placement annealer with full net rescans --------
@@ -608,3 +627,375 @@ class TestBootstrapMatchesReference:
                                   block=block, start=first)
                  for first in range(0, 50, 7)]
         assert np.array_equal(np.concatenate(parts), whole)
+
+
+# --- reference transient simulator: dense LU in sorted node order -----------
+
+
+class ReferenceTransientSimulator:
+    """Backward Euler over dense ``n x n`` C and G, free nodes in sorted
+    order, the free block refactorized by dense LU under the banded
+    simulator's refactor rule, each source current its own pair of dot
+    products.  ``factorizations`` counts the LUs of the last run."""
+
+    def __init__(self, circuit, tech):
+        circuit.validate()
+        self.circuit = circuit
+        self.tech = tech
+        self._free = circuit.free_nodes()
+        driven = circuit.driven_nodes()
+        self._index = {GND: -1}
+        for i, node in enumerate(self._free + sorted(driven)):
+            self._index[node] = i
+        self._n_free = len(self._free)
+        self._n_all = len(self._index) - 1
+        self._sources = [driven[node] for node in sorted(driven)]
+        self._driven_idx = np.array(
+            [self._index[src.node] for src in self._sources], dtype=np.intp)
+        self.factorizations = 0
+        self._build_static()
+
+    def _build_static(self):
+        n = self._n_all
+        self._cmat = np.zeros((n, n))
+        self._gstatic = np.zeros((n, n))
+        np.fill_diagonal(self._gstatic, spice._GMIN)
+
+        def stamp(mat, a, b, value):
+            for row, col, sign in spice._stamp_entries(self._index[a],
+                                                       self._index[b]):
+                mat[row, col] += sign * value
+
+        for cap in self.circuit.capacitors:
+            stamp(self._cmat, cap.a, cap.b, cap.c)
+        for res in self.circuit.resistors:
+            stamp(self._gstatic, res.a, res.b, 1.0 / res.r)
+        mosfets = self.circuit.mosfets
+        devices = [Transistor(m.kind, m.w_um) for m in mosfets]
+        for mos, device in zip(mosfets, devices):
+            stamp(self._cmat, mos.gate, GND, device.c_gate(self.tech))
+            stamp(self._cmat, mos.drain, GND, device.c_drain(self.tech))
+            stamp(self._cmat, mos.source, GND, device.c_drain(self.tech))
+
+        def terminals(node_of):
+            return np.array([self._index[node_of(m)] for m in mosfets],
+                            dtype=np.intp)
+
+        self._gate = terminals(lambda m: m.gate)
+        self._drain = terminals(lambda m: m.drain)
+        self._source = terminals(lambda m: m.source)
+        self._is_nmos = np.array([m.kind == NMOS for m in mosfets],
+                                 dtype=bool)
+        self._r_on = np.array([d.r_on(self.tech) for d in devices])
+        rows, cols, dev, signs = [], [], [], []
+        for k, mos in enumerate(mosfets):
+            for row, col, sign in spice._stamp_entries(
+                    self._index[mos.drain], self._index[mos.source]):
+                rows.append(row)
+                cols.append(col)
+                dev.append(k)
+                signs.append(sign)
+        self._stamp_at = (np.array(rows, dtype=np.intp),
+                          np.array(cols, dtype=np.intp))
+        self._stamp_dev = np.array(dev, dtype=np.intp)
+        self._stamp_sign = np.array(signs)
+
+    def _drives(self, v):
+        v_g = v[self._gate]
+        v_d = v[self._drain]
+        v_s = v[self._source]
+        return np.where(self._is_nmos, v_g - np.minimum(v_d, v_s),
+                        np.maximum(v_d, v_s) - v_g)
+
+    def run(self, t_stop, dt, v_init=None, refactor_tol=1e-3):
+        steps = int(round(t_stop / dt))
+        n, nf = self._n_all, self._n_free
+        sources, driven_idx = self._sources, self._driven_idx
+        v = np.zeros(n + 1)
+        for node, value in (v_init or {}).items():
+            if self._index[node] >= 0:
+                v[self._index[node]] = value
+        for src, idx in zip(sources, driven_idx):
+            v[idx] = src.value(0.0)
+        times = np.linspace(0.0, steps * dt, steps + 1)
+        history = np.empty((steps + 1, n))
+        history[0] = v[:n]
+        c_over_dt = self._cmat / dt
+        c_free = c_over_dt[:nf]
+        c_rows = [self._cmat[idx] for idx in driven_idx]
+        i_out = np.empty(len(sources))
+        charge = np.zeros(len(sources))
+        energy = np.zeros(len(sources))
+        energy_history = np.zeros((len(sources), steps + 1))
+        self.factorizations = 0
+        g_last = None
+        lu = None
+        for step in range(1, steps + 1):
+            t_now = times[step]
+            g_mos = conductances(self._drives(v), self._r_on, self.tech)
+            if lu is None or (
+                    g_mos.size > 0
+                    and np.abs(g_mos - g_last).max() >
+                    refactor_tol * (np.abs(g_last).max() + spice._GMIN)):
+                g_full = self._gstatic.copy()
+                np.add.at(g_full, self._stamp_at,
+                          g_mos[self._stamp_dev] * self._stamp_sign)
+                a_full = c_over_dt + g_full
+                lu = (scipy.linalg.lu_factor(a_full[:nf, :nf])
+                      if nf else ())
+                self.factorizations += 1
+                coupling = a_full[:nf, nf:].copy()
+                g_rows = [g_full[idx] for idx in driven_idx]
+                g_last = g_mos
+            v_old = v
+            v = v_old.copy()
+            v_driven = np.array([src.value(t_now) for src in sources])
+            v[driven_idx] = v_driven
+            rhs = c_free @ v_old[:n]
+            if sources:
+                rhs -= coupling @ v_driven
+            if nf:
+                v[:nf] = scipy.linalg.lu_solve(lu, rhs)
+            v_now = v[:n]
+            dv_dt = (v_now - v_old[:n]) / dt
+            for k, (row_c, row_g) in enumerate(zip(c_rows, g_rows)):
+                i_out[k] = row_c @ dv_dt + row_g @ v_now
+            charge += i_out * dt
+            energy += i_out * v_driven * dt
+            energy_history[:, step] = energy
+            history[step] = v_now
+        voltages = {node: history[:, idx]
+                    for node, idx in self._index.items() if idx >= 0}
+        voltages[GND] = np.zeros(steps + 1)
+        names = [src.name for src in sources]
+        return TransientResult(times, voltages, dict(zip(names, energy)),
+                               dict(zip(names, charge)),
+                               dict(zip(names, energy_history)))
+
+    def charge_scale(self, t_stop):
+        """Per source name, the charge its node could move in ``t_stop``
+        per volt: every capacitance and ``t_stop`` times every conductance
+        on its row, devices fully on.  A source current is a sum of such
+        terms, so this is the scale its rounding errors follow."""
+        g_on = np.abs(self._gstatic).copy()
+        for k in range(len(self._r_on)):
+            for i in (self._drain[k], self._source[k]):
+                if i >= 0:
+                    g_on[i, i] += 2.0 / self._r_on[k]
+        return {src.name: np.abs(self._cmat[idx]).sum()
+                + t_stop * g_on[idx].sum()
+                for src, idx in zip(self._sources, self._driven_idx)}
+
+
+def _within(got, want, scale):
+    """Every element of ``got`` within ``1e-9 * (|want| + scale)``."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    bad = np.abs(got - want) > 1e-9 * (np.abs(want) + scale)
+    assert not bad.any(), (np.argwhere(bad)[:5], got[bad][:5],
+                           want[bad][:5])
+
+
+def _assert_matches_reference(ckt, tech, monkeypatch, **kwargs):
+    """Run the banded simulator and the dense-LU oracle on ``ckt``: equal
+    factorization counts, every sample within 1e-9.  Voltages compare on
+    the run's largest voltage, charges and energies on each source's
+    :meth:`~ReferenceTransientSimulator.charge_scale`."""
+    count = [0]
+    factor = spice.lu_factor
+
+    def counting(band):
+        count[0] += 1
+        return factor(band)
+
+    monkeypatch.setattr(spice, "lu_factor", counting)
+    fast = TransientSimulator(ckt, tech).run(**kwargs)
+    monkeypatch.setattr(spice, "lu_factor", factor)
+    ref_sim = ReferenceTransientSimulator(ckt, tech)
+    ref = ref_sim.run(**kwargs)
+    assert count[0] == ref_sim.factorizations
+
+    assert np.array_equal(fast.t, ref.t)
+    assert fast.voltages.keys() == ref.voltages.keys()
+    nodes = sorted(ref.voltages)
+    want = np.stack([ref.voltages[k] for k in nodes])
+    v_scale = np.abs(want).max()
+    _within(np.stack([fast.voltages[k] for k in nodes]), want, v_scale)
+    names = sorted(ref.source_energy)
+    assert sorted(fast.source_energy) == names
+    q_scale = ref_sim.charge_scale(kwargs["t_stop"])
+    q_scale = v_scale * np.array([q_scale[k] for k in names])
+    for k, name in enumerate(names):
+        _within(fast.source_charge[name], ref.source_charge[name],
+                q_scale[k])
+        _within(fast.source_energy[name], ref.source_energy[name],
+                q_scale[k] * v_scale)
+        _within(fast.source_energy_history[name],
+                ref.source_energy_history[name], q_scale[k] * v_scale)
+
+
+class TestTransientMatchesReference:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CIRCUITS))
+    def test_golden_circuits(self, tech, monkeypatch, name):
+        ckt, kwargs = GOLDEN_CIRCUITS[name](tech)
+        _assert_matches_reference(ckt, tech, monkeypatch, **kwargs)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_random_rc_mos_circuits(self, tech, monkeypatch, data):
+        ckt, kwargs = data.draw(_random_circuits(tech))
+        _assert_matches_reference(ckt, tech, monkeypatch, **kwargs)
+
+    @pytest.mark.parametrize("words,bits", [(4, 4), (16, 10)])
+    @pytest.mark.parametrize("build", [build_read_testbench,
+                                       build_write_testbench],
+                             ids=["read", "write"])
+    def test_table1_testbenches(self, tech, monkeypatch, words, bits,
+                                build):
+        compiled = compile_brick(sram_brick(words, bits), tech,
+                                 target_stack=1)
+        self._check_testbench(build(compiled, tech, stack=1), tech,
+                              monkeypatch)
+
+    def test_cam_match_testbench(self, tech, monkeypatch):
+        compiled = compile_brick(cam_brick(16, 10), tech)
+        self._check_testbench(build_match_testbench(compiled, tech), tech,
+                              monkeypatch)
+
+    @staticmethod
+    def _check_testbench(bench, tech, monkeypatch):
+        _assert_matches_reference(bench.circuit, tech, monkeypatch,
+                                  t_stop=bench.window[1], dt=1.0 * PS)
+        # The measured numbers, through BrickTestbench.run.
+        fast_numbers = bench.run(tech)
+        monkeypatch.setattr(extract, "TransientSimulator",
+                            ReferenceTransientSimulator)
+        ref_numbers = bench.run(tech)
+        assert fast_numbers == pytest.approx(ref_numbers, rel=1e-9, abs=0)
+
+
+@st.composite
+def _random_circuits(draw, tech):
+    """Small RC+MOS circuits: constant and ramped sources (possibly
+    none), resistors, grounded and coupling capacitors, and devices whose
+    terminals may be driven, grounded or free; a free node may touch
+    only device terminals (no resistor, no capacitor of its own).
+
+    Source levels avoid the threshold voltage and ``refactor_tol`` is
+    positive: a gate held exactly at threshold, or a zero tolerance, makes
+    the refactor decision turn on rounding noise, where two solvers may
+    legitimately refactorize at different steps."""
+    n_free = draw(st.integers(1, 7))
+    n_src = draw(st.integers(0, 3))
+    free = [f"n{i}" for i in range(n_free)]
+    driven = [f"s{i}" for i in range(n_src)]
+    nodes = free + driven + [GND]
+    levels = st.sampled_from([0.0, 0.5 * tech.vdd, tech.vdd])
+    ckt = SpiceCircuit("random")
+    for i, node in enumerate(driven):
+        if draw(st.booleans()):
+            ckt.add_vsource(f"v{i}", node, draw(levels))
+        else:
+            ckt.add_vsource(f"v{i}", node, ramp(
+                draw(st.floats(5 * PS, 100 * PS)),
+                draw(st.floats(1 * PS, 40 * PS)), draw(levels),
+                draw(levels)))
+    pairs = st.lists(st.tuples(st.sampled_from(nodes),
+                               st.sampled_from(nodes)).filter(
+        lambda p: p[0] != p[1]), max_size=10)
+    for k, (a, b) in enumerate(draw(pairs)):
+        ckt.add_resistor(f"r{k}", a, b, draw(st.floats(200.0, 50e3)))
+    for k, (a, b) in enumerate(draw(pairs)):
+        ckt.add_capacitor(f"cc{k}", a, draw(st.floats(0.1 * FF, 5 * FF)),
+                          b=b)
+    for k, (d, s) in enumerate(draw(pairs)):
+        ckt.add_mosfet(f"m{k}", draw(st.sampled_from([NMOS, PMOS])),
+                       draw(st.sampled_from(nodes)), d, s,
+                       draw(st.floats(0.12, 1.0)))
+    # Every free node has capacitance to ground, a device's parasitics or
+    # its own capacitor, as extraction leaves it.  A node held only by
+    # coupling capacitors is conditioned by GMIN alone (cond ~ C/(dt GMIN)
+    # ~ 1e10), where no two solvers agree to 1e-9.
+    on_device = {n for m in ckt.mosfets for n in (m.gate, m.drain,
+                                                  m.source)}
+    for node in free:
+        if node not in on_device:
+            ckt.add_capacitor(f"c_{node}", node,
+                              draw(st.floats(0.5 * FF, 10 * FF)))
+    v_init = {node: draw(st.floats(0.0, tech.vdd)) for node in free}
+    return ckt, {"t_stop": draw(st.sampled_from([60 * PS, 150 * PS])),
+                 "dt": draw(st.sampled_from([0.5 * PS, 1.0 * PS])),
+                 "v_init": v_init,
+                 "refactor_tol": draw(st.sampled_from([1e-6, 1e-3, 0.1]))}
+
+
+# --- reference waveform crossing: the per-sample loop ------------------------
+
+
+def reference_crossing(wf, level, rising=None, after=0.0):
+    """``Waveform.crossing`` as a loop over every sample interval."""
+    t, v = wf.t, wf.v
+    above = v >= level
+    for i in range(1, t.size):
+        if above[i] == above[i - 1]:
+            continue
+        is_rising = above[i] and not above[i - 1]
+        if rising is not None and rising != is_rising:
+            continue
+        dv = v[i] - v[i - 1]
+        if dv == 0:
+            crossing_time = float(t[i])
+        else:
+            frac = (level - v[i - 1]) / dv
+            crossing_time = float(t[i - 1] + frac * (t[i] - t[i - 1]))
+        if crossing_time < after:
+            continue
+        return crossing_time
+    raise SimulationError("no crossing")
+
+
+def _crossing_or_error(crossing, *args):
+    with np.errstate(all="ignore"):
+        try:
+            return crossing(*args)
+        except SimulationError:
+            return "no crossing"
+
+
+_LEVEL = 0.6
+
+
+class TestCrossingMatchesReference:
+    samples = st.one_of(
+        st.floats(-0.5, 1.7),
+        st.sampled_from([_LEVEL, 0.0, 1.2, float("nan"), float("inf"),
+                         -float("inf")]))
+
+    @given(st.lists(st.tuples(st.floats(1e-15, 1e-10), samples),
+                    min_size=2, max_size=40),
+           st.sampled_from([None, True, False]),
+           st.floats(-1e-10, 2e-9))
+    @settings(max_examples=400, deadline=None)
+    def test_first_crossing_identical(self, steps, rising, after):
+        t = np.cumsum([dt for dt, _ in steps])
+        wf = Waveform(t, [v for _, v in steps])
+        got = _crossing_or_error(wf.crossing, _LEVEL, rising, after)
+        want = _crossing_or_error(reference_crossing, wf, _LEVEL, rising,
+                                  after)
+        assert got == want or (got != got and want != want)
+
+    def test_measured_delays_identical(self, tech, monkeypatch):
+        """The crossings of a real transient, every level and direction."""
+        ckt, kwargs = GOLDEN_CIRCUITS["inverter_chain"](tech)
+        result = TransientSimulator(ckt, tech).run(**kwargs)
+        for node in ("n1", "n2", "n3"):
+            wf = result.waveform(node)
+            for level in np.linspace(0.05, 1.15, 12):
+                for rising in (None, True, False):
+                    for after in (0.0, 60 * PS, 0.2e-9):
+                        assert _crossing_or_error(
+                            wf.crossing, level, rising, after) == \
+                            _crossing_or_error(reference_crossing, wf,
+                                               level, rising, after)
