@@ -60,12 +60,6 @@ class BankConfig:
     def partition_address_bits(self) -> int:
         return max(1, math.ceil(math.log2(self.words_per_partition)))
 
-    @property
-    def brick_select_bits(self) -> int:
-        """Address bits selecting the brick within a partition."""
-        return max(0, math.ceil(math.log2(self.stack))) if self.stack > 1 \
-            else 0
-
     def describe(self) -> str:
         return (f"{self.words}x{self.bits}b = {self.partitions} "
                 f"partition(s) of {self.stack}x stacked "

@@ -8,7 +8,6 @@ from .bitcells import (
     SRAM_6T,
     SRAM_8T,
     Bitcell,
-    bitcell_catalog,
     make_bitcell,
 )
 from .leafcells import (
@@ -23,15 +22,14 @@ from .stdcells import (
     cell_name,
     make_stdcell,
     make_stdcell_library,
-    pick_drive,
     unit_input_cap,
 )
 
 __all__ = [
     "CAM_10T", "DUAL_PORT_8T", "EDRAM_1T1C", "MEMORY_TYPES", "SRAM_6T",
-    "SRAM_8T", "Bitcell", "bitcell_catalog", "make_bitcell",
+    "SRAM_8T", "Bitcell", "make_bitcell",
     "ControlBlock", "LocalSense", "WordlineDriver", "build_inverter",
     "inverter_widths",
     "DEFAULT_DRIVES", "cell_name", "make_stdcell", "make_stdcell_library",
-    "pick_drive", "unit_input_cap",
+    "unit_input_cap",
 ]

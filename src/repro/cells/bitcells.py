@@ -18,7 +18,6 @@ area is 83% bigger than SRAM brick area".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..errors import BrickError
 from ..tech.technology import Technology
@@ -196,8 +195,3 @@ def make_bitcell(memory_type: str, tech: Technology) -> Bitcell:
             n_transistors=8)
 
     raise BrickError(f"unknown memory type {memory_type!r}")
-
-
-def bitcell_catalog(tech: Technology) -> Dict[str, Bitcell]:
-    """All bitcell models available in ``tech``."""
-    return {mt: make_bitcell(mt, tech) for mt in MEMORY_TYPES}

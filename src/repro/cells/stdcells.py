@@ -155,24 +155,3 @@ def make_stdcell_library(tech: Technology,
         for drive in drives:
             library.add(make_stdcell(gate, drive, tech))
     return library
-
-
-def pick_drive(library: LibraryModel, gate_name: str, load: float,
-               tech: Technology) -> CellModel:
-    """Pick the smallest drive whose stage effort at ``load`` is <= ~4.
-
-    The classic sizing heuristic: keep per-stage electrical effort near
-    the optimum (~4) without wasting area.  Falls back to the largest
-    available drive for heavy loads.
-    """
-    c_unit = unit_input_cap(tech)
-    candidates = sorted(
-        (cell for cell in library if cell.gate_name == gate_name),
-        key=lambda cell: cell.attrs["drive"])
-    if not candidates:
-        raise LibraryError(f"no cells for gate {gate_name!r} in library")
-    for cell in candidates:
-        drive = cell.attrs["drive"]
-        if load <= 4.0 * drive * c_unit:
-            return cell
-    return candidates[-1]

@@ -12,7 +12,7 @@ from .logical_effort import (
     size_path,
 )
 from .netlist import GND, Capacitor, Mosfet, Resistor, SpiceCircuit, VSource
-from .rc_tree import RCNode, RCTree, wire_tree
+from .rc_tree import RCNode, RCTree
 from .spice import TransientResult, TransientSimulator
 from .waveform import Waveform, pulse, ramp
 
@@ -21,7 +21,7 @@ __all__ = [
     "SizedPath", "buffer_chain", "gate_delay", "le_tau",
     "optimal_stage_count", "parasitic_inv", "path_effort", "size_path",
     "GND", "Capacitor", "Mosfet", "Resistor", "SpiceCircuit", "VSource",
-    "RCNode", "RCTree", "wire_tree",
+    "RCNode", "RCTree",
     "TransientResult", "TransientSimulator",
     "Waveform", "pulse", "ramp",
 ]

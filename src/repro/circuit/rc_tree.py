@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import NetlistError
-from ..tech.wire import WireLayer
 
 
 @dataclass
@@ -135,19 +134,6 @@ class RCTree:
     def delay_50(self, sink: str) -> float:
         """50 %-crossing delay estimate: ``ln(2)`` times the Elmore delay."""
         return 0.69 * self.elmore(sink)
-
-    def slew_estimate(self, sink: str) -> float:
-        """10-90 % output transition time estimate (~2.2 Elmore)."""
-        return 2.2 * self.elmore(sink)
-
-
-def wire_tree(layer: WireLayer, length_um: float, r_drive: float,
-              c_load: float, n_segments: int = 8) -> RCTree:
-    """Convenience builder: a single distributed wire with a far-end load."""
-    tree = RCTree(r_drive=r_drive)
-    tree.add_ladder("root", "w", layer.segments(length_um, n_segments),
-                    tail_cap=c_load)
-    return tree
 
 
 def ladder_elmore_batch(r_segs, c_segs, r_drive=0.0, root_cap=0.0,

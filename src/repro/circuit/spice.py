@@ -135,10 +135,6 @@ class TransientResult:
         e1 = float(np.interp(t1, self.t, history))
         return e1 - e0
 
-    def total_supply_energy(self) -> float:
-        """Energy delivered by all sources with positive net delivery."""
-        return sum(e for e in self.source_energy.values() if e > 0)
-
 
 class TransientSimulator:
     """Backward-Euler transient simulator over a :class:`SpiceCircuit`."""

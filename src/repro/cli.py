@@ -45,7 +45,7 @@ from .bricks import (
 )
 from .cells import make_stdcell_library
 from .errors import ReproError, exit_code_for, failure_domain
-from .explore import SweepEngine
+from .explore import AUTO_SHARD_THRESHOLD, SweepEngine
 from .liberty import write_liberty
 from .obs.export import (
     read_trace_jsonl,
@@ -218,8 +218,7 @@ def cmd_sweep(args) -> int:
         brick_words_options=tuple(args.brick_words),
         memory_type=args.type,
         top_k=args.top_k,
-        shard_size=args.shard_size,
-        mode=args.mode)
+        shard_size=args.shard_size)
     result = engine.run(keep_going=args.keep_going)
     if args.refine:
         result = engine.refine(rounds=args.refine,
@@ -379,7 +378,7 @@ def cmd_client(args) -> int:
                 total_words=list(args.total_words),
                 bits=list(args.bits),
                 brick_words=list(args.brick_words), type=args.type,
-                keep_going=args.keep_going, mode=args.mode,
+                keep_going=args.keep_going,
                 shard_size=args.shard_size, top_k=args.top_k)
             _print_sweep_data(data)
         elif cmd == "yield":
@@ -548,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "characterization (default: none)")
     parser.add_argument("--keep-going", action="store_true",
                         help="skip-and-report failed design points "
-                             "instead of aborting (sweep)")
+                             "instead of aborting (sweep, signoff)")
     # Observability flags are accepted by every subcommand (a parent
     # parser, so they work after the subcommand name where they read
     # naturally: ``repro sram --trace-out t.jsonl --metrics``).
@@ -636,13 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brick-words", type=int, nargs="+",
                    default=[16, 32, 64])
     p.add_argument("--type", default="8T")
-    p.add_argument("--mode", default="auto",
-                   choices=["auto", "cached", "sharded"],
-                   help="small sweeps run the exact legacy cached "
-                        "path; large lattices shard with bounded "
-                        "memory and per-shard resume (default: auto)")
     p.add_argument("--shard-size", type=int, default=8192,
-                   help="points per shard in sharded mode "
+                   help="points per shard; lattices over "
+                        f"{AUTO_SHARD_THRESHOLD} points run sharded "
                         "(default: 8192)")
     p.add_argument("--top-k", type=int, default=16,
                    help="best-by-score points kept besides the "
@@ -745,8 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--brick-words", type=int, nargs="+",
                    default=[16, 32, 64])
     c.add_argument("--type", default="8T")
-    c.add_argument("--mode", default="auto",
-                   choices=["auto", "cached", "sharded"])
     c.add_argument("--shard-size", type=int, default=8192)
     c.add_argument("--top-k", type=int, default=16)
     c = csub.add_parser("yield",

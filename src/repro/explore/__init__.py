@@ -1,4 +1,4 @@
-"""Design-space exploration: sweeps, pareto fronts, design generation.
+"""Design-space exploration: sweeps and pareto fronts.
 
 The supported sweep entry point is :class:`SweepEngine` — one facade
 for everything from the 9-point Fig. 4c study to a million-point
@@ -8,12 +8,6 @@ selection are also reachable as :class:`~repro.session.Session`
 methods.
 """
 
-from .chip_gen import (
-    DesignTemplate,
-    generate_variants,
-    mac_core_generator,
-    mac_template,
-)
 from .engine import (
     AUTO_SHARD_THRESHOLD,
     ScalePlan,
@@ -50,8 +44,6 @@ from .sweep import (
 )
 
 __all__ = [
-    "DesignTemplate", "generate_variants", "mac_core_generator",
-    "mac_template",
     "AUTO_SHARD_THRESHOLD", "ScalePlan", "ScaleResult", "SweepEngine",
     "Lattice", "LatticePoint", "SweepSpace",
     "ParetoAccumulator", "TopKAccumulator", "dominates", "knee_point",

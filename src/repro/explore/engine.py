@@ -297,38 +297,6 @@ class SweepEngine:
                 seen.add(point.index)
                 yield point
 
-    def iter_shards(self, keep_going: bool = False,
-                    resume: bool = True) -> Iterator[ShardResult]:
-        """Stream :class:`ShardResult` records as shards complete.
-
-        Resumed (checkpointed) shards yield first, then fresh ones in
-        completion order.  Consuming the whole iterator leaves
-        :meth:`frontier` ready, exactly as :meth:`run` would.
-        """
-        plan = self.plan()
-        collected: Dict[int, ShardResult] = {}
-
-        def keep(done: int, total: int, shard: ShardResult) -> None:
-            collected[shard.shard] = shard
-
-        if plan.mode == "cached":
-            result = self._run_cached(plan, keep_going, keep)
-        else:
-            watch = Stopwatch()
-            for shard in self._sharded_stream(plan, keep_going,
-                                              resume, keep):
-                yield shard
-            result = self._merge(plan, collected, watch.elapsed())
-            self._result = result
-            self._refine_offset = plan.n_points
-            self._refined_combos = set()
-            return
-        self._result = result
-        self._refine_offset = plan.n_points
-        self._refined_combos = set()
-        for shard_index in sorted(collected):
-            yield collected[shard_index]
-
     # -- refinement --------------------------------------------------
 
     def refine(self, rounds: int = 1,
@@ -455,11 +423,13 @@ class SweepEngine:
                 wall_clock_s=legacy.wall_clock_s))
         return result
 
-    def _sharded_stream(self, plan: ScalePlan, keep_going: bool,
-                        resume: bool,
-                        progress: Optional[ProgressCallback]
-                        ) -> Iterator[ShardResult]:
-        """Yield every shard (checkpointed first, then computed)."""
+    def _run_sharded(self, plan: ScalePlan, keep_going: bool,
+                     resume: bool,
+                     progress: Optional[ProgressCallback]
+                     ) -> ScaleResult:
+        """Price every shard (checkpointed first, then computed)."""
+        watch = Stopwatch()
+        collected: Dict[int, ShardResult] = {}
         session = self.session
         cache = session.cache
         done = 0
@@ -478,7 +448,7 @@ class SweepEngine:
                         self._note_shard(value, resumed=True)
                         if progress is not None:
                             progress(done, plan.n_shards, value)
-                        yield value
+                        collected[value.shard] = value
                         continue
                 todo.append(shard_index)
             if span is not None:
@@ -504,9 +474,10 @@ class SweepEngine:
                 self._note_shard(shard, resumed=False)
                 if progress is not None:
                     progress(done, plan.n_shards, shard)
-                yield shard
+                collected[shard.shard] = shard
             if span is not None:
                 span.attrs.update(shards_done=done)
+        return self._merge(plan, collected, watch.elapsed())
 
     def _note_shard(self, shard: ShardResult, resumed: bool) -> None:
         """Per-shard observability: span + counters + fault events."""
@@ -535,17 +506,6 @@ class SweepEngine:
                     domain="sweep", name=failure.label,
                     index=failure.index, error=failure.error,
                     recovered=True))
-
-    def _run_sharded(self, plan: ScalePlan, keep_going: bool,
-                     resume: bool,
-                     progress: Optional[ProgressCallback]
-                     ) -> ScaleResult:
-        watch = Stopwatch()
-        collected: Dict[int, ShardResult] = {}
-        for shard in self._sharded_stream(plan, keep_going, resume,
-                                          progress):
-            collected[shard.shard] = shard
-        return self._merge(plan, collected, watch.elapsed())
 
     def _merge(self, plan: ScalePlan,
                collected: Dict[int, ShardResult],

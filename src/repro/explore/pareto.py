@@ -129,21 +129,6 @@ class ParetoAccumulator:
         self._vectors.append(vec)
         return True
 
-    def add_array(self, keys: Sequence[Any], items: Sequence[Any],
-                  vectors: Any) -> int:
-        """Bulk-offer a population (one shard); returns survivors kept.
-
-        The candidates are first reduced with one :func:`pareto_mask`
-        call, then only the local front rows go through :meth:`add`.
-        """
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if not len(keys):
-            return 0
-        kept = 0
-        for i in np.flatnonzero(pareto_mask(vectors)):
-            kept += int(self.add(keys[i], items[i], vectors[i]))
-        return kept
-
     def merge(self, other: "ParetoAccumulator") -> None:
         """Fold another archive into this one."""
         for key, item, vec in zip(other._keys, other._items,

@@ -1,11 +1,11 @@
-"""NLDM-style lookup tables with bilinear interpolation and curve fitting.
+"""NLDM-style lookup tables with bilinear interpolation.
 
 Section 3 of the paper: "The gate components within the brick netlist are
 each represented by look-up table (LUT) models based on bilinear
 interpolation and curve fitting for delay and energy as a function of
-fanout and slew rate."  This module is that representation, shared by the
-standard-cell library, the dynamically generated brick libraries and the
-static timing engine.
+fanout and slew rate."  This module is the table half of that
+representation, shared by the standard-cell library, the dynamically
+generated brick libraries and the static timing engine.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
-
-import numpy as np
 
 from ..errors import LibraryError
 
@@ -97,71 +95,10 @@ class LUT2D:
         bot = v10 * (1 - fj) + v11 * fj
         return top * (1 - fi) + bot * fi
 
-    @staticmethod
-    def _axis_segment_many(axis: Tuple[float, ...], x: "np.ndarray"
-                           ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """Vectorized :meth:`_axis_segment` over an array of queries."""
-        n = len(axis)
-        if n == 1:
-            zero = np.zeros_like(x)
-            return zero.astype(int), zero
-        arr = np.asarray(axis)
-        lo = np.searchsorted(arr, x, side="right") - 1
-        lo = np.clip(lo, 0, n - 2)
-        span = arr[lo + 1] - arr[lo]
-        frac = (x - arr[lo]) / span
-        return lo, frac  # out-of-range fracs extrapolate linearly
-
-    def value_many(self, slews, loads) -> "np.ndarray":
-        """Vectorized :meth:`value`: interpolate many points in one call.
-
-        ``slews`` and ``loads`` are broadcast against each other (any
-        mix of scalars and numpy arrays); the result has the broadcast
-        shape.  Each element is bit-identical to the scalar
-        :meth:`value` at the same point — both paths perform the same
-        IEEE-double operations — which keeps STA and characterization
-        sweeps free to batch lookups without changing results.
-        """
-        s, ld = np.broadcast_arrays(np.asarray(slews, dtype=float),
-                                    np.asarray(loads, dtype=float))
-        v = np.asarray(self.values)
-        if len(self.slews) == 1 and len(self.loads) == 1:
-            return np.full(s.shape, v[0, 0])
-        j, fj = self._axis_segment_many(self.loads, ld)
-        if len(self.slews) == 1:
-            return v[0, j] * (1 - fj) + v[0, j + 1] * fj
-        i, fi = self._axis_segment_many(self.slews, s)
-        if len(self.loads) == 1:
-            return v[i, 0] * (1 - fi) + v[i + 1, 0] * fi
-        top = v[i, j] * (1 - fj) + v[i, j + 1] * fj
-        bot = v[i + 1, j] * (1 - fj) + v[i + 1, j + 1] * fj
-        return top * (1 - fi) + bot * fi
-
     def scaled(self, factor: float) -> "LUT2D":
         """Return a copy with all values multiplied by ``factor``."""
         values = tuple(tuple(x * factor for x in row) for row in self.values)
         return LUT2D(self.slews, self.loads, values)
-
-    def max_value(self) -> float:
-        return max(max(row) for row in self.values)
-
-    def fit_plane(self) -> Tuple[float, float, float, float]:
-        """Least-squares fit ``v ~ k0 + k1*slew + k2*load``.
-
-        Returns ``(k0, k1, k2, max_abs_error)``.  This is the "curve
-        fitting" compact-model companion of the LUT: sweeps that evaluate
-        millions of points (the DSE of Fig 4c) use the plane; sign-off
-        paths use the table.
-        """
-        pts = [(s, ld, v)
-               for s, row in zip(self.slews, self.values)
-               for ld, v in zip(self.loads, row)]
-        a = np.array([[1.0, s, ld] for s, ld, _ in pts])
-        b = np.array([v for _, _, v in pts])
-        coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-        residual = np.abs(a @ coef - b)
-        return float(coef[0]), float(coef[1]), float(coef[2]), \
-            float(residual.max() if residual.size else 0.0)
 
 
 def default_slew_axis(tech_tau: float) -> Tuple[float, ...]:

@@ -5,19 +5,15 @@ from .components import (
     and_tree,
     buf,
     decoder,
-    encode_onehot,
     equals,
     full_adder,
     inv,
     multiplier,
     mux2,
-    mux_tree,
     nand2,
-    nor2,
     onehot_mux,
     or2,
     or_tree,
-    priority_encoder,
     register,
     ripple_adder,
     xnor2,
@@ -26,15 +22,12 @@ from .components import (
 )
 from .ecc import (
     DecodeResult,
-    build_ecc_sram,
     build_secded_decoder,
     build_secded_encoder,
-    ecc_bank_config,
     secded_decode,
     secded_encode,
     secded_parity_bits,
 )
-from .fifo import build_sorted_fifo, sorted_fifo_reference
 from .memory import build_cam, build_sram, fig3_sram
 from .module import (
     CellRef,
@@ -52,15 +45,12 @@ from .spgemm_datapath import build_update_datapath, \
 from .verilog import emit_hierarchy, emit_module
 
 __all__ = [
-    "and2", "and_tree", "buf", "decoder", "encode_onehot", "equals",
-    "full_adder", "inv", "multiplier", "mux2", "mux_tree", "nand2",
-    "nor2", "onehot_mux", "or2", "or_tree", "priority_encoder",
+    "and2", "and_tree", "buf", "decoder", "equals", "full_adder", "inv",
+    "multiplier", "mux2", "nand2", "onehot_mux", "or2", "or_tree",
     "register", "ripple_adder", "xnor2", "xor2", "xor_tree",
-    "DecodeResult", "build_ecc_sram", "build_secded_decoder",
-    "build_secded_encoder", "ecc_bank_config", "secded_decode",
-    "secded_encode", "secded_parity_bits",
+    "DecodeResult", "build_secded_decoder", "build_secded_encoder",
+    "secded_decode", "secded_encode", "secded_parity_bits",
     "build_cam", "build_sram", "fig3_sram",
-    "build_sorted_fifo", "sorted_fifo_reference",
     "CellRef", "FlatCell", "FlatNetlist", "Module", "ModuleRef", "Port",
     "elaborate",
     "Bus", "Net", "as_bus", "bits_to_int", "int_to_bits",

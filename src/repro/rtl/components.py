@@ -1,9 +1,9 @@
 """Gate-level component generators.
 
 The paper's smart-memory periphery — decoders, output muxes, enable
-logic, the CAM architecture's priority decode and multiply-add — is
-synthesized from RTL into standard cells.  These generators play that
-role: each builds a mapped gate-level structure inside a
+logic, the CAM architecture's multiply-add — is synthesized from RTL
+into standard cells.  These generators play that role: each builds a
+mapped gate-level structure inside a
 :class:`~repro.rtl.module.Module` and returns the output signal(s).
 
 All generators emit drive-X1 cells; the physical-synthesis flow resizes
@@ -12,7 +12,6 @@ drives against routed loads afterwards (:mod:`repro.synth.mapper`).
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import RTLError
@@ -54,10 +53,6 @@ def or2(m: Module, a: Net, b: Net, prefix: str = "or") -> Net:
 
 def nand2(m: Module, a: Net, b: Net, prefix: str = "nand") -> Net:
     return _gate2(m, "NAND2", a, b, prefix)
-
-
-def nor2(m: Module, a: Net, b: Net, prefix: str = "nor") -> Net:
-    return _gate2(m, "NOR2", a, b, prefix)
 
 
 def xor2(m: Module, a: Net, b: Net, prefix: str = "xor") -> Net:
@@ -201,25 +196,6 @@ def onehot_mux(m: Module, options: Sequence[Bus], onehot: Bus,
     return Bus(out_bits)
 
 
-def mux_tree(m: Module, options: Sequence[Bus], sel: Bus,
-             prefix: str = "mt") -> Bus:
-    """Binary mux tree over 2^k equal-width options."""
-    options = list(options)
-    if len(options) != (1 << sel.width):
-        raise RTLError(
-            f"mux tree needs {1 << sel.width} options, got {len(options)}")
-    level = options
-    for k in range(sel.width):
-        next_level: List[Bus] = []
-        for i in range(0, len(level), 2):
-            bits = [mux2(m, level[i][b], level[i + 1][b], sel[k],
-                         prefix + f"_l{k}")
-                    for b in range(level[i].width)]
-            next_level.append(Bus(bits))
-        level = next_level
-    return level[0]
-
-
 def register(m: Module, d: Signal, clk: Net, en: Optional[Net] = None,
              prefix: str = "reg") -> Signal:
     """DFF (or DFFE) register bank over a signal."""
@@ -298,33 +274,3 @@ def multiplier(m: Module, a: Bus, b: Bus,
     if len(acc) < want:
         acc = acc + [zero] * (want - len(acc))
     return Bus(acc[:want])
-
-
-def priority_encoder(m: Module, requests: Bus,
-                     prefix: str = "pri") -> Tuple[Bus, Net]:
-    """Lowest-index-wins priority one-hot filter.
-
-    Returns ``(grant_onehot, any_valid)`` — the "mismatch detection block
-    ... acts as a priority decoder" in the paper's CAM periphery.
-    """
-    grants: List[Net] = [requests[0]]
-    blocked = requests[0]
-    for i in range(1, requests.width):
-        not_blocked = inv(m, blocked, prefix + f"_nb{i}")
-        grants.append(and2(m, requests[i], not_blocked, prefix + f"_g{i}"))
-        blocked = or2(m, blocked, requests[i], prefix + f"_b{i}")
-    return Bus(grants), blocked
-
-
-def encode_onehot(m: Module, onehot: Bus, prefix: str = "enc") -> Bus:
-    """One-hot to binary encoder (OR trees over selected positions)."""
-    n_bits = max(1, math.ceil(math.log2(onehot.width)))
-    out: List[Net] = []
-    for bit in range(n_bits):
-        terms = [onehot[i] for i in range(onehot.width)
-                 if (i >> bit) & 1]
-        if not terms:
-            out.append(as_bus(m.constant(0))[0])
-        else:
-            out.append(or_tree(m, terms, prefix + f"_b{bit}"))
-    return Bus(out)

@@ -1,4 +1,4 @@
-"""SEC-DED (Hamming + overall parity) error-correcting memory wrapper.
+"""SEC-DED (Hamming + overall parity) error correction for stored words.
 
 The yield/repair layer (:mod:`repro.faults`) can extend every stored
 word with check bits so a single stuck bitcell per word no longer kills
@@ -20,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from ..bricks.spec import BrickSpec
-from ..bricks.stack import BankConfig
 from ..errors import RTLError
 from .components import and2, and_tree, inv, or_tree, xor2, xor_tree
 from .module import Module
-from .signals import Bus, Net, as_bus
+from .signals import Net, as_bus
 
 # --- check-bit arithmetic -------------------------------------------------
 
@@ -200,54 +198,4 @@ def build_secded_decoder(data_bits: int) -> Module:
         terms.append(overall)
         flip = and_tree(m, terms, f"hit{i}")
         m.alias(q[i], xor2(m, d[i], flip, f"fix{i}"))
-    return m
-
-
-def ecc_bank_config(config: BankConfig) -> BankConfig:
-    """The same bank geometry with every word widened by check bits."""
-    extra = secded_parity_bits(config.bits)
-    brick = BrickSpec(config.brick.memory_type, config.brick.words,
-                      config.brick.bits + extra)
-    return BankConfig(brick=brick, stack=config.stack,
-                      partitions=config.partitions)
-
-
-def build_ecc_sram(config: BankConfig) -> Module:
-    """A :func:`~repro.rtl.memory.build_sram` bank wrapped in SEC-DED.
-
-    The inner SRAM stores ``bits + secded_parity_bits(bits)`` per word;
-    writes route through the encoder, reads through the corrector.
-    Extra outputs ``err``/``ded`` surface the decoder flags.
-    """
-    from .memory import build_sram
-    data_bits = config.bits
-    r = hamming_parity_bits(data_bits)
-    inner_config = ecc_bank_config(config)
-    inner = build_sram(inner_config)
-    enc = build_secded_encoder(data_bits)
-    dec = build_secded_decoder(data_bits)
-
-    m = Module(f"ecc_{inner.name}")
-    clk = m.input("clk")
-    raddr = as_bus(m.input("raddr", config.address_bits))
-    waddr = as_bus(m.input("waddr", config.address_bits))
-    we = m.input("we")
-    din = as_bus(m.input("din", data_bits))
-    dout = as_bus(m.output("dout", data_bits))
-    err = m.output("err")
-    ded = m.output("ded")
-
-    wchecks = as_bus(m.wire("wchecks", r + 1))
-    m.instance("enc0", enc, {"d": din, "c": wchecks})
-    stored_in = Bus(list(din) + list(wchecks))
-    stored_out = as_bus(m.wire("stored", data_bits + r + 1))
-    m.instance("mem0", inner, {
-        "clk": clk, "raddr": raddr, "waddr": waddr, "we": we,
-        "din": stored_in, "dout": stored_out,
-    })
-    m.instance("dec0", dec, {
-        "d": Bus(list(stored_out)[:data_bits]),
-        "c": Bus(list(stored_out)[data_bits:]),
-        "q": dout, "err": err, "ded": ded,
-    })
     return m

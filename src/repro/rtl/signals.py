@@ -74,14 +74,6 @@ def as_bus(signal: Signal) -> Bus:
     raise RTLError(f"not a signal: {signal!r}")
 
 
-def signal_width(signal: Signal) -> int:
-    if isinstance(signal, Net):
-        return 1
-    if isinstance(signal, Bus):
-        return signal.width
-    raise RTLError(f"not a signal: {signal!r}")
-
-
 def int_to_bits(value: int, width: int) -> List[bool]:
     """Little-endian bit expansion of a non-negative integer."""
     if value < 0:

@@ -204,10 +204,6 @@ def _sweep_engine(session: Session,
     Cheap (no pricing): :func:`coalesce_key` uses it just for the plan
     fingerprint; :func:`handle_sweep` for the actual run.
     """
-    mode = params.get("mode", "auto")
-    if mode not in ("auto", "cached", "sharded"):
-        raise ServeError(f"param 'mode' must be auto/cached/sharded, "
-                         f"got {mode!r}")
     return SweepEngine(
         session,
         total_words_options=_require_int_or_list(
@@ -217,8 +213,7 @@ def _sweep_engine(session: Session,
                                               (16, 32, 64)),
         memory_type=_require_type(params),
         top_k=_require_int(params, "top_k", 16, minimum=0),
-        shard_size=_require_int(params, "shard_size", 8192),
-        mode=mode)
+        shard_size=_require_int(params, "shard_size", 8192))
 
 
 def _signoff_engine(session: Session, params: Dict[str, Any]):
@@ -353,12 +348,6 @@ def render_brick_report(data: Dict[str, Any]) -> str:
         f"{format_si(data['max_read_frequency'], 'Hz')}",
     ]
     return "\n".join(lines)
-
-
-def _point_label(point: Dict[str, Any]) -> str:
-    return (f"{point['total_words']}x{point['bits']}b from "
-            f"{point['brick_words']}x{point['bits']}b bricks "
-            f"({point['stack']}x)")
 
 
 def sweep_report_data(result: SweepResult) -> Dict[str, Any]:

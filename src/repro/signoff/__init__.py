@@ -19,7 +19,6 @@ from .engine import (
     SignoffReport,
     chunk_bounds,
     chunk_checkpoint_key,
-    run_signoff,
 )
 from .rng import normals, resample_indices, stream_key, uniforms
 from .sampling import pvt_columns
@@ -34,7 +33,7 @@ __all__ = [
     "DEFAULT_CHUNK", "DEFAULT_CORNERS", "DEFAULT_SAMPLES",
     "ChunkFailure", "ChunkResult", "SignoffEngine", "SignoffPlan",
     "SignoffReport", "chunk_bounds", "chunk_checkpoint_key",
-    "run_signoff", "normals", "resample_indices", "stream_key",
-    "uniforms", "pvt_columns", "bootstrap_mean_ci", "ci_half_width",
+    "normals", "resample_indices", "stream_key", "uniforms",
+    "pvt_columns", "bootstrap_mean_ci", "ci_half_width",
     "proportion_summary", "summarize",
 ]

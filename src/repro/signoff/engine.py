@@ -640,16 +640,3 @@ class SignoffEngine:
             repaired_yield=repaired_yield,
             defect_counts=defect_counts, failures=failures,
             wall_clock_s=wall_clock_s)
-
-
-def run_signoff(session: Optional[Session] = None,
-                **kwargs) -> SignoffReport:
-    """One-call convenience: build an engine and run it.
-
-    ``keep_going``/``resume``/``progress`` route to
-    :meth:`SignoffEngine.run`; everything else to the constructor.
-    """
-    run_args = {name: kwargs.pop(name)
-                for name in ("keep_going", "resume", "progress")
-                if name in kwargs}
-    return SignoffEngine(session, **kwargs).run(**run_args)

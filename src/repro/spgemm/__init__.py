@@ -23,15 +23,12 @@ from .energy import (
 )
 from .heap_accelerator import FIFOPriorityQueue, HeapSpGEMMAccelerator
 from .reference import (
-    column_products,
     multiply_work,
     spgemm_dense_check,
     spgemm_gustavson,
 )
 from .sparse import CSCMatrix, random_sparse
-from .stats import WorkloadStats, analyze_workload, fill_histogram
-from .tiled import STRIPE_SWAP_CYCLES, kblock_spgemm, row_block, \
-    tiled_spgemm
+from .stats import WorkloadStats, analyze_workload
 from .workloads import (
     Workload,
     banded,
@@ -52,11 +49,9 @@ __all__ = [
     "ChipEnergyModel", "estimated_frequencies", "heap_energy_model",
     "lim_energy_model",
     "FIFOPriorityQueue", "HeapSpGEMMAccelerator",
-    "column_products", "multiply_work", "spgemm_dense_check",
-    "spgemm_gustavson",
+    "multiply_work", "spgemm_dense_check", "spgemm_gustavson",
     "CSCMatrix", "random_sparse",
-    "WorkloadStats", "analyze_workload", "fill_histogram",
-    "STRIPE_SWAP_CYCLES", "kblock_spgemm", "row_block", "tiled_spgemm",
+    "WorkloadStats", "analyze_workload",
     "Workload", "banded", "benchmark_suite", "block_diagonal_dense",
     "erdos_renyi", "mesh_2d", "power_law",
 ]

@@ -74,7 +74,8 @@ class CAMSpGEMMAccelerator:
         if a.n_rows > self.geometry.max_row_index + 1:
             raise AcceleratorError(
                 f"{a.n_rows} rows exceed the {self.geometry.index_bits}-"
-                f"bit index CAM; use repro.spgemm.tiled.tiled_spgemm")
+                f"bit index CAM (at most "
+                f"{self.geometry.max_row_index + 1} rows)")
         geometry = self.geometry
         events: Dict[str, int] = {
             "hcam_match": 0, "hcam_insert": 0, "hcam_update": 0,

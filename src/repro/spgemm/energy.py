@@ -48,15 +48,6 @@ class ChipEnergyModel:
             total += count * self.event_energy.get(event, 0.0)
         return total
 
-    def completion_time(self, cycles: int) -> float:
-        return cycles / self.freq_hz
-
-    def average_power(self, events: Dict[str, int],
-                      cycles: int) -> float:
-        if cycles == 0:
-            return 0.0
-        return self.energy(events, cycles) / self.completion_time(cycles)
-
 
 def lim_energy_model(tech: Optional[Technology] = None,
                      freq_hz: float = LIM_FREQ_HZ) -> ChipEnergyModel:

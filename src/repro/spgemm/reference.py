@@ -10,7 +10,7 @@ that computed the right answer.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -63,14 +63,3 @@ def multiply_work(a: CSCMatrix, b: CSCMatrix) -> int:
         for k in b_rows:
             work += a.col_nnz(int(k))
     return work
-
-
-def column_products(a: CSCMatrix, b: CSCMatrix, j: int
-                    ) -> Iterator[Tuple[int, float, np.ndarray,
-                                        np.ndarray]]:
-    """Stream the (k, B[k,j], A-col rows, A-col values) tuples that form
-    C's column ``j`` — the element stream both accelerators consume."""
-    b_rows, b_values = b.column(j)
-    for k, b_kj in zip(b_rows, b_values):
-        a_rows, a_values = a.column(int(k))
-        yield int(k), float(b_kj), a_rows, a_values

@@ -17,7 +17,6 @@ one across workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 import numpy as np
 
@@ -86,26 +85,3 @@ def analyze_workload(a: CSCMatrix, b: CSCMatrix) -> WorkloadStats:
         work_weighted_fill=weighted_fill,
         compression=work / c.nnz if c.nnz else 0.0,
     )
-
-
-def fill_histogram(matrix: CSCMatrix,
-                   bins: List[int] = (1, 2, 4, 8, 16, 32, 64, 128)
-                   ) -> Dict[str, int]:
-    """Column-fill histogram (reporting utility)."""
-    counts: Dict[str, int] = {}
-    edges = list(bins)
-    for j in range(matrix.n_cols):
-        fill = matrix.col_nnz(j)
-        if fill == 0:
-            key = "0"
-        else:
-            key = None
-            for lo, hi in zip(edges, edges[1:]):
-                if lo <= fill < hi:
-                    key = f"{lo}-{hi - 1}"
-                    break
-            if key is None:
-                key = f">={edges[-1]}" if fill >= edges[-1] else \
-                    f"<{edges[0]}"
-        counts[key] = counts.get(key, 0) + 1
-    return counts

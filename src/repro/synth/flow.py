@@ -88,12 +88,6 @@ class FlowResult:
     def cell_area_um2(self) -> float:
         return sum(c.model.area for c in self.netlist.cells)
 
-    def energy_per_op(self) -> float:
-        """Energy per clock cycle at the analyzed activity (J)."""
-        if self.power is None:
-            raise SynthesisError("flow was run without stimulus/power")
-        return self.power.energy_per_cycle
-
     def summary(self) -> Dict[str, float]:
         result = {
             "fmax_hz": self.fmax,
@@ -130,11 +124,6 @@ class PartialFlowResult:
     @property
     def failed_stages(self) -> List[str]:
         return [fault.name for fault in self.faults]
-
-    @property
-    def completed_stages(self) -> List[str]:
-        return [name for name in FLOW_STAGE_NAMES
-                if name not in set(self.failed_stages)]
 
     def to_flow_result(self) -> "FlowResult":
         if not self.complete:

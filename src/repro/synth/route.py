@@ -39,10 +39,6 @@ class Parasitics:
     def total_wirelength_um(self) -> float:
         return sum(p.length_um for p in self.nets.values())
 
-    @property
-    def total_capacitance(self) -> float:
-        return sum(p.capacitance for p in self.nets.values())
-
 
 def _steiner_factor(n_pins: int) -> float:
     """HPWL underestimates multi-pin nets; the standard correction grows

@@ -6,7 +6,6 @@ from repro.cells import (
     DEFAULT_DRIVES,
     make_stdcell,
     make_stdcell_library,
-    pick_drive,
     unit_input_cap,
 )
 from repro.circuit import CATALOG, gate_type
@@ -70,6 +69,31 @@ class TestTiming:
         assert arc.delay_value(10e-12, 5e-15) > 0
 
 
+class TestDriveLadder:
+    """Across the drive ladder, a bigger cell wins at a heavy load and
+    X1 is cheapest at a light one, for every archetype in the catalog."""
+
+    @pytest.mark.parametrize("gate", sorted(CATALOG))
+    def test_bigger_drive_is_faster_at_heavy_load(self, stdlib, tech,
+                                                  gate):
+        load = 16 * max(DEFAULT_DRIVES) * unit_input_cap(tech)
+        slew = 20e-12
+        cells = [stdlib.cell(f"{gate}_X{d}") for d in DEFAULT_DRIVES]
+        for arc in cells[0].arcs:
+            delays = [c.arc(arc.from_pin, arc.to_pin).delay_value(
+                slew, load) for c in cells]
+            assert all(a > b for a, b in zip(delays, delays[1:])), \
+                (arc.from_pin, delays)
+
+    @pytest.mark.parametrize("gate", sorted(CATALOG))
+    def test_x1_is_cheapest_at_unit_load(self, stdlib, tech, gate):
+        load = unit_input_cap(tech)
+        energies = [stdlib.cell(f"{gate}_X{d}").energy_of(
+            "switch", 20e-12, load) for d in DEFAULT_DRIVES]
+        assert all(a < b for a, b in zip(energies, energies[1:])), \
+            energies
+
+
 class TestEnergyAreaLeakage:
     def test_switch_energy_grows_with_load(self, stdlib):
         inv = stdlib.cell("INV_X1")
@@ -96,22 +120,3 @@ class TestEnergyAreaLeakage:
     def test_invalid_drive_rejected(self, tech):
         with pytest.raises(LibraryError):
             make_stdcell(gate_type("INV"), 0, tech)
-
-
-class TestPickDrive:
-    def test_small_load_gets_x1(self, stdlib, tech):
-        cell = pick_drive(stdlib, "INV", unit_input_cap(tech), tech)
-        assert cell.attrs["drive"] == 1
-
-    def test_big_load_gets_bigger_drive(self, stdlib, tech):
-        c_unit = unit_input_cap(tech)
-        cell = pick_drive(stdlib, "INV", 20 * c_unit, tech)
-        assert cell.attrs["drive"] >= 4
-
-    def test_huge_load_falls_back_to_largest(self, stdlib, tech):
-        cell = pick_drive(stdlib, "INV", 1e-12, tech)
-        assert cell.attrs["drive"] == max(DEFAULT_DRIVES)
-
-    def test_unknown_gate_raises(self, stdlib, tech):
-        with pytest.raises(LibraryError):
-            pick_drive(stdlib, "NAND9", 1e-15, tech)

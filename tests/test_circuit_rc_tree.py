@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuit import RCTree, wire_tree
+from repro.circuit import RCTree
 from repro.errors import NetlistError
 from repro.units import FF, KOHM
 
@@ -102,8 +102,9 @@ class TestLadderHelpers:
 
     def test_wire_tree_matches_distributed_formula(self, tech):
         layer = tech.layer("M1")
-        tree = wire_tree(layer, 100.0, r_drive=1 * KOHM,
-                         c_load=10 * FF, n_segments=64)
+        tree = RCTree(r_drive=1 * KOHM)
+        tree.add_ladder("root", "w", layer.segments(100.0, 64),
+                        tail_cap=10 * FF)
         sink = f"w63"
         analytic = layer.elmore_delay(100.0, c_load=10 * FF,
                                       r_drive=1 * KOHM)

@@ -1,13 +1,11 @@
-"""Tests for design-space exploration, pareto fronts and chip_gen."""
+"""Tests for design-space exploration and pareto fronts."""
 
 import pytest
 
 from repro.errors import ExplorationError
 from repro.explore import (
     dominates,
-    generate_variants,
     knee_point,
-    mac_template,
     pareto_front,
 )
 from repro.session import Session
@@ -128,41 +126,3 @@ class TestBrickSelection:
         with pytest.raises(ExplorationError):
             _session(tech).optimize_brick_selection(
                 100, 8, brick_words_options=(16, 32))
-
-
-class TestChipGen:
-    def test_variant_grid(self):
-        template = mac_template(widths=(2, 3), cores=(1, 2))
-        variants = list(template.variants())
-        assert len(variants) == 4
-
-    def test_generate_limit(self):
-        modules = generate_variants(mac_template(widths=(2, 3),
-                                                 cores=(1,)), limit=1)
-        assert len(modules) == 1
-
-    def test_generated_mac_is_functional(self, stdlib):
-        from repro.rtl import LogicSimulator, elaborate
-        module = generate_variants(
-            mac_template(widths=(3,), cores=(1,)))[0]
-        sim = LogicSimulator(elaborate(module, stdlib))
-        sim.set_input("a0", 5)
-        sim.set_input("b0", 6)
-        sim.set_input("acc0", 7)
-        sim.clock()
-        assert sim.get_output("y0") == 5 * 6 + 7
-
-    def test_multi_core_variant(self, stdlib):
-        from repro.rtl import LogicSimulator, elaborate
-        module = generate_variants(
-            mac_template(widths=(2,), cores=(2,)))[0]
-        sim = LogicSimulator(elaborate(module, stdlib))
-        sim.set_input("a0", 3)
-        sim.set_input("b0", 2)
-        sim.set_input("acc0", 1)
-        sim.set_input("a1", 1)
-        sim.set_input("b1", 1)
-        sim.set_input("acc1", 0)
-        sim.clock()
-        assert sim.get_output("y0") == 7
-        assert sim.get_output("y1") == 1

@@ -15,6 +15,13 @@ from repro.explore import AUTO_SHARD_THRESHOLD, SweepEngine
 from repro.session import Session
 
 
+#: A lattice past :data:`AUTO_SHARD_THRESHOLD`, so it runs sharded.
+LARGE_LATTICE = {"total_words": [64 * k for k in range(1, 25)],
+                 "bits": list(range(2, 12)),
+                 "brick_words": [4, 8, 16, 32, 64],
+                 "shard_size": 128}
+
+
 def _session(tech):
     return Session(tech)
 
@@ -108,12 +115,6 @@ class TestShardedMode:
         assert [d for d, _ in calls] == \
             list(range(1, result.shards_total + 1))
 
-    def test_iter_shards_streams_and_finalizes(self, tech):
-        engine = self._engine(tech)
-        shards = list(engine.iter_shards())
-        assert len(shards) == engine.plan().n_shards
-        assert engine.frontier()  # result is ready after the stream
-
     def test_counters_and_spans(self, tech):
         from repro.obs import MetricsRegistry, Tracer
         session = Session(tech)
@@ -162,11 +163,9 @@ class TestServeProgress:
         harness = ServerHarness()
         try:
             with harness.client() as c:
-                summary = c.sweep(total_words=[64, 128, 256],
-                                  bits=[8, 16],
-                                  brick_words=[16, 32, 64],
-                                  mode="sharded", shard_size=4)
+                summary = c.sweep(**LARGE_LATTICE)
                 stats = c.stats()
+            assert summary["lattice_points"] > AUTO_SHARD_THRESHOLD
             assert summary["mode"] == "sharded"
             assert summary["shards_total"] > 1
             assert summary["shards_done"] == summary["shards_total"]
@@ -179,11 +178,9 @@ class TestServeProgress:
 class TestCLI:
     def test_scale_flags_parse(self):
         args = build_parser().parse_args(
-            ["sweep", "--total-words", "64", "128", "--mode",
-             "sharded", "--shard-size", "4", "--top-k", "8",
-             "--refine", "1"])
+            ["sweep", "--total-words", "64", "128",
+             "--shard-size", "4", "--top-k", "8", "--refine", "1"])
         assert args.total_words == [64, 128]
-        assert args.mode == "sharded"
         assert args.shard_size == 4
         assert args.top_k == 8
         assert args.refine == 1
@@ -191,14 +188,15 @@ class TestCLI:
     def test_default_sweep_unchanged(self):
         args = build_parser().parse_args(["sweep"])
         assert args.total_words == [128]
-        assert args.mode == "auto"
         assert args.refine == 0
 
     def test_sharded_sweep_command(self, capsys):
-        assert main(["sweep", "--total-words", "64", "128", "256",
-                     "--bits", "8", "16", "--brick-words", "16", "32",
-                     "64", "--mode", "sharded", "--shard-size",
-                     "4"]) == 0
+        lattice = LARGE_LATTICE
+        assert main(["sweep",
+                     "--total-words", *map(str, lattice["total_words"]),
+                     "--bits", *map(str, lattice["bits"]),
+                     "--brick-words", *map(str, lattice["brick_words"]),
+                     "--shard-size", str(lattice["shard_size"])]) == 0
         out = capsys.readouterr()
         assert "sharded sweep" in out.err
         assert "pareto-optimal" in out.out
@@ -206,6 +204,15 @@ class TestCLI:
     def test_client_sweep_scale_flags_parse(self):
         args = build_parser().parse_args(
             ["client", "--port", "1", "sweep", "--total-words",
-             "64", "128", "--mode", "sharded", "--shard-size", "4"])
+             "64", "128", "--shard-size", "4"])
         assert args.total_words == [64, 128]
-        assert args.mode == "sharded"
+        assert args.shard_size == 4
+
+    @pytest.mark.parametrize("prefix", [[], ["client", "--port", "1"]])
+    def test_mode_flag_rejected(self, prefix, capsys):
+        """The sweep mode follows from the lattice size alone."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                prefix + ["sweep", "--mode", "sharded"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err

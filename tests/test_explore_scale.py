@@ -167,8 +167,8 @@ class TestAccumulatorProperty:
         shards = []
         for start, stop in shard_bounds(len(rows), shard_size):
             local = ParetoAccumulator()
-            local.add_array(keys[start:stop], keys[start:stop],
-                            rows[start:stop])
+            for key in keys[start:stop]:
+                local.add(key, key, rows[key])
             shards.append(local)
         rng.shuffle(shards)
         merged = ParetoAccumulator()

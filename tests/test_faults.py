@@ -35,7 +35,6 @@ from repro.rtl import (
     as_bus,
     build_secded_decoder,
     build_secded_encoder,
-    ecc_bank_config,
     elaborate,
     secded_decode,
     secded_encode,
@@ -172,14 +171,6 @@ class TestSecded:
                 b << i for i, b in enumerate(ref.data))
             assert bool(sim.get_output("err")) == (ref.status != "ok")
             assert bool(sim.get_output("ded")) == ref.uncorrectable
-
-    def test_ecc_bank_config_widens_words(self):
-        from repro.bricks import single_partition
-        config = single_partition(sram_brick(16, 8), 32)
-        wide = ecc_bank_config(config)
-        assert wide.bits == 8 + secded_parity_bits(8)
-        assert wide.words == config.words
-        assert wide.stack == config.stack
 
 
 class TestRepair:

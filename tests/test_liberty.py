@@ -68,20 +68,31 @@ class TestLUT2D:
         lut = _lut().scaled(2.0)
         assert lut.value(1.0, 10.0) == pytest.approx(2.0)
 
-    def test_fit_plane_exact_for_planar_data(self):
-        lut = LUT2D.from_function(lambda s, ld: 3.0 + 2.0 * s + 0.5 * ld,
-                                  (0.0, 1.0, 2.0), (0.0, 4.0))
-        k0, k1, k2, err = lut.fit_plane()
-        assert k0 == pytest.approx(3.0)
-        assert k1 == pytest.approx(2.0)
-        assert k2 == pytest.approx(0.5)
-        assert err == pytest.approx(0.0, abs=1e-9)
+    def test_single_row_interpolates_along_loads_only(self):
+        row = LUT2D((1.0,), (1.0, 2.0, 3.0), ((1.0, 4.0, 9.0),))
+        assert row.value(-7.0, 2.5) == pytest.approx(6.5)
+        assert row.value(9.9, 2.5) == pytest.approx(6.5)
+        assert row.value(1.0, 4.0) == pytest.approx(14.0)  # extrapolated
 
-    def test_fit_plane_reports_residual(self):
-        lut = LUT2D.from_function(lambda s, ld: s * ld, (0.0, 1.0, 2.0),
-                                  (0.0, 1.0, 2.0))
-        *_, err = lut.fit_plane()
-        assert err > 0
+    def test_single_column_interpolates_along_slews_only(self):
+        col = LUT2D((1.0, 2.0, 3.0), (1.0,), ((1.0,), (4.0,), (9.0,)))
+        assert col.value(1.5, -7.0) == pytest.approx(2.5)
+        assert col.value(1.5, 9.9) == pytest.approx(2.5)
+        assert col.value(0.0, 1.0) == pytest.approx(-2.0)  # extrapolated
+
+    def test_duplicate_axis_points_rejected(self):
+        with pytest.raises(LibraryError):
+            LUT2D((1.0, 1.0), (0.0,), ((1.0,), (2.0,)))
+
+    def test_characterized_brick_lut_hits_its_grid(self, fig3_library):
+        arc = fig3_library.cell("brick_16_10_s2").arc("CLK", "ARBL")
+        lut = arc.delay
+        for i, s in enumerate(lut.slews):
+            for j, ld in enumerate(lut.loads):
+                assert lut.value(s, ld) == lut.values[i][j]
+        mid = lut.slews[len(lut.slews) // 2]
+        delays = [lut.value(mid, ld) for ld in lut.loads]
+        assert delays == sorted(delays)
 
     def test_from_grid_matches_from_function(self):
         fn = lambda s, ld: 1.0 + 2.0 * s + 3.0 * ld  # noqa: E731
@@ -89,67 +100,6 @@ class TestLUT2D:
         grid = [[fn(s, ld) for ld in loads] for s in slews]
         assert LUT2D.from_grid(slews, loads, grid) == \
             LUT2D.from_function(fn, slews, loads)
-
-
-class TestLUT2DVectorized:
-    """value_many must be bit-identical to the scalar value()."""
-
-    def _assert_matches_scalar(self, lut, slews, loads):
-        import numpy as np
-        got = lut.value_many(np.asarray(slews), np.asarray(loads))
-        for s, ld, v in zip(slews, loads, got):
-            assert v == lut.value(s, ld)  # exact, not approx
-
-    def test_grid_interior_and_extrapolation(self):
-        lut = _lut()
-        slews = [1.0, 1.5, 2.0, 0.2, 5.0, 1.0, 1.99]
-        loads = [10.0, 15.0, 30.0, 5.0, 50.0, -3.0, 29.0]
-        self._assert_matches_scalar(lut, slews, loads)
-
-    def test_single_point_lut(self):
-        lut = LUT2D.constant(7.5)
-        self._assert_matches_scalar(lut, [0.0, 1.0, -2.0],
-                                    [0.0, 3.0, 9.0])
-
-    def test_single_row_and_column_luts(self):
-        row = LUT2D((1.0,), (1.0, 2.0, 3.0), ((1.0, 4.0, 9.0),))
-        col = LUT2D((1.0, 2.0, 3.0), (1.0,),
-                    ((1.0,), (4.0,), (9.0,)))
-        self._assert_matches_scalar(row, [1.0, 9.9, 0.0],
-                                    [0.5, 2.5, 3.5])
-        self._assert_matches_scalar(col, [0.5, 2.5, 3.5],
-                                    [1.0, 9.9, 0.0])
-
-    def test_broadcasting_scalar_against_array(self):
-        import numpy as np
-        lut = _lut()
-        loads = np.array([5.0, 15.0, 25.0, 35.0])
-        got = lut.value_many(1.5, loads)
-        assert got.shape == loads.shape
-        for ld, v in zip(loads, got):
-            assert v == lut.value(1.5, ld)
-
-    def test_outer_grid_shape(self):
-        import numpy as np
-        lut = _lut()
-        s = np.array([[1.0], [1.5], [2.0]])   # 3x1
-        ld = np.array([[12.0, 22.0]])          # 1x2
-        got = lut.value_many(s, ld)
-        assert got.shape == (3, 2)
-        for i in range(3):
-            for j in range(2):
-                assert got[i, j] == lut.value(s[i, 0], ld[0, j])
-
-    def test_characterized_brick_lut(self, fig3_library):
-        import numpy as np
-        cell = fig3_library.cell("brick_16_10_s2")
-        arc = cell.arc("CLK", "ARBL")
-        rng = np.random.default_rng(42)
-        slews = rng.uniform(0.0, 1e-9, size=64)
-        loads = rng.uniform(0.0, 2e-13, size=64)
-        got = arc.delay.value_many(slews, loads)
-        for s, ld, v in zip(slews, loads, got):
-            assert v == arc.delay.value(s, ld)
 
 
 def _cell():

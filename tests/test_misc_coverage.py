@@ -135,28 +135,6 @@ class TestComponentEdgeCases:
             sim.settle()
             assert sim.get_output("y") == i % 4
 
-    def test_encode_onehot_non_power_width(self, stdlib):
-        from repro.rtl import (
-            LogicSimulator, Module, as_bus, elaborate, encode_onehot)
-        m = Module("enc")
-        m.input("clk")
-        onehot = as_bus(m.input("oh", 5))
-        m.alias(m.output("i", 3), encode_onehot(m, onehot))
-        sim = LogicSimulator(elaborate(m, stdlib))
-        for i in range(5):
-            sim.set_input("oh", 1 << i)
-            sim.settle()
-            assert sim.get_output("i") == i
-
-    def test_mux_tree_wrong_option_count_rejected(self, stdlib):
-        from repro.errors import RTLError
-        from repro.rtl import Module, as_bus, mux_tree
-        m = Module("bad")
-        options = [as_bus(m.input(f"d{i}", 2)) for i in range(3)]
-        sel = as_bus(m.input("sel", 2))
-        with pytest.raises(RTLError):
-            mux_tree(m, options, sel)
-
 
 class TestDramThrash:
     def test_alternating_rows_always_miss(self):

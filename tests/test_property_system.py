@@ -1,22 +1,14 @@
 """Property-based tests across system-level components.
 
-Liberty round trips, blocking/tiling decompositions, the sorted FIFO
-against its reference, and workload-statistics invariants.
+Liberty round trips, blocking decompositions and workload-statistics
+invariants.
 """
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.spgemm import (
-    CSCMatrix,
-    column_blocks,
-    kblock_spgemm,
-    row_block,
-    spgemm_gustavson,
-    tiled_spgemm,
-)
+from repro.spgemm import CSCMatrix, column_blocks
 
 _settings = settings(max_examples=20, deadline=None,
                      suppress_health_check=[
@@ -48,38 +40,6 @@ class TestBlockingProperties:
         assert sum(b.nnz for b in blocks) == matrix.nnz
         assert sum(b.width for b in blocks) == matrix.n_cols
 
-    @given(matrices(), st.integers(1, 8))
-    @_settings
-    def test_row_blocks_reassemble(self, matrix, tile):
-        pieces = []
-        for start in range(0, matrix.n_rows, tile):
-            stop = min(start + tile, matrix.n_rows)
-            pieces.append(row_block(matrix, start, stop).to_dense())
-        rebuilt = np.vstack(pieces)
-        assert np.array_equal(rebuilt, matrix.to_dense())
-
-
-class TestTilingProperties:
-    @given(st.data())
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_tiled_and_kblocked_match_golden(self, data):
-        from repro.spgemm import CAMGeometry, CAMSpGEMMAccelerator
-        n = data.draw(st.integers(4, 20))
-        k = data.draw(st.integers(4, 20))
-        m = data.draw(st.integers(4, 20))
-        a = _matrix(data.draw, n, k)
-        b = _matrix(data.draw, k, m)
-        golden = spgemm_gustavson(a, b)
-        chip = CAMSpGEMMAccelerator(CAMGeometry(index_bits=10))
-        tile = data.draw(st.integers(2, n))
-        kblk = data.draw(st.integers(2, k))
-        tiled = tiled_spgemm(chip, a, b, tile_rows=tile)
-        blocked = kblock_spgemm(chip, a, b, k_block=kblk)
-        assert tiled.result.allclose(golden)
-        assert np.allclose(blocked.result.to_dense(),
-                           golden.to_dense())
-
 
 class TestLibertyRoundtripProperty:
     @given(gates=st.lists(st.sampled_from(
@@ -105,36 +65,6 @@ class TestLibertyRoundtripProperty:
                 assert arc_b.delay_value(1e-11, 5e-15) == \
                     pytest.approx(arc_a.delay_value(1e-11, 5e-15),
                                   rel=1e-3)
-
-
-class TestSortedFifoProperty:
-    @given(stream=st.lists(st.integers(0, 15), min_size=1,
-                           max_size=12),
-           depth=st.integers(2, 5))
-    @settings(max_examples=8, deadline=None,
-              suppress_health_check=[
-                  HealthCheck.too_slow,
-                  HealthCheck.function_scoped_fixture])
-    def test_gate_level_fifo_matches_reference(self, stream, depth,
-                                               stdlib):
-        from repro.rtl import (
-            LogicSimulator, build_sorted_fifo, elaborate,
-            sorted_fifo_reference)
-        module = build_sorted_fifo(depth, 4)
-        sim = LogicSimulator(elaborate(module, stdlib))
-        for key in stream:
-            sim.set_input("key_in", key)
-            sim.set_input("insert", 1)
-            sim.clock()
-        expected_keys, expected_valid = sorted_fifo_reference(
-            stream, depth)
-        keys_word = sim.get_output("keys")
-        valid_word = sim.get_output("valid")
-        got_keys = [(keys_word >> (s * 4)) & 15 for s in range(depth)]
-        got_valid = [(valid_word >> s) & 1 == 1 for s in range(depth)]
-        n_valid = sum(expected_valid)
-        assert got_keys[:n_valid] == expected_keys[:n_valid]
-        assert got_valid == expected_valid
 
 
 class TestStatsProperties:

@@ -12,17 +12,26 @@ from repro.rtl import (
     LogicSimulator,
     Module,
     as_bus,
+    and2,
+    and_tree,
+    buf,
     decoder,
     elaborate,
-    encode_onehot,
     equals,
+    inv,
     multiplier,
-    mux_tree,
+    mux2,
+    nand2,
     onehot_mux,
-    priority_encoder,
+    or2,
+    or_tree,
     register,
     ripple_adder,
+    xnor2,
+    xor2,
+    xor_tree,
 )
+from repro.errors import RTLError
 
 
 def _harness(build):
@@ -35,6 +44,66 @@ def _harness(build):
 
 def _sim(m, stdlib):
     return LogicSimulator(elaborate(m, stdlib))
+
+
+class TestGatePrimitives:
+    """Each one-cell generator against its truth table."""
+
+    @pytest.mark.parametrize("gen,arity,fn", [
+        (inv, 1, lambda a: 1 - a),
+        (buf, 1, lambda a: a),
+        (and2, 2, lambda a, b: a & b),
+        (or2, 2, lambda a, b: a | b),
+        (nand2, 2, lambda a, b: 1 - (a & b)),
+        (xor2, 2, lambda a, b: a ^ b),
+        (xnor2, 2, lambda a, b: 1 - (a ^ b)),
+        (mux2, 3, lambda a, b, sel: b if sel else a),
+    ], ids=["inv", "buf", "and2", "or2", "nand2", "xor2", "xnor2",
+            "mux2"])
+    def test_truth_table(self, stdlib, gen, arity, fn):
+        def build(m):
+            ins = [m.input(f"i{k}") for k in range(arity)]
+            m.alias(as_bus(m.output("y")), as_bus(gen(m, *ins)))
+        m = _harness(build)
+        sim = _sim(m, stdlib)
+        for bits in itertools.product((0, 1), repeat=arity):
+            for k, bit in enumerate(bits):
+                sim.set_input(f"i{k}", bit)
+            sim.settle()
+            assert sim.get_output("y") == fn(*bits), bits
+
+
+_TREES = {
+    "and": (and_tree, lambda word, width: int(word == (1 << width) - 1)),
+    "or": (or_tree, lambda word, width: int(word != 0)),
+    "xor": (xor_tree, lambda word, width: bin(word).count("1") & 1),
+}
+
+
+class TestReductionTrees:
+    """The balanced reductions take one to many levels of mixed-arity
+    cells; widths are chosen so each tree ends on a partial group."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 9])
+    @pytest.mark.parametrize("kind", sorted(_TREES))
+    def test_exhaustive(self, stdlib, kind, width):
+        tree, fn = _TREES[kind]
+
+        def build(m):
+            a = as_bus(m.input("a", width))
+            m.alias(as_bus(m.output("y")), as_bus(tree(m, list(a))))
+        m = _harness(build)
+        sim = _sim(m, stdlib)
+        for word in range(1 << width):
+            sim.set_input("a", word)
+            sim.settle()
+            assert sim.get_output("y") == fn(word, width), word
+
+    @pytest.mark.parametrize("kind", sorted(_TREES))
+    def test_empty_input_rejected(self, kind):
+        tree, _ = _TREES[kind]
+        with pytest.raises(RTLError):
+            tree(Module("empty"), [])
 
 
 class TestDecoder:
@@ -79,21 +148,6 @@ class TestMuxes:
             sim.set_input(f"d{i}", v)
         for i in range(4):
             sim.set_input("sel", 1 << i)
-            sim.settle()
-            assert sim.get_output("y") == values[i]
-
-    def test_mux_tree_binary_select(self, stdlib):
-        def build(m):
-            options = [as_bus(m.input(f"d{i}", 3)) for i in range(4)]
-            sel = as_bus(m.input("sel", 2))
-            m.alias(m.output("y", 3), mux_tree(m, options, sel))
-        m = _harness(build)
-        sim = _sim(m, stdlib)
-        values = [1, 4, 7, 2]
-        for i, v in enumerate(values):
-            sim.set_input(f"d{i}", v)
-        for i in range(4):
-            sim.set_input("sel", i)
             sim.settle()
             assert sim.get_output("y") == values[i]
 
@@ -142,38 +196,6 @@ class TestArithmetic:
             sim.set_input("b", y)
             sim.settle()
             assert sim.get_output("eq") == int(x == y)
-
-
-class TestEncoders:
-    def test_priority_encoder_lowest_wins(self, stdlib):
-        def build(m):
-            reqs = as_bus(m.input("r", 6))
-            grant, valid = priority_encoder(m, reqs)
-            m.alias(m.output("g", 6), grant)
-            m.alias(as_bus(m.output("v")), as_bus(valid))
-        m = _harness(build)
-        sim = _sim(m, stdlib)
-        for pattern in range(64):
-            sim.set_input("r", pattern)
-            sim.settle()
-            grant = sim.get_output("g")
-            valid = sim.get_output("v")
-            if pattern == 0:
-                assert grant == 0 and valid == 0
-            else:
-                lowest = pattern & -pattern
-                assert grant == lowest and valid == 1
-
-    def test_encode_onehot(self, stdlib):
-        def build(m):
-            onehot = as_bus(m.input("oh", 8))
-            m.alias(m.output("i", 3), encode_onehot(m, onehot))
-        m = _harness(build)
-        sim = _sim(m, stdlib)
-        for i in range(8):
-            sim.set_input("oh", 1 << i)
-            sim.settle()
-            assert sim.get_output("i") == i
 
 
 class TestRegister:

@@ -112,6 +112,18 @@ class TestRoundTrips:
         assert one["artifact"] == two["artifact"]
         assert one["fingerprint"] == two["fingerprint"]
 
+    def test_sweep_mode_param_is_ignored(self, harness):
+        """A sweep's artifact is keyed by its lattice alone, so a
+        client cannot pick the mode: ``mode="sharded"`` on the Fig-4c
+        lattice returns the same full 9-row table as the default."""
+        with harness.client() as c:
+            forced = c.sweep_data(mode="sharded", **SWEEP_PARAMS)
+            default = c.sweep_data(**SWEEP_PARAMS)
+        assert len(forced["points"]) == 9
+        assert forced["artifact"] == default["artifact"]
+        assert forced["points"] == default["points"]
+        assert forced["pareto"] == default["pareto"]
+
     def test_yield_matches_local_analysis(self, harness):
         from repro.bricks.spec import BrickSpec
         from repro.faults import RepairPlan, analyze_yield

@@ -127,6 +127,16 @@ class TestAcceleratorsEndToEnd:
         with pytest.raises(AcceleratorError):
             HeapSpGEMMAccelerator().simulate(a, b)
 
+    def test_oversized_matrix_rejected(self):
+        # A 6-bit index CAM can only address 64 rows.
+        chip = CAMSpGEMMAccelerator(CAMGeometry(index_bits=6))
+        a = random_sparse(100, 20, 0.1, seed=4)
+        b = random_sparse(20, 20, 0.1, seed=5)
+        with pytest.raises(AcceleratorError) as exc:
+            chip.simulate(a, b)
+        assert str(exc.value) == (
+            "100 rows exceed the 6-bit index CAM (at most 64 rows)")
+
     def test_heap_cycles_exceed_cam_cycles(self):
         a = random_sparse(30, 30, 0.25, seed=3)
         b = random_sparse(30, 30, 0.25, seed=4)

@@ -9,7 +9,6 @@ from repro.spgemm import (
     HeapSpGEMMAccelerator,
     analyze_workload,
     benchmark_suite,
-    fill_histogram,
     random_sparse,
 )
 
@@ -84,16 +83,3 @@ class TestSpeedupModel:
         measured_at_predicted_min = measured[
             predicted.index(min(predicted))]
         assert measured_at_predicted_min <= min(measured) * 1.15
-
-
-class TestFillHistogram:
-    def test_bins_cover_all_columns(self):
-        m = random_sparse(30, 30, 0.2, seed=11)
-        histogram = fill_histogram(m)
-        assert sum(histogram.values()) == m.n_cols
-
-    def test_empty_columns_binned_as_zero(self):
-        m = CSCMatrix.from_coo(4, 4, [(0, 0, 1.0)])
-        histogram = fill_histogram(m)
-        assert histogram["0"] == 3
-        assert histogram["1-1"] == 1
