@@ -241,11 +241,14 @@ class SweepEngine:
         else:
             shards = tuple(shard_bounds(n, self.shard_size))
         space = self.space
+        # The resolved mode shapes the result (a sharded run keeps only
+        # the frontier and top-K), so it is part of the fingerprint; an
+        # explicit mode equal to what auto picks shares its key.
         fp = cache_key("explore-plan", space.memory_types,
                        space.total_words_options, space.bits_options,
                        space.brick_words_options,
                        list(self.objectives), self.top_k,
-                       self.shard_size, self.session.tech)
+                       self.shard_size, mode, self.session.tech)
         self._plan = ScalePlan(space=space,
                                objectives=self.objectives,
                                top_k=self.top_k,

@@ -3,8 +3,9 @@
 The paper's brick methodology lives or dies on manufacturability:
 Section 5 argues small bricks with shared periphery keep the custom
 blocks yield-friendly.  This package quantifies that claim.  A
-:class:`DefectModel` samples manufacturing defects over a brick's
-geometry deterministically from the session master seed;
+:class:`DefectModel` draws manufacturing defects over a brick's
+geometry as a :class:`~repro.faults.defects.DefectPopulation` over
+counter-based streams keyed by the session master seed;
 :func:`analyze_yield` turns a sampled population into per-brick and
 per-bank yield before and after repair (spare rows/columns in the
 brick stack, optional SEC-DED word extension from

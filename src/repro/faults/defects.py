@@ -1,4 +1,4 @@
-"""Seed-derived manufacturing-defect sampling over brick geometry.
+"""Manufacturing-defect populations over brick geometry.
 
 Four mechanisms, each scoped to the physical structure it breaks:
 
@@ -12,10 +12,23 @@ mechanism                 site population         effect
 ========================  ======================  =====================
 
 Defect counts are Poisson in (rate x sites) — the standard spot-defect
-yield model — and positions are drawn without replacement, all from a
-caller-supplied :class:`random.Random` so a
-:meth:`Session.rng <repro.session.Session.rng>` stream makes the whole
-population a pure function of the master seed.
+yield model — capped at the site count.  Every draw comes from the
+splitmix64 counter streams of :mod:`repro.signoff.rng`, under a defect
+sub-key of the caller's stream key, at a counter fixed by the die's
+index, the mechanism and a slot::
+
+    counter = die << 32 | mechanism << 24 | slot
+
+Slot 0 is the uniform whose inverse Poisson CDF is the mechanism's
+count; slots 1..count place its defects.  A stuck cell and its stuck
+value come from one scaled uniform, with replacement; bridged row
+pairs, weak sense amps and open vias are distinct sites, drawn without
+replacement by Floyd's algorithm.  Die ``i``'s defects therefore depend
+only on ``(key, i)``: :meth:`DefectModel.population` draws dies
+``[start, stop)`` as array operations, and any chunking of ``[0, N)``
+draws the same dies.  A :class:`DefectPopulation` holds the count
+columns of every die and the positions of the few defective ones;
+:func:`inject` is its one-die view.
 """
 
 from __future__ import annotations
@@ -23,9 +36,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
-import random
+import numpy as np
 
 from ..bricks.spec import BrickSpec
 from ..errors import FaultError
@@ -39,6 +52,9 @@ OPEN_VIA = "open_via"
 
 DEFECT_KINDS: Tuple[str, ...] = (
     STUCK_AT_0, STUCK_AT_1, WORDLINE_BRIDGE, WEAK_SENSE, OPEN_VIA)
+
+#: Mechanism columns of a :class:`DefectPopulation`, in counter order.
+STUCK, BRIDGE, WEAK, VIA = range(4)
 
 
 @dataclass(frozen=True)
@@ -55,34 +71,6 @@ class Defect:
             raise FaultError(
                 f"unknown defect kind {self.kind!r}; known: "
                 f"{DEFECT_KINDS}")
-
-
-def _poisson(rng: random.Random, threshold: Optional[float]) -> int:
-    """Knuth's product-of-uniforms Poisson sampler (lam is small).
-
-    ``threshold`` is ``exp(-lam)``, or ``None`` when ``lam <= 0``: then
-    the count is 0 and nothing is drawn from ``rng``.
-    """
-    if threshold is None:
-        return 0
-    count, product = 0, rng.random()
-    while product > threshold:
-        count += 1
-        product *= rng.random()
-    return count
-
-
-@functools.lru_cache(maxsize=64)
-def _thresholds(model: "DefectModel",
-                spec: BrickSpec) -> Tuple[Optional[float], ...]:
-    """Poisson thresholds of the four mechanisms of one brick geometry:
-    stuck cells, bridged row pairs, weak sense amps, open vias."""
-    rates = ((model.p_stuck_at, spec.words * spec.bits),
-             (model.p_wordline_bridge, spec.words - 1),
-             (model.p_weak_sense, spec.bits),
-             (model.p_open_via, spec.bits))
-    return tuple(math.exp(-(rate * sites)) if rate * sites > 0.0
-                 else None for rate, sites in rates)
 
 
 @dataclass(frozen=True)
@@ -110,35 +98,121 @@ class DefectModel:
         if self.weak_sense_derate < 1.0:
             raise FaultError("weak_sense_derate must be >= 1")
 
-    def sample(self, spec: BrickSpec,
-               rng: random.Random) -> Tuple[Defect, ...]:
-        """Draw one brick's defects.  Deterministic in ``rng`` state.
+    def population(self, spec: BrickSpec, key: int, start: int,
+                   stop: int) -> "DefectPopulation":
+        """Draw the defects of dies ``[start, stop)`` of stream ``key``.
 
-        A mechanism whose Poisson count is 0 draws no positions, which
-        is exactly what ``rng.sample(population, 0)`` would consume.
+        Die ``i``'s draws sit at counters fixed by ``i`` alone (see the
+        module docstring), so the population of ``[0, N)`` equals the
+        concatenation of any chunking of it.
         """
-        defects = []
-        stuck, bridge, weak, via = _thresholds(self, spec)
-        n_cells = spec.words * spec.bits
-        for _ in range(min(_poisson(rng, stuck), n_cells)):
-            cell = rng.randrange(n_cells)
-            kind = STUCK_AT_1 if rng.random() < 0.5 else STUCK_AT_0
-            defects.append(Defect(kind, row=cell // spec.bits,
-                                  bit=cell % spec.bits))
-        n_pairs = spec.words - 1
-        count = min(_poisson(rng, bridge), n_pairs)
-        if count:
-            for pair in sorted(rng.sample(range(n_pairs), count)):
-                defects.append(Defect(WORDLINE_BRIDGE, row=pair))
-        count = min(_poisson(rng, weak), spec.bits)
-        if count:
-            for bit in sorted(rng.sample(range(spec.bits), count)):
-                defects.append(Defect(WEAK_SENSE, bit=bit))
-        count = min(_poisson(rng, via), spec.bits)
-        if count:
-            for bit in sorted(rng.sample(range(spec.bits), count)):
-                defects.append(Defect(OPEN_VIA, bit=bit))
-        return tuple(defects)
+        # Deferred import: repro.signoff imports this package.
+        from ..signoff.rng import stream_key
+        if not 0 <= start <= stop:
+            raise FaultError(f"bad die range [{start}, {stop})")
+        dkey = stream_key(key, "defect")
+        sites = _sites(spec)
+        dies = np.arange(start, stop, dtype=np.uint64)
+        u = _uniforms(dkey, _counters(dies[:, None],
+                                      np.arange(len(sites))[None, :], 0))
+        counts = np.empty(u.shape, dtype=np.int64)
+        for m, cdf in enumerate(_count_cdfs(self, spec)):
+            counts[:, m] = np.searchsorted(cdf, u[:, m])
+        positions: List[np.ndarray] = []
+        for m, n_sites in enumerate(sites):
+            rows = np.flatnonzero(counts[:, m])
+            draw = _with_replacement if m == STUCK else _floyd
+            positions.append(draw(dkey, m, n_sites, start + rows,
+                                  counts[rows, m]))
+        return DefectPopulation(spec=spec, model=self, counts=counts,
+                                positions=tuple(positions))
+
+
+def _sites(spec: BrickSpec) -> Tuple[int, int, int, int]:
+    """Site counts of the four mechanisms: bitcells, adjacent row
+    pairs, sense amps, via stacks.  At most 1024 x 256 bitcells, so a
+    die's slots never overflow the 2^24 of its mechanism."""
+    return (spec.words * spec.bits, spec.words - 1, spec.bits,
+            spec.bits)
+
+
+def _poisson_cdf(lam: float, cap: int) -> np.ndarray:
+    """``P(count <= k)`` for ``k < cap`` under Poisson(``lam``).
+
+    The table stops where the tail no longer changes the sum, so a
+    uniform above its last entry (probability < 1e-15) draws the count
+    of that entry's length.  ``lam == 0`` gives an empty table: every
+    count is 0.  Terms come from ``lgamma`` in log space, so a large
+    ``lam`` does not underflow ``exp(-lam)``.
+    """
+    cdf: List[float] = []
+    if lam > 0.0:
+        log_lam, total = math.log(lam), 0.0
+        for k in range(cap):
+            p = math.exp(k * log_lam - lam - math.lgamma(k + 1))
+            if k > lam and total + p == total:
+                break
+            total += p
+            cdf.append(total)
+    return np.array(cdf, dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=64)
+def _count_cdfs(model: "DefectModel",
+                spec: BrickSpec) -> Tuple[np.ndarray, ...]:
+    """Count CDF tables of the four mechanisms of one brick geometry."""
+    rates = (model.p_stuck_at, model.p_wordline_bridge,
+             model.p_weak_sense, model.p_open_via)
+    return tuple(_poisson_cdf(rate * sites, sites)
+                 for rate, sites in zip(rates, _sites(spec)))
+
+
+def _uniforms(dkey: int, counters: np.ndarray) -> np.ndarray:
+    # Deferred import: repro.signoff imports this package.
+    from ..signoff.rng import uniforms
+    return uniforms(dkey, counters)
+
+
+def _counters(dies, mechanism, slot) -> np.ndarray:
+    """Stream counters of ``(die, mechanism, slot)`` (broadcasting)."""
+    return ((np.asarray(dies, dtype=np.uint64) << np.uint64(32))
+            + (np.asarray(mechanism, dtype=np.uint64) << np.uint64(24))
+            + np.asarray(slot, dtype=np.uint64))
+
+
+def _with_replacement(dkey: int, mechanism: int, n_sites: int,
+                      dies: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Stuck-cell codes ``2 * cell + value`` of the given dies, die by
+    die in draw order: slot ``s`` of a die is its ``s``-th stuck cell."""
+    total = int(counts.sum())
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    slot = np.arange(1, total + 1, dtype=np.int64) - first
+    u = _uniforms(dkey, _counters(np.repeat(dies, counts), mechanism,
+                                  slot))
+    return np.floor((1.0 - u) * (2 * n_sites)).astype(np.int64)
+
+
+def _floyd(dkey: int, mechanism: int, n_sites: int,
+           dies: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Distinct sites of the given dies, die by die in ascending order.
+
+    Floyd's algorithm, one step across all dies at a time: a die of
+    count ``k`` takes, at step ``s``, ``t = floor(u * (j + 1))`` with
+    ``j = n_sites - k + s``, or ``j`` itself when ``t`` is taken.
+    """
+    if not counts.size:
+        return np.zeros(0, dtype=np.int64)
+    picks = np.full((counts.size, int(counts.max())), n_sites,
+                    dtype=np.int64)
+    for s in range(picks.shape[1]):
+        live = np.flatnonzero(counts > s)
+        j = n_sites - counts[live] + s
+        u = _uniforms(dkey, _counters(dies[live], mechanism, s + 1))
+        t = np.floor((1.0 - u) * (j + 1)).astype(np.int64)
+        taken = (picks[live, :s] == t[:, None]).any(axis=1)
+        picks[live, s] = np.where(taken, j, t)
+    picks.sort(axis=1)
+    return picks[picks < n_sites]
 
 
 @dataclass(frozen=True)
@@ -194,7 +268,75 @@ class FaultyBrick:
         return tech.scaled(r_scale=derate, name_suffix="@weak-sense")
 
 
-def inject(spec: BrickSpec, model: DefectModel,
-           rng: random.Random) -> FaultyBrick:
-    """Sample one brick instance's defects into a :class:`FaultyBrick`."""
-    return FaultyBrick(spec=spec, defects=model.sample(spec, rng))
+@dataclass(frozen=True)
+class DefectPopulation:
+    """The defects of ``n`` consecutive dies of one stream.
+
+    ``counts`` is ``(n, 4)``: per die, the stuck cells, bridged row
+    pairs, weak sense amps and open vias (columns :data:`STUCK`,
+    :data:`BRIDGE`, :data:`WEAK`, :data:`VIA`).  ``positions[m]`` holds
+    mechanism ``m``'s sites of every die, die by die (stuck cells as
+    ``2 * cell + value``).  Yield and derate are column operations;
+    only a defective die needs its :meth:`brick`.
+    """
+
+    spec: BrickSpec
+    model: DefectModel
+    counts: np.ndarray
+    positions: Tuple[np.ndarray, ...]
+
+    @property
+    def perfect(self) -> np.ndarray:
+        """Bool column: the die has no defect at all."""
+        return ~self.counts.any(axis=1)
+
+    def defective(self) -> np.ndarray:
+        """Row indices of the dies with at least one defect."""
+        return np.flatnonzero(self.counts.any(axis=1))
+
+    def derate(self) -> np.ndarray:
+        """Unrepaired read-path derate column
+        (:meth:`FaultyBrick.delay_derate` of every die)."""
+        return np.where(self.counts[:, WEAK] > 0,
+                        self.model.weak_sense_derate, 1.0)
+
+    def kind_counts(self) -> Dict[str, int]:
+        """Defects sampled per kind, over kinds that occurred."""
+        ones = int((self.positions[STUCK] & 1).sum())
+        totals = self.counts.sum(axis=0)
+        counts = {STUCK_AT_0: int(totals[STUCK]) - ones,
+                  STUCK_AT_1: ones,
+                  WORDLINE_BRIDGE: int(totals[BRIDGE]),
+                  WEAK_SENSE: int(totals[WEAK]),
+                  OPEN_VIA: int(totals[VIA])}
+        return {kind: n for kind, n in counts.items() if n}
+
+    @functools.cached_property
+    def _ends(self) -> np.ndarray:
+        """Per die and mechanism, the end of its run in ``positions``."""
+        return np.cumsum(self.counts, axis=0)
+
+    def brick(self, row: int) -> FaultyBrick:
+        """Die ``row`` of the population as a :class:`FaultyBrick`:
+        stuck cells in draw order, then bridges, weak sense amps and
+        open vias, each in ascending site order."""
+        hi = self._ends[row]
+        lo = hi - self.counts[row]
+        bits = self.spec.bits
+        sites = [self.positions[m][lo[m]:hi[m]].tolist()
+                 for m in range(len(self.positions))]
+        defects = [Defect(STUCK_AT_1 if code & 1 else STUCK_AT_0,
+                          row=(code >> 1) // bits, bit=(code >> 1) % bits)
+                   for code in sites[STUCK]]
+        defects += [Defect(WORDLINE_BRIDGE, row=pair)
+                    for pair in sites[BRIDGE]]
+        defects += [Defect(WEAK_SENSE, bit=bit) for bit in sites[WEAK]]
+        defects += [Defect(OPEN_VIA, bit=bit) for bit in sites[VIA]]
+        return FaultyBrick(spec=self.spec, defects=tuple(defects))
+
+
+def inject(spec: BrickSpec, model: DefectModel, key: int,
+           index: int) -> FaultyBrick:
+    """Die ``index`` of stream ``key`` as a :class:`FaultyBrick`: the
+    one-row view of :meth:`DefectModel.population`."""
+    return model.population(spec, key, index, index + 1).brick(0)

@@ -25,8 +25,8 @@ from ..bricks.spec import BrickSpec
 from ..errors import YieldError
 from ..perf.characterize import cached_stdcell_library, estimate_points
 from ..session import Session
-from .defects import DefectModel, inject
-from .repair import RepairOutcome, RepairPlan, apply_repair, repaired_spec
+from .defects import DefectModel
+from .repair import RepairPlan, apply_repair, repaired_spec
 
 
 def _ecc_logic_area(data_bits: int, session: Session) -> float:
@@ -139,36 +139,37 @@ def analyze_yield(spec: BrickSpec, stack: int = 1, partitions: int = 1,
                   *, session: Session) -> YieldReport:
     """Monte-Carlo yield of a brick population under a repair plan.
 
-    The defect stream is ``session.rng(f"faults:{spec.name}:s{stack}")``:
-    a pure function of the master seed and the analyzed geometry, so
-    reruns (and parallel callers with the same session) agree exactly.
-    Raw and repaired yields score the *same* sampled population, which
-    guarantees repair can only help.
+    Brick ``i`` is die ``i`` of the defect population keyed by
+    ``stream_key(session.seed, f"faults:{spec.name}:s{stack}")``
+    (:meth:`DefectModel.population`): a pure function of the master
+    seed, the analyzed geometry and ``i``, so reruns (and parallel
+    callers with the same session) agree exactly, and a larger
+    population extends a smaller one.  Raw yield is the population's
+    zero-defect column; only defective bricks go through
+    :func:`apply_repair`.  Raw and repaired yields score the *same*
+    population, which guarantees repair can only help.
     """
     model = model or DefectModel()
     plan = plan or RepairPlan()
     if n_bricks < 1:
         raise YieldError("population must be >= 1 brick")
     bricks_per_bank = stack * partitions
-    rng = session.rng(f"faults:{spec.name}:s{stack}")
+    # Deferred import: repro.signoff imports this package.
+    from ..signoff.rng import stream_key
+    key = stream_key(session.seed, f"faults:{spec.name}:s{stack}")
 
-    defect_counts: Dict[str, int] = {}
-    brick_raw: List[bool] = []
-    brick_repaired: List[bool] = []
     rows_used = cols_used = ecc_words = 0
     unrepairable: List[str] = []
     with session.span(f"yield:{spec.name}", kind="phase",
                       stack=stack, n_bricks=n_bricks):
         with session.span("sample_population", kind="phase",
                           n_bricks=n_bricks):
-            for _ in range(n_bricks):
-                faulty = inject(spec, model, rng)
-                for defect in faulty.defects:
-                    defect_counts[defect.kind] = \
-                        defect_counts.get(defect.kind, 0) + 1
-                outcome: RepairOutcome = apply_repair(faulty, plan)
-                brick_raw.append(faulty.is_perfect)
-                brick_repaired.append(outcome.ok)
+            population = model.population(spec, key, 0, n_bricks)
+            brick_raw = population.perfect
+            brick_repaired = brick_raw.copy()
+            for row in population.defective():
+                outcome = apply_repair(population.brick(row), plan)
+                brick_repaired[row] = outcome.ok
                 if outcome.ok:
                     rows_used += outcome.rows_used
                     cols_used += outcome.cols_used
@@ -182,8 +183,8 @@ def analyze_yield(spec: BrickSpec, stack: int = 1, partitions: int = 1,
             for b in range(n_banks):
                 members = slice(b * bricks_per_bank,
                                 (b + 1) * bricks_per_bank)
-                raw_banks += all(brick_raw[members])
-                repaired_banks += all(brick_repaired[members])
+                raw_banks += bool(brick_raw[members].all())
+                repaired_banks += bool(brick_repaired[members].all())
 
         with session.span("price_overheads", kind="phase",
                           ecc=plan.ecc):
@@ -197,9 +198,9 @@ def analyze_yield(spec: BrickSpec, stack: int = 1, partitions: int = 1,
         spec=spec, stack=stack, partitions=partitions,
         n_bricks=n_bricks, n_banks=n_banks, seed=session.seed,
         model=model, plan=plan,
-        defect_counts=defect_counts,
-        raw_yield=sum(brick_raw) / n_bricks,
-        repaired_yield=sum(brick_repaired) / n_bricks,
+        defect_counts=population.kind_counts(),
+        raw_yield=int(brick_raw.sum()) / n_bricks,
+        repaired_yield=int(brick_repaired.sum()) / n_bricks,
         raw_bank_yield=raw_banks / n_banks,
         repaired_bank_yield=repaired_banks / n_banks,
         rows_used=rows_used, cols_used=cols_used, ecc_words=ecc_words,

@@ -13,9 +13,10 @@ Pricing rides the closed-form scaling law: under
 ``Technology.scaled(r, c, v, l)`` every delay scales by ``r*c``, every
 energy by ``c*v**2`` and leakage by ``l*v``, so one cached estimate
 per corner prices the whole population as numpy column ops — no
-per-sample compile.  Only the defect draw is per-sample Python, and it
-runs inside chunk workers fanned over
-:func:`repro.perf.parallel.parallel_imap`.
+per-sample compile.  The defect draw is a population over the same
+counter streams (:meth:`repro.faults.DefectModel.population`); only
+the few defective dies run the repair allocator as Python, inside
+chunk workers fanned over :func:`repro.perf.parallel.parallel_imap`.
 
 Robustness is the headline:
 
@@ -32,7 +33,6 @@ Robustness is the headline:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from ..bricks.spec import BrickSpec
 from ..errors import SignoffError
-from ..faults.defects import DefectModel, inject
+from ..faults.defects import DefectModel
 from ..faults.repair import RepairPlan, apply_repair
 from ..obs.trace import maybe_span
 from ..perf.characterize import _executor_fault_sink, cached_estimate
@@ -153,38 +153,29 @@ def chunk_bounds(n_samples: int,
 def _chunk_worker(task: Tuple) -> ChunkResult:
     """Price one chunk of the sample stream (module-level: picklable).
 
-    PVT columns come vectorized from the counter streams; the defect
-    draw is per-sample from a ``random.Random`` seeded by the global
-    sample index, so any chunking or worker count sees the same dies.
-    A die with no defects is raw- and repair-ok at derate 1.0 (no plan
-    fails an empty brick: spare counts are validated >= 0), so only
-    defective dies reach :func:`apply_repair`.
+    PVT columns and the defect population both come vectorized from
+    the counter streams at the global sample indices, so any chunking
+    or worker count sees the same dies.  Raw yield and derate are
+    columns of the population's counts; a die with no defects is
+    repair-ok (no plan fails an empty brick: spare counts are
+    validated >= 0), so only the defective dies become a
+    :class:`~repro.faults.defects.FaultyBrick` for :func:`apply_repair`.
     """
     (spec, model, defects, repair, chunk, start, stop, key) = task
     cols = pvt_columns(model, key, start, stop)
-    n = stop - start
-    derate = np.ones(n, dtype=np.float64)
-    raw_ok = np.ones(n, dtype=bool)
-    repaired_ok = np.ones(n, dtype=bool)
-    counts: Dict[str, int] = {}
-    die = random.Random()
-    for i in range(n):
-        # Re-seeding gives the state of ``random.Random(seed)``.
-        die.seed(f"{key}:defect:{start + i}")
-        faulty = inject(spec, defects, die)
-        if faulty.is_perfect:
-            continue
-        for defect in faulty.defects:
-            counts[defect.kind] = counts.get(defect.kind, 0) + 1
-        raw_ok[i] = False
-        repaired_ok[i] = apply_repair(faulty, repair).ok
-        derate[i] = faulty.delay_derate(defects)
+    population = defects.population(spec, key, start, stop)
+    raw_ok = population.perfect
+    repaired_ok = raw_ok.copy()
+    for row in population.defective():
+        repaired_ok[row] = apply_repair(population.brick(row),
+                                        repair).ok
     return ChunkResult(
         chunk=chunk, start=start, stop=stop,
         r_scale=cols["r_scale"], c_scale=cols["c_scale"],
         vdd_scale=cols["vdd_scale"], leak_scale=cols["leak_scale"],
-        derate=derate, raw_ok=raw_ok, repaired_ok=repaired_ok,
-        defect_counts=counts)
+        derate=population.derate(), raw_ok=raw_ok,
+        repaired_ok=repaired_ok,
+        defect_counts=population.kind_counts())
 
 
 @dataclass

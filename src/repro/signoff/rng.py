@@ -48,10 +48,13 @@ def stream_key(seed: int, salt: str) -> int:
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, vectorized over ``uint64`` arrays."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 finalizer, in place over a ``uint64`` array."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def uniforms(key: int, counters: np.ndarray) -> np.ndarray:
@@ -61,10 +64,15 @@ def uniforms(key: int, counters: np.ndarray) -> np.ndarray:
     the result depends only on ``(key, counters[i])``.  The half-open
     interval excludes 0 so ``log(u)`` is always finite.
     """
-    counters = np.asarray(counters, dtype=np.uint64)
-    z = _mix(np.uint64(key) + (counters + np.uint64(1)) * _GAMMA)
-    return ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) \
-        * _TO_UNIT
+    z = np.asarray(counters, dtype=np.uint64) + np.uint64(1)
+    z *= _GAMMA
+    z += np.uint64(key)
+    _mix(z)
+    z >>= np.uint64(11)
+    z += np.uint64(1)
+    u = z.astype(np.float64)
+    u *= _TO_UNIT
+    return u
 
 
 def normals(key: int, start: int, stop: int,
@@ -85,9 +93,15 @@ def normals(key: int, start: int, stop: int,
     draw = np.arange(n_draws, dtype=np.uint64)[None, :]
     # Two uniform counters per normal, interleaved per (sample, draw).
     base = index * np.uint64(2 * n_draws) + draw * np.uint64(2)
-    u1 = uniforms(key, base)
-    u2 = uniforms(key, base + np.uint64(1))
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    radius = uniforms(key, base)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = uniforms(key, base + np.uint64(1))
+    angle *= 2.0 * np.pi
+    np.cos(angle, out=angle)
+    radius *= angle
+    return radius
 
 
 def resample_indices(key: int, n_values: int, n_boot: int,
@@ -108,5 +122,7 @@ def resample_indices(key: int, n_values: int, n_boot: int,
                                   dtype=np.uint64)
     u = uniforms(key, counters)
     # u is in (0, 1]; flip to [0, 1) so the floor never reaches n.
-    idx = np.floor((1.0 - u) * n_values).astype(np.int64)
-    return idx.reshape(n_boot, n_values)
+    np.subtract(1.0, u, out=u)
+    u *= n_values
+    np.floor(u, out=u)
+    return u.astype(np.int64).reshape(n_boot, n_values)

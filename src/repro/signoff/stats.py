@@ -65,12 +65,13 @@ def bootstrap_mean_ci(values: np.ndarray, key: int,
     how the values were produced, and comparable across rows.
     Degenerate inputs (n == 1) collapse the interval onto the value.
 
-    The resample matrix is never materialized: it is generated a few
-    rows at a time (:data:`BOOT_BATCH` indices), and each column is
-    gathered with its own 1-D fancy index.  ``col[ir]`` is C-ordered,
-    so every resample's mean is the same pairwise sum as over the whole
-    ``(n_boot, n)`` matrix.  (``cols[:, ir]`` is not: NumPy returns
-    that gather in F order, and its row sums round differently.)
+    No resample is gathered: the indices are generated a few resamples
+    at a time (:data:`BOOT_BATCH` indices), each resample becomes its
+    ``np.bincount`` draw counts, and the means of every row under every
+    resample of the batch are one ``(k, n) @ (n, rows)`` product.  The
+    resamples are those of the index matrix; only the order of the
+    summation differs from gathering them, so a mean moves by rounding
+    alone (and a 0/1 row's mean, a sum of integers, not at all).
     """
     cols = _as_rows(values)
     k, n = cols.shape
@@ -79,16 +80,20 @@ def bootstrap_mean_ci(values: np.ndarray, key: int,
     if n == 1:
         out = [{"lo": float(col[0]), "hi": float(col[0])} for col in cols]
     else:
-        means = np.empty((k, n_boot))
+        sums = np.empty((k, n_boot))
         step = max(1, BOOT_BATCH // n)
         for first in range(0, n_boot, step):
             last = min(first + step, n_boot)
             ir = resample_indices(key, n, last - first, block=block,
                                   start=first)
-            for row, col in enumerate(cols):
-                means[row, first:last] = col[ir].mean(axis=1)
+            # Offset each resample into its own n-bin range so one
+            # bincount counts every row of the batch.
+            ir += np.arange(0, ir.size, n, dtype=np.int64)[:, None]
+            counts = np.bincount(ir.ravel(), minlength=ir.size)
+            sums[:, first:last] = cols @ counts.reshape(
+                last - first, n).T.astype(np.float64)
         out = []
-        for row_means in means:
+        for row_means in sums / n:
             lo, hi = np.percentile(row_means, (2.5, 97.5))
             out.append({"lo": float(lo), "hi": float(hi)})
     return out[0] if values.ndim == 1 else out

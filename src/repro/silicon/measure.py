@@ -92,9 +92,11 @@ def measure_chips(configs: Sequence[str],
 
     With a :class:`~repro.faults.DefectModel` passed as
     ``defect_model``, each die's brick population is first screened at
-    wafer sort: defects are sampled per die from the session master
-    seed, the default :class:`~repro.faults.RepairPlan` is applied, and
-    dies with an unrepairable brick are recorded in
+    wafer sort: the die's bricks are a defect population keyed by the
+    session master seed, the configuration and the die
+    (:meth:`~repro.faults.DefectModel.population`), the default
+    :class:`~repro.faults.RepairPlan` is applied to the defective ones,
+    and dies with an unrepairable brick are recorded in
     :attr:`ConfigMeasurements.dead_chips` instead of being measured.
 
     Every die re-runs the full flow (library regeneration included) at
@@ -127,18 +129,20 @@ def measure_chips(configs: Sequence[str],
         with session.span(f"measure:{config}", kind="flow",
                           n_chips=n_chips) as mspan:
             if defect_model is not None:
-                from ..faults import RepairPlan, apply_repair, inject
+                from ..faults import RepairPlan, apply_repair
+                from ..signoff.rng import stream_key
                 from .testchip import config_bank
                 bank = config_bank(config)
                 plan = RepairPlan()
                 for sample in samples:
-                    rng = session.rng(
+                    key = stream_key(
+                        session.seed,
                         f"silicon:{config}:chip{sample.chip_id}")
-                    for _ in range(bank.n_bricks):
-                        faulty = inject(bank.brick, defect_model, rng)
-                        if not apply_repair(faulty, plan).ok:
-                            dead.append(sample.chip_id)
-                            break
+                    bricks = defect_model.population(
+                        bank.brick, key, 0, bank.n_bricks)
+                    if not all(apply_repair(bricks.brick(row), plan).ok
+                               for row in bricks.defective()):
+                        dead.append(sample.chip_id)
             for sample in samples:
                 if sample.chip_id in dead:
                     continue

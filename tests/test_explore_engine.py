@@ -71,6 +71,20 @@ class TestPlanModes:
         b = _session(tech).sweep_engine().plan()
         assert a.fingerprint == b.fingerprint
 
+    def test_fingerprint_covers_resolved_mode(self, tech):
+        """A sharded run of the 9-point Fig-4c lattice keeps 3 points,
+        the auto (cached) run all 9: distinct results, distinct keys.
+        An explicit ``cached`` is what auto resolves to: one key."""
+        session = _session(tech)
+        auto = session.sweep_engine()
+        cached = session.sweep_engine(mode="cached")
+        sharded = session.sweep_engine(mode="sharded")
+        assert auto.plan().mode == "cached"
+        assert auto.plan().fingerprint == cached.plan().fingerprint
+        assert auto.plan().fingerprint != sharded.plan().fingerprint
+        assert len(auto.run().to_sweep_result().points) == 9
+        assert len(sharded.run().to_sweep_result().points) < 9
+
 
 class TestCachedMode:
     def test_matches_legacy_sweep(self, tech):

@@ -4,18 +4,21 @@ Three hot loops of the Fig-3 flow are written for speed: placement (a
 BFS seed order that visits each net once, then an annealer over index
 arrays with incremental net bounding boxes), the logic simulator's
 ``settle`` (precompiled gate tuples) and the LUT axis lookup
-(``bisect``).  Two more belong to Monte Carlo signoff: the chunk
-worker's per-die loop (one re-seeded ``random.Random``, perfect dies
-skip repair) and the row-blocked paired bootstrap.  The waveform
-crossing search of the Table-1 measurements is array operations.  Each
-must give *exactly* the result of the plain version kept below as an
-oracle: every final cell position, every toggle count, every
-interpolated value, every die's outcome, every bootstrap bound and
-every crossing time ``==``, not approximately equal.
+(``bisect``).  Three more belong to Monte Carlo signoff: the chunk
+worker over a vectorized defect population (only defective dies are
+repaired), the in-place counter streams, and the count-weighted paired
+bootstrap.  The waveform crossing search of the Table-1 measurements is
+array operations.  Each must give *exactly* the result of the plain
+version kept below as an oracle: every final cell position, every
+toggle count, every interpolated value, every die's outcome, every
+stream value and every crossing time ``==``, not approximately equal.
 
-The transient reference is the exception: its banded Cholesky solves
-the systems of the dense LU kept below in another order of operations,
-so it must agree within 1e-9 and factorize at the same steps.
+Two are exceptions.  The bootstrap takes each resample mean as a
+count-weighted product instead of a gather, which sums in another
+order: its CI bounds must agree within 1e-12 relative, and exactly on
+0/1 columns.  The transient reference's banded Cholesky solves the
+systems of the dense LU kept below in another order of operations, so
+it must agree within 1e-9 and factorize at the same steps.
 """
 
 import math
@@ -39,7 +42,7 @@ from repro.circuit import GND, SpiceCircuit, TransientSimulator, \
 from repro.circuit import spice
 from repro.circuit.spice import TransientResult
 from repro.errors import SimulationError
-from repro.faults import DefectModel, RepairPlan, apply_repair
+from repro.faults import DefectModel, RepairPlan, apply_repair, inject
 from repro.faults.defects import (
     OPEN_VIA,
     STUCK_AT_0,
@@ -416,48 +419,68 @@ class TestLUTMatchesReference:
                                        and math.isnan(want)), (s, ld)
 
 
-# --- reference signoff worker: a fresh Random per die, every die repaired ---
+# --- reference signoff worker: a scalar loop per die, every die repaired ----
 
 
-def _reference_poisson(rng, lam):
+def _reference_uniform(key, counter):
+    """The splitmix64 uniform at one counter, as Python integers."""
+    mask = (1 << 64) - 1
+    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    z ^= z >> 31
+    return float((z >> 11) + 1) * 2.0 ** -53
+
+
+def _reference_count(u, lam, cap):
+    """Inverse Poisson CDF by a linear walk: the smallest count whose
+    CDF reaches ``u``, capped at ``cap``, over the same truncated sum
+    as the sampler's table."""
     if lam <= 0.0:
         return 0
-    threshold = math.exp(-lam)
-    count, product = 0, rng.random()
-    while product > threshold:
+    count, total = 0, 0.0
+    while count < cap:
+        p = math.exp(count * math.log(lam) - lam - math.lgamma(count + 1))
+        if count > lam and total + p == total:
+            break
+        total += p
+        if u <= total:
+            break
         count += 1
-        product *= rng.random()
     return count
 
 
-def reference_sample(model, spec, rng):
-    """``DefectModel.sample`` computing each threshold per call and
-    calling ``rng.sample`` even for a count of 0."""
+def reference_die(model, spec, key, die):
+    """One die's defects straight from the counter layout
+    ``die << 32 | mechanism << 24 | slot``: Floyd's algorithm with a
+    set for the distinct sites."""
+    dkey = stream_key(key, "defect")
+
+    def u(mechanism, slot):
+        return _reference_uniform(dkey, (die << 32) | (mechanism << 24)
+                                  | slot)
+
+    n_cells, n_pairs = spec.words * spec.bits, spec.words - 1
+    rates = ((model.p_stuck_at, n_cells), (model.p_wordline_bridge, n_pairs),
+             (model.p_weak_sense, spec.bits), (model.p_open_via, spec.bits))
+    counts = [_reference_count(u(m, 0), rate * sites, sites)
+              for m, (rate, sites) in enumerate(rates)]
     defects = []
-    n_cells = spec.words * spec.bits
-    for _ in range(min(_reference_poisson(rng, model.p_stuck_at * n_cells),
-                       n_cells)):
-        cell = rng.randrange(n_cells)
-        kind = STUCK_AT_1 if rng.random() < 0.5 else STUCK_AT_0
-        defects.append(Defect(kind, row=cell // spec.bits,
-                              bit=cell % spec.bits))
-    n_pairs = spec.words - 1
-    lam = model.p_wordline_bridge * n_pairs
-    for pair in sorted(rng.sample(range(n_pairs),
-                                  min(_reference_poisson(rng, lam), n_pairs))
-                       if n_pairs else []):
-        defects.append(Defect(WORDLINE_BRIDGE, row=pair))
-    lam = model.p_weak_sense * spec.bits
-    for bit in sorted(rng.sample(range(spec.bits),
-                                 min(_reference_poisson(rng, lam),
-                                     spec.bits))):
-        defects.append(Defect(WEAK_SENSE, bit=bit))
-    lam = model.p_open_via * spec.bits
-    for bit in sorted(rng.sample(range(spec.bits),
-                                 min(_reference_poisson(rng, lam),
-                                     spec.bits))):
-        defects.append(Defect(OPEN_VIA, bit=bit))
-    return tuple(defects)
+    for slot in range(1, counts[0] + 1):
+        code = int(math.floor((1.0 - u(0, slot)) * (2 * n_cells)))
+        cell = code // 2
+        defects.append(Defect(STUCK_AT_1 if code % 2 else STUCK_AT_0,
+                              row=cell // spec.bits, bit=cell % spec.bits))
+    for m, kind, field in ((1, WORDLINE_BRIDGE, "row"),
+                           (2, WEAK_SENSE, "bit"), (3, OPEN_VIA, "bit")):
+        sites, k, picked = rates[m][1], counts[m], set()
+        for step in range(k):
+            j = sites - k + step
+            t = int(math.floor((1.0 - u(m, step + 1)) * (j + 1)))
+            picked.add(j if t in picked else t)
+        defects += [Defect(kind, **{field: site})
+                    for site in sorted(picked)]
+    return FaultyBrick(spec, tuple(defects))
 
 
 def reference_chunk_worker(task):
@@ -469,8 +492,7 @@ def reference_chunk_worker(task):
     repaired_ok = np.zeros(n, dtype=bool)
     counts: Dict[str, int] = {}
     for i in range(n):
-        die = random.Random(f"{key}:defect:{start + i}")
-        faulty = FaultyBrick(spec, reference_sample(defects, spec, die))
+        faulty = reference_die(defects, spec, key, start + i)
         for defect in faulty.defects:
             counts[defect.kind] = counts.get(defect.kind, 0) + 1
         raw_ok[i] = faulty.is_perfect
@@ -484,13 +506,36 @@ def reference_chunk_worker(task):
         defect_counts=counts)
 
 
-# --- reference bootstrap: the whole (n_boot, n) index matrix at once --------
+# --- reference counter streams: one fresh array per operation ---------------
+
+
+def reference_uniforms(key, counters):
+    counters = np.asarray(counters, dtype=np.uint64)
+    z = np.uint64(key) + (counters + np.uint64(1)) \
+        * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) \
+        * float(2.0 ** -53)
+
+
+def reference_normals(key, start, stop, n_draws):
+    index = np.arange(start, stop, dtype=np.uint64)[:, None]
+    draw = np.arange(n_draws, dtype=np.uint64)[None, :]
+    base = index * np.uint64(2 * n_draws) + draw * np.uint64(2)
+    u1 = reference_uniforms(key, base)
+    u2 = reference_uniforms(key, base + np.uint64(1))
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+# --- reference bootstrap: the whole (n_boot, n) index matrix, gathered ------
 
 
 def reference_resample_indices(key, n_values, n_boot, block=0):
     offset = np.uint64(block) * np.uint64(0x1000000000)
     counters = offset + np.arange(n_boot * n_values, dtype=np.uint64)
-    u = uniforms(key, counters)
+    u = reference_uniforms(key, counters)
     idx = np.floor((1.0 - u) * n_values).astype(np.int64)
     return idx.reshape(n_boot, n_values)
 
@@ -512,13 +557,17 @@ SIGNOFF_BRICKS = {
     "8T_64x32": BrickSpec("8T", 64, 32),
 }
 #: The default rates, a hot model (every mechanism fires in a few
-#: hundred dies) and one with two mechanisms switched off.
+#: hundred dies), one with two mechanisms switched off, and a dense one
+#: whose distinct-site counts reach their caps (so Floyd's algorithm
+#: meets taken sites).
 DEFECT_MODELS = {
     "default": DefectModel(),
     "hot": DefectModel(p_stuck_at=2e-3, p_wordline_bridge=2e-3,
                        p_weak_sense=5e-3, p_open_via=2e-3),
     "no_stuck_no_via": DefectModel(p_stuck_at=0.0, p_open_via=0.0,
                                    p_weak_sense=5e-3),
+    "dense": DefectModel(p_stuck_at=0.02, p_wordline_bridge=0.6,
+                         p_weak_sense=0.9, p_open_via=0.7),
 }
 REPAIR_PLANS = {"spares": RepairPlan(), "ecc": RepairPlan(ecc=True)}
 #: (chunk index, start, stop): the first chunk and one further in.
@@ -554,19 +603,22 @@ class TestSignoffWorkerMatchesReference:
 
     @pytest.mark.parametrize("brick", sorted(SIGNOFF_BRICKS))
     @pytest.mark.parametrize("model", sorted(DEFECT_MODELS))
-    def test_sampler_consumes_the_same_draws(self, brick, model):
-        """One stream over many dies, as ``analyze_yield`` draws them:
-        equal defects and an equal generator state after every die."""
+    def test_inject_matches_reference_die(self, brick, model):
+        """The one-die view and a population give the dies of the
+        scalar walk over the counter layout."""
         spec, defects = SIGNOFF_BRICKS[brick], DEFECT_MODELS[model]
-        fast, ref = random.Random(2015), random.Random(2015)
-        for _ in range(400):
-            assert defects.sample(spec, fast) == \
-                reference_sample(defects, spec, ref)
-            assert fast.getstate() == ref.getstate()
+        key = stream_key(2015, "faults:oracle")
+        population = defects.population(spec, key, 100, 500)
+        for i in range(100, 500):
+            want = reference_die(defects, spec, key, i)
+            assert population.brick(i - 100) == want
+            if i % 40 == 0:
+                assert inject(spec, defects, key, i) == want
 
     def test_cases_are_not_vacuous(self):
         """The compared chunks hold perfect dies, defective dies that
-        repair, dies that do not, and weak-column derates."""
+        repair, dies that do not, and weak-column derates; some die
+        places several distinct sites of one mechanism."""
         default = _chunk_worker(_chunk_task("8T_16x10", "default",
                                             "spares", SIGNOFF_CHUNKS[0]))
         assert default.raw_ok.any() and not default.raw_ok.all()
@@ -578,10 +630,38 @@ class TestSignoffWorkerMatchesReference:
         assert set(hot.defect_counts) == {STUCK_AT_0, STUCK_AT_1,
                                           WORDLINE_BRIDGE, WEAK_SENSE,
                                           OPEN_VIA}
+        *_, start, stop, key = _chunk_task("8T_64x32", "hot", "ecc",
+                                           SIGNOFF_CHUNKS[1])
+        counts = DEFECT_MODELS["hot"].population(
+            SIGNOFF_BRICKS["8T_64x32"], key, start, stop).counts
+        assert (counts[:, 1:] > 1).any()
+        dense = DEFECT_MODELS["dense"].population(
+            SIGNOFF_BRICKS["1_word"], key, 100, 500).counts
+        assert (dense[:, 2] == 8).any()  # every sense amp weak: capped
         one_word = _chunk_worker(_chunk_task("1_word", "hot", "spares",
                                              SIGNOFF_CHUNKS[0]))
         assert one_word.defect_counts
         assert WORDLINE_BRIDGE not in one_word.defect_counts
+
+
+class TestCounterStreamsMatchReference:
+    """The in-place stream arithmetic gives the bits of the version that
+    allocated a fresh array per operation."""
+
+    def test_uniforms_identical(self):
+        key = stream_key(3, "uniforms")
+        counters = np.arange(0, 7 * 20_000, 7, dtype=np.uint64)
+        assert np.array_equal(uniforms(key, counters),
+                              reference_uniforms(key, counters))
+        assert float(uniforms(key, np.array([123]))[0]) == \
+            _reference_uniform(key, 123)
+
+    @pytest.mark.parametrize("start,stop,n_draws",
+                             [(0, 1000, 5), (37, 38, 1), (5000, 5300, 14)])
+    def test_normals_identical(self, start, stop, n_draws):
+        key = stream_key(3, "normals")
+        assert np.array_equal(normals(key, start, stop, n_draws),
+                              reference_normals(key, start, stop, n_draws))
 
 
 BOOT_SIZES = (1, 2, 37, 5000)
@@ -596,11 +676,23 @@ def _boot_columns(n):
     return floats, flags
 
 
+def _assert_summary_close(got, want):
+    """Equal mean and percentiles; CI bounds within 1e-12 relative (the
+    count-weighted means sum in another order than the gathers)."""
+    assert set(got) == set(want)
+    for field, value in want.items():
+        if field in ("ci_lo", "ci_hi"):
+            assert got[field] == pytest.approx(value, rel=1e-12,
+                                               abs=0.0), field
+        else:
+            assert got[field] == value, field
+
+
 class TestBootstrapMatchesReference:
     @pytest.mark.parametrize("n", BOOT_SIZES)
     @pytest.mark.parametrize("boot_batch", [None, 64],
                              ids=["default-blocks", "one-row-blocks"])
-    def test_summaries_identical(self, monkeypatch, n, boot_batch):
+    def test_summaries_match(self, monkeypatch, n, boot_batch):
         if boot_batch is not None:
             monkeypatch.setattr(signoff_stats, "BOOT_BATCH", boot_batch)
         floats, flags = _boot_columns(n)
@@ -609,9 +701,13 @@ class TestBootstrapMatchesReference:
         want = ([reference_summary(col, key, idx) for col in floats]
                 + [reference_summary(f.astype(np.float64), key, idx)
                    for f in flags])
-        assert summarize(np.stack(floats + flags), key=key) == want
+        got = summarize(np.stack(floats + flags), key=key)
+        for row, expected in zip(got, want):
+            _assert_summary_close(row, expected)
+        # A 0/1 row's resample means are sums of integers: exact.
+        assert got[len(floats):] == want[len(floats):]
         for col, expected in zip(floats, want):
-            assert summarize(col, key=key) == expected
+            _assert_summary_close(summarize(col, key=key), expected)
         for f, expected in zip(flags, want[len(floats):]):
             assert proportion_summary(summarize(f, key=key)) == {
                 "rate": expected["mean"], "ci_lo": expected["ci_lo"],

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,9 +23,13 @@ from repro.faults import (
     repaired_spec,
 )
 from repro.faults.defects import (
+    BRIDGE,
     OPEN_VIA,
+    STUCK,
     STUCK_AT_0,
     STUCK_AT_1,
+    VIA,
+    WEAK,
     WEAK_SENSE,
     WORDLINE_BRIDGE,
     FaultyBrick,
@@ -41,6 +47,7 @@ from repro.rtl import (
     secded_parity_bits,
 )
 from repro.session import Session
+from repro.signoff.rng import stream_key
 
 #: A hot defect model so small populations exercise every mechanism.
 HOT = DefectModel(p_stuck_at=2e-3, p_wordline_bridge=2e-3,
@@ -56,23 +63,27 @@ def session(tech):
 class TestDefectSampling:
     def test_deterministic_in_rng_stream(self):
         spec = sram_brick(32, 16)
-        a = HOT.sample(spec, random.Random("s"))
-        b = HOT.sample(spec, random.Random("s"))
-        assert a == b
-        c = HOT.sample(spec, random.Random("t"))
-        assert a != c or not a  # independent stream
+        a = HOT.population(spec, stream_key(1, "s"), 0, 50)
+        b = HOT.population(spec, stream_key(1, "s"), 0, 50)
+        assert [a.brick(i) for i in range(50)] == \
+            [b.brick(i) for i in range(50)]
+        c = HOT.population(spec, stream_key(1, "t"), 0, 50)
+        assert not np.array_equal(a.counts, c.counts)
 
     def test_inject_wraps_sampled_defects(self):
         spec = sram_brick(32, 16)
-        brick = inject(spec, HOT, random.Random("x"))
-        assert brick.spec is spec
-        assert brick.defects == HOT.sample(spec, random.Random("x"))
+        key = stream_key(1, "x")
+        population = HOT.population(spec, key, 0, 40)
+        for i in range(40):
+            brick = inject(spec, HOT, key, i)
+            assert brick.spec is spec
+            assert brick == population.brick(i)
 
     def test_defects_land_inside_geometry(self):
         spec = sram_brick(16, 8)
-        rng = random.Random(7)
-        for _ in range(200):
-            for d in HOT.sample(spec, rng):
+        population = HOT.population(spec, stream_key(7, "geom"), 0, 200)
+        for i in range(200):
+            for d in population.brick(i).defects:
                 if d.kind in (STUCK_AT_0, STUCK_AT_1):
                     assert 0 <= d.row < spec.words
                     assert 0 <= d.bit < spec.bits
@@ -103,6 +114,96 @@ class TestDefectSampling:
             DefectModel(weak_sense_derate=0.5)
         with pytest.raises(FaultError):
             Defect("gamma_ray", row=1)
+
+
+#: Dies per distribution check, and the (brick, model) cases: the
+#: default model on the Fig-3 brick, the hot model on a wide brick.
+N_DIES = 200_000
+POPULATION_CASES = {
+    "default-16x10": (sram_brick(16, 10), DefectModel()),
+    "hot-64x32": (sram_brick(64, 32), HOT),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(POPULATION_CASES))
+def drawn(request):
+    spec, model = POPULATION_CASES[request.param]
+    key = stream_key(2015, f"distribution:{request.param}")
+    return spec, model, key, model.population(spec, key, 0, N_DIES)
+
+
+def _sites_and_rates(spec, model):
+    return ((spec.words * spec.bits, model.p_stuck_at),
+            (spec.words - 1, model.p_wordline_bridge),
+            (spec.bits, model.p_weak_sense), (spec.bits, model.p_open_via))
+
+
+def _die_of(population, mechanism):
+    """The population row of every entry of ``positions[mechanism]``."""
+    counts = population.counts[:, mechanism]
+    return np.repeat(np.arange(counts.size), counts)
+
+
+class TestDefectPopulationDistribution:
+    """The counter-stream sampler against the spot-defect model it
+    draws from, over 200k dies per case (4-sigma bounds)."""
+
+    def test_mean_counts_match_rate_times_sites(self, drawn):
+        spec, model, _, population = drawn
+        for m, (sites, rate) in enumerate(_sites_and_rates(spec, model)):
+            lam = rate * sites
+            mean = population.counts[:, m].mean()
+            assert abs(mean - lam) <= 4.0 * math.sqrt(lam / N_DIES), m
+
+    def test_raw_yield_matches_poisson_zero_term(self, drawn):
+        spec, model, _, population = drawn
+        p = math.exp(-sum(rate * sites for sites, rate
+                          in _sites_and_rates(spec, model)))
+        raw = population.perfect.mean()
+        assert abs(raw - p) <= 4.0 * math.sqrt(p * (1.0 - p) / N_DIES)
+
+    def test_stuck_values_balanced(self, drawn):
+        _, _, _, population = drawn
+        codes = population.positions[STUCK]
+        ones = (codes & 1).mean()
+        assert abs(ones - 0.5) <= 4.0 * math.sqrt(0.25 / codes.size)
+
+    def test_every_site_reachable(self, drawn):
+        spec, model, _, population = drawn
+        sites = [n for n, _ in _sites_and_rates(spec, model)]
+        assert set((population.positions[STUCK] >> 1).tolist()) == \
+            set(range(sites[STUCK]))
+        for m in (BRIDGE, WEAK, VIA):
+            assert set(population.positions[m].tolist()) == \
+                set(range(sites[m])), m
+
+    def test_distinct_sites_never_repeat_within_a_die(self, drawn):
+        _, _, _, population = drawn
+        for m in (BRIDGE, WEAK, VIA):
+            die, sites = _die_of(population, m), population.positions[m]
+            same_die = die[1:] == die[:-1]
+            assert (np.diff(sites)[same_die] > 0).all(), m
+        assert (population.counts[:, [BRIDGE, WEAK, VIA]] > 1).any()
+
+    def test_chunked_draws_concatenate_to_the_whole(self, drawn):
+        spec, model, key, population = drawn
+        bounds = (0, 1, 777, 50_000, 123_457, N_DIES)
+        parts = [model.population(spec, key, lo, hi)
+                 for lo, hi in zip(bounds, bounds[1:])]
+        assert np.array_equal(
+            np.concatenate([p.counts for p in parts]), population.counts)
+        for m in range(4):
+            assert np.array_equal(
+                np.concatenate([p.positions[m] for p in parts]),
+                population.positions[m]), m
+
+    def test_one_word_brick_never_bridges(self):
+        spec = sram_brick(1, 8)
+        population = HOT.population(spec, stream_key(2015, "one-word"),
+                                    0, N_DIES)
+        assert not population.counts[:, BRIDGE].any()
+        assert population.positions[BRIDGE].size == 0
+        assert population.counts[:, WEAK].any()
 
 
 class TestSecded:
