@@ -1,28 +1,22 @@
-"""Struct-of-arrays batch estimation: price whole brick populations.
+"""Struct-of-arrays brick estimation: the estimator's closed forms.
 
 The design-space explorations of Section 5 (Fig. 4c) and the Monte-Carlo
-signoff both price thousands of ``(BrickSpec, stack)`` candidates through
-the same closed forms.  Walking per-spec Python objects through
-:func:`repro.bricks.estimator.estimate_brick` caps that at a few hundred
-points per second; this module prices an entire population in a handful
-of numpy array operations instead.
-
-The kernel is a line-by-line transcription of the scalar path:
+signoff both price thousands of ``(BrickSpec, stack)`` candidates; this
+module prices an entire population in a handful of numpy array
+operations.  It is the only copy of the estimator's formulas:
+:func:`repro.bricks.estimator.estimate_brick` prices one compiled brick
+as a one-row batch (:func:`brick_rows`).
 
 * :class:`BrickSpecBatch` holds the population as parallel arrays
   (memory-type code, words, bits, stack) — one column per spec field.
 * :func:`compile_batch` reruns the compiler's logical-effort sizing with
   :func:`repro.circuit.logical_effort.buffer_chain_batch` (identical
-  stage counts, including the odd/even polarity forcing).
-* :func:`estimate_batch` evaluates every delay/energy/area/leakage term
-  of :func:`estimate_brick` element-wise, with all Elmore wire terms of
-  the whole population solved by one block-diagonal
-  :func:`repro.circuit.rc_tree.ladder_elmore_batch` call.
-
-Per-point results agree with the scalar estimator to <= 1e-9 relative
-(most terms are bit-identical; the rest differ only in float association
-order), which the golden equivalence tests enforce across every memory
-type and PVT corner.
+  stage counts and widths, including the odd/even polarity forcing;
+  stage caps agree with the scalar compiler to a few ulp).
+* :func:`estimate_metric_columns` evaluates every
+  delay/energy/area/leakage term element-wise, in the accumulation
+  order of the scalar closed forms kept as the test oracle, so a row is
+  ``==`` to the oracle over the same sizing.
 """
 
 from __future__ import annotations
@@ -36,9 +30,9 @@ from ..cells.bitcells import CAM_10T, MEMORY_TYPES, make_bitcell
 from ..cells.leafcells import inverter_widths
 from ..cells.stdcells import unit_input_cap
 from ..circuit.logical_effort import buffer_chain_batch
-from ..circuit.rc_tree import ladder_elmore_batch
 from ..errors import BrickError
 from ..tech.technology import Technology
+from .compiler import CompiledBrick
 from .estimator import _CROWBAR_FO4, _K50, BrickPerformance
 from .spec import MAX_BITS, MAX_WORDS, BrickSpec
 
@@ -152,17 +146,20 @@ def _brick_name(memory_type: str, words: int, bits: int) -> str:
     return f"{prefix}_{words}_{bits}{suffix}"
 
 
+#: Bitcell parameters the kernel reads, one column each.
+_BITCELL_FIELDS = ("width_um", "height_um", "c_rwl", "c_wwl", "c_rbl",
+                   "c_wbl", "r_read", "i_leak", "c_ml", "c_sl", "r_match")
+
+
 def _gather_bitcells(codes: np.ndarray, tech: Technology) -> dict:
     """Per-point bitcell parameter columns, one ``make_bitcell`` call
     per memory type present in the batch."""
-    fields = ("width_um", "height_um", "c_rwl", "c_wwl", "c_rbl",
-              "c_wbl", "r_read", "i_leak", "c_ml", "c_sl", "r_match")
     n = codes.shape[0]
-    out = {name: np.zeros(n, dtype=np.float64) for name in fields}
+    out = {name: np.zeros(n, dtype=np.float64) for name in _BITCELL_FIELDS}
     for code in np.unique(codes):
         cell = make_bitcell(MEMORY_TYPES[int(code)], tech)
         mask = codes == code
-        for name in fields:
+        for name in _BITCELL_FIELDS:
             out[name][mask] = getattr(cell, name)
     return out
 
@@ -269,17 +266,66 @@ def compile_batch(batch: BrickSpecBatch,
     )
 
 
+def brick_rows(compiled: CompiledBrick, stack: int,
+               out_loads: Optional[Sequence[float]] = None
+               ) -> CompiledBrickBatch:
+    """One compiled brick as a batch priced at ``stack``.
+
+    The rows carry the brick's own sizing — bitcell, stage caps and
+    widths as :func:`~repro.bricks.compiler.compile_brick` chose them
+    for ``compiled.target_stack`` — so a brick compiled for one stack
+    prices at another with its sizing frozen.  There is one row per
+    entry of ``out_loads``, or one row at the default load.
+    """
+    spec = compiled.spec
+    n = 1 if out_loads is None else len(out_loads)
+    batch = BrickSpecBatch.from_arrays(
+        [spec.memory_type] * n, [spec.words] * n, [spec.bits] * n,
+        [stack] * n, out_loads)
+    n_cam = n if spec.is_cam else 0
+
+    def chain(caps, rows=n):
+        return (np.tile(np.asarray(caps, dtype=np.float64), (rows, 1)),
+                np.full(rows, len(caps), dtype=np.int64))
+
+    def column(value, rows=n):
+        return np.full(rows, float(value))
+
+    sense = compiled.sense
+    match = compiled.match
+    wl_caps, wl_n = chain(compiled.wl_driver.stage_caps)
+    ctrl_caps, ctrl_n = chain(compiled.control.stage_caps)
+    preb_caps, preb_n = chain(compiled.control._preb_caps())
+    sl_caps, sl_n = chain(match.sl_stage_caps if match else (), n_cam)
+    return CompiledBrickBatch(
+        batch=batch, tech_name=compiled.tech_name,
+        cell={name: column(getattr(compiled.bitcell, name))
+              for name in _BITCELL_FIELDS},
+        nand_cap=compiled.wl_driver.nand_input_cap,
+        wl_caps=wl_caps, wl_n=wl_n,
+        w_sense_n=column(sense.w_sense_n),
+        w_sense_p=column(sense.w_sense_p), w_pull=column(sense.w_pull),
+        w_precharge=column(sense.w_precharge),
+        ctrl_caps=ctrl_caps, ctrl_n=ctrl_n,
+        preb_caps=preb_caps, preb_n=preb_n,
+        cam_idx=np.arange(n_cam), sl_caps=sl_caps, sl_n=sl_n,
+        w_ml_pre=column(match.w_ml_pre if match else 0.0, n_cam),
+        w_ml_sense_n=column(match.w_ml_sense_n if match else 0.0, n_cam),
+        w_ml_sense_p=column(match.w_ml_sense_p if match else 0.0, n_cam),
+    )
+
+
 # --------------------------------------------------------------------------
 # Masked per-stage accumulations.  Each helper walks the padded stage
-# columns in the same order the scalar loops walk their tuples, so the
-# float accumulation order (and therefore the result, to the last ulp)
-# matches the per-point code.
+# columns in stage order, the order a per-point loop over the stage
+# tuples adds them, so the float accumulation order (and therefore the
+# result, to the last ulp) matches the scalar oracle.
 # --------------------------------------------------------------------------
 
 
 def _chain_delay(caps: np.ndarray, n_stages: np.ndarray, load,
                  tech: Technology) -> np.ndarray:
-    """Vectorized ``estimator._inv_chain_delay`` over padded chains."""
+    """50 % delay through each padded inverter chain into ``load``."""
     n_pts, max_s = caps.shape
     delay = np.zeros(n_pts)
     inv_denom = tech.c_gate * (1.0 + tech.inverter_beta())
@@ -431,34 +477,21 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
                              + compiled.w_ml_sense_p))
     r_match = cell["r_match"][cam]
 
-    # One block-diagonal Elmore solve covers every wire of the whole
-    # population: wordline, local bitline, stacked ARBL and (for CAM
-    # points) matchline, each a one-segment ladder with the rest of the
-    # net folded into driver resistance / root and segment caps.
-    lbl_seg = c_lbl_wire / 2.0 + lbl_load
-    ml_seg = c_ml_wire / 2.0
-    zeros = np.zeros(n)
-    el = ladder_elmore_batch(
-        np.concatenate([r_wl_wire, r_lbl_wire, r_arbl_wire,
-                        r_ml_wire])[:, None],
-        np.concatenate([c_wl_wire / 2.0 + c_wl_taps / 2.0, lbl_seg,
-                        c_arbl / 2.0, ml_seg])[:, None],
-        r_drive=np.concatenate([zeros, cell["r_read"], r_pull, r_match]),
-        root_cap=np.concatenate([zeros, c_lbl - lbl_seg, c_arbl / 2.0,
-                                 c_ml - ml_seg]),
-    )
-    t_wl_wire = _K50 * el[:n]
-    t_cell = _K50 * el[n:2 * n]
-    t_arbl = _K50 * el[2 * n:3 * n]
-    t_ml = _K50 * el[3 * n:]
+    # Distributed-wire (Elmore) terms, each net a single RC segment with
+    # the rest of the net folded into driver resistance and lumped caps.
+    t_wl_wire = _K50 * r_wl_wire * (c_wl_wire / 2.0 + c_wl_taps / 2.0)
+    t_cell = _K50 * (cell["r_read"] * c_lbl
+                     + r_lbl_wire * (c_lbl_wire / 2.0 + lbl_load))
+    t_arbl = _K50 * (r_pull * c_arbl + r_arbl_wire * (c_arbl / 2.0))
+    t_ml = _K50 * (r_match * c_ml + r_ml_wire * c_ml_wire / 2.0)
 
     read_delay = t_ctrl + t_nand + t_chain + t_wl_wire + t_cell + \
         t_sense + t_arbl
 
     # ------------------------------------------------------- read energy --
     n_discharge = ((batch.bits + 1) // 2).astype(np.float64)
-    # ControlBlock.internal_cap runs three loops in order: stage caps
-    # past the first, then every stage's diffusion, then the
+    # Control block switched internal cap, summed in three passes: stage
+    # caps past the first, then every stage's diffusion, then the
     # precharge-bar branch (stage cap + diffusion).
     ctrl_internal = _chain_stage_caps_only(
         compiled.ctrl_caps, compiled.ctrl_n, np.zeros(n))
@@ -611,11 +644,10 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
 def estimate_batch(compiled: CompiledBrickBatch, tech: Technology,
                    out_load: Optional[float] = None
                    ) -> List[BrickPerformance]:
-    """Vectorized :func:`~repro.bricks.estimator.estimate_brick`.
+    """Price the compiled population into per-point results.
 
-    Prices every point of the compiled population at once and packs the
-    results back into the same per-point :class:`BrickPerformance`
-    objects (plain-float fields) the scalar estimator returns.
+    Prices every point at once and packs the results into per-point
+    :class:`BrickPerformance` objects (plain-float fields).
     ``out_load`` applies to every point unless the batch carries its own
     per-point ``out_load`` column.  Callers that only need metric
     arrays (the sharded explorer) should use
@@ -700,9 +732,11 @@ def estimate_brick_batch(points: Sequence[Tuple], tech: Technology,
                          ) -> List[BrickPerformance]:
     """Compile and price a population of ``(spec, stack)`` points.
 
-    The one-call entry the characterization layer uses: equivalent to
-    ``[estimate_brick(compile_brick(s, tech, k), tech, stack=k)
-    for s, k in points]`` but array-shaped end to end.
+    The one-call entry the characterization layer uses: the batch
+    counterpart of ``[estimate_brick(compile_brick(s, tech, k), tech,
+    stack=k) for s, k in points]``, array-shaped end to end (the batch
+    compiler's stage caps can differ from ``compile_brick``'s in the
+    last bit).
     """
     batch = BrickSpecBatch.from_points(points)
     return estimate_batch(compile_batch(batch, tech), tech,

@@ -84,33 +84,6 @@ class CompiledBrick:
 
     # --- electrical summaries ----------------------------------------------
 
-    def wordline_load(self, tech: Technology) -> float:
-        """Total capacitance on one wordline (wire + gate taps)."""
-        layer = tech.layer(tech.local_layer)
-        _, c_wire = layer.rc(self.wordline_length_um())
-        return c_wire + self.spec.bits * self.bitcell.c_rwl
-
-    def lbl_cap(self, tech: Technology) -> float:
-        """Total capacitance on one local read bitline."""
-        layer = tech.layer(tech.local_layer)
-        _, c_wire = layer.rc(self.lbl_length_um())
-        return (c_wire + self.spec.words * self.bitcell.c_rbl
-                + self.sense.lbl_load(tech))
-
-    def wbl_cap_per_brick(self, tech: Technology) -> float:
-        """Write-bitline capacitance contributed by one brick (stacking
-        connects WBLs in series, so the bank WBL is ``stack`` times
-        this)."""
-        layer = tech.layer(tech.bitline_layer)
-        _, c_wire = layer.rc(self.lbl_length_um())
-        return c_wire + self.spec.words * self.bitcell.c_wbl
-
-    def arbl_cap_per_brick(self, tech: Technology) -> float:
-        """ARBL capacitance one stacked brick adds (wire + off pull-down)."""
-        layer = tech.layer(tech.bitline_layer)
-        _, c_wire = layer.rc(self.brick_height_estimate_um())
-        return c_wire + self.sense.arbl_load(tech)
-
     def matchline_cap(self, tech: Technology) -> float:
         if not self.spec.is_cam:
             raise BrickError("matchline cap on a non-CAM brick")
@@ -121,13 +94,6 @@ class CompiledBrick:
                 + tech.c_diff * self.match.w_ml_pre
                 + tech.c_gate * (self.match.w_ml_sense_n
                                  + self.match.w_ml_sense_p))
-
-    def searchline_cap(self, tech: Technology) -> float:
-        if not self.spec.is_cam:
-            raise BrickError("searchline cap on a non-CAM brick")
-        layer = tech.layer(tech.local_layer)
-        _, c_wire = layer.rc(self.searchline_length_um())
-        return c_wire + self.spec.words * self.bitcell.c_sl
 
     def brick_height_estimate_um(self) -> float:
         """Array height plus the sense strip — the ARBL span per brick."""

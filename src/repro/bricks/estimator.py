@@ -7,20 +7,20 @@ count it produces delay, energy, constraint and leakage numbers in
 microseconds of wall-clock — fast enough that the Fig. 4c design-space
 exploration of nine bricks "finalized within 2 seconds".
 
-The slow half (the transient reference over the extracted RC network) lives
-in :mod:`repro.bricks.extract`; the two share only the technology
-parameters, never the formulas, so comparing them measures real estimation
-error.
+The formulas live in one place, the batch kernel
+:func:`repro.bricks.batch.estimate_metric_columns`; :func:`estimate_brick`
+prices one compiled brick as a one-row batch.  The slow half (the
+transient reference over the extracted RC network) lives in
+:mod:`repro.bricks.extract`; the two share only the technology
+parameters, never the formulas, so comparing them measures real
+estimation error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cells.leafcells import inverter_widths
-from ..cells.stdcells import unit_input_cap
 from ..errors import BrickError
 from ..tech.technology import Technology
 from .compiler import CompiledBrick
@@ -33,13 +33,6 @@ _K50 = 0.735
 
 #: Crowbar overlap window at the precharge/evaluate handoff, in FO4 units.
 _CROWBAR_FO4 = 3.0
-
-
-def _cycle_energy(cap: float, vdd: float) -> float:
-    """Supply energy of one full charge/discharge cycle of a net: every
-    cycle draws C * Vdd^2 from the supply during the charge phase,
-    independent of who discharges it."""
-    return cap * vdd * vdd
 
 
 @dataclass(frozen=True)
@@ -83,207 +76,16 @@ class BrickPerformance:
         return 1.0 / period
 
 
-def _inv_chain_delay(stage_caps, load: float, tech: Technology) -> float:
-    """50 % delay through an inverter chain with a final load."""
-    delay = 0.0
-    caps = list(stage_caps)
-    for i, c_in in enumerate(caps):
-        c_out = caps[i + 1] if i + 1 < len(caps) else load
-        w_n, w_p = inverter_widths(c_in, tech)
-        # Average of rise/fall drive resistance of the stage.
-        r_drive = 0.5 * (tech.r_on_n / w_n + tech.r_on_p / w_p)
-        c_self = tech.c_diff * (w_n + w_p)
-        delay += _K50 * r_drive * (c_out + c_self)
-    return delay
-
-
-def _nand_delay(c_in: float, load: float, tech: Technology) -> float:
-    """50 % delay of the wordline driver's gating NAND2."""
-    w_n, w_p = inverter_widths(c_in, tech)
-    # Series NMOS stack (2x width each keeps pull-down R equal to the
-    # inverter's); falling output through the stack.
-    r_drive = 0.5 * (tech.r_on_n / w_n + tech.r_on_p / w_p)
-    c_self = tech.c_diff * (2 * w_n + 2 * w_p)
-    return _K50 * r_drive * (load + c_self)
-
-
 def estimate_brick(compiled: CompiledBrick, tech: Technology,
-                   stack: Optional[int] = None,
-                   out_load: Optional[float] = None) -> BrickPerformance:
+                   stack: Optional[int] = None) -> BrickPerformance:
     """Estimate a brick's bank-level performance at ``stack`` bricks.
 
-    ``out_load`` is the capacitance past the ARBL (bank mux / capture
-    flop); defaults to four unit input caps, matching the compiler's
-    sizing assumption.
+    A one-row batch (:func:`~repro.bricks.batch.brick_rows`) through the
+    batch kernel, at the default ARBL output load of four unit input
+    caps.  The brick's sizing is frozen at compile time (for
+    ``compiled.target_stack``) and priced at ``stack``, which defaults
+    to the target; ``tech`` must be the technology it was compiled in.
     """
-    spec = compiled.spec
-    cell = compiled.bitcell
+    from .batch import brick_rows, estimate_batch  # batch imports us
     stack = compiled.target_stack if stack is None else stack
-    if stack < 1:
-        raise BrickError("stack count must be >= 1")
-    layer = tech.layer(tech.local_layer)
-    c_unit = unit_input_cap(tech)
-    if out_load is None:
-        out_load = 4.0 * c_unit
-    vdd = tech.vdd
-
-    # ------------------------------------------------------- read delay --
-    # 1. control: clock buffer to wordline-enable.  The enable net loads
-    # the per-row gating NANDs; the precharge-bar net (off the first
-    # stage) loads the LBL precharge devices plus the bank-level ARBL
-    # precharge devices, and is off the critical path.
-    enable_net = spec.words * compiled.wl_driver.enable_cap()
-    # The sequenced bank ARBL restore net carries one full-width
-    # precharge gate per column; the local preb net carries the LBL
-    # precharge gates.
-    w_arbl_pre = compiled.sense.w_pull
-    preb_net_active = spec.bits * tech.c_gate * (
-        compiled.sense.w_precharge + w_arbl_pre)
-    preb_net_idle = spec.bits * tech.c_gate * compiled.sense.w_precharge
-    t_ctrl = _inv_chain_delay(compiled.control.stage_caps, enable_net,
-                              tech)
-
-    # 2. wordline driver: gating NAND + buffer chain + wordline wire.
-    wl = compiled.wl_driver
-    first_stage = wl.stage_caps[0]
-    t_nand = _nand_delay(wl.nand_input_cap, first_stage, tech)
-    r_wl_wire, c_wl_wire = layer.rc(compiled.wordline_length_um())
-    c_wl_taps = spec.bits * cell.c_rwl
-    # Chain drives the wordline: last stage sees the full WL load.
-    t_chain = _inv_chain_delay(wl.stage_caps,
-                               c_wl_wire + c_wl_taps, tech)
-    # Distributed wire penalty to the far-end cell (Elmore, uniform taps).
-    t_wl_wire = _K50 * r_wl_wire * (c_wl_wire / 2.0 + c_wl_taps / 2.0)
-
-    # 3. far cell discharges the local read bitline to the sense trip.
-    r_lbl_wire, c_lbl_wire = layer.rc(compiled.lbl_length_um())
-    c_lbl = (c_lbl_wire + spec.words * cell.c_rbl
-             + compiled.sense.lbl_load(tech))
-    t_cell = _K50 * (cell.r_read * c_lbl
-                     + r_lbl_wire * (c_lbl_wire / 2.0
-                                     + compiled.sense.lbl_load(tech)))
-
-    # 4. local sense inverter fires the ARBL pull-down gate.
-    sense = compiled.sense
-    t_sense = _K50 * sense.r_sense(tech) * (
-        sense.sense_delay_load(tech) + sense.internal_cap(tech))
-
-    # 5. ARBL discharge across the stacked bricks.
-    arbl_per_brick = compiled.arbl_cap_per_brick(tech)
-    c_arbl = stack * arbl_per_brick + out_load
-    r_arbl_wire, _ = tech.layer(tech.bitline_layer).rc(
-        stack * compiled.brick_height_estimate_um())
-    t_arbl = _K50 * (sense.r_pull(tech) * c_arbl
-                     + r_arbl_wire * (c_arbl / 2.0))
-
-    read_delay = t_ctrl + t_nand + t_chain + t_wl_wire + t_cell + \
-        t_sense + t_arbl
-
-    # ------------------------------------------------------- read energy --
-    n_discharge = math.ceil(spec.bits / 2)  # alternating word <1010...10>
-    e_ctrl = _cycle_energy(
-        compiled.control.internal_cap(tech) + enable_net
-        + preb_net_active + compiled.control.clock_cap(), vdd)
-    e_wl = _cycle_energy(
-        c_wl_wire + c_wl_taps + wl.internal_cap(tech), vdd)
-    e_lbl = n_discharge * _cycle_energy(c_lbl, vdd)
-    e_sense = n_discharge * _cycle_energy(sense.internal_cap(tech), vdd)
-    e_arbl = n_discharge * _cycle_energy(c_arbl, vdd)
-    # Idle stacked bricks still receive the clock: their control blocks
-    # fire the enable and precharge-bar nets every cycle even though no
-    # wordline is selected.  (Gating idle BANKS by address MSBs is a
-    # memory-level customization — Fig. 3 / config E — not a property of
-    # the stacked bank itself.)  This per-brick overhead is what makes
-    # partitions built from a few large bricks cheaper than many small
-    # ones in Fig. 4c.
-    e_idle = (stack - 1) * _cycle_energy(
-        compiled.control.internal_cap(tech) + enable_net
-        + preb_net_idle + compiled.control.clock_cap(), vdd)
-    # Crowbar current at the precharge/evaluate handoff: for a short
-    # overlap window both the precharge PMOS and the read pull-down
-    # conduct, drawing V^2/R through every column.
-    t_overlap = _CROWBAR_FO4 * tech.fo4_delay()
-    e_crowbar = spec.bits * vdd * vdd * (
-        compiled.sense.w_precharge / tech.r_on_p) * t_overlap
-    read_energy = (e_ctrl + e_wl + e_lbl + e_sense + e_arbl + e_idle
-                   + e_crowbar)
-
-    # ------------------------------------------------------- write energy --
-    # Writing the alternating word over its complement: each cycle half
-    # the write bitlines rise (and draw CV^2) while the other half fall.
-    c_wbl_bank = stack * compiled.wbl_cap_per_brick(tech)
-    e_wbl = math.ceil(spec.bits / 2) * _cycle_energy(c_wbl_bank, vdd)
-    c_wwl = c_wl_wire + spec.bits * cell.c_wwl
-    e_wwl = _cycle_energy(c_wwl + wl.internal_cap(tech), vdd)
-    write_energy = e_ctrl + e_wwl + e_wbl + e_idle
-
-    # ------------------------------------------------------- constraints --
-    fo4 = tech.fo4_delay()
-    setup = 2.0 * fo4 + t_ctrl  # inputs must beat the enable generation
-    hold = 0.5 * fo4
-
-    # ------------------------------------------------------- CAM match --
-    match_delay = None
-    match_energy = None
-    if spec.is_cam:
-        assert compiled.match is not None
-        m = compiled.match
-        t_sl = _inv_chain_delay(m.sl_stage_caps,
-                                compiled.searchline_cap(tech), tech)
-        c_ml = compiled.matchline_cap(tech)
-        r_ml_wire, c_ml_wire = layer.rc(compiled.matchline_length_um())
-        t_ml = _K50 * (cell.r_match * c_ml
-                       + r_ml_wire * c_ml_wire / 2.0)
-        w_sn, w_sp = m.w_ml_sense_n, m.w_ml_sense_p
-        t_ml_sense = _K50 * (tech.r_on_p / w_sp) * (
-            4.0 * c_unit + tech.c_diff * (w_sn + w_sp))
-        match_delay = t_ctrl + t_sl + t_ml + t_ml_sense
-        # All search lines toggle; all-but-one matchline discharges (the
-        # expected single-match case of the SpGEMM architecture).  Each
-        # search line's driver chain switches internally along with it.
-        sl_driver_internal = 0.0
-        for i, c_in in enumerate(m.sl_stage_caps):
-            w_n, w_p = inverter_widths(c_in, tech)
-            sl_driver_internal += tech.c_diff * (w_n + w_p)
-            if i > 0:
-                sl_driver_internal += c_in
-        e_sl = spec.bits * _cycle_energy(
-            compiled.searchline_cap(tech) + sl_driver_internal, vdd)
-        e_ml = max(spec.words - 1, 1) * _cycle_energy(c_ml, vdd)
-        match_energy = e_ctrl + e_sl + e_ml + e_idle
-
-    # ------------------------------------------------------- area/leak --
-    from .layout import generate_layout  # local import: avoid cycle
-    brick_area = generate_layout(compiled, tech).area_um2
-    n_cells = spec.words * spec.bits
-    leak_cells = n_cells * cell.i_leak * vdd
-    periph_width = (wl.total_width_um(tech) * spec.words
-                    + sense.total_width_um() * spec.bits
-                    + compiled.control.total_width_um(tech))
-    leak_periph = tech.i_leak_n * periph_width * 0.5 * vdd
-    leakage = stack * (leak_cells + leak_periph)
-
-    return BrickPerformance(
-        brick_name=spec.name,
-        stack=stack,
-        read_delay=read_delay,
-        read_energy=read_energy,
-        write_energy=write_energy,
-        setup=setup,
-        hold=hold,
-        clock_cap=stack * compiled.control.clock_cap(),
-        dwl_cap=wl.input_cap(),
-        wbl_cap=c_wbl_bank,
-        area_um2=brick_area * stack,
-        leakage_w=leakage,
-        match_delay=match_delay,
-        match_energy=match_energy,
-        components={
-            "t_ctrl": t_ctrl, "t_nand": t_nand, "t_chain": t_chain,
-            "t_wl_wire": t_wl_wire, "t_cell": t_cell, "t_sense": t_sense,
-            "t_arbl": t_arbl,
-            "e_ctrl": e_ctrl, "e_wl": e_wl, "e_lbl": e_lbl,
-            "e_sense": e_sense, "e_arbl": e_arbl, "e_idle": e_idle,
-            "e_crowbar": e_crowbar, "e_wbl": e_wbl, "e_wwl": e_wwl,
-        },
-    )
+    return estimate_batch(brick_rows(compiled, stack), tech)[0]

@@ -8,8 +8,9 @@ memory brick sizes, types, and aspect ratios." (Section 3)
 
 :func:`brick_cell_model` turns a compiled brick plus stack count into a
 :class:`~repro.liberty.models.CellModel` whose delay/energy LUTs are
-characterized by sweeping the estimator over output load (and input slew),
-and :func:`generate_brick_library` batches that for a set of specs — the
+characterized by pricing the estimator over output load (one batch row
+per load; input slew is an additive term), and
+:func:`generate_brick_library` batches that for a set of specs — the
 operation the paper times at "within 2 seconds of wall clock" for nine
 bricks.
 """
@@ -33,8 +34,8 @@ from ..liberty.models import (
     TimingArc,
 )
 from ..tech.technology import Technology
+from .batch import brick_rows, estimate_batch
 from .compiler import CompiledBrick
-from .estimator import estimate_brick
 from .spec import BrickSpec
 
 
@@ -55,17 +56,17 @@ def brick_cell_model(compiled: CompiledBrick, tech: Technology,
     """
     spec = compiled.spec
     stack = compiled.target_stack if stack is None else stack
-    base = estimate_brick(compiled, tech, stack=stack)
     c_unit = unit_input_cap(tech)
     slews = default_slew_axis(tech.tau)
     loads = default_load_axis(4.0 * c_unit)
 
     # The estimate depends on the output load but not on the input slew
     # (slew enters the LUTs as an additive first-order penalty), so one
-    # estimate per load column characterizes the whole slew x load grid —
-    # len(loads) estimator calls instead of len(slews) * len(loads) * 3.
-    ests = [estimate_brick(compiled, tech, stack=stack, out_load=load)
-            for load in loads]
+    # batch row per load column characterizes the whole slew x load
+    # grid.  The default output load is exactly ``loads[1]``, so that
+    # row is also the base estimate.
+    ests = estimate_batch(brick_rows(compiled, stack, loads), tech)
+    base = ests[1]
     read_delays = np.asarray([e.read_delay for e in ests])
     read_energies = np.asarray([e.read_energy for e in ests])
     slew_arr = np.asarray(slews)

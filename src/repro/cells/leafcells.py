@@ -8,12 +8,13 @@ bitcells, and snap to each other when laid-out in array form."
 Each leaf cell here is a small dataclass of transistor widths produced by
 the brick compiler's logical-effort pass.  Every leaf cell knows how to
 
-* report its input capacitance and area (for the estimator and layout),
-* report the capacitance it adds to shared wires (the ARBL stacking
-  penalty of Table 1 comes from :attr:`LocalSense.arbl_load` times the
-  stack count),
+* report its pin capacitances, transistor width and area (for the
+  estimator, leakage and layout),
 * instantiate its switch-level devices into a :class:`SpiceCircuit`
   (for the transient reference simulation).
+
+The estimator's capacitance formulas over these widths live in
+:mod:`repro.bricks.batch`.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ class WordlineDriver:
     nand_input_cap: float
     stage_caps: Tuple[float, ...]
 
-    def input_cap(self) -> float:
-        """Load presented to the decoded-wordline input."""
-        return self.nand_input_cap
-
     def enable_cap(self) -> float:
         """Load presented to the brick-internal wordline enable."""
         return self.nand_input_cap
@@ -77,16 +74,6 @@ class WordlineDriver:
             w_n, w_p = inverter_widths(cap, tech)
             total += w_n + w_p
         return total
-
-    def internal_cap(self, tech: Technology) -> float:
-        """Switched internal capacitance per wordline pulse (F)."""
-        cap = 0.0
-        w_nand_n, w_nand_p = inverter_widths(self.nand_input_cap, tech)
-        cap += tech.c_diff * (2 * w_nand_n + 2 * w_nand_p)
-        for stage_cap in self.stage_caps:
-            w_n, w_p = inverter_widths(stage_cap, tech)
-            cap += stage_cap + tech.c_diff * (w_n + w_p)
-        return cap
 
     def area_um2(self, tech: Technology, height_um: float) -> float:
         """Leaf area; pitch-matched to the bitcell row ``height_um``."""
@@ -131,8 +118,9 @@ class LocalSense:
     The local read bitline (LBL) is precharged high; a selected cell
     storing 0 discharges it.  The sense inverter flips and turns on the
     array-read-bitline (ARBL) pull-down.  Stacked bricks share the ARBL,
-    so every stacked brick adds :meth:`arbl_load` of diffusion/wire cap to
-    it — the physical origin of Table 1's delay-vs-stacking rows.
+    so every stacked brick adds its pull-down's drain diffusion and its
+    share of wire to it — the physical origin of Table 1's
+    delay-vs-stacking rows.
     """
 
     w_sense_n: float
@@ -140,36 +128,9 @@ class LocalSense:
     w_pull: float
     w_precharge: float
 
-    def lbl_load(self, tech: Technology) -> float:
-        """Cap this leaf adds to the LBL (sense gate + precharge drain)."""
-        return tech.c_gate * (self.w_sense_n + self.w_sense_p) + \
-            tech.c_diff * self.w_precharge
-
-    def arbl_load(self, tech: Technology) -> float:
-        """Cap this leaf adds to the shared ARBL (pull-down drain)."""
-        return tech.c_diff * self.w_pull
-
-    def sense_delay_load(self, tech: Technology) -> float:
-        """Load on the sense inverter output (the pull-down gate)."""
-        return tech.c_gate * self.w_pull
-
-    def r_sense(self, tech: Technology) -> float:
-        """Pull-up resistance of the sense inverter (LBL falls -> out
-        rises)."""
-        return tech.r_on_p / self.w_sense_p
-
-    def r_pull(self, tech: Technology) -> float:
-        """ARBL pull-down resistance."""
-        return tech.r_on_n / self.w_pull
-
     def total_width_um(self) -> float:
         return (self.w_sense_n + self.w_sense_p + self.w_pull +
                 self.w_precharge)
-
-    def internal_cap(self, tech: Technology) -> float:
-        """Switched internal cap per sensing event (sense output node)."""
-        return tech.c_gate * self.w_pull + tech.c_diff * (
-            self.w_sense_n + self.w_sense_p)
 
     def area_um2(self, tech: Technology, width_um: float) -> float:
         """Leaf area; pitch-matched to the bitcell column ``width_um``."""
@@ -221,20 +182,6 @@ class ControlBlock:
             w_n, w_p = inverter_widths(cap, tech)
             total += w_n + w_p
         return total
-
-    def internal_cap(self, tech: Technology) -> float:
-        cap = 0.0
-        for stage_cap in self.stage_caps[1:]:
-            cap += stage_cap
-        for stage_cap in self.stage_caps:
-            w_n, w_p = inverter_widths(stage_cap, tech)
-            cap += tech.c_diff * (w_n + w_p)
-        # The precharge-bar branch: its stage gates and diffusions (the
-        # final preb net itself is accounted separately by the estimator).
-        for stage_cap in self._preb_caps():
-            w_n, w_p = inverter_widths(stage_cap, tech)
-            cap += stage_cap + tech.c_diff * (w_n + w_p)
-        return cap
 
     def area_um2(self, tech: Technology) -> float:
         width = self.total_width_um(tech) * tech.poly_pitch_um / (

@@ -1,4 +1,4 @@
-"""Circuit substrate: RC engines, gate catalog, transient reference sim."""
+"""Circuit substrate: logical effort, gate catalog, transient reference sim."""
 
 from .gates import CATALOG, GateType, gate_type
 from .logical_effort import (
@@ -12,7 +12,6 @@ from .logical_effort import (
     size_path,
 )
 from .netlist import GND, Capacitor, Mosfet, Resistor, SpiceCircuit, VSource
-from .rc_tree import RCNode, RCTree
 from .spice import TransientResult, TransientSimulator
 from .waveform import Waveform, pulse, ramp
 
@@ -21,7 +20,6 @@ __all__ = [
     "SizedPath", "buffer_chain", "gate_delay", "le_tau",
     "optimal_stage_count", "parasitic_inv", "path_effort", "size_path",
     "GND", "Capacitor", "Mosfet", "Resistor", "SpiceCircuit", "VSource",
-    "RCNode", "RCTree",
     "TransientResult", "TransientSimulator",
     "Waveform", "pulse", "ramp",
 ]

@@ -28,8 +28,7 @@ executor.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, \
-    Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
 from ..bricks.compiler import CompiledBrick, compile_brick
 from ..bricks.estimator import BrickPerformance, estimate_brick
@@ -58,16 +57,21 @@ def cached_compile(spec: BrickSpec, tech: Technology, stack: int = 1, *,
         key, lambda: compile_brick(spec, tech, target_stack=stack))
 
 
-def cached_estimate(spec: BrickSpec, tech: Technology, stack: int = 1,
-                    out_load: Optional[float] = None, *,
+def cached_estimate(spec: BrickSpec, tech: Technology, stack: int = 1, *,
                     cache: CharacterizationCache) -> BrickPerformance:
-    """Memoized compile + closed-form estimate for one brick point."""
-    key = cache_key("estimate", spec, tech, stack, out_load)
+    """Memoized estimate of :func:`cached_compile`'s brick.
+
+    Keyed apart from :func:`estimate_points`, which sizes through the
+    batch compiler: its stage caps can differ from
+    :func:`~repro.bricks.compiler.compile_brick`'s in the last bit, so
+    one shared key would hand a caller whichever value was cached
+    first.
+    """
+    key = cache_key("compiled_estimate", spec, tech, stack)
 
     def compute() -> BrickPerformance:
         compiled = cached_compile(spec, tech, stack, cache=cache)
-        return estimate_brick(compiled, tech, stack=stack,
-                              out_load=out_load)
+        return estimate_brick(compiled, tech, stack=stack)
 
     return cache.get_or_compute(key, compute)
 

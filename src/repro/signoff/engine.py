@@ -503,13 +503,12 @@ class SignoffEngine:
                 else plan.n_chunks)
         return self._reduce(plan, bases, collected, used,
                             state["achieved"],
-                            state["stop_at"] is not None,
-                            watch.elapsed())
+                            state["stop_at"] is not None, watch)
 
     # -- internals ---------------------------------------------------
 
     def _corner_bases(self) -> Dict[str, Dict[str, float]]:
-        """Price the brick once per corner (cached, scalar path).
+        """Price the brick once per corner (cached estimates).
 
         Every per-sample metric is these bases times pure scale
         columns, per the closed-form scaling law: delay ~ r*c,
@@ -558,8 +557,9 @@ class SignoffEngine:
                 collected: Dict[int,
                                 Union[ChunkResult, ChunkFailure]],
                 used: int, achieved: float, early_stopped: bool,
-                wall_clock_s: float) -> SignoffReport:
-        """Assemble the evaluated prefix into the final report."""
+                watch: Stopwatch) -> SignoffReport:
+        """Assemble the evaluated prefix into the final report, timed
+        by ``watch`` up to the end of the reduction."""
         results: List[ChunkResult] = []
         failures: List[ChunkFailure] = []
         for index in range(used):
@@ -630,4 +630,4 @@ class SignoffEngine:
             metrics=metrics, raw_yield=raw_yield,
             repaired_yield=repaired_yield,
             defect_counts=defect_counts, failures=failures,
-            wall_clock_s=wall_clock_s)
+            wall_clock_s=watch.elapsed())

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bricks import compile_brick, generate_brick_library, sram_brick
+from repro.bricks import BrickPerformance, compile_brick, \
+    generate_brick_library, sram_brick
 from repro.cells import make_stdcell_library
 from repro.session import Session
 from repro.tech import cmos65
@@ -40,26 +41,17 @@ def small_brick(tech):
 
 
 @pytest.fixture(scope="session")
-def perf_close():
-    """Comparator asserting two BrickPerformance results agree to a
-    relative tolerance (the scalar-vs-vector equivalence budget)."""
-    def compare(scalar, vector, rel=1e-9):
-        assert vector.brick_name == scalar.brick_name
-        assert vector.stack == scalar.stack
-        for name in ("read_delay", "read_energy", "write_energy",
-                     "setup", "hold", "clock_cap", "dwl_cap", "wbl_cap",
-                     "area_um2", "leakage_w"):
-            assert getattr(vector, name) == pytest.approx(
-                getattr(scalar, name), rel=rel, abs=0.0), name
-        for name in ("match_delay", "match_energy"):
-            a, b = getattr(scalar, name), getattr(vector, name)
-            assert (a is None) == (b is None), name
-            if a is not None:
-                assert b == pytest.approx(a, rel=rel, abs=0.0), name
-        assert set(vector.components) == set(scalar.components)
-        for key, value in scalar.components.items():
-            assert vector.components[key] == pytest.approx(
-                value, rel=rel, abs=0.0), key
+def perf_identical():
+    """Comparator asserting two BrickPerformance results are ``==`` in
+    every field and every component, naming the first mismatch."""
+    def compare(got, want):
+        for name in BrickPerformance.__dataclass_fields__:
+            if name != "components":
+                assert getattr(got, name) == getattr(want, name), name
+        assert list(got.components) == list(want.components)
+        for key, value in want.components.items():
+            assert got.components[key] == value, key
+        assert got == want
     return compare
 
 

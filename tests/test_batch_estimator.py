@@ -1,11 +1,13 @@
 """Tests for the vectorized batch-estimator kernel and its plumbing.
 
 Covers the struct-of-arrays :class:`BrickSpecBatch` construction and
-validation, the batched Elmore ladder solve against the scalar
-:class:`RCTree`, the batch-first ``estimate_points`` routing (cache
-short-circuit, executor batching, keep-going failure expansion,
-``jobs``-independence), the ``characterize.estimate.*`` metrics and
-the kernel's behaviour at the corners of the spec domain.
+validation, the batch compiler's sizing against the scalar compiler,
+the kernel against the scalar oracle of
+``tests/test_fast_paths_vs_reference.py``, the batch-first
+``estimate_points`` routing (cache short-circuit, executor batching,
+keep-going failure expansion, ``jobs``-independence), the
+``characterize.estimate.*`` metrics and the kernel's behaviour at the
+corners of the spec domain.
 """
 
 import math
@@ -23,13 +25,13 @@ from repro.bricks import (
 )
 from repro.bricks.batch import compile_batch, estimate_metric_columns
 from repro.bricks.spec import BrickSpec
-from repro.circuit.rc_tree import RCTree, ladder_elmore_batch
 from repro.cells.bitcells import MEMORY_TYPES
-from repro.errors import BrickError, ExecutorError, NetlistError
+from repro.errors import BrickError, ExecutorError
 from repro.obs.metrics import MetricsRegistry
 from repro.perf import (
     CharacterizationCache,
     TaskFailure,
+    cached_estimate,
     chunk_slices,
     estimate_points,
     executor_stats,
@@ -38,6 +40,19 @@ from repro.perf import (
 from repro.session import Session
 from repro.tech.corners import CORNERS
 
+from .test_fast_paths_vs_reference import compiled_row, \
+    reference_estimate_brick
+
+
+def assert_rows_match_oracle(points, results, tech, perf_identical):
+    """Each result is ``==`` to the oracle over the batch compiler's
+    sizing of its point."""
+    compiled = compile_batch(BrickSpecBatch.from_points(points), tech)
+    assert len(results) == len(points)
+    for i, got in enumerate(results):
+        perf_identical(got, reference_estimate_brick(
+            compiled_row(compiled, tech, i), tech))
+
 
 class TestBrickSpecBatch:
     def test_empty_batch(self, tech):
@@ -45,14 +60,12 @@ class TestBrickSpecBatch:
         assert batch.n_points == 0
         assert estimate_brick_batch([], tech) == []
 
-    def test_single_point_matches_scalar(self, tech, perf_close):
-        spec = sram_brick(16, 10)
-        vector, = estimate_brick_batch([(spec, 2)], tech)
-        scalar = estimate_brick(
-            compile_brick(spec, tech, target_stack=2), tech, stack=2)
-        perf_close(scalar, vector)
+    def test_single_point_matches_oracle(self, tech, perf_identical):
+        points = [(sram_brick(16, 10), 2)]
+        assert_rows_match_oracle(points, estimate_brick_batch(points, tech),
+                                 tech, perf_identical)
 
-    def test_mixed_brick_types_match_scalar(self, tech, perf_close):
+    def test_mixed_brick_types_match_oracle(self, tech, perf_identical):
         points = [(sram_brick(16, 10), 1),
                   (cam_brick(8, 12), 2),
                   (BrickSpec("6T", 32, 8), 1),
@@ -66,12 +79,32 @@ class TestBrickSpecBatch:
                               words[i % len(words)],
                               bits[(i // 3) % len(bits)]), 1 + i % 8)
                    for i in range(50)]
-        vectors = estimate_brick_batch(points, tech)
-        for (spec, stack), vector in zip(points, vectors):
-            scalar = estimate_brick(
-                compile_brick(spec, tech, target_stack=stack), tech,
-                stack=stack)
-            perf_close(scalar, vector)
+        assert_rows_match_oracle(points, estimate_brick_batch(points, tech),
+                                 tech, perf_identical)
+
+    def test_sizing_matches_compiler(self, tech):
+        """The batch compiler picks the scalar compiler's stage counts
+        and widths; its stage caps, raised to a power elementwise, agree
+        to a few ulp."""
+        points = [(BrickSpec(memory_type, words, bits), stack)
+                  for memory_type in MEMORY_TYPES
+                  for words in (1, 16, 64, 256, 1024)
+                  for bits in (1, 10, 32, 256)
+                  for stack in (1, 4, 32)]
+        batch = compile_batch(BrickSpecBatch.from_points(points), tech)
+        for i, (spec, stack) in enumerate(points):
+            row = compiled_row(batch, tech, i)
+            scalar = compile_brick(spec, tech, target_stack=stack)
+            assert row.sense == scalar.sense
+            for got, want in (
+                    (row.wl_driver.stage_caps,
+                     scalar.wl_driver.stage_caps),
+                    (row.control.stage_caps, scalar.control.stage_caps),
+                    (row.control.preb_stage_caps,
+                     scalar.control.preb_stage_caps),
+                    (row.match.sl_stage_caps if row.match else (),
+                     scalar.match.sl_stage_caps if scalar.match else ())):
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_spec_roundtrip(self):
         batch = BrickSpecBatch.from_points(
@@ -115,48 +148,6 @@ class TestBrickSpecBatch:
             BrickSpecBatch.from_arrays(["8T", "6T"], [16], [10], [1])
 
 
-class TestLadderElmoreBatch:
-    def _scalar_ladder(self, r_drive, root_cap, segments, tail_cap):
-        tree = RCTree(r_drive=r_drive, root_cap=root_cap)
-        last = tree.add_ladder("root", "n", segments, tail_cap=tail_cap)
-        return tree.elmore(last)
-
-    def test_matches_rc_tree(self):
-        rng = np.random.default_rng(2015)
-        n_ladders, width = 17, 9
-        r = rng.uniform(10.0, 5e3, size=(n_ladders, width))
-        c = rng.uniform(1e-16, 5e-14, size=(n_ladders, width))
-        n_segs = rng.integers(1, width + 1, size=n_ladders)
-        r_drive = rng.uniform(0.0, 2e4, size=n_ladders)
-        root_cap = rng.uniform(0.0, 1e-13, size=n_ladders)
-        tail_cap = rng.uniform(0.0, 1e-13, size=n_ladders)
-        delays = ladder_elmore_batch(r, c, r_drive=r_drive,
-                                     root_cap=root_cap,
-                                     tail_cap=tail_cap, n_segs=n_segs)
-        assert delays.shape == (n_ladders,)
-        for i in range(n_ladders):
-            k = int(n_segs[i])
-            expected = self._scalar_ladder(
-                r_drive[i], root_cap[i],
-                list(zip(r[i, :k], c[i, :k])), tail_cap[i])
-            assert delays[i] == pytest.approx(expected, rel=1e-12)
-
-    def test_one_dimensional_input(self):
-        delay = ladder_elmore_batch([100.0], [1e-15], r_drive=50.0)
-        expected = self._scalar_ladder(50.0, 0.0, [(100.0, 1e-15)], 0.0)
-        assert float(delay[0]) == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(NetlistError):
-            ladder_elmore_batch([[100.0]], [[1e-15], [1e-15]])
-        with pytest.raises(NetlistError):
-            ladder_elmore_batch([[-1.0]], [[1e-15]])
-        with pytest.raises(NetlistError):
-            ladder_elmore_batch([[100.0]], [[1e-15]], n_segs=[2])
-        with pytest.raises(NetlistError):
-            ladder_elmore_batch([[100.0]], [[1e-15]], r_drive=-1.0)
-
-
 class TestChunkSlices:
     def test_partitions_exactly(self):
         for n_tasks in (0, 1, 5, 16, 100):
@@ -188,22 +179,32 @@ class TestEstimatePointsBatchFirst:
         return Session(tech, cache=CharacterizationCache(cache_dir=None),
                        **kwargs)
 
-    def test_matches_scalar_and_caches(self, tech, perf_close):
+    def test_matches_oracle_and_caches(self, tech, perf_identical):
         session = self._session(tech)
         points = self._points(9)
         results = estimate_points(points, session)
         unique = len(set(points))
         assert session.cache.stats.misses == unique
-        for (spec, stack), vector in zip(points, results):
-            scalar = estimate_brick(
-                compile_brick(spec, tech, target_stack=stack), tech,
-                stack=stack)
-            perf_close(scalar, vector)
+        assert_rows_match_oracle(points, results, tech, perf_identical)
         # Warm run: every point short-circuits in the cache probe, the
         # kernel is never invoked.
         again = estimate_points(points, session)
         assert again == results
         assert session.cache.stats.misses == unique
+
+    def test_cached_estimate_keyed_apart(self, tech, perf_identical):
+        """``cached_estimate`` prices the scalar compiler's sizing.  For
+        8T 64x8 the batch compiler's control stage caps differ from it
+        in the last bit, so a point ``estimate_points`` cached must not
+        be served to ``cached_estimate``: one cache, two misses."""
+        session = self._session(tech)
+        spec = BrickSpec("8T", 64, 8)
+        swept, = estimate_points([(spec, 1)], session)
+        single = cached_estimate(spec, tech, 1, cache=session.cache)
+        assert session.cache.stats.misses == 3  # + the compiled brick
+        perf_identical(single, estimate_brick(
+            compile_brick(spec, tech, target_stack=1), tech, stack=1))
+        assert swept != single  # the case is not vacuous
 
     def test_warm_run_skips_kernel(self, tech, monkeypatch):
         from repro.bricks import batch

@@ -4,11 +4,15 @@ import pytest
 
 from repro.bricks import cam_brick, compile_brick, estimate_brick, \
     estimate_brick_batch, sram_brick
+from repro.bricks.batch import brick_rows, estimate_batch
 from repro.bricks.spec import BrickSpec
 from repro.cells.bitcells import MEMORY_TYPES
 from repro.errors import BrickError
 from repro.tech.corners import CORNERS
 from repro.units import GHZ, MHZ, PJ, PS
+
+from .test_batch_estimator import assert_rows_match_oracle
+from .test_fast_paths_vs_reference import reference_estimate_brick
 
 
 class TestTable1Anchors:
@@ -101,8 +105,8 @@ class TestModelStructure:
         assert total == pytest.approx(est.read_energy, rel=1e-9)
 
     def test_out_load_increases_delay(self, brick_16x10, tech):
-        light = estimate_brick(brick_16x10, tech, out_load=1e-15)
-        heavy = estimate_brick(brick_16x10, tech, out_load=50e-15)
+        light, heavy = estimate_batch(
+            brick_rows(brick_16x10, 1, [1e-15, 50e-15]), tech)
         assert heavy.read_delay > light.read_delay
 
     def test_setup_hold_sane(self, brick_16x10, tech):
@@ -133,31 +137,37 @@ class TestModelStructure:
         assert 0 < est.write_energy < 10 * PJ
 
 
-class TestScalarVectorGolden:
-    """Golden equivalence: the vectorized batch kernel must reproduce
-    the scalar estimator to <=1e-9 relative, for every brick type and
-    every PVT corner (in practice they agree to a few ulp)."""
+class TestOracleGolden:
+    """Golden equivalence: the batch kernel and its one-row view,
+    ``estimate_brick``, are ``==`` to the scalar oracle for every brick
+    type and every PVT corner."""
 
     @pytest.mark.parametrize("corner_name", sorted(CORNERS))
     @pytest.mark.parametrize("memory_type", MEMORY_TYPES)
-    def test_matches_scalar(self, tech, memory_type, corner_name,
-                            perf_close):
+    def test_matches_oracle(self, tech, memory_type, corner_name,
+                            perf_identical):
         derated = CORNERS[corner_name].apply(tech)
         points = [(BrickSpec(memory_type, 16, 10), 1),
                   (BrickSpec(memory_type, 32, 12), 4),
                   (BrickSpec(memory_type, 64, 8), 8)]
-        vectors = estimate_brick_batch(points, derated)
-        assert len(vectors) == len(points)
-        for (spec, stack), vector in zip(points, vectors):
+        assert_rows_match_oracle(points,
+                                 estimate_brick_batch(points, derated),
+                                 derated, perf_identical)
+        for spec, stack in points:
             compiled = compile_brick(spec, derated, target_stack=stack)
-            scalar = estimate_brick(compiled, derated, stack=stack)
-            perf_close(scalar, vector)
+            perf_identical(
+                estimate_brick(compiled, derated, stack=stack),
+                reference_estimate_brick(compiled, derated, stack=stack))
 
-    def test_out_load_override_matches_scalar(self, tech, brick_16x10,
-                                              perf_close):
+    def test_out_load_override_matches_oracle(self, tech, brick_16x10,
+                                              perf_identical):
         spec = sram_brick(16, 10)
-        for load in (1e-15, 12e-15, 50e-15):
+        loads = (1e-15, 12e-15, 50e-15)
+        rows = estimate_batch(brick_rows(brick_16x10, 1, loads), tech)
+        for load, row in zip(loads, rows):
             vector, = estimate_brick_batch([(spec, 1)], tech,
                                            out_load=load)
-            scalar = estimate_brick(brick_16x10, tech, out_load=load)
-            perf_close(scalar, vector)
+            want = reference_estimate_brick(brick_16x10, tech,
+                                            out_load=load)
+            perf_identical(vector, want)
+            perf_identical(row, want)

@@ -90,12 +90,6 @@ class TestCompiler:
         assert big.array_height_um > small.array_height_um
         assert big.wordline_length_um() == big.array_width_um
 
-    def test_loading_summaries_positive(self, brick_16x10, tech):
-        assert brick_16x10.wordline_load(tech) > 0
-        assert brick_16x10.lbl_cap(tech) > 0
-        assert brick_16x10.arbl_cap_per_brick(tech) > 0
-        assert brick_16x10.wbl_cap_per_brick(tech) > 0
-
     def test_transistor_count_scales(self, tech):
         small = compile_brick(sram_brick(8, 8), tech)
         big = compile_brick(sram_brick(32, 32), tech)

@@ -31,11 +31,7 @@ class TestWordlineDriver:
 
     def test_input_caps(self):
         drv = self._driver()
-        assert drv.input_cap() == 1e-15
         assert drv.enable_cap() == 1e-15
-
-    def test_internal_cap_positive(self, tech):
-        assert self._driver().internal_cap(tech) > 0
 
     def test_area_scales_with_stage_sizes(self, tech):
         small = WordlineDriver(1e-15, (1e-15,))
@@ -70,22 +66,6 @@ class TestLocalSense:
         return LocalSense(w_sense_n=2 * w, w_sense_p=3 * w,
                           w_pull=8 * w, w_precharge=4 * w)
 
-    def test_lbl_load_components(self, tech):
-        sense = self._sense(tech)
-        expected = tech.c_gate * (sense.w_sense_n + sense.w_sense_p) + \
-            tech.c_diff * sense.w_precharge
-        assert sense.lbl_load(tech) == pytest.approx(expected)
-
-    def test_arbl_load_is_pulldown_diffusion(self, tech):
-        sense = self._sense(tech)
-        assert sense.arbl_load(tech) == pytest.approx(
-            tech.c_diff * sense.w_pull)
-
-    def test_resistances_inverse_in_width(self, tech):
-        sense = self._sense(tech)
-        assert sense.r_pull(tech) == pytest.approx(
-            tech.r_on_n / sense.w_pull)
-
     def test_spice_senses_falling_lbl(self, tech):
         sense = self._sense(tech)
         ckt = SpiceCircuit()
@@ -109,9 +89,6 @@ class TestControlBlock:
 
     def test_clock_cap_is_first_stage(self):
         assert self._ctrl().clock_cap() == 1e-15
-
-    def test_internal_cap_positive(self, tech):
-        assert self._ctrl().internal_cap(tech) > 0
 
     def test_odd_enable_chain_rejected(self, tech):
         ctrl = ControlBlock(stage_caps=(1e-15,))

@@ -141,14 +141,15 @@ class TestBrickLibraryVsEstimator:
                                                  brick_16x10):
         """The brick LUT was characterized from the estimator; checking
         interior points guards the interpolation plumbing."""
-        from repro.bricks import brick_cell_model, estimate_brick
+        from repro.bricks import brick_cell_model
+        from repro.bricks.batch import brick_rows, estimate_batch
         cell = brick_cell_model(brick_16x10, tech, stack=1)
         arc = cell.arc("CLK", "ARBL")
-        for load in (1.5 * FF, 4.7 * FF, 13 * FF):
-            expected = estimate_brick(brick_16x10, tech, stack=1,
-                                      out_load=load).read_delay
+        loads = (1.5 * FF, 4.7 * FF, 13 * FF)
+        ests = estimate_batch(brick_rows(brick_16x10, 1, loads), tech)
+        for load, est in zip(loads, ests):
             assert arc.delay_value(1 * PS, load) == pytest.approx(
-                expected, rel=0.03)
+                est.read_delay, rel=0.03)
 
 
 class TestActivityVsHandCount:

@@ -8,10 +8,12 @@ arrays with incremental net bounding boxes), the logic simulator's
 worker over a vectorized defect population (only defective dies are
 repaired), the in-place counter streams, and the count-weighted paired
 bootstrap.  The waveform crossing search of the Table-1 measurements is
-array operations.  Each must give *exactly* the result of the plain
-version kept below as an oracle: every final cell position, every
-toggle count, every interpolated value, every die's outcome, every
-stream value and every crossing time ``==``, not approximately equal.
+array operations, and the brick estimator is a row of the batch
+kernel.  Each must give *exactly* the result of the plain version kept
+below as an oracle: every final cell position, every toggle count,
+every interpolated value, every die's outcome, every stream value,
+every crossing time and every estimated field ``==``, not
+approximately equal.
 
 Two are exceptions.  The bootstrap takes each resample mean as a
 count-weighted product instead of a gather, which sums in another
@@ -32,11 +34,21 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bricks import build_match_testbench, build_read_testbench, \
-    build_write_testbench, cam_brick, compile_brick, \
-    generate_brick_library, single_partition, sram_brick
+from repro.bricks import brick_cell_model, build_match_testbench, \
+    build_read_testbench, build_write_testbench, cam_brick, \
+    compile_brick, estimate_brick, generate_brick_library, \
+    single_partition, sram_brick
 from repro.bricks import extract
-from repro.bricks.spec import BrickSpec
+from repro.bricks.batch import BrickSpecBatch, brick_rows, \
+    compile_batch, estimate_batch
+from repro.bricks.compiler import CompiledBrick, MatchPeriphery
+from repro.bricks.estimator import _CROWBAR_FO4, _K50, BrickPerformance
+from repro.bricks.layout import generate_layout
+from repro.bricks.spec import MAX_BITS, MAX_WORDS, BrickSpec
+from repro.cells.bitcells import MEMORY_TYPES, make_bitcell
+from repro.cells.leafcells import ControlBlock, LocalSense, \
+    WordlineDriver, inverter_widths
+from repro.cells.stdcells import unit_input_cap
 from repro.circuit import GND, SpiceCircuit, TransientSimulator, \
     Waveform, ramp
 from repro.circuit import spice
@@ -52,7 +64,7 @@ from repro.faults.defects import (
     Defect,
     FaultyBrick,
 )
-from repro.liberty.lut import LUT2D
+from repro.liberty.lut import LUT2D, default_load_axis, default_slew_axis
 from repro.rtl import LogicSimulator, build_cam, build_sram, elaborate
 from repro.rtl.module import FlatCell, FlatNetlist
 from repro.session import Session
@@ -65,6 +77,8 @@ from repro.signoff.stats import N_BOOT, PERCENTILES, proportion_summary, \
 from repro.silicon.variation import VariationModel
 from repro.synth import build_floorplan, place
 from repro.synth.floorplan import Floorplan, Placement
+from repro.tech.corners import CORNERS
+from repro.tech.presets import cmos28, cmos65
 from repro.tech.transistor import NMOS, PMOS, Transistor, conductances
 from repro.units import FF, PS
 
@@ -1095,3 +1109,355 @@ class TestCrossingMatchesReference:
                             wf.crossing, level, rising, after) == \
                             _crossing_or_error(reference_crossing, wf,
                                                level, rising, after)
+
+
+# --------------------------------------------------------------------------
+# Brick estimator: the one batch kernel against the scalar closed forms
+# --------------------------------------------------------------------------
+
+
+def _reference_chain_delay(stage_caps, load, tech):
+    """50 % delay through an inverter chain with a final load."""
+    delay = 0.0
+    caps = list(stage_caps)
+    for i, c_in in enumerate(caps):
+        c_out = caps[i + 1] if i + 1 < len(caps) else load
+        w_n, w_p = inverter_widths(c_in, tech)
+        r_drive = 0.5 * (tech.r_on_n / w_n + tech.r_on_p / w_p)
+        c_self = tech.c_diff * (w_n + w_p)
+        delay += _K50 * r_drive * (c_out + c_self)
+    return delay
+
+
+def _reference_nand_delay(c_in, load, tech):
+    """50 % delay of the wordline driver's gating NAND2."""
+    w_n, w_p = inverter_widths(c_in, tech)
+    r_drive = 0.5 * (tech.r_on_n / w_n + tech.r_on_p / w_p)
+    c_self = tech.c_diff * (2 * w_n + 2 * w_p)
+    return _K50 * r_drive * (load + c_self)
+
+
+def _reference_cycle_energy(cap, vdd):
+    return cap * vdd * vdd
+
+
+def _reference_wl_internal_cap(wl, tech):
+    cap = 0.0
+    w_nand_n, w_nand_p = inverter_widths(wl.nand_input_cap, tech)
+    cap += tech.c_diff * (2 * w_nand_n + 2 * w_nand_p)
+    for stage_cap in wl.stage_caps:
+        w_n, w_p = inverter_widths(stage_cap, tech)
+        cap += stage_cap + tech.c_diff * (w_n + w_p)
+    return cap
+
+
+def _reference_ctrl_internal_cap(control, tech):
+    cap = 0.0
+    for stage_cap in control.stage_caps[1:]:
+        cap += stage_cap
+    for stage_cap in control.stage_caps:
+        w_n, w_p = inverter_widths(stage_cap, tech)
+        cap += tech.c_diff * (w_n + w_p)
+    for stage_cap in control._preb_caps():
+        w_n, w_p = inverter_widths(stage_cap, tech)
+        cap += stage_cap + tech.c_diff * (w_n + w_p)
+    return cap
+
+
+_AREAS: Dict[tuple, float] = {}
+
+
+def _reference_area(compiled, tech):
+    """The generated layout's area, memoized: it depends on neither the
+    pricing stack nor the load, and building the grid dominates the
+    oracle's time."""
+    key = (compiled, tech.name)
+    if key not in _AREAS:
+        _AREAS[key] = generate_layout(compiled, tech).area_um2
+    return _AREAS[key]
+
+
+def reference_estimate_brick(compiled, tech, stack=None, out_load=None):
+    """The scalar closed forms, one point at a time: the estimator as it
+    was before it became a row of the batch kernel."""
+    spec = compiled.spec
+    cell = compiled.bitcell
+    stack = compiled.target_stack if stack is None else stack
+    layer = tech.layer(tech.local_layer)
+    bl_layer = tech.layer(tech.bitline_layer)
+    c_unit = unit_input_cap(tech)
+    if out_load is None:
+        out_load = 4.0 * c_unit
+    vdd = tech.vdd
+    wl = compiled.wl_driver
+    sense = compiled.sense
+    control = compiled.control
+    lbl_load = tech.c_gate * (sense.w_sense_n + sense.w_sense_p) + \
+        tech.c_diff * sense.w_precharge
+
+    # read delay
+    enable_net = spec.words * wl.enable_cap()
+    preb_net_active = spec.bits * tech.c_gate * (
+        sense.w_precharge + sense.w_pull)
+    preb_net_idle = spec.bits * tech.c_gate * sense.w_precharge
+    t_ctrl = _reference_chain_delay(control.stage_caps, enable_net, tech)
+    t_nand = _reference_nand_delay(wl.nand_input_cap, wl.stage_caps[0],
+                                   tech)
+    r_wl_wire, c_wl_wire = layer.rc(compiled.wordline_length_um())
+    c_wl_taps = spec.bits * cell.c_rwl
+    t_chain = _reference_chain_delay(wl.stage_caps,
+                                     c_wl_wire + c_wl_taps, tech)
+    t_wl_wire = _K50 * r_wl_wire * (c_wl_wire / 2.0 + c_wl_taps / 2.0)
+    r_lbl_wire, c_lbl_wire = layer.rc(compiled.lbl_length_um())
+    c_lbl = c_lbl_wire + spec.words * cell.c_rbl + lbl_load
+    t_cell = _K50 * (cell.r_read * c_lbl
+                     + r_lbl_wire * (c_lbl_wire / 2.0 + lbl_load))
+    sense_internal = tech.c_gate * sense.w_pull + tech.c_diff * (
+        sense.w_sense_n + sense.w_sense_p)
+    t_sense = _K50 * (tech.r_on_p / sense.w_sense_p) * (
+        tech.c_gate * sense.w_pull + sense_internal)
+    height = compiled.brick_height_estimate_um()
+    arbl_per_brick = bl_layer.rc(height)[1] + tech.c_diff * sense.w_pull
+    c_arbl = stack * arbl_per_brick + out_load
+    r_arbl_wire, _ = bl_layer.rc(stack * height)
+    t_arbl = _K50 * ((tech.r_on_n / sense.w_pull) * c_arbl
+                     + r_arbl_wire * (c_arbl / 2.0))
+    read_delay = t_ctrl + t_nand + t_chain + t_wl_wire + t_cell + \
+        t_sense + t_arbl
+
+    # read energy
+    ctrl_internal = _reference_ctrl_internal_cap(control, tech)
+    wl_internal = _reference_wl_internal_cap(wl, tech)
+    n_discharge = math.ceil(spec.bits / 2)
+    e_ctrl = _reference_cycle_energy(
+        ctrl_internal + enable_net + preb_net_active
+        + control.clock_cap(), vdd)
+    e_wl = _reference_cycle_energy(c_wl_wire + c_wl_taps + wl_internal,
+                                   vdd)
+    e_lbl = n_discharge * _reference_cycle_energy(c_lbl, vdd)
+    e_sense = n_discharge * _reference_cycle_energy(sense_internal, vdd)
+    e_arbl = n_discharge * _reference_cycle_energy(c_arbl, vdd)
+    e_idle = (stack - 1) * _reference_cycle_energy(
+        ctrl_internal + enable_net + preb_net_idle + control.clock_cap(),
+        vdd)
+    t_overlap = _CROWBAR_FO4 * tech.fo4_delay()
+    e_crowbar = spec.bits * vdd * vdd * (
+        sense.w_precharge / tech.r_on_p) * t_overlap
+    read_energy = (e_ctrl + e_wl + e_lbl + e_sense + e_arbl + e_idle
+                   + e_crowbar)
+
+    # write energy
+    c_wbl_bank = stack * (bl_layer.rc(compiled.lbl_length_um())[1]
+                          + spec.words * cell.c_wbl)
+    e_wbl = math.ceil(spec.bits / 2) * _reference_cycle_energy(
+        c_wbl_bank, vdd)
+    c_wwl = c_wl_wire + spec.bits * cell.c_wwl
+    e_wwl = _reference_cycle_energy(c_wwl + wl_internal, vdd)
+    write_energy = e_ctrl + e_wwl + e_wbl + e_idle
+
+    fo4 = tech.fo4_delay()
+    setup = 2.0 * fo4 + t_ctrl
+    hold = 0.5 * fo4
+
+    match_delay = None
+    match_energy = None
+    if spec.is_cam:
+        m = compiled.match
+        sl_cap = layer.rc(compiled.searchline_length_um())[1] + \
+            spec.words * cell.c_sl
+        t_sl = _reference_chain_delay(m.sl_stage_caps, sl_cap, tech)
+        c_ml = compiled.matchline_cap(tech)
+        r_ml_wire, c_ml_wire = layer.rc(compiled.matchline_length_um())
+        t_ml = _K50 * (cell.r_match * c_ml
+                       + r_ml_wire * c_ml_wire / 2.0)
+        w_sn, w_sp = m.w_ml_sense_n, m.w_ml_sense_p
+        t_ml_sense = _K50 * (tech.r_on_p / w_sp) * (
+            4.0 * c_unit + tech.c_diff * (w_sn + w_sp))
+        match_delay = t_ctrl + t_sl + t_ml + t_ml_sense
+        sl_driver_internal = 0.0
+        for i, c_in in enumerate(m.sl_stage_caps):
+            w_n, w_p = inverter_widths(c_in, tech)
+            sl_driver_internal += tech.c_diff * (w_n + w_p)
+            if i > 0:
+                sl_driver_internal += c_in
+        e_sl = spec.bits * _reference_cycle_energy(
+            sl_cap + sl_driver_internal, vdd)
+        e_ml = max(spec.words - 1, 1) * _reference_cycle_energy(c_ml, vdd)
+        match_energy = e_ctrl + e_sl + e_ml + e_idle
+
+    brick_area = _reference_area(compiled, tech)
+    leak_cells = spec.words * spec.bits * cell.i_leak * vdd
+    periph_width = (wl.total_width_um(tech) * spec.words
+                    + sense.total_width_um() * spec.bits
+                    + control.total_width_um(tech))
+    leak_periph = tech.i_leak_n * periph_width * 0.5 * vdd
+    return BrickPerformance(
+        brick_name=spec.name, stack=stack, read_delay=read_delay,
+        read_energy=read_energy, write_energy=write_energy, setup=setup,
+        hold=hold, clock_cap=stack * control.clock_cap(),
+        dwl_cap=wl.nand_input_cap, wbl_cap=c_wbl_bank,
+        area_um2=brick_area * stack,
+        leakage_w=stack * (leak_cells + leak_periph),
+        match_delay=match_delay, match_energy=match_energy,
+        components={
+            "t_ctrl": t_ctrl, "t_nand": t_nand, "t_chain": t_chain,
+            "t_wl_wire": t_wl_wire, "t_cell": t_cell, "t_sense": t_sense,
+            "t_arbl": t_arbl,
+            "e_ctrl": e_ctrl, "e_wl": e_wl, "e_lbl": e_lbl,
+            "e_sense": e_sense, "e_arbl": e_arbl, "e_idle": e_idle,
+            "e_crowbar": e_crowbar, "e_wbl": e_wbl, "e_wwl": e_wwl,
+        })
+
+
+def reference_cell_tables(compiled, tech, stack):
+    """The library model's LUT grids and attrs from one scalar estimate
+    per output load plus a base estimate, as ``brick_cell_model`` built
+    them before it priced the loads as one batch."""
+    spec = compiled.spec
+    base = reference_estimate_brick(compiled, tech, stack=stack)
+    c_unit = unit_input_cap(tech)
+    slews = np.asarray(default_slew_axis(tech.tau))
+    loads = default_load_axis(4.0 * c_unit)
+    ests = [reference_estimate_brick(compiled, tech, stack=stack,
+                                     out_load=load) for load in loads]
+    read_delays = np.asarray([e.read_delay for e in ests])
+    read_energies = np.asarray([e.read_energy for e in ests])
+    tables = {
+        "delay": np.add.outer(slews / 6.0, read_delays),
+        "slew": np.add.outer(slews / 10.0, 2.0 * (
+            (read_delays - base.read_delay) + 0.3 * base.read_delay)),
+        "read": np.tile(read_energies, (len(slews), 1)),
+    }
+    attrs = {
+        "memory_type": spec.memory_type, "words": spec.words,
+        "bits": spec.bits, "stack": stack,
+        "capacity_bits": spec.capacity_bits * stack,
+        "read_delay": base.read_delay, "read_energy": base.read_energy,
+        "write_energy": base.write_energy,
+        "match_delay": base.match_delay,
+        "match_energy": base.match_energy,
+    }
+    return base, tables, attrs
+
+
+def compiled_row(compiled, tech, i):
+    """Row ``i`` of a :class:`~repro.bricks.batch.CompiledBrickBatch` as
+    the :class:`CompiledBrick` carrying the same sizing, so the oracle
+    can price what the batch compiler sized."""
+    batch = compiled.batch
+    spec = batch.spec(i)
+
+    def caps(stage_caps, n_stages, row):
+        return tuple(stage_caps[row, :n_stages[row]].tolist())
+
+    match = None
+    if spec.is_cam:
+        j = int(np.flatnonzero(compiled.cam_idx == i)[0])
+        match = MatchPeriphery(
+            sl_stage_caps=caps(compiled.sl_caps, compiled.sl_n, j),
+            w_ml_pre=float(compiled.w_ml_pre[j]),
+            w_ml_sense_n=float(compiled.w_ml_sense_n[j]),
+            w_ml_sense_p=float(compiled.w_ml_sense_p[j]))
+    return CompiledBrick(
+        spec=spec, tech_name=compiled.tech_name,
+        target_stack=int(batch.stack[i]),
+        bitcell=make_bitcell(spec.memory_type, tech),
+        wl_driver=WordlineDriver(
+            nand_input_cap=compiled.nand_cap,
+            stage_caps=caps(compiled.wl_caps, compiled.wl_n, i)),
+        sense=LocalSense(
+            w_sense_n=float(compiled.w_sense_n[i]),
+            w_sense_p=float(compiled.w_sense_p[i]),
+            w_pull=float(compiled.w_pull[i]),
+            w_precharge=float(compiled.w_precharge[i])),
+        control=ControlBlock(
+            stage_caps=caps(compiled.ctrl_caps, compiled.ctrl_n, i),
+            preb_stage_caps=caps(compiled.preb_caps, compiled.preb_n, i)),
+        match=match)
+
+
+_ESTIMATOR_SHAPES = ((16, 10), (32, 12), (64, 8), (8, 32), (128, 64),
+                     (4, 4), (256, 16))
+_ESTIMATOR_LOADS = (None, 1 * FF, 20 * FF)
+
+
+class TestEstimatorMatchesReference:
+    """The estimator is a row of the batch kernel; the scalar closed
+    forms above are its oracle.  The population crosses two nodes, the
+    three corners, every memory type, seven shapes, compile-time and
+    pricing stacks (frozen sizing priced at another stack) and three
+    output loads: 5040 points, every field and component ``==``."""
+
+    @pytest.mark.parametrize("corner_name", ["nominal", "best", "worst"])
+    @pytest.mark.parametrize("node", ["cmos65", "cmos28"])
+    @pytest.mark.parametrize("memory_type", MEMORY_TYPES)
+    def test_population_identical(self, node, corner_name, memory_type,
+                                  perf_identical):
+        tech = CORNERS[corner_name].apply(
+            {"cmos65": cmos65, "cmos28": cmos28}[node]())
+        for words, bits in _ESTIMATOR_SHAPES:
+            spec = BrickSpec(memory_type, words, bits)
+            for target_stack in (1, 4):
+                compiled = compile_brick(spec, tech,
+                                         target_stack=target_stack)
+                for stack in (1, 2, 8, 32):
+                    got = [estimate_brick(compiled, tech, stack=stack)]
+                    got += estimate_batch(
+                        brick_rows(compiled, stack, _ESTIMATOR_LOADS[1:]),
+                        tech)
+                    for load, row in zip(_ESTIMATOR_LOADS, got):
+                        perf_identical(row, reference_estimate_brick(
+                            compiled, tech, stack=stack, out_load=load))
+
+    @pytest.mark.parametrize("memory_type", MEMORY_TYPES)
+    def test_spec_domain_corners_identical(self, tech, memory_type,
+                                           perf_identical):
+        for words in (1, MAX_WORDS):
+            for bits in (1, MAX_BITS):
+                compiled = compile_brick(BrickSpec(memory_type, words,
+                                                   bits), tech)
+                for stack in (1, 16):
+                    got = estimate_brick(compiled, tech, stack=stack)
+                    perf_identical(got, reference_estimate_brick(
+                        compiled, tech, stack=stack))
+                    if memory_type == "CAM":  # the match path is priced
+                        assert got.match_delay > 0 < got.match_energy
+                    else:
+                        assert got.match_delay is None
+
+    @pytest.mark.parametrize("memory_type", MEMORY_TYPES)
+    def test_batch_rows_identical(self, tech, memory_type, perf_identical):
+        """A population the batch compiler sized prices, row by row, the
+        bits the oracle gives for that row's sizing."""
+        points = [(BrickSpec(memory_type, words, bits), stack)
+                  for words, bits in _ESTIMATOR_SHAPES
+                  for stack in (1, 2, 8)]
+        compiled = compile_batch(BrickSpecBatch.from_points(points), tech)
+        for i, got in enumerate(estimate_batch(compiled, tech)):
+            perf_identical(got, reference_estimate_brick(
+                compiled_row(compiled, tech, i), tech))
+
+    @pytest.mark.parametrize("memory_type", MEMORY_TYPES)
+    @pytest.mark.parametrize("target_stack,stack", [(1, 1), (4, 4),
+                                                    (1, 8)])
+    def test_cell_model_tables_identical(self, tech, memory_type,
+                                         target_stack, stack):
+        compiled = compile_brick(BrickSpec(memory_type, 16, 10), tech,
+                                 target_stack=target_stack)
+        model = brick_cell_model(compiled, tech, stack=stack)
+        base, tables, attrs = reference_cell_tables(compiled, tech, stack)
+        arc = model.arcs[0]
+        assert arc.delay.values == LUT2D.from_grid(
+            arc.delay.slews, arc.delay.loads, tables["delay"]).values
+        assert arc.out_slew.values == LUT2D.from_grid(
+            arc.out_slew.slews, arc.out_slew.loads, tables["slew"]).values
+        read = model.energy["read"]
+        assert read.values == LUT2D.from_grid(
+            read.slews, read.loads, tables["read"]).values
+        assert model.attrs == attrs
+        assert model.energy["write"].values == \
+            LUT2D.constant(base.write_energy).values
+        assert (model.area, model.leakage, model.setup, model.hold,
+                model.min_period) == (
+            base.area_um2, base.leakage_w, base.setup, base.hold,
+            2.0 * max(base.read_delay, base.match_delay or 0.0))

@@ -1,11 +1,11 @@
-"""Property-based tests for circuit engines, LUTs and pareto fronts."""
+"""Property-based tests for device laws, gates, LUTs and pareto fronts."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import RCTree, gate_type
+from repro.circuit import gate_type
 from repro.explore import dominates, pareto_front
 from repro.liberty import LUT2D
 from repro.tech import NMOS, PMOS, Transistor, cmos65
@@ -13,38 +13,6 @@ from repro.tech.transistor import conductances
 
 _settings = settings(max_examples=50, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
-
-
-class TestElmoreProperties:
-    @given(st.lists(st.tuples(st.floats(1.0, 1e4), st.floats(1e-16,
-                                                             1e-13)),
-                    min_size=1, max_size=12),
-           st.floats(0.0, 1e4))
-    @_settings
-    def test_ladder_monotonic_in_depth(self, segments, r_drive):
-        tree = RCTree(r_drive=r_drive)
-        last = "root"
-        delays = []
-        for i, (r, c) in enumerate(segments):
-            tree.add(f"n{i}", last, r, c)
-            last = f"n{i}"
-            delays.append(tree.elmore(last))
-        # Recompute after full construction: still non-decreasing along
-        # the path, and adding downstream load never sped anything up.
-        final = [tree.elmore(f"n{i}") for i in range(len(segments))]
-        assert all(final[i] <= final[i + 1] + 1e-30
-                   for i in range(len(final) - 1))
-        assert all(f >= d - 1e-30 for f, d in zip(final, delays))
-
-    @given(st.floats(1.0, 1e4), st.floats(1e-16, 1e-13),
-           st.floats(1e-16, 1e-13))
-    @_settings
-    def test_extra_cap_never_reduces_delay(self, r, c, extra):
-        tree = RCTree(r_drive=100.0)
-        tree.add("a", "root", r, c)
-        before = tree.elmore("a")
-        tree.add_cap("a", extra)
-        assert tree.elmore("a") >= before
 
 
 class TestDeviceLawProperties:

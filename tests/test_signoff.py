@@ -4,7 +4,7 @@ The contract under test is the ISSUE's acceptance bar: a signoff run
 reduces to the *same bytes* regardless of chunking, worker count,
 kill/resume history or completion order; early-stop engages
 deterministically; chunk failures degrade under ``keep_going``; and
-the vectorized sample pricing agrees with the scalar estimator at the
+the vectorized sample pricing agrees with a per-die estimate at the
 composed technology.
 """
 
@@ -214,6 +214,22 @@ class TestEngineDeterminism:
                 != b.as_dict()["metrics"]["nominal"]["read_delay"])
 
 
+class TestReportTiming:
+    def test_wall_clock_includes_the_reduction(self, tech, monkeypatch):
+        """The bootstrap reduction runs inside the timed report, so a
+        slow reduction shows in ``wall_clock_s``."""
+        from repro.signoff import engine
+
+        def slow_summarize(*args, **kwargs):
+            time.sleep(0.2)
+            return summarize(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "summarize", slow_summarize)
+        report = SignoffEngine(_session(tech), spec=SPEC, n_samples=64,
+                               chunk_size=64).run()
+        assert report.wall_clock_s >= 0.2
+
+
 class TestEarlyStop:
     def test_engages_and_reports_achieved_ci(self, tech):
         report = SignoffEngine(_session(tech), spec=SPEC,
@@ -320,7 +336,7 @@ class TestKeepGoing:
 
 class TestScalingLawAgreement:
     def test_vectorized_matches_scalar_estimator(self, tech):
-        """Base x scale columns == the scalar estimator at the
+        """Base x scale columns == a one-brick estimate at the
         composed per-die technology (the closed-form scaling law)."""
         session = _session(tech)
         engine = SignoffEngine(session, spec=SPEC, n_samples=8,
