@@ -1,18 +1,22 @@
-"""Struct-of-arrays brick estimation: the estimator's closed forms.
+"""Struct-of-arrays brick compilation and estimation.
 
 The design-space explorations of Section 5 (Fig. 4c) and the Monte-Carlo
 signoff both price thousands of ``(BrickSpec, stack)`` candidates; this
-module prices an entire population in a handful of numpy array
-operations.  It is the only copy of the estimator's formulas:
+module sizes and prices an entire population in a handful of numpy
+array operations.  It is the only copy of the compiler's sizing rules
+and of the estimator's formulas:
+:func:`repro.bricks.compiler.compile_brick` is a one-row
+:func:`compile_batch` read back by :func:`compiled_row`, and
 :func:`repro.bricks.estimator.estimate_brick` prices one compiled brick
-as a one-row batch (:func:`brick_rows`).
+as a one-row batch (:func:`brick_rows`, the inverse of
+:func:`compiled_row`).
 
 * :class:`BrickSpecBatch` holds the population as parallel arrays
   (memory-type code, words, bits, stack) — one column per spec field.
-* :func:`compile_batch` reruns the compiler's logical-effort sizing with
-  :func:`repro.circuit.logical_effort.buffer_chain_batch` (identical
-  stage counts and widths, including the odd/even polarity forcing;
-  stage caps agree with the scalar compiler to a few ulp).
+* :func:`compile_batch` runs the paper's logical-effort periphery
+  sizing with :func:`repro.circuit.logical_effort.buffer_chain_batch`,
+  including the odd/even polarity forcing.  A row sizes the same bits
+  alone or inside any batch.
 * :func:`estimate_metric_columns` evaluates every
   delay/energy/area/leakage term element-wise, in the accumulation
   order of the scalar closed forms kept as the test oracle, so a row is
@@ -27,12 +31,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cells.bitcells import CAM_10T, MEMORY_TYPES, make_bitcell
-from ..cells.leafcells import inverter_widths
+from ..cells.leafcells import ControlBlock, LocalSense, WordlineDriver, \
+    inverter_widths
 from ..cells.stdcells import unit_input_cap
 from ..circuit.logical_effort import buffer_chain_batch
 from ..errors import BrickError
 from ..tech.technology import Technology
-from .compiler import CompiledBrick
+from .compiler import CompiledBrick, MatchPeriphery
 from .estimator import _CROWBAR_FO4, _K50, BrickPerformance
 from .spec import MAX_BITS, MAX_WORDS, BrickSpec
 
@@ -198,11 +203,15 @@ class CompiledBrickBatch:
 
 def compile_batch(batch: BrickSpecBatch,
                   tech: Technology) -> CompiledBrickBatch:
-    """Vectorized :func:`~repro.bricks.compiler.compile_brick`.
+    """Size every peripheral block of every point for its stack.
 
-    Same sizing rules, same polarity forcing, shared ``rho`` fixed
-    point — every point gets the stage counts and widths the scalar
-    compiler would pick for it.
+    The paper's formulized methodology, column-wise: wordline drivers
+    sized as a logical-effort buffer chain against the wordline RC load
+    (odd, so the wordline pulses high), local sense and ARBL pull-down
+    sized against the stack-dependent ARBL load, the control block
+    against the enable fan-out (even) with an odd precharge-bar branch
+    off its first stage, and — for CAM points — non-inverting
+    search-line drivers.
     """
     n = batch.n_points
     cell = _gather_bitcells(batch.memory_code, tech)
@@ -221,6 +230,13 @@ def compile_batch(batch: BrickSpecBatch,
         np.full(n, nand_cap), wl_load, tech, parity="odd")
 
     # --- local sense / ARBL pull-down ------------------------------------
+    # The pull-down's own diffusion loads the shared ARBL once per
+    # stacked brick, so "stage effort 4" is the self-consistent
+    #     4 c_gate w = stack (c_wire + c_diff w) + c_out
+    # (c_out: a bank-level mux or capture flop, 4 unit caps).  Past
+    # stack c_diff ~ 4 c_gate bigger devices stop paying for
+    # themselves: the denominator keeps a 2-unit margin and the width
+    # is capped for area sanity.
     brick_height = words * cell["height_um"] + 2.0 * cell["height_um"]
     arbl_wire = bl_layer.c_per_um * brick_height
     c_out = 4.0 * c_unit
@@ -229,6 +245,8 @@ def compile_batch(batch: BrickSpecBatch,
                        2.0 * tech.c_gate)
     w_pull = np.minimum(np.maximum(tech.w_min_um, c_fixed / denom),
                         16.0 * tech.w_min_um)
+    # The sense inverter scales with the pull-down it drives; the LBL
+    # precharge has a half-cycle to restore a small local line.
     w_sense_n = np.maximum(2.0 * tech.w_min_um, w_pull / 6.0)
     w_sense_p = w_sense_n * tech.inverter_beta()
     w_precharge = np.maximum(tech.w_min_um, w_pull / 6.0)
@@ -272,10 +290,11 @@ def brick_rows(compiled: CompiledBrick, stack: int,
     """One compiled brick as a batch priced at ``stack``.
 
     The rows carry the brick's own sizing — bitcell, stage caps and
-    widths as :func:`~repro.bricks.compiler.compile_brick` chose them
-    for ``compiled.target_stack`` — so a brick compiled for one stack
+    widths as :func:`compile_batch` chose them for
+    ``compiled.target_stack`` — so a brick compiled for one stack
     prices at another with its sizing frozen.  There is one row per
-    entry of ``out_loads``, or one row at the default load.
+    entry of ``out_loads``, or one row at the default load.  The
+    inverse of :func:`compiled_row`.
     """
     spec = compiled.spec
     n = 1 if out_loads is None else len(out_loads)
@@ -295,7 +314,7 @@ def brick_rows(compiled: CompiledBrick, stack: int,
     match = compiled.match
     wl_caps, wl_n = chain(compiled.wl_driver.stage_caps)
     ctrl_caps, ctrl_n = chain(compiled.control.stage_caps)
-    preb_caps, preb_n = chain(compiled.control._preb_caps())
+    preb_caps, preb_n = chain(compiled.control.preb_stage_caps)
     sl_caps, sl_n = chain(match.sl_stage_caps if match else (), n_cam)
     return CompiledBrickBatch(
         batch=batch, tech_name=compiled.tech_name,
@@ -313,6 +332,52 @@ def brick_rows(compiled: CompiledBrick, stack: int,
         w_ml_sense_n=column(match.w_ml_sense_n if match else 0.0, n_cam),
         w_ml_sense_p=column(match.w_ml_sense_p if match else 0.0, n_cam),
     )
+
+
+def compiled_row(compiled: CompiledBrickBatch, tech: Technology,
+                 i: int) -> CompiledBrick:
+    """Row ``i`` of a compiled population as a :class:`CompiledBrick`
+    carrying the same sizing, compiled for the row's stack.
+
+    ``compile_brick`` is this over a one-row batch, and
+    ``brick_rows(compiled_row(c, tech, i), stack)`` gives back row
+    ``i``'s columns.  ``tech`` must be the technology the batch was
+    compiled in (it builds the row's bitcell).
+    """
+    if compiled.tech_name != tech.name:
+        raise BrickError(
+            f"batch compiled for {compiled.tech_name!r}, "
+            f"read back in {tech.name!r}")
+    batch = compiled.batch
+    spec = batch.spec(i)
+
+    def caps(stage_caps, n_stages, row):
+        return tuple(stage_caps[row, :n_stages[row]].tolist())
+
+    match = None
+    if spec.is_cam:
+        j = int(np.flatnonzero(compiled.cam_idx == i)[0])
+        match = MatchPeriphery(
+            sl_stage_caps=caps(compiled.sl_caps, compiled.sl_n, j),
+            w_ml_pre=float(compiled.w_ml_pre[j]),
+            w_ml_sense_n=float(compiled.w_ml_sense_n[j]),
+            w_ml_sense_p=float(compiled.w_ml_sense_p[j]))
+    return CompiledBrick(
+        spec=spec, tech_name=compiled.tech_name,
+        target_stack=int(batch.stack[i]),
+        bitcell=make_bitcell(spec.memory_type, tech),
+        wl_driver=WordlineDriver(
+            nand_input_cap=compiled.nand_cap,
+            stage_caps=caps(compiled.wl_caps, compiled.wl_n, i)),
+        sense=LocalSense(
+            w_sense_n=float(compiled.w_sense_n[i]),
+            w_sense_p=float(compiled.w_sense_p[i]),
+            w_pull=float(compiled.w_pull[i]),
+            w_precharge=float(compiled.w_precharge[i])),
+        control=ControlBlock(
+            stage_caps=caps(compiled.ctrl_caps, compiled.ctrl_n, i),
+            preb_stage_caps=caps(compiled.preb_caps, compiled.preb_n, i)),
+        match=match)
 
 
 # --------------------------------------------------------------------------
@@ -391,8 +456,10 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
     float arrays — ``read_delay``, ``read_energy``, ``write_energy``,
     ``setup``, ``clock_cap`` (stacked), ``wbl_cap``, ``area_um2``
     (stacked), ``leakage_w`` — plus ``hold`` (a scalar float),
-    ``match_delay``/``match_energy`` compact over ``cam_idx``, and a
-    ``components`` sub-dict of the 16 delay/energy breakdown columns.
+    ``match_delay``/``match_energy`` compact over ``cam_idx``,
+    ``brick_area`` (one brick's layout area, ``area_um2`` before the
+    ``x stack``), and a ``components`` sub-dict of the 16 delay/energy
+    breakdown columns.
     :func:`estimate_batch` is exactly these columns + ``_pack``.
     """
     if compiled.tech_name != tech.name:
@@ -405,8 +472,8 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
         empty = np.zeros(0)
         return {name: empty for name in
                 ("read_delay", "read_energy", "write_energy", "setup",
-                 "clock_cap", "wbl_cap", "area_um2", "leakage_w",
-                 "match_delay", "match_energy")} | {
+                 "clock_cap", "wbl_cap", "area_um2", "brick_area",
+                 "leakage_w", "match_delay", "match_energy")} | {
                     "hold": 0.5 * tech.fo4_delay(),
                     "cam_idx": np.zeros(0, dtype=np.int64),
                     "components": {key: empty
@@ -633,6 +700,7 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
         "clock_cap": stack * clock_cap,
         "wbl_cap": c_wbl_bank,
         "area_um2": brick_area * stack,
+        "brick_area": brick_area,
         "leakage_w": leakage,
         "match_delay": match_delay,
         "match_energy": match_energy,
@@ -695,10 +763,11 @@ def _pack(batch, compiled,
     comp_keys = _COMPONENT_KEYS
     cols = [columns[name].tolist() for name in
             ("read_delay", "read_energy", "write_energy", "setup",
-             "clock_cap", "wbl_cap", "area_um2", "leakage_w")]
+             "clock_cap", "wbl_cap", "area_um2", "brick_area",
+             "leakage_w")]
     cols += [columns["components"][key].tolist() for key in comp_keys]
-    (rd, re_, we, su, cc, wb, ar, lk) = cols[:8]
-    comp_cols = cols[8:]
+    (rd, re_, we, su, cc, wb, ar, ba, lk) = cols[:9]
+    comp_cols = cols[9:]
     match_pos = {int(idx): j
                  for j, idx in enumerate(compiled.cam_idx.tolist())}
     match_delay = columns["match_delay"].tolist()
@@ -718,7 +787,7 @@ def _pack(batch, compiled,
             read_delay=rd[i], read_energy=re_[i], write_energy=we[i],
             setup=su[i], hold=hold,
             clock_cap=cc[i], dwl_cap=dwl_cap, wbl_cap=wb[i],
-            area_um2=ar[i], leakage_w=lk[i],
+            area_um2=ar[i], brick_area_um2=ba[i], leakage_w=lk[i],
             match_delay=None if j is None else match_delay[j],
             match_energy=None if j is None else match_energy[j],
             components={key: col[i]
@@ -732,11 +801,10 @@ def estimate_brick_batch(points: Sequence[Tuple], tech: Technology,
                          ) -> List[BrickPerformance]:
     """Compile and price a population of ``(spec, stack)`` points.
 
-    The one-call entry the characterization layer uses: the batch
-    counterpart of ``[estimate_brick(compile_brick(s, tech, k), tech,
-    stack=k) for s, k in points]``, array-shaped end to end (the batch
-    compiler's stage caps can differ from ``compile_brick``'s in the
-    last bit).
+    The one-call entry the characterization layer uses: ``==`` to
+    ``[estimate_brick(compile_brick(s, tech, k), tech, stack=k) for s,
+    k in points]`` (a row sizes and prices the same bits alone or in
+    any batch), array-shaped end to end.
     """
     batch = BrickSpecBatch.from_points(points)
     return estimate_batch(compile_batch(batch, tech), tech,

@@ -55,6 +55,8 @@ class BrickPerformance:
     dwl_cap: float
     wbl_cap: float
     area_um2: float
+    #: One brick's layout area (``area_um2`` is the bank's, ``x stack``).
+    brick_area_um2: float
     leakage_w: float
     match_delay: Optional[float] = None
     match_energy: Optional[float] = None

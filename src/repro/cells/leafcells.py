@@ -163,22 +163,15 @@ class ControlBlock:
     """
 
     stage_caps: Tuple[float, ...]
-    preb_stage_caps: Tuple[float, ...] = ()
+    preb_stage_caps: Tuple[float, ...]
 
     def clock_cap(self) -> float:
         """Load the brick presents on the clock pin."""
         return self.stage_caps[0]
 
-    def _preb_caps(self) -> Tuple[float, ...]:
-        """Precharge-bar branch stages (defaults to one first-stage-size
-        inverter for backward compatibility with hand-built blocks)."""
-        if self.preb_stage_caps:
-            return self.preb_stage_caps
-        return (self.stage_caps[0],)
-
     def total_width_um(self, tech: Technology) -> float:
         total = 0.0
-        for cap in tuple(self.stage_caps) + self._preb_caps():
+        for cap in tuple(self.stage_caps) + tuple(self.preb_stage_caps):
             w_n, w_p = inverter_widths(cap, tech)
             total += w_n + w_p
         return total
@@ -216,7 +209,7 @@ class ControlBlock:
         # compiler against the full precharge-gate load.  An undersized
         # branch leaves the precharge devices fighting the read — a
         # contention bug the transient reference exposes immediately.
-        preb_caps = self._preb_caps()
+        preb_caps = self.preb_stage_caps
         if len(preb_caps) % 2 != 1:
             raise BrickError(
                 "precharge-bar branch needs an odd inverter count so the "

@@ -1,24 +1,14 @@
 """Circuit substrate: logical effort, gate catalog, transient reference sim."""
 
 from .gates import CATALOG, GateType, gate_type
-from .logical_effort import (
-    SizedPath,
-    buffer_chain,
-    gate_delay,
-    le_tau,
-    optimal_stage_count,
-    parasitic_inv,
-    path_effort,
-    size_path,
-)
+from .logical_effort import le_tau, parasitic_inv
 from .netlist import GND, Capacitor, Mosfet, Resistor, SpiceCircuit, VSource
 from .spice import TransientResult, TransientSimulator
 from .waveform import Waveform, pulse, ramp
 
 __all__ = [
     "CATALOG", "GateType", "gate_type",
-    "SizedPath", "buffer_chain", "gate_delay", "le_tau",
-    "optimal_stage_count", "parasitic_inv", "path_effort", "size_path",
+    "le_tau", "parasitic_inv",
     "GND", "Capacitor", "Mosfet", "Resistor", "SpiceCircuit", "VSource",
     "TransientResult", "TransientSimulator",
     "Waveform", "pulse", "ramp",

@@ -1,10 +1,11 @@
-"""Logical-effort sizing and path-delay optimization.
+"""Logical-effort sizing of inverter chains.
 
 Section 3 of the paper: "Logical effort [9] is used to optimize the
-parametric performance of the generated brick" — wordline drivers, local
-sense and control blocks inside every compiled brick are sized with the
-method in this module, and the closed-form delays it returns are the
-backbone of the brick estimator.
+parametric performance of the generated brick" — the wordline-driver,
+control, precharge-bar and CAM search-line chains of every compiled
+brick are sized by :func:`buffer_chain_batch`, the one chain sizer
+(:func:`repro.bricks.batch.compile_batch` calls it, and
+``compile_brick`` is a one-row view of that).
 
 Delay unit convention: one logical-effort delay unit equals
 ``le_tau(tech) = 0.69 * tech.tau`` seconds, so the returned absolute delays
@@ -13,13 +14,12 @@ are 50 %-crossing estimates comparable with the transient simulator.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from ..errors import SizingError
 from ..tech.technology import Technology
-from .gates import GateType
 
 
 def le_tau(tech: Technology) -> float:
@@ -32,101 +32,12 @@ def parasitic_inv(tech: Technology) -> float:
     return tech.c_diff / tech.c_gate
 
 
-@dataclass(frozen=True)
-class SizedPath:
-    """Result of sizing a gate path for minimum delay.
-
-    Attributes
-    ----------
-    input_caps:
-        Input capacitance of each stage in farads (stage 0 first).
-    stage_efforts:
-        Effort delay ``g*h`` of each stage in LE units.
-    delay_units:
-        Total path delay in LE units (effort + parasitics).
-    delay:
-        Absolute path delay in seconds.
-    """
-
-    input_caps: Tuple[float, ...]
-    stage_efforts: Tuple[float, ...]
-    delay_units: float
-    delay: float
-
-
-def path_effort(gates: Sequence[GateType], pins: Sequence[str],
-                branching: Sequence[float], c_in: float,
-                c_load: float) -> float:
-    """Path effort F = G * B * H for a chain of gates."""
-    if len(gates) != len(pins) or len(gates) != len(branching):
-        raise SizingError("gates, pins and branching must align")
-    if c_in <= 0 or c_load <= 0:
-        raise SizingError("path input cap and load must be positive")
-    g_path = 1.0
-    for gate, pin in zip(gates, pins):
-        try:
-            g_path *= gate.g[pin]
-        except KeyError as exc:
-            raise SizingError(
-                f"gate {gate.name!r} has no pin {pin!r}") from exc
-    b_path = 1.0
-    for b in branching:
-        if b < 1.0:
-            raise SizingError("branching factors must be >= 1")
-        b_path *= b
-    return g_path * b_path * (c_load / c_in)
-
-
-def size_path(gates: Sequence[GateType], c_in: float, c_load: float,
-              tech: Technology,
-              pins: Optional[Sequence[str]] = None,
-              branching: Optional[Sequence[float]] = None) -> SizedPath:
-    """Size a gate chain for minimum delay (classic LE backward pass).
-
-    ``c_in`` is the fixed input capacitance of the first stage; ``c_load``
-    the fixed final load.  Returns per-stage input caps and the minimum
-    achievable delay.
-    """
-    n = len(gates)
-    if n == 0:
-        raise SizingError("cannot size an empty path")
-    if pins is None:
-        pins = [gate.pins[0] for gate in gates]
-    if branching is None:
-        branching = [1.0] * n
-    f_path = path_effort(gates, pins, branching, c_in, c_load)
-    f_hat = f_path ** (1.0 / n)
-
-    # Backward pass: c_out of stage i is c_in of stage i+1 times branching.
-    input_caps: List[float] = [0.0] * n
-    efforts: List[float] = [0.0] * n
-    c_out = c_load
-    for i in range(n - 1, -1, -1):
-        g_i = gates[i].g[pins[i]]
-        c_in_i = g_i * c_out * branching[i] / f_hat
-        input_caps[i] = c_in_i
-        efforts[i] = f_hat
-        c_out = c_in_i
-    # First-stage input cap is pinned by the caller; report the realized
-    # (slightly off-optimal) effort of stage 0 honestly.
-    realized_first_effort = (gates[0].g[pins[0]] * branching[0]
-                             * (input_caps[1] if n > 1 else c_load)
-                             / c_in)
-    efforts[0] = realized_first_effort
-    input_caps[0] = c_in
-
-    p_inv = parasitic_inv(tech)
-    p_total = sum(g.p for g in gates) * p_inv
-    delay_units = sum(efforts) + p_total
-    return SizedPath(tuple(input_caps), tuple(efforts), delay_units,
-                     delay_units * le_tau(tech))
-
-
+@functools.lru_cache(maxsize=None)
 def optimal_stage_effort(p_inv: float = 1.0) -> float:
     """Best per-stage effort ``rho`` satisfying ``rho = exp(1+p/rho)``.
 
-    For ``p_inv`` = 1 this is the classic ~3.59.  Shared by the scalar
-    and the vectorized chain sizers so both pick identical stage counts.
+    For ``p_inv`` = 1 this is the classic ~3.59.  A 32-step fixed
+    point, memoized per ``p_inv`` (one value per technology corner).
     """
     rho = 3.59
     for _ in range(32):
@@ -134,62 +45,22 @@ def optimal_stage_effort(p_inv: float = 1.0) -> float:
     return rho
 
 
-def optimal_stage_count(f_path: float, p_inv: float = 1.0) -> int:
-    """Number of stages minimizing delay for a path effort ``f_path``.
-
-    Solves the classic trade-off: the best stage effort ``rho`` satisfies
-    ``rho = exp(1 + p_inv / rho)``; for ``p_inv`` = 1 this is ~3.59.  The
-    returned count is at least 1.
-    """
-    if f_path <= 0:
-        raise SizingError("path effort must be positive")
-    rho = optimal_stage_effort(p_inv)
-    n = max(1, round(math.log(f_path) / math.log(rho)))
-    return n
-
-
-def buffer_chain(c_in: float, c_load: float, tech: Technology,
-                 force_stages: Optional[int] = None
-                 ) -> Tuple[List[float], float]:
-    """Size an inverter chain driving ``c_load`` from a ``c_in`` input.
-
-    Returns ``(input_caps_per_stage, delay_seconds)``.  Used to size
-    wordline drivers and clock buffers inside bricks.  ``force_stages``
-    overrides the optimal stage count (e.g. to preserve polarity).
-    """
-    if c_in <= 0 or c_load <= 0:
-        raise SizingError("buffer chain caps must be positive")
-    fanout = c_load / c_in
-    p_inv = parasitic_inv(tech)
-    if force_stages is not None:
-        n = force_stages
-        if n < 1:
-            raise SizingError("buffer chain needs at least one stage")
-    elif fanout <= 1.0:
-        n = 1
-    else:
-        n = optimal_stage_count(fanout, p_inv)
-    f_hat = fanout ** (1.0 / n)
-    caps = [c_in * f_hat ** i for i in range(n)]
-    delay_units = n * f_hat + n * p_inv
-    return caps, delay_units * le_tau(tech)
-
-
 def buffer_chain_batch(c_in, c_load, tech: Technology,
                        parity: Optional[str] = None):
-    """Vectorized :func:`buffer_chain` over a population of chains.
+    """Size a population of inverter chains, each driving ``c_load``
+    from a ``c_in`` input.
 
     ``c_in``/``c_load`` are same-length arrays of first-stage input
-    capacitance and final load.  ``parity`` replicates the compiler's
-    polarity idiom: ``"odd"``/``"even"`` bumps any chain whose optimal
-    stage count has the wrong parity to the next count, exactly as the
-    scalar ``force_stages=n + 1`` retry does.
+    capacitance and final load.  Each chain gets the stage count that
+    minimizes delay for its fanout (at least one stage, exactly one
+    when the fanout is <= 1) and a geometric taper of stage caps.
+    ``parity`` is the compiler's polarity idiom: ``"odd"``/``"even"``
+    bumps any chain whose optimal stage count has the wrong parity to
+    the next count.
 
     Returns ``(stage_caps, n_stages, delay_s)`` where ``stage_caps`` is
     a ``(n_chains, max_stages)`` array padded with zeros past each
     chain's ``n_stages[i]``, and ``delay_s`` the absolute chain delays.
-    Per-chain results match the scalar sizer to the last ulp (same
-    formulas, same evaluation order).
     """
     import numpy as np
 
@@ -227,24 +98,3 @@ def buffer_chain_batch(c_in, c_load, tech: Technology,
     delay_units = n * f_hat + n * p_inv
     return caps, n, delay_units * le_tau(tech)
 
-
-def gate_delay(gate: GateType, drive_cap: float, c_load: float,
-               tech: Technology, pin: Optional[str] = None,
-               slew_in: float = 0.0) -> float:
-    """Absolute delay of one gate stage with a first-order slew term.
-
-    ``drive_cap`` is the gate's input capacitance on ``pin`` (which sets
-    its drive strength through the LE identity ``h = c_load / c_in``).
-    The input-slew term adds the standard 1/6th of the input transition.
-    """
-    if drive_cap <= 0:
-        raise SizingError("gate drive (input) capacitance must be positive")
-    pin = pin or gate.pins[0]
-    try:
-        g = gate.g[pin]
-    except KeyError as exc:
-        raise SizingError(f"gate {gate.name!r} has no pin {pin!r}") from exc
-    h = c_load / drive_cap
-    p_inv = parasitic_inv(tech)
-    delay_units = g * h + gate.p * p_inv
-    return delay_units * le_tau(tech) + slew_in / 6.0

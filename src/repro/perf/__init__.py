@@ -25,8 +25,8 @@ exploration of Fig. 4c.  This package makes repeated characterization
     those tasks.  :func:`parallel_imap` streams the same loop.
 ``repro.perf.characterize``
     Cached + parallel entry points for the expensive brick artifacts:
-    compiled bricks, closed-form estimates, library cell models and the
-    standard-cell library.  The batch entry points take a Session and
+    closed-form estimates, library cell models and the standard-cell
+    library.  The batch entry points take a Session and
     price estimates through the vectorized batch kernel only.
 ``repro.perf.timer``
     ``perf_counter``-based wall-clock measurement helpers so no timing
@@ -35,7 +35,6 @@ exploration of Fig. 4c.  This package makes repeated characterization
 
 from .cache import CacheStats, CharacterizationCache
 from .characterize import (
-    cached_compile,
     cached_estimate,
     cached_stdcell_library,
     characterize_cells,
@@ -62,7 +61,7 @@ from .timer import Stopwatch
 
 __all__ = [
     "CacheStats", "CharacterizationCache",
-    "cached_compile", "cached_estimate", "cached_stdcell_library",
+    "cached_estimate", "cached_stdcell_library",
     "characterize_cells", "estimate_points", "plan_estimates",
     "KEY_SCHEMA_VERSION", "cache_key", "fingerprint",
     "ExecutorPolicy", "ExecutorStats", "TaskFailure", "WorkerPool",

@@ -1,11 +1,11 @@
 """Cached, parallel entry points for brick characterization.
 
 This is the routing layer the rest of the system goes through instead of
-calling ``compile_brick`` / ``estimate_brick`` / ``brick_cell_model``
-directly on hot paths.  Every function is a pure memoization of its
-underlying computation: the key is the content fingerprint of the full
-input set (spec, technology, stack, extra parameters), so a corner-
-derated or per-die perturbed technology can never alias the nominal one.
+calling the batch kernel or ``brick_cell_model`` directly on hot paths.
+Every function is a pure memoization of its underlying computation:
+the key is the content fingerprint of the full input set (spec,
+technology, stack, extra parameters), so a corner-derated or per-die
+perturbed technology can never alias the nominal one.
 
 The batch APIs (:func:`characterize_cells`, :func:`estimate_points`)
 take a :class:`~repro.session.Session` and share one skeleton: key and
@@ -20,9 +20,13 @@ counts chunks, not points.
 
 Estimates are priced by the vectorized kernel
 (:func:`repro.bricks.batch.estimate_brick_batch`) only, and a point
-prices identically alone or inside any chunk, so results do not depend
-on ``jobs``.  A kernel error fails its whole chunk through the
-executor.
+sizes and prices identically alone or inside any chunk, so results do
+not depend on ``jobs``.  A kernel error fails its whole chunk through
+the executor.  For the same reason a single point
+(:func:`cached_estimate`) and a sweep's points share one cache key,
+``cache_key("estimate", spec, tech, stack)``: a point a sweep priced
+is a warm hit for ``repro brick``, serve's ``characterize`` and
+signoff.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
-from ..bricks.compiler import CompiledBrick, compile_brick
-from ..bricks.estimator import BrickPerformance, estimate_brick
+from ..bricks.estimator import BrickPerformance
 from ..bricks.spec import BrickSpec
 from ..liberty.models import CellModel, LibraryModel
 from ..tech.technology import Technology
@@ -49,31 +52,15 @@ Point = Tuple[BrickSpec, int]
 # --- single-artifact memoizations ----------------------------------------
 
 
-def cached_compile(spec: BrickSpec, tech: Technology, stack: int = 1, *,
-                   cache: CharacterizationCache) -> CompiledBrick:
-    """Memoized :func:`~repro.bricks.compiler.compile_brick`."""
-    key = cache_key("compiled", spec, tech, stack)
-    return cache.get_or_compute(
-        key, lambda: compile_brick(spec, tech, target_stack=stack))
-
-
 def cached_estimate(spec: BrickSpec, tech: Technology, stack: int = 1, *,
                     cache: CharacterizationCache) -> BrickPerformance:
-    """Memoized estimate of :func:`cached_compile`'s brick.
-
-    Keyed apart from :func:`estimate_points`, which sizes through the
-    batch compiler: its stage caps can differ from
-    :func:`~repro.bricks.compiler.compile_brick`'s in the last bit, so
-    one shared key would hand a caller whichever value was cached
-    first.
-    """
-    key = cache_key("compiled_estimate", spec, tech, stack)
-
-    def compute() -> BrickPerformance:
-        compiled = cached_compile(spec, tech, stack, cache=cache)
-        return estimate_brick(compiled, tech, stack=stack)
-
-    return cache.get_or_compute(key, compute)
+    """Memoized estimate of one ``(spec, stack)`` point, under the key
+    :func:`estimate_points` gives the same point, so either warms the
+    other."""
+    from ..bricks.batch import estimate_brick_batch
+    return cache.get_or_compute(
+        cache_key("estimate", spec, tech, stack),
+        lambda: estimate_brick_batch([(spec, stack)], tech)[0])
 
 
 def cached_stdcell_library(tech: Technology, *,
@@ -106,10 +93,12 @@ def cached_stdcell_library(tech: Technology, *,
 def _cell_model_worker(task: Tuple[Sequence[Point], Technology]
                        ) -> List[CellModel]:
     points, tech = task
+    from ..bricks.batch import BrickSpecBatch, compile_batch, compiled_row
     from ..bricks.library import brick_cell_model
-    return [brick_cell_model(compile_brick(spec, tech, target_stack=stack),
-                             tech, stack=stack)
-            for spec, stack in points]
+    compiled = compile_batch(BrickSpecBatch.from_points(points), tech)
+    return [brick_cell_model(compiled_row(compiled, tech, i), tech,
+                             stack=stack)
+            for i, (_, stack) in enumerate(points)]
 
 
 def _estimate_batch_worker(task: Tuple[Sequence[Point], Technology]

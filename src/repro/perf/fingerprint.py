@@ -23,8 +23,9 @@ from typing import Any, Dict, Optional
 
 #: Version of the key schema.  Bump whenever the canonical encoding, the
 #: cached payloads, or the characterization formulas change shape in a
-#: way that makes old disk entries unsound to reuse.
-KEY_SCHEMA_VERSION = 1
+#: way that makes old disk entries unsound to reuse.  Version 2: a cached
+#: ``BrickPerformance`` carries ``brick_area_um2``.
+KEY_SCHEMA_VERSION = 2
 
 #: Per-call encoding memo: ``id(obj) -> pre-joined token substream``.
 #: Sound only while every memoized object stays alive (the caller holds

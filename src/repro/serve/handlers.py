@@ -25,6 +25,7 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..bricks.spec import BrickSpec
+from ..cells.bitcells import make_bitcell
 from ..errors import ServeError
 from ..explore.engine import SweepEngine
 from ..explore.pareto import pareto_front
@@ -34,7 +35,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.report import render_report
 from ..obs.telemetry import OpsLog, Telemetry
 from ..obs.trace import KIND_REQUEST, TraceContext, Tracer
-from ..perf.characterize import cached_compile, cached_estimate
+from ..perf.characterize import cached_estimate
 from ..perf.fingerprint import cache_key
 from ..session import Session
 from ..units import format_si
@@ -292,14 +293,17 @@ def _require_str(params: Dict[str, Any], name: str) -> str:
 
 def brick_report_data(session: Session, memory_type: str, words: int,
                       bits: int, stack: int) -> Dict[str, Any]:
-    """Compile + estimate + lay out one brick; JSON-ready report dict."""
+    """Estimate one brick; JSON-ready report dict.
+
+    One cached estimate (a warm hit when a sweep priced the point)
+    carries everything: the area is the estimator's transcription of
+    ``generate_layout`` for one brick, so the report needs neither a
+    compile nor a layout.
+    """
     spec = BrickSpec(memory_type, words, bits)
-    compiled = cached_compile(spec, session.tech, stack,
-                              cache=session.cache)
     est = cached_estimate(spec, session.tech, stack,
                           cache=session.cache)
-    from ..bricks.layout import generate_layout
-    layout = generate_layout(compiled, session.tech)
+    cell = make_bitcell(memory_type, session.tech)
     return {
         "name": spec.name,
         "tech": session.tech.name,
@@ -314,8 +318,9 @@ def brick_report_data(session: Session, memory_type: str, words: int,
         "match_energy": est.match_energy,
         "setup": est.setup,
         "hold": est.hold,
-        "area_um2": layout.area_um2,
-        "array_efficiency": layout.array_efficiency,
+        "area_um2": est.brick_area_um2,
+        "array_efficiency": (spec.words * spec.bits * cell.area_um2
+                             / est.brick_area_um2),
         "leakage_w": est.leakage_w,
         "max_read_frequency": est.max_read_frequency(),
     }
@@ -457,7 +462,7 @@ def handle_ping(ctx: ServeContext, request: Request) -> Dict[str, Any]:
 
 def handle_characterize(ctx: ServeContext,
                         request: Request) -> Dict[str, Any]:
-    """Compile + estimate one brick; the report dict is small enough to
+    """Estimate one brick; the report dict is small enough to
     inline *and* is parked in the store for later ``fetch``."""
     params = request.params
     session = ctx.session

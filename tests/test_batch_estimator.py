@@ -1,15 +1,18 @@
 """Tests for the vectorized batch-estimator kernel and its plumbing.
 
 Covers the struct-of-arrays :class:`BrickSpecBatch` construction and
-validation, the batch compiler's sizing against the scalar compiler,
-the kernel against the scalar oracle of
+validation, ``compile_brick`` as a row of the batch compiler, the batch
+compiler's sizing against the scalar sizer and the kernel against the
+scalar estimator, both oracles of
 ``tests/test_fast_paths_vs_reference.py``, the batch-first
-``estimate_points`` routing (cache short-circuit, executor batching,
+``estimate_points`` routing (cache short-circuit shared with
+``cached_estimate``, executor batching,
 keep-going failure expansion, ``jobs``-independence), the
 ``characterize.estimate.*`` metrics and the kernel's behaviour at the
 corners of the spec domain.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +26,8 @@ from repro.bricks import (
     estimate_brick_batch,
     sram_brick,
 )
-from repro.bricks.batch import compile_batch, estimate_metric_columns
+from repro.bricks.batch import brick_rows, compile_batch, compiled_row, \
+    estimate_metric_columns
 from repro.bricks.spec import BrickSpec
 from repro.cells.bitcells import MEMORY_TYPES
 from repro.errors import BrickError, ExecutorError
@@ -39,8 +43,9 @@ from repro.perf import (
 )
 from repro.session import Session
 from repro.tech.corners import CORNERS
+from repro.tech.presets import cmos28, cmos65
 
-from .test_fast_paths_vs_reference import compiled_row, \
+from .test_fast_paths_vs_reference import reference_compile_brick, \
     reference_estimate_brick
 
 
@@ -83,9 +88,9 @@ class TestBrickSpecBatch:
                                  tech, perf_identical)
 
     def test_sizing_matches_compiler(self, tech):
-        """The batch compiler picks the scalar compiler's stage counts
-        and widths; its stage caps, raised to a power elementwise, agree
-        to a few ulp."""
+        """The batch compiler picks the scalar sizer's stage counts and
+        widths; its stage caps, raised to a power elementwise, agree to
+        a few ulp."""
         points = [(BrickSpec(memory_type, words, bits), stack)
                   for memory_type in MEMORY_TYPES
                   for words in (1, 16, 64, 256, 1024)
@@ -94,8 +99,20 @@ class TestBrickSpecBatch:
         batch = compile_batch(BrickSpecBatch.from_points(points), tech)
         for i, (spec, stack) in enumerate(points):
             row = compiled_row(batch, tech, i)
-            scalar = compile_brick(spec, tech, target_stack=stack)
+            scalar = reference_compile_brick(spec, tech, target_stack=stack)
+            assert (row.spec, row.tech_name, row.target_stack,
+                    row.bitcell) == (scalar.spec, scalar.tech_name,
+                                     scalar.target_stack, scalar.bitcell)
             assert row.sense == scalar.sense
+            assert row.wl_driver.nand_input_cap == \
+                scalar.wl_driver.nand_input_cap
+            if scalar.match:
+                assert (row.match.w_ml_pre, row.match.w_ml_sense_n,
+                        row.match.w_ml_sense_p) == (
+                    scalar.match.w_ml_pre, scalar.match.w_ml_sense_n,
+                    scalar.match.w_ml_sense_p)
+            else:
+                assert row.match is None
             for got, want in (
                     (row.wl_driver.stage_caps,
                      scalar.wl_driver.stage_caps),
@@ -104,6 +121,7 @@ class TestBrickSpecBatch:
                      scalar.control.preb_stage_caps),
                     (row.match.sl_stage_caps if row.match else (),
                      scalar.match.sl_stage_caps if scalar.match else ())):
+                assert len(got) == len(want)
                 assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_spec_roundtrip(self):
@@ -146,6 +164,77 @@ class TestBrickSpecBatch:
     def test_rejects_mismatched_columns(self):
         with pytest.raises(BrickError, match="equal length"):
             BrickSpecBatch.from_arrays(["8T", "6T"], [16], [10], [1])
+
+
+_ROW_SHAPES = ((1, 1), (4, 4), (16, 10), (64, 8), (8, 32), (128, 64),
+               (256, 16), (1024, 256))
+
+
+def assert_row_equal(one, population, i):
+    """The one-row batch ``one`` is ``==`` to row ``i`` of
+    ``population`` in every column (chains up to the row's stage
+    count; CAM columns at the row's position in ``cam_idx``)."""
+    assert {f.name for f in dataclasses.fields(one)} == {
+        "batch", "tech_name", "cell", "nand_cap", "wl_caps", "wl_n",
+        "w_sense_n", "w_sense_p", "w_pull", "w_precharge", "ctrl_caps",
+        "ctrl_n", "preb_caps", "preb_n", "cam_idx", "sl_caps", "sl_n",
+        "w_ml_pre", "w_ml_sense_n", "w_ml_sense_p"}
+    assert one.batch.n_points == 1
+    assert one.batch.out_load is None is population.batch.out_load
+    for name in ("memory_code", "words", "bits", "stack"):
+        assert getattr(one.batch, name)[0] == \
+            getattr(population.batch, name)[i], name
+    assert one.tech_name == population.tech_name
+    assert one.nand_cap == population.nand_cap
+    assert list(one.cell) == list(population.cell)
+    for name, column in population.cell.items():
+        assert one.cell[name][0] == column[i], name
+    for name in ("w_sense_n", "w_sense_p", "w_pull", "w_precharge"):
+        assert getattr(one, name)[0] == getattr(population, name)[i], name
+
+    def chain(compiled, name, row):
+        n = int(getattr(compiled, name + "_n")[row])
+        return getattr(compiled, name + "_caps")[row, :n].tolist()
+
+    for name in ("wl", "ctrl", "preb"):
+        assert chain(one, name, 0) == chain(population, name, i), name
+    cam = population.cam_idx.tolist()
+    assert one.cam_idx.tolist() == ([0] if i in cam else [])
+    if i in cam:
+        j = cam.index(i)
+        assert chain(one, "sl", 0) == chain(population, "sl", j)
+        for name in ("w_ml_pre", "w_ml_sense_n", "w_ml_sense_p"):
+            assert getattr(one, name)[0] == getattr(population, name)[j]
+
+
+class TestCompileBrickIsARow:
+    """``compile_brick`` is a one-row ``compile_batch``: packed back
+    into columns, a brick compiled alone is ``==`` to its row of a
+    population compiled together, in every column."""
+
+    @pytest.mark.parametrize("corner_name", ["nominal", "best", "worst"])
+    @pytest.mark.parametrize("node", ["cmos65", "cmos28"])
+    def test_round_trip(self, node, corner_name):
+        tech = CORNERS[corner_name].apply(
+            {"cmos65": cmos65, "cmos28": cmos28}[node]())
+        points = [(BrickSpec(memory_type, words, bits), stack)
+                  for memory_type in MEMORY_TYPES
+                  for words, bits in _ROW_SHAPES
+                  for stack in (1, 3, 8)]
+        population = compile_batch(BrickSpecBatch.from_points(points),
+                                   tech)
+        for i, (spec, stack) in enumerate(points):
+            compiled = compile_brick(spec, tech, target_stack=stack)
+            assert compiled == compiled_row(population, tech, i)
+            assert_row_equal(brick_rows(compiled, stack), population, i)
+
+    def test_rejects_bad_stack_and_foreign_tech(self, tech):
+        with pytest.raises(BrickError, match="stack count"):
+            compile_brick(sram_brick(16, 10), tech, target_stack=0)
+        population = compile_batch(
+            BrickSpecBatch.from_points([(sram_brick(16, 10), 1)]), tech)
+        with pytest.raises(BrickError, match="compiled for"):
+            compiled_row(population, cmos28(), 0)
 
 
 class TestChunkSlices:
@@ -192,19 +281,22 @@ class TestEstimatePointsBatchFirst:
         assert again == results
         assert session.cache.stats.misses == unique
 
-    def test_cached_estimate_keyed_apart(self, tech, perf_identical):
-        """``cached_estimate`` prices the scalar compiler's sizing.  For
-        8T 64x8 the batch compiler's control stage caps differ from it
-        in the last bit, so a point ``estimate_points`` cached must not
-        be served to ``cached_estimate``: one cache, two misses."""
+    def test_cached_estimate_shares_key(self, tech, perf_identical):
+        """A point ``estimate_points`` priced is a warm hit for
+        ``cached_estimate``: one cache, one miss, one hit, ``==``
+        values.  8T 64x8 is a point whose control stage caps the old
+        scalar sizer set apart in the last bit."""
         session = self._session(tech)
         spec = BrickSpec("8T", 64, 8)
         swept, = estimate_points([(spec, 1)], session)
         single = cached_estimate(spec, tech, 1, cache=session.cache)
-        assert session.cache.stats.misses == 3  # + the compiled brick
+        assert (session.cache.stats.misses,
+                session.cache.stats.hits) == (1, 1)
+        perf_identical(single, swept)
         perf_identical(single, estimate_brick(
             compile_brick(spec, tech, target_stack=1), tech, stack=1))
-        assert swept != single  # the case is not vacuous
+        assert compile_brick(spec, tech).control != \
+            reference_compile_brick(spec, tech).control
 
     def test_warm_run_skips_kernel(self, tech, monkeypatch):
         from repro.bricks import batch

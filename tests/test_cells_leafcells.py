@@ -91,7 +91,7 @@ class TestControlBlock:
         assert self._ctrl().clock_cap() == 1e-15
 
     def test_odd_enable_chain_rejected(self, tech):
-        ctrl = ControlBlock(stage_caps=(1e-15,))
+        ctrl = ControlBlock(stage_caps=(1e-15,), preb_stage_caps=(1e-15,))
         ckt = SpiceCircuit()
         ckt.add_vsource("vdd", "vdd", tech.vdd)
         with pytest.raises(BrickError):

@@ -1,19 +1,13 @@
 """Tests for the gate catalog and logical-effort engine."""
 
 import itertools
+import math
 
 import pytest
 
-from repro.circuit import (
-    buffer_chain,
-    gate_delay,
-    gate_type,
-    le_tau,
-    optimal_stage_count,
-    parasitic_inv,
-    path_effort,
-    size_path,
-)
+from repro.circuit import gate_type, le_tau, parasitic_inv
+from repro.circuit.logical_effort import buffer_chain_batch, \
+    optimal_stage_effort
 from repro.errors import NetlistError, SizingError
 
 
@@ -65,76 +59,45 @@ class TestCatalog:
 
 
 class TestLogicalEffort:
-    def test_path_effort_single_inverter(self):
-        inv = gate_type("INV")
-        f = path_effort([inv], ["A"], [1.0], c_in=1e-15, c_load=4e-15)
-        assert f == pytest.approx(4.0)
-
-    def test_path_effort_includes_branching(self):
-        inv = gate_type("INV")
-        f = path_effort([inv, inv], ["A", "A"], [2.0, 1.0],
-                        c_in=1e-15, c_load=4e-15)
-        assert f == pytest.approx(8.0)
-
-    def test_branching_below_one_rejected(self):
-        inv = gate_type("INV")
-        with pytest.raises(SizingError):
-            path_effort([inv], ["A"], [0.5], 1e-15, 1e-15)
-
-    def test_size_path_equalizes_stage_efforts(self, tech):
-        inv = gate_type("INV")
-        sized = size_path([inv] * 3, c_in=1e-15, c_load=64e-15,
-                          tech=tech)
-        # F = 64 over 3 stages -> f_hat = 4 per stage.
-        for effort in sized.stage_efforts:
-            assert effort == pytest.approx(4.0, rel=1e-6)
-
-    def test_size_path_caps_monotonic_for_buffering(self, tech):
-        inv = gate_type("INV")
-        sized = size_path([inv] * 3, c_in=1e-15, c_load=64e-15,
-                          tech=tech)
-        caps = sized.input_caps
-        assert caps[0] < caps[1] < caps[2]
-
-    def test_size_path_empty_rejected(self, tech):
-        with pytest.raises(SizingError):
-            size_path([], 1e-15, 1e-15, tech)
-
-    def test_delay_grows_with_load(self, tech):
-        inv = gate_type("INV")
-        d_small = size_path([inv], 1e-15, 2e-15, tech).delay
-        d_large = size_path([inv], 1e-15, 16e-15, tech).delay
-        assert d_large > d_small
-
-    def test_optimal_stage_count_grows_with_effort(self):
-        assert optimal_stage_count(2.0) <= optimal_stage_count(1000.0)
-        assert optimal_stage_count(1.0) == 1
-
-    def test_optimal_stage_count_around_rho(self):
-        # One stage up to ~rho^1.5, two around rho^2 etc.
-        assert optimal_stage_count(4.0) == 1
-        assert optimal_stage_count(60.0) in (3, 4)
+    def test_optimal_stage_effort_fixed_point(self):
+        rho = optimal_stage_effort(1.0)
+        assert rho == pytest.approx(3.59, abs=0.01)
+        assert rho == pytest.approx(math.exp(1.0 + 1.0 / rho), rel=1e-12)
+        assert optimal_stage_effort(1.0) is rho  # memoized
 
     def test_buffer_chain_tapers_geometrically(self, tech):
-        caps, delay = buffer_chain(1e-15, 64e-15, tech)
+        caps, n, delay = buffer_chain_batch([1e-15], [64e-15], tech)
+        caps = caps[0, :n[0]].tolist()
         ratios = [caps[i + 1] / caps[i] for i in range(len(caps) - 1)]
         for r in ratios:
             assert r == pytest.approx(ratios[0], rel=1e-6)
-        assert delay > 0
+        assert delay[0] > 0
 
-    def test_buffer_chain_forced_stages(self, tech):
-        caps, _ = buffer_chain(1e-15, 64e-15, tech, force_stages=5)
-        assert len(caps) == 5
+    def test_buffer_chain_stage_count_grows_with_effort(self, tech):
+        _, n, _ = buffer_chain_batch([1e-15] * 3, [2e-15, 60e-15, 1e-12],
+                                     tech)
+        assert n.tolist() == sorted(n.tolist())
+        assert n[0] == 1 < n[2]
+
+    def test_buffer_chain_parity_forcing(self, tech):
+        loads = [2e-15, 20e-15, 64e-15, 300e-15, 1e-12]
+        _, free, _ = buffer_chain_batch([1e-15] * 5, loads, tech)
+        _, odd, _ = buffer_chain_batch([1e-15] * 5, loads, tech,
+                                       parity="odd")
+        _, even, _ = buffer_chain_batch([1e-15] * 5, loads, tech,
+                                        parity="even")
+        assert (odd % 2 == 1).all() and (even % 2 == 0).all()
+        assert ((odd - free) <= 1).all() and ((even - free) <= 1).all()
 
     def test_buffer_chain_fanout_below_one(self, tech):
-        caps, _ = buffer_chain(4e-15, 2e-15, tech)
-        assert len(caps) == 1
+        _, n, _ = buffer_chain_batch([4e-15], [2e-15], tech)
+        assert n.tolist() == [1]
 
-    def test_gate_delay_slew_term(self, tech):
-        inv = gate_type("INV")
-        base = gate_delay(inv, 1e-15, 4e-15, tech, slew_in=0.0)
-        slewed = gate_delay(inv, 1e-15, 4e-15, tech, slew_in=60e-12)
-        assert slewed - base == pytest.approx(10e-12)
+    def test_buffer_chain_rejects_bad_caps(self, tech):
+        with pytest.raises(SizingError):
+            buffer_chain_batch([0.0], [1e-15], tech)
+        with pytest.raises(SizingError):
+            buffer_chain_batch([1e-15], [1e-15], tech, parity="three")
 
     def test_le_tau_positive_and_small(self, tech):
         assert 0 < le_tau(tech) < 1e-10

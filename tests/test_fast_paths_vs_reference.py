@@ -8,19 +8,23 @@ arrays with incremental net bounding boxes), the logic simulator's
 worker over a vectorized defect population (only defective dies are
 repaired), the in-place counter streams, and the count-weighted paired
 bootstrap.  The waveform crossing search of the Table-1 measurements is
-array operations, and the brick estimator is a row of the batch
-kernel.  Each must give *exactly* the result of the plain version kept
-below as an oracle: every final cell position, every toggle count,
-every interpolated value, every die's outcome, every stream value,
-every crossing time and every estimated field ``==``, not
-approximately equal.
+array operations, and the brick compiler and estimator are rows of
+the batch kernel.  Each must give *exactly* the result of the plain
+version kept below as an oracle: every final cell position, every
+toggle count, every interpolated value, every die's outcome, every
+stream value, every crossing time and every estimated field ``==``,
+not approximately equal.
 
-Two are exceptions.  The bootstrap takes each resample mean as a
+Three are exceptions.  The bootstrap takes each resample mean as a
 count-weighted product instead of a gather, which sums in another
 order: its CI bounds must agree within 1e-12 relative, and exactly on
 0/1 columns.  The transient reference's banded Cholesky solves the
 systems of the dense LU kept below in another order of operations, so
-it must agree within 1e-9 and factorize at the same steps.
+it must agree within 1e-9 and factorize at the same steps.  The batch
+compiler tapers its stage caps with numpy's elementwise power, which
+is not Python's ``**`` in the last bit: against the scalar sizer
+``reference_compile_brick`` it picks the same stage counts and widths,
+and caps within 1e-14 relative (``tests/test_batch_estimator.py``).
 """
 
 import math
@@ -40,7 +44,7 @@ from repro.bricks import brick_cell_model, build_match_testbench, \
     single_partition, sram_brick
 from repro.bricks import extract
 from repro.bricks.batch import BrickSpecBatch, brick_rows, \
-    compile_batch, estimate_batch
+    compile_batch, compiled_row, estimate_batch
 from repro.bricks.compiler import CompiledBrick, MatchPeriphery
 from repro.bricks.estimator import _CROWBAR_FO4, _K50, BrickPerformance
 from repro.bricks.layout import generate_layout
@@ -52,6 +56,8 @@ from repro.cells.stdcells import unit_input_cap
 from repro.circuit import GND, SpiceCircuit, TransientSimulator, \
     Waveform, ramp
 from repro.circuit import spice
+from repro.circuit.logical_effort import optimal_stage_effort, \
+    parasitic_inv
 from repro.circuit.spice import TransientResult
 from repro.errors import SimulationError
 from repro.faults import DefectModel, RepairPlan, apply_repair, inject
@@ -1158,7 +1164,7 @@ def _reference_ctrl_internal_cap(control, tech):
     for stage_cap in control.stage_caps:
         w_n, w_p = inverter_widths(stage_cap, tech)
         cap += tech.c_diff * (w_n + w_p)
-    for stage_cap in control._preb_caps():
+    for stage_cap in control.preb_stage_caps:
         w_n, w_p = inverter_widths(stage_cap, tech)
         cap += stage_cap + tech.c_diff * (w_n + w_p)
     return cap
@@ -1296,7 +1302,7 @@ def reference_estimate_brick(compiled, tech, stack=None, out_load=None):
         read_energy=read_energy, write_energy=write_energy, setup=setup,
         hold=hold, clock_cap=stack * control.clock_cap(),
         dwl_cap=wl.nand_input_cap, wbl_cap=c_wbl_bank,
-        area_um2=brick_area * stack,
+        area_um2=brick_area * stack, brick_area_um2=brick_area,
         leakage_w=stack * (leak_cells + leak_periph),
         match_delay=match_delay, match_energy=match_energy,
         components={
@@ -1340,40 +1346,88 @@ def reference_cell_tables(compiled, tech, stack):
     return base, tables, attrs
 
 
-def compiled_row(compiled, tech, i):
-    """Row ``i`` of a :class:`~repro.bricks.batch.CompiledBrickBatch` as
-    the :class:`CompiledBrick` carrying the same sizing, so the oracle
-    can price what the batch compiler sized."""
-    batch = compiled.batch
-    spec = batch.spec(i)
+def reference_buffer_chain(c_in, c_load, tech, force_stages=None):
+    """One logical-effort inverter chain in Python floats: its stage
+    input caps (``c_in * f_hat ** i`` with Python's ``**``)."""
+    fanout = c_load / c_in
+    if force_stages is not None:
+        n = force_stages
+    elif fanout <= 1.0:
+        n = 1
+    else:
+        rho = optimal_stage_effort(parasitic_inv(tech))
+        n = max(1, round(math.log(fanout) / math.log(rho)))
+    f_hat = fanout ** (1.0 / n)
+    return [c_in * f_hat ** i for i in range(n)]
 
-    def caps(stage_caps, n_stages, row):
-        return tuple(stage_caps[row, :n_stages[row]].tolist())
+
+def _reference_chain(c_in, c_load, tech, parity):
+    """A chain bumped by one stage when its optimal count has the wrong
+    parity (the compiler's polarity idiom)."""
+    caps = reference_buffer_chain(c_in, c_load, tech)
+    if len(caps) % 2 != parity:
+        caps = reference_buffer_chain(c_in, c_load, tech,
+                                      force_stages=len(caps) + 1)
+    return caps
+
+
+def _reference_arbl_pulldown(arbl_fixed_per_brick, stack, tech):
+    """Closed-form ARBL pull-down width: stage effort 4 against the
+    self-loaded stacked ARBL, with a two-gate-cap denominator margin
+    and a 16x minimum-width cap."""
+    c_out = 4.0 * unit_input_cap(tech)
+    c_fixed = stack * arbl_fixed_per_brick + c_out
+    denom = max(4.0 * tech.c_gate - stack * tech.c_diff,
+                2.0 * tech.c_gate)
+    w_pull = c_fixed / denom
+    return min(max(tech.w_min_um, w_pull), 16.0 * tech.w_min_um)
+
+
+def reference_compile_brick(spec, tech, target_stack=1):
+    """The scalar sizer, one brick at a time: the compiler as it was
+    before it became a row of ``compile_batch``."""
+    bitcell = make_bitcell(spec.memory_type, tech)
+    layer = tech.layer(tech.local_layer)
+    c_unit = unit_input_cap(tech)
+
+    _, c_wl_wire = layer.rc(spec.bits * bitcell.width_um)
+    wl_load = c_wl_wire + spec.bits * bitcell.c_rwl
+    nand_cap = 1.0 * c_unit
+    wl_driver = WordlineDriver(
+        nand_input_cap=nand_cap,
+        stage_caps=tuple(_reference_chain(nand_cap, wl_load, tech, 1)))
+
+    brick_height = spec.words * bitcell.height_um + 2.0 * bitcell.height_um
+    _, arbl_wire = tech.layer(tech.bitline_layer).rc(brick_height)
+    w_pull = _reference_arbl_pulldown(arbl_wire, target_stack, tech)
+    w_sense_n = max(2.0 * tech.w_min_um, w_pull / 6.0)
+    sense = LocalSense(w_sense_n=w_sense_n,
+                       w_sense_p=w_sense_n * tech.inverter_beta(),
+                       w_pull=w_pull,
+                       w_precharge=max(tech.w_min_um, w_pull / 6.0))
+
+    enable_load = spec.words * wl_driver.enable_cap()
+    ctrl_caps = _reference_chain(2.0 * c_unit, enable_load, tech, 0)
+    preb_load = 2.0 * spec.bits * tech.c_gate * sense.w_precharge
+    preb_caps = _reference_chain(ctrl_caps[0], preb_load, tech, 1)
+    control = ControlBlock(stage_caps=tuple(ctrl_caps),
+                           preb_stage_caps=tuple(preb_caps))
 
     match = None
     if spec.is_cam:
-        j = int(np.flatnonzero(compiled.cam_idx == i)[0])
+        _, c_sl_wire = layer.rc(spec.words * bitcell.height_um)
+        sl_load = c_sl_wire + spec.words * bitcell.c_sl
+        w_ml_sense_n = 2.0 * tech.w_min_um
         match = MatchPeriphery(
-            sl_stage_caps=caps(compiled.sl_caps, compiled.sl_n, j),
-            w_ml_pre=float(compiled.w_ml_pre[j]),
-            w_ml_sense_n=float(compiled.w_ml_sense_n[j]),
-            w_ml_sense_p=float(compiled.w_ml_sense_p[j]))
-    return CompiledBrick(
-        spec=spec, tech_name=compiled.tech_name,
-        target_stack=int(batch.stack[i]),
-        bitcell=make_bitcell(spec.memory_type, tech),
-        wl_driver=WordlineDriver(
-            nand_input_cap=compiled.nand_cap,
-            stage_caps=caps(compiled.wl_caps, compiled.wl_n, i)),
-        sense=LocalSense(
-            w_sense_n=float(compiled.w_sense_n[i]),
-            w_sense_p=float(compiled.w_sense_p[i]),
-            w_pull=float(compiled.w_pull[i]),
-            w_precharge=float(compiled.w_precharge[i])),
-        control=ControlBlock(
-            stage_caps=caps(compiled.ctrl_caps, compiled.ctrl_n, i),
-            preb_stage_caps=caps(compiled.preb_caps, compiled.preb_n, i)),
-        match=match)
+            sl_stage_caps=tuple(_reference_chain(2.0 * c_unit, sl_load,
+                                                 tech, 0)),
+            w_ml_pre=2.0 * tech.w_min_um,
+            w_ml_sense_n=w_ml_sense_n,
+            w_ml_sense_p=w_ml_sense_n * tech.inverter_beta())
+    return CompiledBrick(spec=spec, tech_name=tech.name,
+                         target_stack=target_stack, bitcell=bitcell,
+                         wl_driver=wl_driver, sense=sense, control=control,
+                         match=match)
 
 
 _ESTIMATOR_SHAPES = ((16, 10), (32, 12), (64, 8), (8, 32), (128, 64),

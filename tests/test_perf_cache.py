@@ -15,7 +15,6 @@ from repro.perf import (
     KEY_SCHEMA_VERSION,
     CharacterizationCache,
     cache_key,
-    cached_compile,
     cached_estimate,
     cached_stdcell_library,
     characterize_cells,
@@ -307,11 +306,11 @@ class TestTypedGet:
 
 
 class TestCachedArtifacts:
-    def test_cached_compile_identical(self, tech):
+    def test_cached_estimate_identical(self, tech):
         cache = CharacterizationCache()
         spec = sram_brick(16, 10)
-        one = cached_compile(spec, tech, stack=4, cache=cache)
-        two = cached_compile(spec, tech, stack=4, cache=cache)
+        one = cached_estimate(spec, tech, stack=4, cache=cache)
+        two = cached_estimate(spec, tech, stack=4, cache=cache)
         assert one is two  # memory tier returns the same artifact
 
     def test_different_stack_different_entry(self, tech):

@@ -1,10 +1,9 @@
 """Property-based tests: RTL generators vs Python semantics, SRAM vs
-reference memory model, logical-effort sizing optimality."""
+reference memory model."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import gate_type, size_path
 from repro.rtl import LogicSimulator, Module, as_bus, elaborate, \
     multiplier, ripple_adder
 from repro.synth import synthesize_truth_table
@@ -101,37 +100,3 @@ class TestSramAgainstModel:
                 assert sim.get_output("dout") == expect
             if we:
                 model[wa] = di
-
-
-class TestLogicalEffortOptimality:
-    @given(n_stages=st.integers(1, 5), c_in=st.floats(2e-15, 1e-14),
-           c_load=st.floats(2e-14, 4e-13), data=st.data())
-    @settings(max_examples=30, deadline=None,
-              suppress_health_check=[
-                  HealthCheck.too_slow,
-                  HealthCheck.function_scoped_fixture])
-    def test_equal_effort_beats_perturbed_sizing(self, n_stages, c_in,
-                                                 c_load, data, tech):
-        """The LE solution must not be improved by perturbing one
-        intermediate stage size (local optimality of the closed form)."""
-        inv = gate_type("INV")
-        sized = size_path([inv] * n_stages, c_in, c_load, tech)
-        if n_stages < 2:
-            assert sized.delay > 0
-            return
-        stage = data.draw(st.integers(1, n_stages - 1))
-        factor = data.draw(st.sampled_from([0.5, 0.8, 1.25, 2.0]))
-        caps = list(sized.input_caps)
-        caps[stage] *= factor
-
-        def chain_delay(caps_list):
-            from repro.circuit.logical_effort import parasitic_inv
-            total = 0.0
-            p_inv = parasitic_inv(tech)
-            for i in range(n_stages):
-                c_out = caps_list[i + 1] if i + 1 < n_stages else c_load
-                total += c_out / caps_list[i] + p_inv
-            return total * 1.0
-
-        assert chain_delay(list(sized.input_caps)) <= \
-            chain_delay(caps) + 1e-9

@@ -16,6 +16,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import cli
+from repro.bricks import BrickSpec, compile_brick, estimate_brick, \
+    generate_layout
+from repro.cells.bitcells import MEMORY_TYPES
 from repro.errors import ServeError
 from repro.perf.cache import CharacterizationCache
 from repro.serve import (
@@ -23,6 +26,7 @@ from repro.serve import (
     BrickServer,
     RequestCoalescer,
     ServeClient,
+    brick_report_data,
     encode_frame,
 )
 from repro.session import Session
@@ -203,6 +207,46 @@ class TestRoundTrips:
             assert err.value.code == "internal"
             assert "exploration: " in str(err.value)
             assert "must be <=" in str(err.value)
+
+
+class TestBrickReport:
+    """``brick_report_data`` is one cached estimate: no compile and no
+    layout, and a point a sweep priced is a warm hit."""
+
+    def test_area_equals_generated_layout(self):
+        tech = cmos65()
+        session = Session(tech, jobs=1, cache=CharacterizationCache())
+        for memory_type in MEMORY_TYPES:
+            for words, bits in ((4, 4), (16, 10), (64, 32), (256, 8)):
+                for stack in (1, 3, 8):
+                    data = brick_report_data(session, memory_type, words,
+                                             bits, stack)
+                    compiled = compile_brick(
+                        BrickSpec(memory_type, words, bits), tech,
+                        target_stack=stack)
+                    layout = generate_layout(compiled, tech)
+                    est = estimate_brick(compiled, tech, stack=stack)
+                    assert (data["area_um2"], data["array_efficiency"]) \
+                        == (layout.area_um2, layout.array_efficiency)
+                    assert (data["read_delay"], data["read_energy"],
+                            data["leakage_w"]) == (
+                        est.read_delay, est.read_energy, est.leakage_w)
+
+    def test_swept_point_is_a_warm_characterize(self, harness):
+        stats = harness.session.cache.stats
+        with harness.client() as c:
+            table = c.fetch(c.sweep(**SWEEP_PARAMS)["artifact"])
+            point = table["points"][0]
+            before = (stats.misses, stats.memory_hits)
+            reply = c.characterize(type="8T", words=point["brick_words"],
+                                   bits=point["bits"], stack=point["stack"])
+        assert (stats.misses, stats.memory_hits) == (before[0],
+                                                      before[1] + 1)
+        cold = Session(cmos65(), jobs=1, cache=CharacterizationCache())
+        assert reply["data"] == brick_report_data(
+            cold, "8T", point["brick_words"], point["bits"],
+            point["stack"])
+        assert cold.cache.stats.misses == 1
 
 
 class TestWireErrors:
