@@ -12,17 +12,20 @@ last (steady-state) cycle — the way one measures a SPICE deck.
 Fidelity knobs (segment counts) trade nodes for accuracy.  With the
 defaults a 16x10/1x read testbench has 138 free nodes and a 32x12/8x
 write testbench 465.  Every testbench is a forest of RC paths, so the
-simulator's banded Cholesky runs at bandwidth 1 and a factorization
-costs about as much as a step.  On a 2-vCPU x86-64 host (numpy 2.4,
-OpenBLAS) the read and write transients of one Table-1 cell take
-together ~0.3 s at 1x and 0.3-0.6 s at 4x/8x (32x12/8x the slowest); the
-per-step array work, not the solve, dominates.
+simulator's system is tridiagonal (bandwidth 1) and a factorization
+costs about as much as a step.  The clock stimuli carry vector forms, so
+a source's samples for the whole run take one call.  On a 2-vCPU x86-64
+host (numpy 2.4, OpenBLAS) the read and write transients of one Table-1
+cell take together ~0.15 s at 1x and 0.2-0.4 s at 4x/8x (32x12/8x the
+slowest); the per-step array work, not the solve, dominates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..cells.stdcells import unit_input_cap
 from ..circuit.netlist import GND, SpiceCircuit
@@ -74,10 +77,10 @@ class BrickTestbench:
 def _scaled_clock(period: float, edge: float, vdd: float):
     """Clock stimulus: low in the first half-cycle (precharge), rising at
     mid-cycle into the evaluate phase, falling at the cycle boundary."""
+    half = period / 2.0
 
     def v_of_t(t: float) -> float:
         phase = t % period
-        half = period / 2.0
         if phase < half:
             if phase < edge:  # falling edge at the cycle boundary
                 return vdd * (1.0 - phase / edge)
@@ -87,28 +90,47 @@ def _scaled_clock(period: float, edge: float, vdd: float):
             return vdd * ref / edge
         return vdd
 
+    def sample(t: np.ndarray) -> np.ndarray:
+        phase = np.mod(t, period)
+        ref = phase - half
+        return np.where(
+            phase < half,
+            np.where(phase < edge, vdd * (1.0 - phase / edge), 0.0),
+            np.where(ref < edge, vdd * ref / edge, vdd))
+
+    v_of_t.sample = sample
     return v_of_t
 
 
 def _square(period: float, edge: float, vdd: float, invert: bool = False):
     """Square wave toggling once per cycle at the evaluate edge."""
+    half = period / 2.0
 
     def v_of_t(t: float) -> float:
         cycle = int(t // period)
         phase = t % period
-        half = period / 2.0
         level = (cycle % 2 == 0) != invert
-        prev_level = ((cycle - 1) % 2 == 0) != invert
+        start = 0.0 if level else 1.0  # the previous cycle's level
         if phase < half:  # hold previous value until the evaluate edge
-            start = 1.0 if prev_level else 0.0
             return vdd * start
         ref = phase - half
-        start = 1.0 if prev_level else 0.0
         end = 1.0 if level else 0.0
         if ref < edge:
             return vdd * (start + (end - start) * ref / edge)
         return vdd * end
 
+    def sample(t: np.ndarray) -> np.ndarray:
+        level = (np.mod(np.floor_divide(t, period), 2.0) == 0.0) != invert
+        start = np.where(level, 0.0, 1.0)
+        end = 1.0 - start
+        phase = np.mod(t, period)
+        ref = phase - half
+        return np.where(
+            phase < half, vdd * start,
+            np.where(ref < edge, vdd * (start + (end - start) * ref / edge),
+                     vdd * end))
+
+    v_of_t.sample = sample
     return v_of_t
 
 
@@ -123,12 +145,11 @@ def _sequenced_precharge(period: float, edge: float, vdd: float,
     cycle), and releases exactly at the evaluate edge — so it never
     fights the read.
     """
+    lo, hi = start_frac, stop_frac
+    edge_frac = edge / period
 
     def v_of_t(t: float) -> float:
         phase = (t % period) / period
-        lo = start_frac
-        hi = stop_frac
-        edge_frac = edge / period
         if lo <= phase < hi:
             if phase < lo + edge_frac:
                 return vdd * (1.0 - (phase - lo) / edge_frac)
@@ -137,6 +158,16 @@ def _sequenced_precharge(period: float, edge: float, vdd: float,
             return vdd * (phase - hi) / edge_frac
         return vdd
 
+    def sample(t: np.ndarray) -> np.ndarray:
+        phase = np.mod(t, period) / period
+        return np.where(
+            (lo <= phase) & (phase < hi),
+            np.where(phase < lo + edge_frac,
+                     vdd * (1.0 - (phase - lo) / edge_frac), 0.0),
+            np.where((hi <= phase) & (phase < hi + edge_frac),
+                     vdd * (phase - hi) / edge_frac, vdd))
+
+    v_of_t.sample = sample
     return v_of_t
 
 

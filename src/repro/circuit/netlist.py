@@ -18,6 +18,9 @@ from ..tech.transistor import NMOS, PMOS
 GND = "0"
 
 #: A voltage stimulus: either a constant (in volts) or a callable ``v(t)``.
+#: A callable may also carry ``sample(times)``, its values over a whole
+#: time array in one call, each equal to ``v(t)`` bit for bit; the
+#: transient simulator then fills the source's column with that one call.
 Stimulus = Union[float, Callable[[float], float]]
 
 

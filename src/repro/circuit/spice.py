@@ -21,26 +21,32 @@ Backward Euler with device conductances evaluated at the previous step
 small steps used).  The system matrix over the free nodes, C/dt + G, is
 symmetric positive definite: resistors, capacitors and conducting channels
 all stamp non-negative two-terminal conductances, and every node leaks to
-ground through ``_GMIN``.  It is factorized by a banded Cholesky (LAPACK
-``pbtrf``), and refactorized only when a device conductance moved
-materially, which makes the quiescent majority of each transient cheap.
+ground through ``_GMIN``.  It is refactorized only when a device
+conductance moved materially, which makes the quiescent majority of each
+transient cheap.
 
 The band is narrow because of the node order.  Once per simulator the free
 nodes are put in reverse Cuthill–McKee order over the union sparsity
 pattern of C, the resistors and every device channel (all devices on), so
 one band of half-width ``kb`` holds every factorization of every run.  The
-extracted brick testbenches are forests of RC paths: their ``kb`` is 1.
+extracted brick testbenches are forests of RC paths: their ``kb`` is 1, so
+the matrix is tridiagonal and LAPACK's ``pttrf``/``pttrs`` (``L D L^T``)
+factor and solve it.  A wider band (``kb > 1``) goes to the banded
+Cholesky ``pbtrf``/``pbtrs``.
 
-Each step is array operations over arrays built once per simulator:
-terminal indices (GND reads a pad slot held at 0 V), a polarity mask and
-per-device ``r_on`` for the array device law
-(:func:`repro.tech.transistor.conductances`), and the flat position of
-every device stamp in one buffer holding the band, the free×driven
-coupling block and the driven rows of G.  A refactorization adds one
-``np.bincount`` scatter of the conductances to that buffer's static part
-and factors the band; a step is a band solve.  Source stimuli are sampled
-for the whole run before the first step, and the source currents
-``C_d dv/dt + G_d v`` are two matrix-vector products per step.
+Each step is a few in-place array operations over arrays built once per
+simulator.  The device law takes every terminal voltage in one ``take``
+with the polarity folded in, and equals
+:func:`repro.tech.transistor.conductances` bit for bit.  A
+refactorization adds one ``np.bincount`` scatter of the conductances to a
+flat buffer's static part (the band, the free×driven coupling block and
+the driven rows of G) and factors the band; a step solves into the state
+row in place.  Source stimuli are sampled for the whole run before the
+first step, in one call per source for the testbench clocks, which carry
+a vector form.  Of the source currents ``C_d dv/dt + G_d v``, the ``G_d v``
+term is one matrix-vector product per step and the ``C_d dv/dt`` term is
+taken after the loop, a block of steps at a time.  The state is checked
+for non-finite values every block and at the end.
 
 Output contract: every result is within 1e-9 (relative) of a dense-LU
 evaluation of the same scheme, which refactorizes at the same steps; that
@@ -59,13 +65,18 @@ from scipy.linalg import get_lapack_funcs
 
 from ..errors import SimulationError
 from ..tech.technology import Technology
-from ..tech.transistor import NMOS, Transistor, conductances
+from ..tech.transistor import NMOS, Transistor
 from .netlist import GND, SpiceCircuit
 from .waveform import Waveform
 
 _GMIN = 1e-12  # universal leak conductance for numerical conditioning
 
-_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+_pbtrf, _pbtrs, _pttrf, _pttrs = get_lapack_funcs(
+    ("pbtrf", "pbtrs", "pttrf", "pttrs"), dtype=np.float64)
+
+#: Steps between finiteness checks of the state, and the row count of the
+#: blocks the capacitor currents of the sources are computed in.
+_BLOCK = 64
 
 
 # ``lu_factor``/``lu_solve`` are the factor and solve entry points (the
@@ -73,30 +84,46 @@ _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 # through them, so the step loop calls them by these module-level names.
 
 
-def lu_factor(band: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a symmetric positive-definite band matrix.
+def lu_factor(band: np.ndarray):
+    """Factor of a symmetric positive-definite band matrix.
 
-    ``band`` is the lower band in LAPACK storage, shape ``(kb + 1, n)``
-    with ``band[i - j, j] = A[i, j]``; a Fortran-ordered array is factored
-    in place.  Raises :class:`SimulationError` when the matrix is not
+    ``band`` is the lower band, shape ``(kb + 1, n)`` with
+    ``band[i - j, j] = A[i, j]``.  A tridiagonal matrix (``kb <= 1``) is
+    factored as ``L D L^T`` by LAPACK ``pttrf`` into a ``(d, e)`` tuple,
+    overwriting the band's rows; a wider band by the banded Cholesky
+    ``pbtrf``.  Raises :class:`SimulationError` when the matrix is not
     positive definite (singular included).
     """
     if band.size == 0:
         return band
-    factor, info = _pbtrf(band, lower=1, overwrite_ab=1)
+    if band.shape[0] <= 2:
+        # ``pttrf`` wants at least one off-diagonal slot, even for n = 1.
+        n_e = max(band.shape[1] - 1, 1)
+        e = band[1, :n_e] if band.shape[0] == 2 else np.zeros(n_e)
+        d, e, info = _pttrf(band[0], e, overwrite_d=1, overwrite_e=1)
+        factor, routine = (d, e), "pttrf"
+    else:
+        factor, info = _pbtrf(band, lower=1, overwrite_ab=1)
+        routine = "pbtrf"
     if info != 0:
         raise SimulationError(
             "transient system matrix is not positive definite "
-            f"(pbtrf info {info})")
+            f"({routine} info {info})")
     return factor
 
 
-def lu_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` from :func:`lu_factor`'s band factor (``pbtrs``)."""
+def lu_solve(factor, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` in place from :func:`lu_factor`'s factor
+    (``pttrs`` or ``pbtrs``); returns ``b``, now holding ``x``."""
     if b.size == 0:
-        return b.copy()
-    x, _ = _pbtrs(factor, b, lower=1)
-    return x
+        return b
+    if isinstance(factor, tuple):
+        x, _ = _pttrs(*factor, b, 1)  # overwrite_b
+    else:
+        x, _ = _pbtrs(factor, b, lower=1, overwrite_b=1)
+    if x is not b:
+        b[...] = x
+    return b
 
 
 @dataclass
@@ -155,9 +182,10 @@ class TransientSimulator:
 
         The state vector holds the free nodes in band order, then the
         driven nodes in source order, then GND's pad.  The flat buffer
-        holds the lower band of the free block (``pbtrf`` storage,
-        Fortran order), the free×driven coupling block and the driven rows
-        of G, in that order.
+        holds the lower band of the free block (row ``i`` the ``i``-th
+        subdiagonal, so a tridiagonal band's rows are the ``pttrf``
+        vectors), the free×driven coupling block and the driven rows of G
+        over the whole state vector, pad column included, in that order.
         """
         circuit, tech = self.circuit, self.tech
         free = circuit.free_nodes()
@@ -196,7 +224,7 @@ class TransientSimulator:
             self._index[src.node] = nf + k
         self._n_free, self._n_all, self._kb = nf, n, kb
         n_band, n_coupling = (kb + 1) * nf, nf * nd
-        size = n_band + n_coupling + nd * n
+        size = n_band + n_coupling + nd * (n + 1)
         self._layout = (n_band, n_coupling, size)
 
         def entries(elems: Sequence[Tuple[str, str, float]]):
@@ -213,12 +241,11 @@ class TransientSimulator:
 
         def place(row: np.ndarray, col: np.ndarray) -> np.ndarray:
             """Flat buffer position of each entry; -1 in the band's upper
-            triangle, which ``pbtrf`` does not read."""
+            triangle, which the factorizations do not read."""
             return np.where(
-                row >= nf, n_band + n_coupling + (row - nf) * n + col,
+                row >= nf, n_band + n_coupling + (row - nf) * (n + 1) + col,
                 np.where(col >= nf, n_band + row * nd + (col - nf),
-                         np.where(row >= col, row - col + col * (kb + 1),
-                                  -1)))
+                         np.where(row >= col, (row - col) * nf + col, -1)))
 
         def scatter(elems: Sequence[Tuple[str, str, float]]) -> np.ndarray:
             _, row, col, value = entries(elems)
@@ -247,18 +274,16 @@ class TransientSimulator:
         self._stamp_dev = dev[keep]
         self._stamp_sign = sign[keep]
 
-        # Device arrays.  Terminal indices point into the state vector,
-        # whose extra last slot is a pad held at 0 V: GND's index -1
-        # reads it.
-        def terminals(node_of) -> np.ndarray:
-            return np.array([self._index[node_of(m)] for m in mosfets],
-                            dtype=np.intp)
-
-        self._gate = terminals(lambda m: m.gate)
-        self._drain = terminals(lambda m: m.drain)
-        self._source = terminals(lambda m: m.source)
-        self._is_nmos = np.array([m.kind == NMOS for m in mosfets],
-                                 dtype=bool)
+        # Device arrays.  The terminal rows (gate, drain, source) index
+        # the state vector, whose extra last slot is a pad held at 0 V:
+        # GND's index -1 reads it.  The polarity is +1 for NMOS, -1 for
+        # PMOS.
+        self._terminals = np.array(
+            [[self._index[node] for node in nodes] for nodes in
+             ([m.gate for m in mosfets], [m.drain for m in mosfets],
+              [m.source for m in mosfets])], dtype=np.intp).reshape(3, -1)
+        self._polarity = np.array([1.0 if m.kind == NMOS else -1.0
+                                   for m in mosfets])
         self._r_on = np.array([d.r_on(tech) for d in devices])
 
     @property
@@ -266,15 +291,38 @@ class TransientSimulator:
         """Half-bandwidth ``kb`` of the ordered free block."""
         return self._kb
 
-    def _drives(self, v: np.ndarray) -> np.ndarray:
-        """Per-device gate drive at the padded state vector ``v``: gate
-        over the lower channel terminal for NMOS, the higher channel
-        terminal over the gate for PMOS."""
-        v_g = v[self._gate]
-        v_d = v[self._drain]
-        v_s = v[self._source]
-        return np.where(self._is_nmos, v_g - np.minimum(v_d, v_s),
-                        np.maximum(v_d, v_s) - v_g)
+    def _device_law(self):
+        """A function ``law(v, g)``: the device channel conductances at the
+        padded state vector ``v``, written into ``g``.
+
+        The gate drive is ``p v_g - min(p v_d, p v_s)`` with polarity
+        ``p``: the gate over the lower channel terminal for NMOS, the
+        higher channel terminal over the gate for PMOS.  The law then runs
+        :func:`repro.tech.transistor.conductances`' operations in place,
+        with ``max(., 0)`` for its ``drive <= v_th`` branch (``drive - v_th
+        <= 0`` exactly then), so ``g`` equals it bit for bit.
+        """
+        terminals, r_on = self._terminals, self._r_on
+        polarity = np.broadcast_to(self._polarity, terminals.shape).copy()
+        tech = self.tech
+        v_th = tech.v_th
+        v_span = max(tech.v_sat_frac * tech.vdd - v_th, 1e-12)
+        work = np.empty(terminals.shape)
+        v_g, v_d, v_s = work
+
+        def law(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+            v.take(terminals, out=work)
+            np.multiply(work, polarity, out=work)
+            np.minimum(v_d, v_s, out=v_d)
+            np.subtract(v_g, v_d, out=g)
+            g -= v_th
+            g /= v_span
+            np.minimum(g, 1.0, out=g)
+            np.maximum(g, 0.0, out=g)
+            g /= r_on
+            return g
+
+        return law
 
     # --- integration ----------------------------------------------------------
 
@@ -306,7 +354,8 @@ class TransientSimulator:
         times = np.linspace(0.0, steps * dt, steps + 1)
 
         # One row per step: the state vector, GND's pad last.  Driven
-        # columns are filled for the whole run up front.
+        # columns are filled for the whole run up front, one call per
+        # stimulus with a vector form.
         history = np.zeros((steps + 1, n + 1))
         if v_init:
             for node, value in v_init.items():
@@ -315,14 +364,15 @@ class TransientSimulator:
                     raise SimulationError(f"unknown node {node!r} in v_init")
                 if idx >= 0:
                     history[0, idx] = value
-        t_list = times.tolist()
         for k, src in enumerate(self._sources):
             stimulus = src.stimulus
-            if callable(stimulus):
-                history[:, nf + k] = [stimulus(t) for t in t_list]
+            if hasattr(stimulus, "sample"):
+                history[:, nf + k] = stimulus.sample(times)
+            elif callable(stimulus):
+                history[:, nf + k] = [stimulus(t) for t in times.tolist()]
             else:
                 history[:, nf + k] = stimulus
-        _check_finite(history[0], 0, 0.0)
+        _check_rows(history, times, 0, 1)
 
         n_a = n_band + n_coupling  # the entries of C/dt + G
         static = self._g_static.copy()
@@ -330,46 +380,58 @@ class TransientSimulator:
         c_diag = self._c_diag / dt
         off_rows, off_cols, off_values = self._c_off
         off_values = off_values / dt
-        c_rows = self._c_flat[n_a:].reshape(nd, n) / dt
         i_out = np.zeros((steps + 1, nd))
         energy_history = np.empty((nd, steps + 1))
+        law = self._device_law()
+        g_mos, g_last = np.empty(len(self._r_on)), np.empty(len(self._r_on))
+        checked = 0  # rows [0, checked] are finite
 
-        g_last = None
-        for step in range(1, steps + 1):
-            prev = history[step - 1]
-            g_mos = conductances(self._drives(prev), self._r_on, self.tech)
-            if g_last is None or (g_mos.size > 0 and
-                                  np.abs(g_mos - g_last).max() > g_tol):
-                buffer = static + np.bincount(
-                    self._stamp_at,
-                    weights=g_mos[self._stamp_dev] * self._stamp_sign,
-                    minlength=size)
-                factor = lu_factor(buffer[:n_band].reshape(
-                    (kb + 1, nf), order="F"))
-                coupling = buffer[n_band:n_a].reshape(nf, nd)
-                g_rows = buffer[n_a:].reshape(nd, n)
-                g_last = g_mos
-                g_tol = refactor_tol * (np.abs(g_mos).max(initial=0.0)
-                                        + _GMIN)
+        # The state rows are checked every _BLOCK steps and at the end; the
+        # error names the first non-finite row.  A NaN conductance fails
+        # the refactor test, so every factorization sees finite entries.
+        with np.errstate(all="ignore"):
+            for step in range(1, steps + 1):
+                prev, cur = history[step - 1], history[step]
+                law(prev, g_mos)
+                if step == 1 or (g_mos.size > 0 and np.maximum.reduce(
+                        np.abs(g_mos - g_last)) > g_tol):
+                    # Conductances are >= 0: the max is the largest one.
+                    g_tol = refactor_tol * (g_mos.max(initial=0.0) + _GMIN)
+                    buffer = static + np.bincount(
+                        self._stamp_at,
+                        weights=g_mos[self._stamp_dev] * self._stamp_sign,
+                        minlength=size)
+                    factor = lu_factor(buffer[:n_band].reshape(kb + 1, nf))
+                    coupling = buffer[n_band:n_a].reshape(nf, nd)
+                    g_rows = buffer[n_a:].reshape(nd, n + 1)
+                    g_last, g_mos = g_mos, g_last
 
-            # Free rows of the BE system:
-            #   A_ff v_new_f = (C/dt) v_old - A_fd v_new_d
-            # where (C/dt) v_old spans ALL columns (the capacitor history
-            # term from driven nodes included).
-            cur = history[step]
-            rhs = c_diag * prev[:nf]
-            if off_rows.size:
-                rhs += np.bincount(off_rows,
-                                   weights=off_values * prev[off_cols],
-                                   minlength=nf)
-            if nd:
-                rhs -= coupling @ cur[nf:n]
-            cur[:nf] = lu_solve(factor, rhs)
-            _check_finite(cur, step, t_list[step])
-            if nd:
-                # Source currents: the driven rows of C dv/dt + G v.
-                i_out[step] = (c_rows @ (cur[:n] - prev[:n])
-                               + g_rows @ cur[:n])
+                # Free rows of the BE system, solved in place:
+                #   A_ff v_new_f = (C/dt) v_old - A_fd v_new_d
+                # where (C/dt) v_old spans ALL columns (the capacitor
+                # history term from driven nodes included).
+                rhs = cur[:nf]
+                np.multiply(c_diag, prev[:nf], out=rhs)
+                if off_rows.size:
+                    rhs += np.bincount(off_rows,
+                                       weights=off_values * prev[off_cols],
+                                       minlength=nf)
+                if nd:
+                    rhs -= np.dot(coupling, cur[nf:n])
+                lu_solve(factor, rhs)
+                if nd:  # source currents: G_d v here, C_d dv/dt below
+                    np.dot(g_rows, cur, out=i_out[step])
+                if step - checked == _BLOCK:
+                    _check_rows(history, times, checked + 1, step + 1)
+                    checked = step
+        _check_rows(history, times, checked + 1, steps + 1)
+
+        # The driven rows of C dv/dt, a block of steps at a time.
+        c_rows = self._c_flat[n_a:].reshape(nd, n + 1) / dt
+        for lo in range(1, steps + 1, _BLOCK):
+            hi = min(lo + _BLOCK, steps + 1)
+            dv = history[lo:hi] - history[lo - 1:hi - 1]
+            i_out[lo:hi] += dv @ c_rows.T
 
         # In place: run-length temporaries here fragmented the heap and
         # raised the peak RSS of a sequence of Table-1 runs by ~2 MB.
@@ -453,10 +515,19 @@ def _stamp_entries(ia: int, ib: int) -> List[Tuple[int, int, float]]:
     return entries
 
 
-def _check_finite(v: np.ndarray, step: int, t: float) -> None:
+def _check_rows(history: np.ndarray, times: np.ndarray, lo: int,
+                hi: int) -> None:
+    """Raise :class:`SimulationError` at the first of the state rows
+    ``[lo, hi)`` with a non-finite entry."""
+    block = history[lo:hi]
     # The sum is finite when every entry is; only an overflowing sum of
     # finite entries needs the elementwise test to pass.
-    if not math.isfinite(v.sum()) and not np.isfinite(v).all():
-        raise SimulationError(
-            f"transient diverged: node voltages are not finite at step "
-            f"{step} (t = {t:.6g} s)")
+    if math.isfinite(block.sum()):
+        return
+    finite = np.isfinite(block).all(axis=1)
+    if finite.all():
+        return
+    step = lo + int(np.argmin(finite))
+    raise SimulationError(
+        f"transient diverged: node voltages are not finite at step "
+        f"{step} (t = {times[step]:.6g} s)")

@@ -8,7 +8,8 @@ import pytest
 from repro.bricks import build_match_testbench, build_read_testbench, \
     build_write_testbench, cam_brick, compile_brick, measure_read, \
     measure_write, sram_brick
-from repro.circuit import GND, SpiceCircuit, TransientSimulator, ramp
+from repro.circuit import GND, SpiceCircuit, TransientSimulator, \
+    VSource, ramp
 from repro.errors import NetlistError, SimulationError
 from repro.units import FF, KOHM, NS, PS
 
@@ -183,6 +184,34 @@ class TestTransient:
         with pytest.raises(SimulationError, match=r"at step 401 \("):
             sim.run(t_stop=0.5 * NS, dt=0.5 * PS)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_state_turning_nonfinite_between_refactors(self, tech,
+                                                       monkeypatch, bad):
+        """The input of the inverter chain turns non-finite at step 120,
+        inside a stretch without factorizations (115 to 132 in the clean
+        run) and inside a finiteness-check block; the error still names
+        step 120, whatever the loop computes on the bad state after it."""
+        from repro.circuit import spice
+        ckt, kwargs = _inverter_chain(tech)
+        events = []
+        factor, solve = spice.lu_factor, spice.lu_solve
+        monkeypatch.setattr(spice, "lu_factor",
+                            lambda band: events.append("f") or factor(band))
+        monkeypatch.setattr(spice, "lu_solve",
+                            lambda f, b: events.append("s") or solve(f, b))
+        TransientSimulator(ckt, tech).run(**kwargs)
+        refactor_steps = [events[:k].count("s") + 1
+                          for k, e in enumerate(events) if e == "f"]
+        assert 115 in refactor_steps and 132 in refactor_steps
+        assert not set(range(116, 132)) & set(refactor_steps)
+
+        clean = ckt.sources[1].stimulus
+        t_bad = 119.5 * kwargs["dt"]  # between the grid's steps 119 and 120
+        ckt.sources[1] = VSource("vin", "n0",
+                                 lambda t: bad if t > t_bad else clean(t))
+        with pytest.raises(SimulationError, match=r"at step 120 \("):
+            TransientSimulator(ckt, tech).run(**kwargs)
+
     def test_nonfinite_initial_state_rejected(self, tech):
         ckt = SpiceCircuit()
         ckt.add_vsource("v", "a", 1.0)
@@ -192,16 +221,34 @@ class TestTransient:
         with pytest.raises(SimulationError, match="at step 0 "):
             sim.run(t_stop=1 * NS, dt=1 * PS, v_init={"b": float("inf")})
 
-    @pytest.mark.parametrize("matrix", [[[1.0, 2.0], [2.0, 4.0]],
-                                        [[1.0, 2.0], [2.0, 1.0]],
-                                        [[0.0, 0.0], [0.0, 1.0]]],
-                             ids=["singular", "indefinite", "zero-pivot"])
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[1.0, 2.0], [2.0, 1.0]],
+        [[0.0, 0.0], [0.0, 1.0]],
+        [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 2.0]],
+    ], ids=["singular", "indefinite", "zero-pivot", "wide-band-singular"])
     def test_non_positive_definite_system_raises(self, matrix):
+        """Tridiagonal matrices go to ``pttrf``, the 3x3 full band to
+        ``pbtrf``; both refuse a matrix that is not positive definite."""
         from repro.circuit.spice import lu_factor
         a = np.array(matrix)
-        band = np.asfortranarray([np.diag(a), [a[1, 0], 0.0]])
+        n = len(a)
+        band = np.array([np.append(np.diag(a, -k), np.zeros(k))
+                         for k in range(n)])
         with pytest.raises(SimulationError, match="not positive definite"):
             lu_factor(band)
+
+    def test_one_solve_per_step_on_a_brick_bench(self, tech, small_brick,
+                                                 monkeypatch):
+        """perfbench counts steps as ``lu_solve`` calls."""
+        from repro.circuit import spice
+        solve, calls = spice.lu_solve, []
+        monkeypatch.setattr(spice, "lu_solve",
+                            lambda f, b: calls.append(1) or solve(f, b))
+        bench = build_read_testbench(small_brick, tech, stack=1)
+        result = TransientSimulator(bench.circuit, tech).run(
+            t_stop=bench.window[1], dt=1 * PS)
+        assert len(calls) == len(result.t) - 1 > 0
 
     @pytest.mark.parametrize("kwargs", [
         {"t_stop": float("nan"), "dt": 1 * PS},
@@ -256,10 +303,10 @@ class TestTransient:
 # pinned: a faster assembly of the same scheme that moves any voltage or
 # energy sample fails here, and must be shown equal to the dense-LU oracle
 # (``tests/test_fast_paths_vs_reference.py``, within 1e-9) before the
-# goldens are recaptured.  The digests were taken from the banded-Cholesky
-# simulator with numpy 2.4 / scipy 1.17 and their bundled OpenBLAS on
-# x86-64; the last bits of a band solve or a dot product may differ under
-# another BLAS build.
+# goldens are recaptured.  The digests were taken from the simulator's
+# tridiagonal LAPACK ``pttrf``/``pttrs`` kernel with numpy 2.4 / scipy 1.17
+# and their bundled OpenBLAS on x86-64; the last bits of a solve or a dot
+# product may differ under another BLAS build.
 
 
 def _rc_step(tech):
@@ -356,25 +403,25 @@ _HISTORY_DIGESTS = {
     "all_driven":
         "2c408da7d346785fbb8659aa077f530f81d8b1e81e2247ce5d91da031823d219",
     "rc_step":
-        "ac712ece4503dfd02da47e30ba74159796fe7c6fa1d4f6c1c3f75d37b00622c9",
+        "13a7393e7a740a32745088ce2af3998804e78a1c19f48537c855bcb6f1609a9e",
     "rc_coupled":
-        "7dc022536aedca8f2c9d04b270e757ddc09608fbc91179328ea34554b9ee04b4",
+        "ffc26a1c4850660d76c9814fdbe8144b89e12c87314c9124fc9905e634ce0053",
     "inverter_chain":
-        "0e8d02b98663e5397499d0eb4d89b698b8f90236f59c75dac0b5719ad947825a",
+        "67045829bbdd17960d2f47dfb35280290dd149906e7bc7a47067775682702b24",
     "grounded_terminals":
-        "5d15ff234c104a0f2be9165237d986a22ef2a4f50129eae929b747e6f191c201",
+        "b3e466b73a529e5a7e39f87c4757a137207e15932b57ca164776eae677aa35fa",
     "sourceless":
-        "0dc42f36586fa9ce9e0020f83c6dfa6bef2d47121b8b2a42f91224882a2e58fd",
+        "26a4fa4a2b9f4dbde8e2e0cb538daba3027583c4f526fcf4db812ee15d369295",
 }
 
 #: ``repr`` of (measure_read, measure_write) per (words, bits, stack).
 _BRICK_GOLDENS = {
-    (4, 4, 1): ("(1.7169942976904216e-10, 6.951370600817741e-14)",
-                "4.426857267002545e-14"),
-    (16, 10, 1): ("(2.482873042705012e-10, 2.52552149694447e-13)",
-                  "1.2080940240557536e-13"),
-    (16, 10, 8): ("(2.9558894572548327e-10, 8.868958068865447e-13)",
-                  "7.413518429076922e-13"),
+    (4, 4, 1): ("(1.7169942976944293e-10, 6.951370600806134e-14)",
+                "4.4268572670897967e-14"),
+    (16, 10, 1): ("(2.482873042707589e-10, 2.5255214969409277e-13)",
+                  "1.208094024066787e-13"),
+    (16, 10, 8): ("(2.9558894572567145e-10, 8.868958068876142e-13)",
+                  "7.413518429111338e-13"),
 }
 
 

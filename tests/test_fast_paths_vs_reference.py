@@ -8,19 +8,22 @@ arrays with incremental net bounding boxes), the logic simulator's
 worker over a vectorized defect population (only defective dies are
 repaired), the in-place counter streams, and the count-weighted paired
 bootstrap.  The waveform crossing search of the Table-1 measurements is
-array operations, and the brick compiler and estimator are rows of
-the batch kernel.  Each must give *exactly* the result of the plain
-version kept below as an oracle: every final cell position, every
-toggle count, every interpolated value, every die's outcome, every
-stream value, every crossing time and every estimated field ``==``,
-not approximately equal.
+array operations, the testbench clocks sample a whole time grid in one
+call, the transient reference evaluates its device law in place, and
+the brick compiler and estimator are rows of the batch kernel.  Each
+must give *exactly* the result of the plain version kept below as an
+oracle: every final cell position, every toggle count, every
+interpolated value, every die's outcome, every stream value, every
+crossing time, every stimulus sample, every conductance and every
+estimated field ``==``, not approximately equal.
 
 Three are exceptions.  The bootstrap takes each resample mean as a
 count-weighted product instead of a gather, which sums in another
 order: its CI bounds must agree within 1e-12 relative, and exactly on
-0/1 columns.  The transient reference's banded Cholesky solves the
-systems of the dense LU kept below in another order of operations, so
-it must agree within 1e-9 and factorize at the same steps.  The batch
+0/1 columns.  The transient reference's tridiagonal ``L D L^T`` (and,
+for wider bands, banded Cholesky) solves the systems of the dense LU
+kept below in another order of operations, so it must agree within
+1e-9 and factorize at the same steps.  The batch
 compiler tapers its stage caps with numpy's elementwise power, which
 is not Python's ``**`` in the last bit: against the scalar sizer
 ``reference_compile_brick`` it picks the same stage counts and widths,
@@ -964,6 +967,13 @@ class TestTransientMatchesReference:
         ckt, kwargs = data.draw(_random_circuits(tech))
         _assert_matches_reference(ckt, tech, monkeypatch, **kwargs)
 
+    def test_wide_band_circuit(self, tech, monkeypatch):
+        """A ring of free nodes cannot be ordered into a tridiagonal band,
+        so this run takes the general banded-Cholesky path."""
+        ckt, kwargs = _ring(tech)
+        assert TransientSimulator(ckt, tech).bandwidth >= 2
+        _assert_matches_reference(ckt, tech, monkeypatch, **kwargs)
+
     @pytest.mark.parametrize("words,bits", [(4, 4), (16, 10)])
     @pytest.mark.parametrize("build", [build_read_testbench,
                                        build_write_testbench],
@@ -972,8 +982,17 @@ class TestTransientMatchesReference:
                                 build):
         compiled = compile_brick(sram_brick(words, bits), tech,
                                  target_stack=1)
-        self._check_testbench(build(compiled, tech, stack=1), tech,
-                              monkeypatch)
+        bench = build(compiled, tech, stack=1)
+        assert TransientSimulator(bench.circuit, tech).bandwidth <= 1
+        self._check_testbench(bench, tech, monkeypatch)
+
+    def test_table1_16x10_8x_write_testbench(self, tech, monkeypatch):
+        """The stacked write path: idle-brick control on a tridiagonal
+        system of ~400 free nodes."""
+        compiled = compile_brick(sram_brick(16, 10), tech, target_stack=8)
+        bench = build_write_testbench(compiled, tech, stack=8)
+        assert TransientSimulator(bench.circuit, tech).bandwidth <= 1
+        self._check_testbench(bench, tech, monkeypatch)
 
     def test_cam_match_testbench(self, tech, monkeypatch):
         compiled = compile_brick(cam_brick(16, 10), tech)
@@ -990,6 +1009,22 @@ class TestTransientMatchesReference:
                             ReferenceTransientSimulator)
         ref_numbers = bench.run(tech)
         assert fast_numbers == pytest.approx(ref_numbers, rel=1e-9, abs=0)
+
+
+def _ring(tech):
+    """Five free nodes in a resistor ring, driven through one device;
+    reverse Cuthill-McKee orders a ring at bandwidth 2."""
+    ckt = SpiceCircuit("ring")
+    ckt.add_vsource("vdd", "vdd", tech.vdd)
+    ckt.add_vsource("vin", "in", ramp(40 * PS, 20 * PS, 0.0, tech.vdd))
+    ring = [f"r{i}" for i in range(5)]
+    for i, node in enumerate(ring):
+        ckt.add_resistor(f"res{i}", node, ring[(i + 1) % 5], 2e3 + 500 * i)
+        ckt.add_capacitor(f"c{i}", node, (1 + i) * FF)
+    ckt.add_mosfet("mp", PMOS, "in", "r0", "vdd", 0.6)
+    ckt.add_mosfet("mn", NMOS, "in", "r2", GND, 0.3)
+    return ckt, {"t_stop": 300 * PS, "dt": 0.5 * PS,
+                 "v_init": {node: 0.3 for node in ring}}
 
 
 @st.composite
@@ -1045,6 +1080,82 @@ def _random_circuits(draw, tech):
                  "dt": draw(st.sampled_from([0.5 * PS, 1.0 * PS])),
                  "v_init": v_init,
                  "refactor_tol": draw(st.sampled_from([1e-6, 1e-3, 0.1]))}
+
+
+class TestDeviceLawMatchesConductances:
+    """The step loop's in-place device law against the array law of
+    :func:`repro.tech.transistor.conductances`, bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_conductances_identical(self, tech, data):
+        ckt, _ = data.draw(_random_circuits(tech))
+        sim = TransientSimulator(ckt, tech)
+        near_vth = [tech.v_th + k * 1e-16 for k in (-2, -1, 0, 1, 2)]
+        level = st.one_of(st.floats(-0.5, 2 * tech.vdd),
+                          st.sampled_from([0.0, -0.0, tech.vdd, 2 * tech.v_th]
+                                          + near_vth))
+        nodes = sorted(n for n in sim._index if n != GND)
+        voltage = {node: data.draw(level) for node in nodes}
+        v = np.zeros(len(nodes) + 1)
+        for node, value in voltage.items():
+            v[sim._index[node]] = value
+        voltage[GND] = 0.0
+
+        def drive(m):
+            v_g, v_d, v_s = (voltage[m.gate], voltage[m.drain],
+                             voltage[m.source])
+            if m.kind == NMOS:
+                return v_g - min(v_d, v_s)
+            return max(v_d, v_s) - v_g
+
+        want = conductances(np.array([drive(m) for m in ckt.mosfets]),
+                            sim._r_on, tech)
+        got = sim._device_law()(v, np.empty(len(ckt.mosfets)))
+        assert got.tobytes() == want.tobytes()
+
+
+class TestVectorStimuliMatchClosures:
+    """Each testbench clock's ``sample`` over a time grid equals its
+    per-sample closure bit for bit, the ``-0.0``s included."""
+
+    @given(period=st.floats(100 * PS, 5000 * PS),
+           edge_frac=st.floats(0.001, 0.25),
+           vdd=st.floats(0.5, 1.5),
+           invert=st.booleans(),
+           dt=st.sampled_from([0.25 * PS, 0.5 * PS, 1.0 * PS, 1.7 * PS]),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sample_equals_closure(self, period, edge_frac, vdd, invert, dt,
+                                   data):
+        edge = edge_frac * period
+        stimuli = {
+            "clock": extract._scaled_clock(period, edge, vdd),
+            "square": extract._square(period, edge, vdd, invert=invert),
+            "precharge": extract._sequenced_precharge(period, edge, vdd),
+        }
+        # Four periods of a simulation grid, then the samples that sit on
+        # the branch boundaries: cycle starts, the half period, the edges
+        # after both, and the precharge window's ends.
+        steps = int(round(4 * period / dt))
+        grid = np.linspace(0.0, steps * dt, steps + 1)
+        k = np.arange(5.0)[:, None]
+        offsets = np.array([0.0, edge, period / 2, period / 2 + edge,
+                            0.2 * period, 0.2 * period + edge, 0.5 * period,
+                            0.5 * period + edge])
+        boundaries = (k * period + offsets).ravel()
+        nudged = np.concatenate([np.nextafter(boundaries, -np.inf),
+                                 np.nextafter(boundaries, np.inf)])
+        extra = np.array(data.draw(st.lists(
+            st.floats(0.0, 4 * period), max_size=20)))
+        times = np.concatenate([grid, boundaries, nudged, extra])
+        times = times[times >= 0.0]
+        for name, stimulus in stimuli.items():
+            want = np.array([stimulus(t) for t in times.tolist()])
+            got = stimulus.sample(times)
+            assert got.tobytes() == want.tobytes(), name
 
 
 # --- reference waveform crossing: the per-sample loop ------------------------

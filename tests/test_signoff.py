@@ -19,6 +19,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,6 +649,7 @@ class TestCli:
     def test_cross_process_jobs_determinism(self, tmp_path):
         """Satellite: two subprocess runs at different --jobs emit
         byte-identical stdout (stderr carries the timing)."""
+        root = Path(__file__).resolve().parents[1]
         outs = []
         for jobs, sub in (("1", "a"), ("2", "b")):
             proc = subprocess.run(
@@ -656,8 +658,8 @@ class TestCli:
                  str(tmp_path / sub), "signoff",
                  "--samples", "256", "--chunk-size", "64"],
                 capture_output=True, text=True, timeout=300,
-                env=dict(os.environ, PYTHONPATH="src"),
-                cwd="/root/repo")
+                env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                cwd=root)
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
