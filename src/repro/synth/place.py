@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import SynthesisError
 from ..rtl.module import FlatCell, FlatNetlist
@@ -33,26 +34,6 @@ class PlacedDesign:
     def pin_position(self, cell_name: str) -> Tuple[float, float]:
         p = self.positions[cell_name]
         return p.cx, p.cy
-
-    def hpwl(self) -> float:
-        """Total half-perimeter wirelength over all nets."""
-        return sum(self.net_hpwl(net)
-                   for net in range(self.netlist.n_nets))
-
-    def net_hpwl(self, net: int) -> float:
-        points = self._net_points.get(net)
-        if not points:
-            return 0.0
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
-    def __post_init__(self) -> None:
-        self._net_points: Dict[int, List[Tuple[float, float]]] = {}
-        for cell in self.netlist.cells:
-            cx, cy = self.pin_position(cell.name)
-            for net in set(cell.pins.values()):
-                self._net_points.setdefault(net, []).append((cx, cy))
 
 
 def _connectivity_order(netlist: FlatNetlist) -> List[FlatCell]:
@@ -134,8 +115,41 @@ def place(netlist: FlatNetlist, floorplan: Floorplan,
     return PlacedDesign(netlist, floorplan, positions)
 
 
-def _cells_nets(cell: FlatCell) -> List[int]:
-    return list(set(cell.pins.values()))
+#: ``random.sample(population, 2)`` picks from a copied pool for
+#: populations up to this size and by rejection above it (CPython's
+#: ``setsize`` for ``k <= 5``).
+_SAMPLE_POOL_MAX = 21
+
+
+def _pair_sampler(rng: random.Random, population: List[int]
+                  ) -> Callable[[], Tuple[int, int]]:
+    """A draw of two distinct members of ``population`` that consumes
+    ``rng`` exactly as ``rng.sample(population, 2)`` does and returns
+    the same pair, without copying a pool or building a set per call.
+
+    ``sample`` draws its indices as ``randrange(n)`` does.  For at most
+    ``_SAMPLE_POOL_MAX`` members it copies the population into a pool,
+    takes ``pool[i]``, moves the last member into slot ``i`` and takes
+    ``pool[j]`` for ``j`` below ``n - 1``; above that it takes
+    ``population[i]`` and redraws ``j`` until it differs from ``i``.
+    """
+    randrange = rng.randrange
+    n = len(population)
+    if n > _SAMPLE_POOL_MAX:
+        def draw() -> Tuple[int, int]:
+            i = randrange(n)
+            j = randrange(n)
+            while j == i:
+                j = randrange(n)
+            return population[i], population[j]
+    else:
+        last = n - 1
+
+        def draw() -> Tuple[int, int]:
+            i = randrange(n)
+            j = randrange(last)
+            return population[i], population[last if j == i else j]
+    return draw
 
 
 def _anneal(netlist: FlatNetlist, floorplan: Floorplan,
@@ -143,116 +157,127 @@ def _anneal(netlist: FlatNetlist, floorplan: Floorplan,
             rng: random.Random, moves: int) -> None:
     """Pairwise-swap annealing on HPWL, in place on ``positions``.
 
-    Cells are indexed by their position in ``netlist.cells``, and every
-    net of two or more pins keeps its pin bounding box, updated per swap
-    by :func:`_span`.  The boxes are exactly the min/max of a full scan,
-    so each net length, accept decision and final position equals a
-    from-scratch HPWL evaluation bit for bit.  The per-swap sums run in
-    the iteration order of ``set(nets of a) | set(nets of b)``, because
-    float sums depend on order.
+    Cells are indexed by their position in ``netlist.cells`` and nets by
+    id.  Every net of two or more pins keeps its cost, its pin bounding
+    box and the number of pins on each y bound (rows put many pins on
+    one y) in flat lists.  A swap is two single-pin moves, cell a's and
+    then cell b's, through the boxes of their nets.  A moved pin that
+    sat on an x bound, or alone held a y bound, forces a rescan (one
+    ``itemgetter`` call over the net's pin centres); any other pin only
+    widens the box or moves a count, and a pin that stays in its row
+    leaves the y bounds alone.  The boxes are exactly the min/max of a
+    full scan, so each net length, accept decision and final position
+    equals a from-scratch HPWL evaluation bit for bit.  The per-swap
+    sums run in the iteration order of ``set(nets of a) | set(nets of
+    b)``, because float sums depend on order; single-pin nets add
+    ``0.0`` there and have no box.
     """
     cells = netlist.cells
     index = {cell.name: i for i, cell in enumerate(cells)}
     x: List[float] = []
     y: List[float] = []
-    w: List[float] = []
-    h: List[float] = []
+    hw: List[float] = []   # half widths and heights
+    hh: List[float] = []
     for cell in cells:
         p = positions[cell.name]
         x.append(p.x)
         y.append(p.y)
-        w.append(p.width)
-        h.append(p.height)
-    cx = [x[i] + w[i] / 2.0 for i in range(len(cells))]
-    cy = [y[i] + h[i] / 2.0 for i in range(len(cells))]
+        hw.append(p.width / 2.0)
+        hh.append(p.height / 2.0)
+    cx = [xi + wi for xi, wi in zip(x, hw)]
+    cy = [yi + hi for yi, hi in zip(y, hh)]
 
     cell_nets: List[Set[int]] = []
     net_pins: Dict[int, List[int]] = {}
     for i, cell in enumerate(cells):
-        nets = _cells_nets(cell)
+        nets = list(set(cell.pins.values()))
         cell_nets.append(set(nets))
         for net in nets:
             net_pins.setdefault(net, []).append(i)
-    # box[net] = (xmin, xmax, ymin, ymax) for nets of >= 2 pins;
-    # cost[net] is the net's HPWL (0.0 for single-pin nets).
-    box: Dict[int, Tuple[float, float, float, float]] = {}
-    cost: Dict[int, float] = {}
-    for net, pins in net_pins.items():
-        if len(pins) < 2:
-            cost[net] = 0.0
+    n_ids = max(net_pins, default=-1) + 1
+    cost = [0.0] * n_ids
+    # box[net] = (xmin, xmax, ymin, ymax, pins at ymin, pins at ymax)
+    # and pins[net] = an itemgetter of the net's pin centres, for nets
+    # of >= 2 pins.
+    box: List[Optional[Tuple[float, float, float, float, int, int]]] = \
+        [None] * n_ids
+    pins: List[Optional[Callable]] = [None] * n_ids
+    for net, members in net_pins.items():
+        if len(members) < 2:
             continue
-        xs = [cx[i] for i in pins]
-        ys = [cy[i] for i in pins]
-        bb = (min(xs), max(xs), min(ys), max(ys))
-        box[net] = bb
-        cost[net] = (bb[1] - bb[0]) + (bb[3] - bb[2])
+        pins[net] = g = itemgetter(*members)
+        xs, ys = g(cx), g(cy)
+        xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
+        box[net] = (xlo, xhi, ylo, yhi, ys.count(ylo), ys.count(yhi))
+        cost[net] = (xhi - xlo) + (yhi - ylo)
+    multi = [tuple(n for n in nets if pins[n] is not None)
+             for nets in cell_nets]
 
     movable = [index[cell.name] for cell in std_cells]
+    draw = _pair_sampler(rng, movable)
+    cost_of = cost.__getitem__
+    random_ = rng.random
     temp = 0.3 * (floorplan.die_width + floorplan.die_height)
     cooling = 0.995 ** (1.0 / max(1, moves / 1000))
     for _ in range(moves):
-        a, b = rng.sample(movable, 2)
-        nets_a, nets_b = cell_nets[a], cell_nets[b]
-        affected = nets_a | nets_b
-        before = sum([cost[n] for n in affected])
+        a, b = draw()
+        affected = cell_nets[a] | cell_nets[b]
+        before = sum(map(cost_of, affected))
         ax, ay, acx, acy = x[a], y[a], cx[a], cy[a]
         bx, by, bcx, bcy = x[b], y[b], cx[b], cy[b]
         x[a], y[a], x[b], y[b] = bx, by, ax, ay
-        ncx_a = cx[a] = bx + w[a] / 2.0
-        ncy_a = cy[a] = by + h[a] / 2.0
-        ncx_b = cx[b] = ax + w[b] / 2.0
-        ncy_b = cy[b] = ay + h[b] / 2.0
 
-        new_boxes = []
-        after_costs = []
-        for n in affected:
-            bb = box.get(n)
-            if bb is None:
-                after_costs.append(0.0)
-                continue
-            on_a = n in nets_a
-            on_b = n in nets_b
-            xmin, xmax = _span(bb[0], bb[1], cx, net_pins[n], on_a, acx,
-                               ncx_a, on_b, bcx, ncx_b)
-            ymin, ymax = _span(bb[2], bb[3], cy, net_pins[n], on_a, acy,
-                               ncy_a, on_b, bcy, ncy_b)
-            new_boxes.append((n, (xmin, xmax, ymin, ymax)))
-            after_costs.append((xmax - xmin) + (ymax - ymin))
-        delta = sum(after_costs) - before
-        if delta <= 0 or rng.random() < math.exp(-delta / max(temp,
-                                                              1e-9)):
-            cost.update(zip(affected, after_costs))
-            box.update(new_boxes)
-        else:
+        # A rejected swap replays ``undo`` backwards, so a net on both
+        # cells gets the entry from before a's move back.
+        undo = []
+        for i, ox, nx, oy, ny in ((a, acx, bx + hw[a], acy, by + hh[a]),
+                                  (b, bcx, ax + hw[b], bcy, ay + hh[b])):
+            cx[i] = nx
+            cy[i] = ny
+            for n in multi[i]:
+                bb = box[n]
+                xlo, xhi, ylo, yhi, nlo, nhi = bb
+                if ox == xlo or ox == xhi:
+                    v = pins[n](cx)
+                    xlo = min(v)
+                    xhi = max(v)
+                elif nx < xlo:
+                    xlo = nx
+                elif nx > xhi:
+                    xhi = nx
+                if ny != oy:
+                    if (oy == ylo and nlo == 1) or (oy == yhi and nhi == 1):
+                        v = pins[n](cy)
+                        ylo = min(v)
+                        yhi = max(v)
+                        nlo = v.count(ylo)
+                        nhi = v.count(yhi)
+                    else:
+                        if oy == ylo:
+                            nlo -= 1
+                        if oy == yhi:
+                            nhi -= 1
+                        if ny < ylo:
+                            ylo, nlo = ny, 1
+                        elif ny == ylo:
+                            nlo += 1
+                        elif ny > yhi:
+                            yhi, nhi = ny, 1
+                        elif ny == yhi:
+                            nhi += 1
+                undo.append((n, bb, cost[n]))
+                box[n] = (xlo, xhi, ylo, yhi, nlo, nhi)
+                cost[n] = (xhi - xlo) + (yhi - ylo)
+        delta = sum(map(cost_of, affected)) - before
+        if not (delta <= 0 or random_() < math.exp(-delta / max(temp,
+                                                                1e-9))):
             x[a], y[a], cx[a], cy[a] = ax, ay, acx, acy
             x[b], y[b], cx[b], cy[b] = bx, by, bcx, bcy
+            for n, bb, c in reversed(undo):
+                box[n] = bb
+                cost[n] = c
         temp *= cooling
 
     for i in movable:
-        positions[cells[i].name] = Placement(x[i], y[i], w[i], h[i])
-
-
-def _span(lo: float, hi: float, coord: List[float], pins: List[int],
-          on_a: bool, old_a: float, new_a: float,
-          on_b: bool, old_b: float, new_b: float) -> Tuple[float, float]:
-    """A net's new (min, max) along one axis after pins a/b moved.
-
-    A moved pin that sat on the old ``lo``/``hi`` may have been the only
-    one there, so the net is rescanned; otherwise an unmoved pin still
-    holds each bound and the new coordinates can only widen it.
-    """
-    if (on_a and (old_a == lo or old_a == hi)) or \
-            (on_b and (old_b == lo or old_b == hi)):
-        vals = [coord[i] for i in pins]
-        return min(vals), max(vals)
-    if on_a:
-        if new_a < lo:
-            lo = new_a
-        elif new_a > hi:
-            hi = new_a
-    if on_b:
-        if new_b < lo:
-            lo = new_b
-        elif new_b > hi:
-            hi = new_b
-    return lo, hi
+        p = positions[cells[i].name]
+        positions[cells[i].name] = Placement(x[i], y[i], p.width, p.height)

@@ -86,6 +86,7 @@ from repro.signoff.stats import N_BOOT, PERCENTILES, proportion_summary, \
 from repro.silicon.variation import VariationModel
 from repro.synth import build_floorplan, place
 from repro.synth.floorplan import Floorplan, Placement
+from repro.synth.place import _pair_sampler
 from repro.tech.corners import CORNERS
 from repro.tech.presets import cmos28, cmos65
 from repro.tech.transistor import NMOS, PMOS, Transistor, conductances
@@ -341,7 +342,7 @@ class TestAnnealerMatchesReference:
         assert list(fast.positions) == list(expected)
         assert fast.positions == expected
 
-    @pytest.mark.parametrize("n_std", (2, 12))
+    @pytest.mark.parametrize("n_std", (2, 12, 21, 22))
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("moves", MOVES)
     def test_hand_built_netlist(self, n_std, seed, moves):
@@ -350,6 +351,17 @@ class TestAnnealerMatchesReference:
         expected = reference_place(netlist, floorplan, seed=seed,
                                    anneal_moves=moves)
         assert fast.positions == expected
+
+    @pytest.mark.parametrize("n", (2, 3, 21, 22, 797))
+    def test_swap_draws_match_random_sample(self, n):
+        """``random.sample`` picks from a pool up to 21 members and by
+        rejection above; the swap draw mirrors both branches."""
+        population = random.Random(n).sample(range(10 * n), n)
+        ours, theirs = random.Random(2015), random.Random(2015)
+        draw = _pair_sampler(ours, population)
+        for _ in range(10_000):
+            assert draw() == tuple(theirs.sample(population, 2))
+        assert ours.getstate() == theirs.getstate()
 
     def test_annealing_moves_cells(self, flat_designs):
         """Guard against a vacuous comparison: the anneal does change

@@ -16,6 +16,25 @@ def fig3_flat(fig3_library):
     return elaborate(module, fig3_library)
 
 
+def hpwl(design):
+    """Total half-perimeter wirelength of a placement over all nets,
+    each cell a pin at its centre on every net it touches."""
+    points = {}
+    for cell in design.netlist.cells:
+        p = design.positions[cell.name]
+        for net in set(cell.pins.values()):
+            points.setdefault(net, []).append((p.cx, p.cy))
+
+    def net_hpwl(net):
+        xs = [x for x, _ in points.get(net, ())]
+        ys = [y for _, y in points.get(net, ())]
+        if not xs:
+            return 0.0
+        return (max(xs) - min(xs)) + (max(ys) - min(ys))
+
+    return sum(net_hpwl(net) for net in range(design.netlist.n_nets))
+
+
 class TestFloorplan:
     def test_macro_placed_inside_die(self, fig3_flat, tech):
         fp = build_floorplan(fig3_flat, tech)
@@ -85,7 +104,7 @@ class TestPlacement:
         fp = build_floorplan(fig3_flat, tech)
         construction = place(fig3_flat, fp, anneal_moves=0)
         refined = place(fig3_flat, fp, anneal_moves=3000)
-        assert refined.hpwl() <= construction.hpwl() * 1.05
+        assert hpwl(refined) <= hpwl(construction) * 1.05
 
     def test_deterministic_in_seed(self, fig3_flat, tech):
         fp = build_floorplan(fig3_flat, tech)
@@ -94,7 +113,7 @@ class TestPlacement:
         assert list(a.positions) == list(b.positions)
         for name, p in a.positions.items():
             assert b.positions[name] == p, name
-        assert a.hpwl() == b.hpwl()
+        assert hpwl(a) == hpwl(b)
 
     @pytest.mark.parametrize("moves", [-1, -5])
     def test_negative_anneal_moves_rejected(self, fig3_flat, tech, moves):
