@@ -226,7 +226,7 @@ def compile_batch(batch: BrickSpecBatch,
     c_wl_wire = layer.c_per_um * (bits * cell["width_um"])
     wl_load = c_wl_wire + bits * cell["c_rwl"]
     nand_cap = 1.0 * c_unit
-    wl_caps, wl_n, _ = buffer_chain_batch(
+    wl_caps, wl_n = buffer_chain_batch(
         np.full(n, nand_cap), wl_load, tech, parity="odd")
 
     # --- local sense / ARBL pull-down ------------------------------------
@@ -253,19 +253,19 @@ def compile_batch(batch: BrickSpecBatch,
 
     # --- control block (even chain + odd precharge-bar branch) -----------
     enable_load = words * nand_cap
-    ctrl_caps, ctrl_n, _ = buffer_chain_batch(
+    ctrl_caps, ctrl_n = buffer_chain_batch(
         np.full(n, 2.0 * c_unit), enable_load, tech, parity="even")
     preb_load = 2.0 * bits * tech.c_gate * w_precharge
     first = ctrl_caps[:, 0] if n else np.zeros(0)
-    preb_caps, preb_n, _ = buffer_chain_batch(first, preb_load, tech,
-                                              parity="odd")
+    preb_caps, preb_n = buffer_chain_batch(first, preb_load, tech,
+                                           parity="odd")
 
     # --- CAM match periphery (compact over the CAM subset) ---------------
     cam_idx = np.flatnonzero(batch.is_cam)
     c_sl_wire = layer.c_per_um * (words[cam_idx]
                                   * cell["height_um"][cam_idx])
     sl_load = c_sl_wire + words[cam_idx] * cell["c_sl"][cam_idx]
-    sl_caps, sl_n, _ = buffer_chain_batch(
+    sl_caps, sl_n = buffer_chain_batch(
         np.full(cam_idx.shape[0], 2.0 * c_unit), sl_load, tech,
         parity="even")
     w_ml_sense_n = np.full(cam_idx.shape[0], 2.0 * tech.w_min_um)

@@ -6,10 +6,6 @@ control, precharge-bar and CAM search-line chains of every compiled
 brick are sized by :func:`buffer_chain_batch`, the one chain sizer
 (:func:`repro.bricks.batch.compile_batch` calls it, and
 ``compile_brick`` is a one-row view of that).
-
-Delay unit convention: one logical-effort delay unit equals
-``le_tau(tech) = 0.69 * tech.tau`` seconds, so the returned absolute delays
-are 50 %-crossing estimates comparable with the transient simulator.
 """
 
 from __future__ import annotations
@@ -20,11 +16,6 @@ from typing import Optional
 
 from ..errors import SizingError
 from ..tech.technology import Technology
-
-
-def le_tau(tech: Technology) -> float:
-    """Absolute seconds per logical-effort delay unit."""
-    return 0.69 * tech.tau
 
 
 def parasitic_inv(tech: Technology) -> float:
@@ -58,9 +49,9 @@ def buffer_chain_batch(c_in, c_load, tech: Technology,
     bumps any chain whose optimal stage count has the wrong parity to
     the next count.
 
-    Returns ``(stage_caps, n_stages, delay_s)`` where ``stage_caps`` is
-    a ``(n_chains, max_stages)`` array padded with zeros past each
-    chain's ``n_stages[i]``, and ``delay_s`` the absolute chain delays.
+    Returns ``(stage_caps, n_stages)`` where ``stage_caps`` is a
+    ``(n_chains, max_stages)`` array padded with zeros past each
+    chain's ``n_stages[i]``.
     """
     import numpy as np
 
@@ -69,8 +60,7 @@ def buffer_chain_batch(c_in, c_load, tech: Technology,
     if c_in.shape != c_load.shape or c_in.ndim != 1:
         raise SizingError("c_in and c_load must be 1-D and same length")
     if c_in.size == 0:
-        return (np.zeros((0, 0)), np.zeros(0, dtype=np.int64),
-                np.zeros(0))
+        return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
     if not (np.isfinite(c_in).all() and np.isfinite(c_load).all()):
         raise SizingError("buffer chain caps must be finite")
     if (c_in <= 0).any() or (c_load <= 0).any():
@@ -95,6 +85,5 @@ def buffer_chain_batch(c_in, c_load, tech: Technology,
     stages = np.arange(max_n, dtype=np.float64)
     caps = c_in[:, None] * f_hat[:, None] ** stages[None, :]
     caps = np.where(stages[None, :] < n[:, None], caps, 0.0)
-    delay_units = n * f_hat + n * p_inv
-    return caps, n, delay_units * le_tau(tech)
+    return caps, n
 

@@ -714,8 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="client_command", required=True)
     csub.add_parser("ping", help="liveness check")
     csub.add_parser("stats",
-                    help="metrics snapshot + store/coalesce counters "
-                         "+ recent per-request log")
+                    help="metrics snapshot (serve.* counters "
+                         "included) + recent per-request log")
     c = csub.add_parser("telemetry",
                         help="live latency percentiles, uptime, "
                              "inflight and hit rates")

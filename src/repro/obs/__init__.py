@@ -23,10 +23,9 @@ The measurement substrate behind every performance claim in the repo:
     :func:`maybe_profile` — opt-in cProfile capture per pipeline stage
     (``--profile-out DIR``).
 ``repro.obs.telemetry``
-    :class:`Telemetry` — the serve daemon's live plane: per-request-type
-    log-bucketed latency histograms (bounded memory), uptime/inflight,
-    a Prometheus text renderer, a rotating JSONL ops log, and the
-    ``repro top`` dashboard renderer.
+    The serve daemon's live plane around its ``telemetry`` reply (whose
+    numbers live in the session registry): a Prometheus text renderer,
+    a rotating JSONL ops log, and the ``repro top`` dashboard renderer.
 """
 
 from .export import (
@@ -53,13 +52,7 @@ from .metrics import (
 )
 from .profile import maybe_profile
 from .report import render_report, stage_breakdown
-from .telemetry import (
-    LogBucketHistogram,
-    OpsLog,
-    Telemetry,
-    render_dashboard,
-    render_prometheus,
-)
+from .telemetry import OpsLog, render_dashboard, render_prometheus
 from .trace import (
     KIND_REQUEST,
     KIND_TASK,
@@ -75,7 +68,7 @@ from .trace import (
 __all__ = [
     "Span", "SpanEvent", "Tracer", "aggregate_spans", "maybe_span",
     "TraceContext", "mint_trace_id", "KIND_REQUEST", "KIND_TASK",
-    "LogBucketHistogram", "OpsLog", "Telemetry",
+    "OpsLog",
     "render_dashboard", "render_prometheus",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "collect_snapshot", "render_snapshot",

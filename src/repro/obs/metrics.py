@@ -8,17 +8,25 @@ opt-in contract the tracer follows.
 
 Metric names are dotted paths naming the owning subsystem::
 
-    perf.cache.hits / misses / quarantined / bytes_written / ...
-    perf.parallel.tasks / retries / timeouts / pool_restarts / ...
-    synth.pipeline.stage.<stage>   (histogram, seconds)
+    synth.pipeline.stage.<stage>          (histogram, seconds)
+    characterize.<kind>.points / ns_per_point
     explore.sweep.points_evaluated / points_skipped
+    explore.scale.shards_done / shards_resumed / refined_points
+    signoff.chunks_done / chunks_resumed / samples / ci_width
+    serve.request_s.<type>                (histogram, seconds)
+    serve.requests / computed / coalesced[.<type>] / errors[.<type>]
+    serve.inflight[.<type>]               (gauges)
+    serve.busy_rejections
+    serve.store.puts / hits / misses / evictions
 
-:func:`collect_snapshot` folds the registry together with the cache's
-:class:`~repro.perf.cache.CacheStats` and the executor's
-:class:`~repro.perf.parallel.ExecutorStats` into one plain, sorted,
-JSON-serializable dict — the single format the CLI renders for
-``--metrics`` (and ``--cache-stats``), the ``report`` subcommand
-embeds in traces, and the benchmarks write into their JSON artifacts.
+The cache and executor counters are not registry names: they stay in
+:class:`~repro.perf.cache.CacheStats` and the process-wide
+:class:`~repro.perf.parallel.ExecutorStats`, which
+:func:`collect_snapshot` folds in as the snapshot's ``cache`` and
+``executor`` sections — one plain, sorted, JSON-serializable dict, the
+single format the CLI renders for ``--metrics`` (and
+``--cache-stats``), the ``report`` subcommand embeds in traces, and
+the benchmarks write into their JSON artifacts.
 """
 
 from __future__ import annotations
@@ -27,10 +35,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Log-spaced bucket resolution shared by every latency histogram in
-#: the repo (:class:`Histogram` here and the serve daemon's
-#: :class:`~repro.obs.telemetry.LogBucketHistogram`).  Ten buckets per
-#: decade keeps quantile error under ~12% while the whole span from
+#: Log-spaced bucket resolution of every :class:`Histogram` (the serve
+#: daemon's ``serve.request_s.<type>`` latencies included).  Ten buckets
+#: per decade keeps quantile error under ~12% while the whole span from
 #: 100 ns to 10 000 s fits in at most ``BUCKET_MAX - BUCKET_MIN + 1``
 #: integer keys — bounded memory no matter how long a daemon runs.
 BUCKETS_PER_DECADE = 10

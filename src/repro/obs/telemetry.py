@@ -1,19 +1,15 @@
-"""Live telemetry plane for the serve daemon.
+"""Live telemetry plane for the serve daemon: ops log and renderers.
 
 Long-lived servers need observability that batch runs don't: latency
 *percentiles* per request type (a mean hides the tail), uptime and
 inflight gauges, a scrape-able text format, and an ops log that can't
-fill the disk.  This module is that plane:
+fill the disk.  The numbers themselves live in the daemon session's
+:class:`~repro.obs.metrics.MetricsRegistry` (``serve.*`` names, see
+:class:`~repro.serve.handlers.ServeContext`), whose bounded log-bucket
+:class:`~repro.obs.metrics.Histogram` gives the quantiles; the
+``telemetry`` protocol verb reads them into one reply.  This module
+is what surrounds that reply:
 
-:class:`LogBucketHistogram`
-    A :class:`~repro.obs.metrics.Histogram` that serializes its sparse
-    log-spaced bucket counts and merges with peers — bounded memory
-    (at most ~110 integer keys) no matter how many observations a
-    daemon absorbs.  No raw-value lists, ever.
-:class:`Telemetry`
-    Lock-guarded per-request-type aggregation (count/ok/error/
-    coalesced + latency histogram) plus uptime and inflight gauges.
-    ``snapshot()`` is the JSON body of the ``telemetry`` protocol verb.
 :class:`OpsLog`
     Rolling JSONL operations log with size-based rotation
     (``path`` -> ``path.1`` -> ... -> dropped).
@@ -33,140 +29,11 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from .metrics import Histogram, bucket_bounds  # noqa: F401  (re-export)
-
-#: Quantiles every snapshot/renderer reports, in order.
+#: Quantiles every telemetry reply and renderer reports, in order.
 QUANTILES = (0.5, 0.95, 0.99)
-
-
-@dataclass
-class LogBucketHistogram(Histogram):
-    """A mergeable, serializable :class:`Histogram` (no name needed).
-
-    Inherits the bounded sparse-bucket ``observe``/``quantile`` core
-    and adds the wire format the telemetry verb ships: plain dicts
-    with stringified bucket keys (JSON objects key on strings).
-    """
-
-    name: str = ""
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "total_s": self.total,
-            "min_s": self.min if self.min is not None else 0.0,
-            "max_s": self.max if self.max is not None else 0.0,
-            "buckets": {str(key): self.buckets[key]
-                        for key in sorted(self.buckets)},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LogBucketHistogram":
-        hist = cls(count=int(data.get("count", 0)),
-                   total=float(data.get("total_s", 0.0)))
-        if hist.count:
-            hist.min = float(data.get("min_s", 0.0))
-            hist.max = float(data.get("max_s", 0.0))
-        hist.buckets = {int(key): int(value) for key, value in
-                        data.get("buckets", {}).items()}
-        return hist
-
-    def merge(self, other: "LogBucketHistogram") -> None:
-        self.count += other.count
-        self.total += other.total
-        for bound in ("min", "max"):
-            mine, theirs = getattr(self, bound), getattr(other, bound)
-            if theirs is None:
-                continue
-            if mine is None:
-                setattr(self, bound, theirs)
-            else:
-                pick = min if bound == "min" else max
-                setattr(self, bound, pick(mine, theirs))
-        for key, value in other.buckets.items():
-            self.buckets[key] = self.buckets.get(key, 0) + value
-
-
-class Telemetry:
-    """Thread-safe per-request-type latency/outcome aggregation.
-
-    The serve daemon's compute threads call :meth:`begin`/:meth:`end`
-    around each request and :meth:`record` once the outcome is known;
-    any thread may take a :meth:`snapshot` concurrently.  One lock
-    guards everything — the critical sections are tiny (dict bumps),
-    so contention is negligible next to request compute time.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic):
-        self._lock = threading.Lock()
-        self._clock = clock
-        self._start = clock()
-        self._inflight = 0
-        self._inflight_types: Dict[str, int] = {}
-        self._types: Dict[str, Dict[str, Any]] = {}
-
-    def begin(self, rtype: Optional[str] = None) -> None:
-        with self._lock:
-            self._inflight += 1
-            if rtype is not None:
-                self._inflight_types[rtype] = \
-                    self._inflight_types.get(rtype, 0) + 1
-
-    def end(self, rtype: Optional[str] = None) -> None:
-        with self._lock:
-            self._inflight = max(0, self._inflight - 1)
-            if rtype is not None:
-                left = self._inflight_types.get(rtype, 0) - 1
-                if left > 0:
-                    self._inflight_types[rtype] = left
-                else:
-                    self._inflight_types.pop(rtype, None)
-
-    def record(self, rtype: str, dur_s: float, *,
-               ok: bool = True, coalesced: bool = False) -> None:
-        with self._lock:
-            entry = self._types.get(rtype)
-            if entry is None:
-                entry = self._types[rtype] = {
-                    "hist": LogBucketHistogram(),
-                    "ok": 0, "errors": 0, "coalesced": 0}
-            entry["hist"].observe(dur_s)
-            entry["ok" if ok else "errors"] += 1
-            if coalesced:
-                entry["coalesced"] += 1
-
-    @property
-    def uptime_s(self) -> float:
-        return self._clock() - self._start
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Sorted, JSON-ready view — the ``telemetry`` verb's core."""
-        with self._lock:
-            uptime = max(self._clock() - self._start, 1e-9)
-            requests: Dict[str, Any] = {}
-            for rtype in sorted(self._types):
-                entry = self._types[rtype]
-                hist: LogBucketHistogram = entry["hist"]
-                requests[rtype] = {
-                    "count": hist.count,
-                    "ok": entry["ok"],
-                    "errors": entry["errors"],
-                    "coalesced": entry["coalesced"],
-                    "rate_per_s": hist.count / uptime,
-                    "mean_s": hist.mean,
-                    **{f"p{int(q * 100)}_s": hist.quantile(q)
-                       for q in QUANTILES},
-                    "hist": hist.as_dict(),
-                }
-            return {"uptime_s": uptime,
-                    "inflight": self._inflight,
-                    "inflight_by_type": dict(sorted(
-                        self._inflight_types.items())),
-                    "requests": requests}
 
 
 @dataclass

@@ -25,7 +25,7 @@ path::
 """
 
 from .client import ServeClient
-from .coalesce import CoalesceStats, RequestCoalescer
+from .coalesce import RequestCoalescer
 from .handlers import (
     ServeContext,
     brick_report_data,
@@ -47,12 +47,11 @@ from .protocol import (
     parse_request,
 )
 from .server import BrickServer, serve_forever
-from .store import ArtifactStore, StoreStats
+from .store import ArtifactStore
 
 __all__ = [
     "ArtifactStore",
     "BrickServer",
-    "CoalesceStats",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "REQUEST_TYPES",
@@ -60,7 +59,6 @@ __all__ = [
     "RequestCoalescer",
     "ServeClient",
     "ServeContext",
-    "StoreStats",
     "brick_report_data",
     "coalesce_key",
     "decode_frame",

@@ -13,25 +13,17 @@ computation and N identical replies.
 Failure is shared too: if the one computation raises, every waiter
 sees the same exception — retrying is the client's decision, and the
 failed key is removed immediately so a retry computes fresh.
+
+The coalescer keeps no counts: the server records each request as
+computed or coalesced (``serve.computed``/``serve.coalesced``) from
+:meth:`RequestCoalescer.is_inflight`, which :meth:`RequestCoalescer.run`
+matches exactly because no ``await`` separates the two tests.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, Optional
-
-
-@dataclass
-class CoalesceStats:
-    """Counters over the coalescer's lifetime."""
-
-    computed: int = 0
-    coalesced: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"computed": self.computed,
-                "coalesced": self.coalesced}
 
 
 class RequestCoalescer:
@@ -43,7 +35,6 @@ class RequestCoalescer:
     """
 
     def __init__(self) -> None:
-        self.stats = CoalesceStats()
         self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
 
     def is_inflight(self, key: Optional[str]) -> bool:
@@ -65,14 +56,12 @@ class RequestCoalescer:
             return await compute()
         existing = self._inflight.get(key)
         if existing is not None:
-            self.stats.coalesced += 1
             # shield: cancelling THIS waiter must not kill the shared
             # future the computing task will complete.
             return await asyncio.shield(existing)
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[Any]" = loop.create_future()
         self._inflight[key] = future
-        self.stats.computed += 1
         try:
             result = await compute()
         except BaseException as exc:

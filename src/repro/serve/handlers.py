@@ -20,6 +20,7 @@ locally and ``repro client sweep`` printing a fetched artifact emit
 from __future__ import annotations
 
 import copy
+import threading
 import time
 from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
@@ -33,7 +34,7 @@ from ..explore.sweep import SweepResult
 from ..obs.export import span_record
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import render_report
-from ..obs.telemetry import OpsLog, Telemetry
+from ..obs.telemetry import QUANTILES, OpsLog
 from ..obs.trace import KIND_REQUEST, TraceContext, Tracer
 from ..perf.characterize import cached_estimate
 from ..perf.fingerprint import cache_key
@@ -48,20 +49,28 @@ from .store import ArtifactStore
 MEMORY_TYPES = ("6T", "8T", "CAM", "EDRAM", "DP")
 
 
+#: Per-request stats entries a ``stats`` reply lists, newest last.
+REQUEST_LOG_SIZE = 128
+
+#: Registry name prefixes of the serve plane's per-type metrics.
+LATENCY_PREFIX = "serve.request_s."
+INFLIGHT_PREFIX = "serve.inflight."
+
+
 class ServeContext:
     """Everything a handler may touch: one session, one artifact store,
     one coalescer, one bounded per-request log.
 
-    The session's metrics registry doubles as the serving-layer counter
-    store (``serve.*`` names), so ``repro report`` renders daemon
-    counters with the same machinery it uses for batch runs.
+    The session's metrics registry is the daemon's only store of
+    serve-plane numbers (``serve.*`` names): a ``serve.request_s.<type>``
+    latency histogram per request type, ``serve.errors[.<type>]`` and
+    ``serve.coalesced[.<type>]`` counters, ``serve.requests`` and
+    ``serve.computed``, the ``serve.inflight[.<type>]`` gauges and the
+    store's ``serve.store.*`` counters.  ``repro report``, ``stats`` and
+    ``telemetry`` all render from it.
     """
 
     def __init__(self, session: Session,
-                 store: Optional[ArtifactStore] = None,
-                 coalescer: Optional[RequestCoalescer] = None,
-                 request_log_size: int = 128,
-                 telemetry: Optional[Telemetry] = None,
                  ops_log: Optional[OpsLog] = None) -> None:
         if session.metrics is None:
             session.metrics = MetricsRegistry()
@@ -70,18 +79,21 @@ class ServeContext:
         #: per-request :meth:`with_session` view; handlers that render
         #: the *accumulated* trace read this one.
         self.daemon_session = session
-        self.store = store if store is not None else ArtifactStore()
-        self.coalescer = (coalescer if coalescer is not None
-                          else RequestCoalescer())
-        #: The live telemetry plane: per-type latency histograms,
-        #: uptime, inflight — what the ``telemetry`` verb serves.
-        self.telemetry = (telemetry if telemetry is not None
-                          else Telemetry())
+        self.metrics = session.metrics
+        #: Guards the telemetry read, ``sweeps`` and every serve-plane
+        #: registry write except the store's ``serve.store.*`` (its own
+        #: lock).
+        self.lock = threading.Lock()
+        #: Uptime is derived from this at read time; no wall clock is
+        #: kept in the registry, so stripped traces stay deterministic.
+        self.started = time.monotonic()
+        self.store = ArtifactStore(metrics=self.metrics)
+        self.coalescer = RequestCoalescer()
         #: Optional rotating JSONL ops log (one line per request).
         self.ops_log = ops_log
         #: Most recent per-request stats entries, oldest first.
         self.request_log: "deque[Dict[str, Any]]" = deque(
-            maxlen=request_log_size)
+            maxlen=REQUEST_LOG_SIZE)
         #: Live/finished sweep progress by plan fingerprint (bounded):
         #: ``{shards_done, shards_total, n_points, mode, done}`` — how
         #: ``client stats`` shows a long sweep advancing shard by shard
@@ -92,7 +104,7 @@ class ServeContext:
     def with_session(self, session: Session) -> "ServeContext":
         """A shallow view of this context over a different session.
 
-        Every store (artifacts, coalescer, telemetry, request log,
+        Every store (registry, lock, artifacts, coalescer, request log,
         sweeps) is *shared* — only the session differs.  This is how
         one request runs against a per-request tracer while all
         durable state stays in the daemon's context.
@@ -103,11 +115,15 @@ class ServeContext:
 
     def note_sweep_progress(self, fingerprint: str,
                             entry: Dict[str, Any]) -> None:
-        """Record one sweep's progress snapshot (evicts oldest)."""
-        self.sweeps.pop(fingerprint, None)
-        self.sweeps[fingerprint] = entry
-        while len(self.sweeps) > self._sweeps_cap:
-            self.sweeps.pop(next(iter(self.sweeps)))
+        """Record one sweep's progress snapshot (evicts oldest).
+
+        Under the serve lock: concurrent sweeps report from their own
+        compute threads while ``stats``/``telemetry`` iterate."""
+        with self.lock:
+            self.sweeps.pop(fingerprint, None)
+            self.sweeps[fingerprint] = entry
+            while len(self.sweeps) > self._sweeps_cap:
+                self.sweeps.pop(next(iter(self.sweeps)))
 
     def cache_marks(self) -> Tuple[int, int]:
         """``(hits, lookups)`` cumulative cache counters — sampled
@@ -116,12 +132,32 @@ class ServeContext:
         hits = stats.memory_hits + stats.disk_hits
         return hits, hits + stats.misses
 
-    def record_request(self, request: Request, wall_clock_s: float,
-                       coalesced: bool, ok: bool,
-                       cache_before: Tuple[int, int],
-                       cache_after: Tuple[int, int]) -> Dict[str, Any]:
-        """Append one request's stats entry and bump ``serve.*``
-        counters.  The cache delta is approximate under concurrency
+    def count(self, name: str) -> None:
+        """Bump one serve-plane counter under the serve lock."""
+        with self.lock:
+            self.metrics.counter(name).inc()
+
+    def track_inflight(self, rtype: str, delta: int) -> None:
+        """Move the ``serve.inflight`` gauges by ``delta`` (+1 when a
+        request starts, -1 when it ends)."""
+        with self.lock:
+            for name in ("serve.inflight", INFLIGHT_PREFIX + rtype):
+                gauge = self.metrics.gauge(name)
+                gauge.set(gauge.value + delta)
+
+    def record_request(self, request: Request, wall_clock_s: float, *,
+                       ok: bool, coalesced: bool = False,
+                       rejected: bool = False,
+                       cache_before: Tuple[int, int] = (0, 0),
+                       cache_after: Tuple[int, int] = (0, 0)
+                       ) -> Dict[str, Any]:
+        """Record one finished request, exactly once: its latency, its
+        outcome and whether it computed or joined an in-flight
+        computation, plus a per-request log entry.
+
+        ``rejected`` marks a request refused before it reached the
+        coalescer (invalid params): an error of its type that computed
+        nothing.  The cache delta is approximate under concurrency
         (other requests' lookups land in the same window) but exact for
         serialized traffic, which is what tests assert on."""
         d_hits = cache_after[0] - cache_before[0]
@@ -137,20 +173,23 @@ class ServeContext:
             "cache_hit_ratio": (d_hits / d_lookups if d_lookups
                                 else None),
         }
-        self.request_log.append(entry)
-        self.telemetry.record(request.type, wall_clock_s, ok=ok,
-                              coalesced=coalesced)
+        rtype = request.type
+        metrics = self.metrics
+        with self.lock:
+            self.request_log.append(entry)
+            metrics.histogram(LATENCY_PREFIX + rtype).observe(
+                wall_clock_s)
+            metrics.counter("serve.requests").inc()
+            if coalesced:
+                metrics.counter("serve.coalesced").inc()
+                metrics.counter(f"serve.coalesced.{rtype}").inc()
+            elif rtype in COALESCED_TYPES and not rejected:
+                metrics.counter("serve.computed").inc()
+            if not ok:
+                metrics.counter("serve.errors").inc()
+                metrics.counter(f"serve.errors.{rtype}").inc()
         if self.ops_log is not None:
             self.ops_log.write(entry)
-        metrics = self.session.metrics
-        metrics.counter("serve.requests").inc()
-        metrics.counter(f"serve.requests.{request.type}").inc()
-        if coalesced:
-            metrics.counter("serve.coalesced").inc()
-        elif request.type in COALESCED_TYPES:
-            metrics.counter("serve.computed").inc()
-        if not ok:
-            metrics.counter("serve.errors").inc()
         return entry
 
 
@@ -596,16 +635,18 @@ def handle_report(ctx: ServeContext, request: Request) -> Dict[str, Any]:
 
 def handle_stats(ctx: ServeContext, request: Request) -> Dict[str, Any]:
     """Serving-layer observability: the unified metrics snapshot tagged
-    with this request's id, store/coalescer counters, and the recent
-    per-request log with cache hit ratios."""
+    with this request's id (``serve.*`` counters included), the
+    artifact count, and the recent per-request log with cache hit
+    ratios."""
+    with ctx.lock:
+        snapshot = ctx.session.metrics_snapshot(request_id=request.id)
+        requests = list(ctx.request_log)
+        sweeps = {fp: dict(entry) for fp, entry in ctx.sweeps.items()}
     return {
-        "snapshot": ctx.session.metrics_snapshot(request_id=request.id),
-        "store": ctx.store.stats.as_dict(),
+        "snapshot": snapshot,
         "artifacts": len(ctx.store),
-        "coalesce": ctx.coalescer.stats.as_dict(),
-        "requests": list(ctx.request_log),
-        "sweeps": {fp: dict(entry)
-                   for fp, entry in ctx.sweeps.items()},
+        "requests": requests,
+        "sweeps": sweeps,
     }
 
 
@@ -614,25 +655,58 @@ def handle_telemetry(ctx: ServeContext,
     """The live telemetry plane: per-type latency percentiles plus
     uptime, inflight, coalesce hit rate, cache hit rate and active
     work — everything ``repro top`` and the Prometheus renderer need,
-    in one cheap (no pricing, no pickling) reply."""
-    reply = ctx.telemetry.snapshot()
-    coalesce = ctx.coalescer.stats.as_dict()
-    shared = coalesce.get("computed", 0) + coalesce.get("coalesced", 0)
-    coalesce["hit_rate"] = (coalesce.get("coalesced", 0) / shared
-                            if shared else 0.0)
-    reply["coalesce"] = coalesce
-    cache_stats = ctx.session.cache.stats.as_dict()
-    reply["cache"] = {"hit_rate": cache_stats.get("hit_rate", 0.0)}
-    running_sweeps = sum(1 for entry in ctx.sweeps.values()
-                         if not entry.get("done"))
-    inflight_types = reply.get("inflight_by_type", {})
-    reply["active"] = {
-        "artifacts": len(ctx.store),
-        "signoffs": inflight_types.get("signoff", 0),
-        "sweeps": max(running_sweeps,
-                      inflight_types.get("sweep", 0)),
+    in one cheap (no pricing, no pickling) reply, read from the
+    registry under the serve lock."""
+    with ctx.lock:
+        uptime = max(time.monotonic() - ctx.started, 1e-9)
+        counters = {name: counter.value for name, counter in
+                    dict(ctx.metrics.counters).items()}
+        inflight = {name: int(gauge.value) for name, gauge in
+                    dict(ctx.metrics.gauges).items()
+                    if name.startswith("serve.inflight")}
+        requests: Dict[str, Any] = {}
+        for name, hist in sorted(dict(ctx.metrics.histograms).items()):
+            if not name.startswith(LATENCY_PREFIX):
+                continue
+            rtype = name[len(LATENCY_PREFIX):]
+            errors = counters.get(f"serve.errors.{rtype}", 0)
+            requests[rtype] = {
+                "count": hist.count,
+                "ok": hist.count - errors,
+                "errors": errors,
+                "coalesced": counters.get(f"serve.coalesced.{rtype}", 0),
+                "rate_per_s": hist.count / uptime,
+                "mean_s": hist.mean,
+                **{f"p{int(q * 100)}_s": hist.quantile(q)
+                   for q in QUANTILES},
+                "hist": {"count": hist.count, "total_s": hist.total},
+            }
+        running_sweeps = sum(1 for entry in ctx.sweeps.values()
+                             if not entry.get("done"))
+    inflight_types = {name[len(INFLIGHT_PREFIX):]: value
+                      for name, value in sorted(inflight.items())
+                      if name.startswith(INFLIGHT_PREFIX) and value > 0}
+    computed = counters.get("serve.computed", 0)
+    coalesced = counters.get("serve.coalesced", 0)
+    return {
+        "uptime_s": uptime,
+        "inflight": inflight.get("serve.inflight", 0),
+        "inflight_by_type": inflight_types,
+        "requests": requests,
+        "coalesce": {
+            "computed": computed,
+            "coalesced": coalesced,
+            "hit_rate": (coalesced / (computed + coalesced)
+                         if computed + coalesced else 0.0),
+        },
+        "cache": {"hit_rate": ctx.session.cache.stats.hit_rate},
+        "active": {
+            "artifacts": len(ctx.store),
+            "signoffs": inflight_types.get("signoff", 0),
+            "sweeps": max(running_sweeps,
+                          inflight_types.get("sweep", 0)),
+        },
     }
-    return reply
 
 
 def handle_fetch(ctx: ServeContext, request: Request) -> Dict[str, Any]:
@@ -696,6 +770,5 @@ def dispatch(ctx: ServeContext, request: Request) -> Dict[str, Any]:
             rtracer.close(rspan, ok=ok)
             base.graft(rtracer.spans, request_id=request.id)
         ctx.record_request(request, time.perf_counter() - started,
-                           coalesced=False, ok=ok,
-                           cache_before=cache_before,
+                           ok=ok, cache_before=cache_before,
                            cache_after=ctx.cache_marks())

@@ -38,11 +38,9 @@ from typing import Any, Callable, Dict, Optional, Set
 
 from ..errors import ProtocolError, ReproError, ServeError, \
     failure_domain
-from .coalesce import RequestCoalescer
 from .handlers import ServeContext, coalesce_key, dispatch
 from .protocol import MAX_FRAME_BYTES, Request, decode_frame, \
     encode_frame, error_reply, ok_reply, parse_request
-from .store import ArtifactStore
 
 #: Pacing hint sent with ``busy`` rejections.
 BUSY_RETRY_AFTER_S = 0.1
@@ -58,15 +56,11 @@ class BrickServer:
     def __init__(self, session, host: str = "127.0.0.1", port: int = 0,
                  max_inflight: int = 8,
                  compute_threads: int = 8,
-                 store: Optional[ArtifactStore] = None,
-                 coalescer: Optional[RequestCoalescer] = None,
                  ops_log=None) -> None:
         if max_inflight < 1:
             raise ServeError(
                 f"max_inflight must be >= 1, got {max_inflight}")
-        self.ctx = ServeContext(session, store=store,
-                                coalescer=coalescer,
-                                ops_log=ops_log)
+        self.ctx = ServeContext(session, ops_log=ops_log)
         self.host = host
         self.port = port
         self.max_inflight = max_inflight
@@ -213,8 +207,7 @@ class BrickServer:
             if len(inflight) >= self.max_inflight:
                 # Structured backpressure instead of unbounded
                 # queueing: the client knows exactly when to retry.
-                self.ctx.session.metrics.counter(
-                    "serve.busy_rejections").inc()
+                self.ctx.count("serve.busy_rejections")
                 await self._send(writer, write_lock, error_reply(
                     request.id, "busy",
                     f"{len(inflight)} requests already in flight on "
@@ -239,47 +232,39 @@ class BrickServer:
     async def _reply_for(self, request: Request) -> Dict[str, Any]:
         loop = asyncio.get_running_loop()
         ctx = self.ctx
+        started = time.perf_counter()
         try:
             key = coalesce_key(request, ctx.session)
-        except ServeError as exc:
-            return error_reply(request.id, "bad_request", str(exc))
         except ReproError as exc:
-            return error_reply(request.id, "internal",
-                               f"{failure_domain(exc)}: {exc}")
+            # Refused before the coalescer: nothing computed, but the
+            # request still counts once, as an error of its type.
+            ctx.record_request(request, time.perf_counter() - started,
+                               ok=False, rejected=True)
+            return _failure_reply(request.id, exc)
         coalesced = ctx.coalescer.is_inflight(key)
 
         async def compute() -> Dict[str, Any]:
             return await loop.run_in_executor(
                 self._compute, dispatch, ctx, request)
 
-        started = time.perf_counter()
         marks = ctx.cache_marks()
         ok = False
-        ctx.telemetry.begin(request.type)
+        ctx.track_inflight(request.type, +1)
         try:
             result = await ctx.coalescer.run(key, compute)
             ok = True
             return ok_reply(request.id, request.type, result)
-        except KeyError as exc:
-            return error_reply(request.id, "not_found",
-                               f"no artifact {exc.args[0]!r}")
-        except ServeError as exc:
-            return error_reply(request.id, "bad_request", str(exc))
-        except ReproError as exc:
-            return error_reply(request.id, "internal",
-                               f"{failure_domain(exc)}: {exc}")
         except Exception as exc:  # noqa: BLE001 - daemon must survive
-            return error_reply(request.id, "internal",
-                               f"{type(exc).__name__}: {exc}")
+            return _failure_reply(request.id, exc)
         finally:
-            ctx.telemetry.end(request.type)
+            ctx.track_inflight(request.type, -1)
             if coalesced:
                 # The computing request was recorded inside dispatch();
                 # waiters are recorded here so every request shows up
                 # in the per-request log exactly once.
                 ctx.record_request(
-                    request, time.perf_counter() - started,
-                    coalesced=True, ok=ok, cache_before=marks,
+                    request, time.perf_counter() - started, ok=ok,
+                    coalesced=True, cache_before=marks,
                     cache_after=ctx.cache_marks())
 
     async def _send(self, writer: asyncio.StreamWriter,
@@ -300,6 +285,20 @@ class BrickServer:
                 await writer.drain()
             except (ConnectionError, RuntimeError):
                 pass  # client vanished mid-reply; nothing to salvage
+
+
+def _failure_reply(request_id: str, exc: Exception) -> Dict[str, Any]:
+    """The structured error reply for a request that raised ``exc``."""
+    if isinstance(exc, KeyError):
+        return error_reply(request_id, "not_found",
+                           f"no artifact {exc.args[0]!r}")
+    if isinstance(exc, ServeError):
+        return error_reply(request_id, "bad_request", str(exc))
+    if isinstance(exc, ReproError):
+        return error_reply(request_id, "internal",
+                           f"{failure_domain(exc)}: {exc}")
+    return error_reply(request_id, "internal",
+                       f"{type(exc).__name__}: {exc}")
 
 
 def serve_forever(session, host: str = "127.0.0.1", port: int = 0,

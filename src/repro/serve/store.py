@@ -15,32 +15,23 @@ The store is a bounded LRU (like the characterization cache's memory
 tier) so a long-lived daemon's footprint stays flat; evicted artifacts
 are simply recomputed on the next request — the characterization cache
 underneath still remembers the expensive parts.
+
+Its counters are ``serve.store.{puts,hits,misses,evictions}`` in the
+metrics registry it is given (the daemon session's), bumped under the
+store's own lock.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Optional
+
+from ..obs.metrics import MetricsRegistry
 
 #: Default artifact capacity; artifacts are JSON-ready dicts of sweep
 #: points or brick estimates, a few KB each.
 DEFAULT_MAX_ARTIFACTS = 1024
-
-
-@dataclass
-class StoreStats:
-    """Counters for one store instance."""
-
-    puts: int = 0
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"puts": self.puts, "hits": self.hits,
-                "misses": self.misses, "evictions": self.evictions}
 
 
 class ArtifactStore:
@@ -50,13 +41,16 @@ class ArtifactStore:
     threads while ``fetch`` requests may race them from the event loop.
     """
 
-    def __init__(self, max_artifacts: int = DEFAULT_MAX_ARTIFACTS
-                 ) -> None:
+    def __init__(self, max_artifacts: int = DEFAULT_MAX_ARTIFACTS,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         if max_artifacts < 1:
             raise ValueError(
                 f"max_artifacts must be >= 1, got {max_artifacts}")
         self.max_artifacts = max_artifacts
-        self.stats = StoreStats()
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._puts, self._hits, self._misses, self._evictions = (
+            metrics.counter(f"serve.store.{name}") for name in
+            ("puts", "hits", "misses", "evictions"))
         self._artifacts: "OrderedDict[str, Any]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -74,12 +68,12 @@ class ArtifactStore:
         """
         artifact_id = self.artifact_id(kind, fingerprint)
         with self._lock:
-            self.stats.puts += 1
+            self._puts.inc()
             self._artifacts[artifact_id] = payload
             self._artifacts.move_to_end(artifact_id)
             while len(self._artifacts) > self.max_artifacts:
                 self._artifacts.popitem(last=False)
-                self.stats.evictions += 1
+                self._evictions.inc()
         return artifact_id
 
     def get(self, artifact_id: str) -> Any:
@@ -87,10 +81,10 @@ class ArtifactStore:
         evicted (the server maps that to a ``not_found`` reply)."""
         with self._lock:
             if artifact_id not in self._artifacts:
-                self.stats.misses += 1
+                self._misses.inc()
                 raise KeyError(artifact_id)
             self._artifacts.move_to_end(artifact_id)
-            self.stats.hits += 1
+            self._hits.inc()
             return self._artifacts[artifact_id]
 
     def __contains__(self, artifact_id: str) -> bool:

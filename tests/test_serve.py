@@ -20,6 +20,7 @@ from repro.bricks import BrickSpec, compile_brick, estimate_brick, \
     generate_layout
 from repro.cells.bitcells import MEMORY_TYPES
 from repro.errors import ServeError
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.cache import CharacterizationCache
 from repro.serve import (
     ArtifactStore,
@@ -149,9 +150,14 @@ class TestRoundTrips:
         # The stats request itself is recorded after its snapshot, so
         # the counters cover exactly the requests that preceded it.
         assert counters["serve.requests"] == 1
-        assert counters["serve.requests.sweep"] == 1
+        assert counters["serve.computed"] == 1
+        assert stats["snapshot"]["histograms"][
+            "serve.request_s.sweep"]["count"] == 1
         assert stats["snapshot"]["request_id"].startswith("c")
         assert stats["artifacts"] == 1
+        # The store's counters live in the same snapshot.
+        assert counters["serve.store.puts"] == 1
+        assert "store" not in stats and "coalesce" not in stats
         # Per-request log entries carry cache hit ratios.
         sweep_entries = [r for r in stats["requests"]
                          if r["type"] == "sweep"]
@@ -181,6 +187,27 @@ class TestRoundTrips:
             with pytest.raises(ServeError) as err:
                 c.request("sweep", {"bits": "eight"})
         assert err.value.code == "bad_request"
+
+    def test_rejected_request_recorded_once_as_error(self, harness):
+        """A request refused while its params are validated still
+        counts once, as an error of its type, everywhere requests are
+        recorded — and it computed nothing."""
+        with harness.client() as c:
+            with pytest.raises(ServeError) as err:
+                c.request("characterize", {"type": "XYZ"})
+            assert err.value.code == "bad_request"
+            telemetry = c.telemetry()
+            stats = c.stats()
+        char = telemetry["requests"]["characterize"]
+        assert (char["count"], char["ok"], char["errors"]) == (1, 0, 1)
+        counters = stats["snapshot"]["counters"]
+        assert counters["serve.errors"] == 1
+        assert counters["serve.errors.characterize"] == 1
+        assert "serve.computed" not in counters
+        entries = [r for r in stats["requests"]
+                   if r["type"] == "characterize"]
+        assert len(entries) == 1
+        assert entries[0]["ok"] is False
 
     def test_impossible_sweep_is_internal_error(self, harness):
         # 100 words not divisible by any brick size -> empty lattice.
@@ -340,9 +367,9 @@ class TestCoalescing:
         payloads = {json.dumps(r["result"], sort_keys=True)
                     for r in replies}
         assert len(payloads) == 1
-        stats = harness.server.ctx.coalescer.stats
-        assert stats.computed == 1
-        assert stats.coalesced == n - 1
+        metrics = harness.session.metrics
+        assert metrics.counter("serve.computed").value == 1
+        assert metrics.counter("serve.coalesced").value == n - 1
 
     def test_distinct_concurrent_sweeps_all_computed(self, harness):
         n = 8
@@ -362,7 +389,8 @@ class TestCoalescing:
             for client in clients:
                 client.close()
         assert len(set(artifacts)) == n
-        assert harness.server.ctx.coalescer.stats.computed == n
+        assert harness.session.metrics.counter(
+            "serve.computed").value == n
 
     def test_coalesced_requests_logged_per_request(self, harness):
         n = 4
@@ -498,10 +526,11 @@ class TestArtifactStore:
         assert store.get(one) == {"round": 2}
 
     def test_lru_eviction_bounds_footprint(self):
-        store = ArtifactStore(max_artifacts=3)
+        metrics = MetricsRegistry()
+        store = ArtifactStore(max_artifacts=3, metrics=metrics)
         ids = [store.put("k", f"f{i}", i) for i in range(5)]
         assert len(store) == 3
-        assert store.stats.evictions == 2
+        assert metrics.counter("serve.store.evictions").value == 2
         with pytest.raises(KeyError):
             store.get(ids[0])
         assert store.get(ids[4]) == 4
@@ -535,7 +564,6 @@ class TestCoalescerUnit:
             return calls
 
         assert len(self._run(main())) == 2
-        assert coalescer.stats.computed == 0
 
     def test_concurrent_same_key_computes_once(self):
         coalescer = RequestCoalescer()
@@ -559,22 +587,22 @@ class TestCoalescerUnit:
         calls, results = self._run(main())
         assert len(calls) == 1
         assert results == ["result"] * 5
-        assert coalescer.stats.computed == 1
-        assert coalescer.stats.coalesced == 4
 
     def test_sequential_same_key_recomputes(self):
         coalescer = RequestCoalescer()
 
         async def main():
+            calls = []
+
             async def compute():
+                calls.append(1)
                 return "r"
 
             await coalescer.run("k", compute)
             await coalescer.run("k", compute)
+            return calls
 
-        self._run(main())
-        assert coalescer.stats.computed == 2
-        assert coalescer.stats.coalesced == 0
+        assert len(self._run(main())) == 2
 
     def test_failure_shared_then_key_released(self):
         coalescer = RequestCoalescer()

@@ -3,15 +3,16 @@
 Covers the cross-process trace machinery (context minting/adoption,
 grafting, worker-span absorption, stitching) and the serve daemon's
 telemetry plane (bounded log-bucket histograms, the ``telemetry``
-verb, the Prometheus/dashboard renderers, the rotating ops log),
-including N concurrent clients hammering a live daemon while the
-telemetry verb is polled.
+verb read from the session registry, the Prometheus/dashboard
+renderers, the rotating ops log), including N concurrent clients
+hammering a live daemon while the telemetry verb is polled.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 import time
 
@@ -35,17 +36,16 @@ from repro.obs.metrics import (
     bucket_bounds,
     bucket_index,
 )
-from repro.obs.telemetry import (
-    LogBucketHistogram,
-    OpsLog,
-    Telemetry,
-    render_dashboard,
-    render_prometheus,
-)
+from repro.obs.telemetry import OpsLog, render_dashboard, render_prometheus
 from repro.obs.trace import TraceContext, Tracer, mint_trace_id
 from repro.perf.cache import CharacterizationCache
 from repro.perf.parallel import TraceTap, parallel_map
-from repro.serve import BrickServer, ServeClient
+from repro.serve import BrickServer, Request, ServeClient, ServeContext
+from repro.serve.handlers import (
+    LATENCY_PREFIX,
+    handle_stats,
+    handle_telemetry,
+)
 from repro.session import Session
 from repro.tech import cmos65
 
@@ -90,62 +90,177 @@ class TestLogBuckets:
     def test_quantile_of_empty_histogram_is_zero(self):
         assert Histogram(name="t").quantile(0.99) == 0.0
 
-    def test_wire_roundtrip_preserves_quantiles(self):
-        hist = LogBucketHistogram()
-        for i in range(1, 500):
-            hist.observe(i * 3e-4)
-        clone = LogBucketHistogram.from_dict(
-            json.loads(json.dumps(hist.as_dict())))
-        for q in (0.5, 0.95, 0.99):
-            assert clone.quantile(q) == hist.quantile(q)
-        assert clone.count == hist.count
+def _context():
+    return ServeContext(Session(cmos65(), jobs=1,
+                                cache=CharacterizationCache()))
 
-    def test_merge_is_sum_of_parts(self):
-        a, b = LogBucketHistogram(), LogBucketHistogram()
-        for i in range(1, 100):
-            a.observe(i * 1e-4)
-        for i in range(1, 50):
-            b.observe(i * 1e-2)
-        merged = LogBucketHistogram.from_dict(a.as_dict())
-        merged.merge(b)
-        assert merged.count == a.count + b.count
-        assert merged.min == a.min and merged.max == b.max
-        assert sum(merged.buckets.values()) == merged.count
+
+def _record(ctx, rtype, dur_s, **outcome):
+    outcome.setdefault("ok", True)
+    ctx.record_request(Request(id="r", type=rtype), dur_s, **outcome)
+
+
+def _telemetry(ctx):
+    return handle_telemetry(ctx, Request(id="t", type="telemetry"))
 
 
 class TestTelemetry:
+    """The ``telemetry`` reply, read from the session registry."""
+
     def test_snapshot_counts_and_quantiles(self):
-        tele = Telemetry()
+        ctx = _context()
         for _ in range(10):
-            tele.record("sweep", 0.01)
-        tele.record("sweep", 0.5, ok=False)
-        tele.record("ping", 1e-4, coalesced=True)
-        snap = tele.snapshot()
+            _record(ctx, "sweep", 0.01)
+        _record(ctx, "sweep", 0.5, ok=False)
+        _record(ctx, "sweep", 1e-4, coalesced=True)
+        snap = _telemetry(ctx)
         sweep = snap["requests"]["sweep"]
-        assert sweep["count"] == 11
-        assert sweep["ok"] == 10 and sweep["errors"] == 1
+        assert sweep["count"] == sweep["hist"]["count"] == 12
+        assert sweep["ok"] == 11 and sweep["errors"] == 1
+        assert sweep["coalesced"] == 1
         assert sweep["p50_s"] <= sweep["p95_s"] <= sweep["p99_s"]
-        assert snap["requests"]["ping"]["coalesced"] == 1
+        assert sweep["hist"]["total_s"] == pytest.approx(0.6001)
+        assert snap["coalesce"] == {"computed": 11, "coalesced": 1,
+                                    "hit_rate": 1 / 12}
         assert snap["uptime_s"] > 0
 
     def test_inflight_tracks_begin_end(self):
-        tele = Telemetry()
-        tele.begin("sweep")
-        tele.begin("sweep")
-        tele.begin("ping")
-        snap = tele.snapshot()
+        ctx = _context()
+        for rtype in ("sweep", "sweep", "ping"):
+            ctx.track_inflight(rtype, +1)
+        snap = _telemetry(ctx)
         assert snap["inflight"] == 3
         assert snap["inflight_by_type"] == {"ping": 1, "sweep": 2}
+        assert snap["active"]["sweeps"] == 2
         for rtype in ("sweep", "sweep", "ping"):
-            tele.end(rtype)
-        snap = tele.snapshot()
+            ctx.track_inflight(rtype, -1)
+        snap = _telemetry(ctx)
         assert snap["inflight"] == 0
         assert snap["inflight_by_type"] == {}
 
     def test_snapshot_is_json_serializable(self):
-        tele = Telemetry()
-        tele.record("signoff", 0.2)
-        json.dumps(tele.snapshot())
+        ctx = _context()
+        _record(ctx, "signoff", 0.2)
+        json.dumps(_telemetry(ctx))
+
+    def test_concurrent_record_request_counts_exact(self):
+        """8 threads x 500 recorded requests over 3 types: the serve
+        lock keeps every per-type count and the total exact."""
+        ctx = _context()
+        types = ("sweep", "characterize", "fetch")
+        n_threads, per_thread = 8, 500
+        barrier = threading.Barrier(n_threads)
+
+        def outcome(i):
+            rtype = types[i % len(types)]
+            return rtype, i % 7 != 0, rtype != "fetch" and i % 4 == 0
+
+        def worker(index):
+            barrier.wait()
+            for i in range(per_thread):
+                rtype, ok, coalesced = outcome(i)
+                ctx.record_request(Request(id=f"w{index}.{i}",
+                                           type=rtype),
+                                   1e-3, ok=ok, coalesced=coalesced)
+
+        torn = []
+        done = threading.Event()
+
+        def reader():
+            # Each record lands whole: no snapshot sees a request in
+            # its type's histogram but not yet in the total.
+            while not done.is_set():
+                snap = handle_stats(
+                    ctx, Request(id="s", type="stats"))["snapshot"]
+                total = snap["counters"].get("serve.requests", 0)
+                counted = sum(hist["count"] for name, hist in
+                              snap["histograms"].items()
+                              if name.startswith(LATENCY_PREFIX))
+                if counted != total:
+                    torn.append((counted, total))
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(n_threads)]
+        poll = threading.Thread(target=reader)
+        # A tiny switch interval makes a torn or lost update under a
+        # missing lock likely instead of rare.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            poll.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            done.set()
+            poll.join(60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + [poll])
+        assert not torn, torn[:5]
+        expected = {rtype: [0, 0, 0] for rtype in types}
+        for i in range(per_thread):
+            rtype, ok, coalesced = outcome(i)
+            expected[rtype][0] += n_threads
+            expected[rtype][1] += n_threads * (not ok)
+            expected[rtype][2] += n_threads * coalesced
+        snap = _telemetry(ctx)
+        assert {rtype: [entry["count"], entry["errors"],
+                        entry["coalesced"]]
+                for rtype, entry in snap["requests"].items()} == expected
+        for rtype in types:
+            hist = ctx.metrics.histograms[LATENCY_PREFIX + rtype]
+            assert sum(hist.buckets.values()) == expected[rtype][0]
+        counters = ctx.metrics.counters
+        assert counters["serve.requests"].value == n_threads * per_thread
+        computed = counters["serve.computed"].value
+        coalesced = counters["serve.coalesced"].value
+        assert computed + coalesced == \
+            expected["sweep"][0] + expected["characterize"][0]
+        assert snap["coalesce"]["hit_rate"] == \
+            coalesced / (computed + coalesced)
+
+
+    def test_sweep_progress_safe_under_concurrent_reads(self):
+        """Sweeps report progress from their compute threads while
+        ``stats``/``telemetry`` iterate the same table, and the table
+        evicts past its cap: neither side may raise."""
+        ctx = _context()
+        errors = []
+        done = threading.Event()
+
+        def writer(index):
+            step = 0
+            try:
+                while not done.is_set():
+                    ctx.note_sweep_progress(f"w{index}.{step}",
+                                            {"done": step % 2 == 0})
+                    step += 1
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        writers = [threading.Thread(target=writer, args=(i,))
+                   for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in writers:
+                t.start()
+            for _ in range(1000):
+                try:
+                    handle_telemetry(ctx, Request(id="t",
+                                                  type="telemetry"))
+                    handle_stats(ctx, Request(id="s", type="stats"))
+                except RuntimeError as exc:
+                    errors.append(exc)
+        finally:
+            done.set()
+            for t in writers:
+                t.join(60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers)
+        assert not errors, errors[:2]
+        assert len(ctx.sweeps) <= 64
 
 
 class TestOpsLog:
@@ -165,10 +280,10 @@ class TestOpsLog:
 
 class TestRenderers:
     def _reply(self):
-        tele = Telemetry()
-        tele.record("sweep", 0.01)
-        tele.record("ping", 1e-4, ok=False)
-        reply = tele.snapshot()
+        ctx = _context()
+        _record(ctx, "sweep", 0.01)
+        _record(ctx, "ping", 1e-4, ok=False)
+        reply = _telemetry(ctx)
         reply["coalesce"] = {"hit_rate": 0.25}
         reply["cache"] = {"hit_rate": 0.8}
         reply["active"] = {"artifacts": 3, "sweeps": 1, "signoffs": 0}
