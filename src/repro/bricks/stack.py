@@ -9,7 +9,6 @@ emulation all agree on geometry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import BrickError
@@ -51,14 +50,6 @@ class BankConfig:
     @property
     def n_bricks(self) -> int:
         return self.stack * self.partitions
-
-    @property
-    def address_bits(self) -> int:
-        return max(1, math.ceil(math.log2(self.words)))
-
-    @property
-    def partition_address_bits(self) -> int:
-        return max(1, math.ceil(math.log2(self.words_per_partition)))
 
     def describe(self) -> str:
         return (f"{self.words}x{self.bits}b = {self.partitions} "

@@ -90,12 +90,6 @@ class Bitcell:
     def is_cam(self) -> bool:
         return self.memory_type == CAM_10T
 
-    @property
-    def has_separate_read_port(self) -> bool:
-        """True when read does not disturb the write bitlines (8T, CAM,
-        DP)."""
-        return self.memory_type in (SRAM_8T, CAM_10T, DUAL_PORT_8T)
-
 
 def _snap(value: float, pitch: float) -> float:
     """Snap a dimension up to an integer number of pattern pitches."""

@@ -33,7 +33,6 @@ from .scale import (
     price_shard,
     refine_candidates,
     shard_bounds,
-    shard_checkpoint_key,
 )
 from .sweep import (
     BrickChoice,
@@ -50,7 +49,7 @@ __all__ = [
     "pareto_front", "pareto_mask",
     "DEFAULT_OBJECTIVES", "OBJECTIVE_COLUMNS", "ScaleFailure",
     "ScalePoint", "ShardResult", "price_combos", "price_shard",
-    "refine_candidates", "shard_bounds", "shard_checkpoint_key",
+    "refine_candidates", "shard_bounds",
     "BrickChoice", "FailedPoint", "SweepPlan", "SweepPoint",
     "SweepResult",
 ]

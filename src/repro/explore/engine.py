@@ -9,7 +9,7 @@ iter_results()/frontier()`` shape:
   rendered tables stay byte-identical with every release before the
   redesign — and all priced points are retained.
 * **sharded mode** (10^5–10^6-point lattices): fans fixed-size shards
-  over :func:`repro.perf.parallel.parallel_imap`, folds each completed
+  over :func:`repro.perf.parallel.resumable_imap`, folds each completed
   shard's local Pareto front and top-K into online accumulators, and
   checkpoints every shard in ``perf.cache`` under the plan fingerprint
   — memory stays bounded by ``frontier + top_k`` and a killed sweep
@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -37,9 +36,12 @@ from typing import (
 
 from ..errors import ExplorationError
 from ..obs.trace import maybe_span
-from ..perf.characterize import _executor_fault_sink
 from ..perf.fingerprint import cache_key
-from ..perf.parallel import TraceTap, parallel_imap
+from ..perf.parallel import (
+    ProgressCallback,
+    checkpoint_key,
+    resumable_imap,
+)
 from ..perf.timer import Stopwatch
 from ..session import FaultEvent, Session
 from .lattice import Lattice, SweepSpace
@@ -54,7 +56,6 @@ from .scale import (
     price_combos,
     refine_candidates,
     shard_bounds,
-    shard_checkpoint_key,
 )
 from .sweep import (
     SweepResult,
@@ -65,12 +66,6 @@ from .sweep import (
 #: Lattices up to this many points run the exact legacy cached path
 #: under ``mode="auto"``; larger ones go sharded.
 AUTO_SHARD_THRESHOLD = 512
-
-#: Callback observing shard completion: ``progress(done, total,
-#: shard_result)``.  The serve layer uses it to surface
-#: ``shards_done/total`` in ``client stats``.
-ProgressCallback = Callable[[int, int, ShardResult], None]
-
 
 @dataclass(frozen=True)
 class ScalePlan:
@@ -434,53 +429,31 @@ class SweepEngine:
         watch = Stopwatch()
         collected: Dict[int, ShardResult] = {}
         session = self.session
-        cache = session.cache
-        done = 0
-        todo: List[int] = []
+        done = resumed_shards = 0
         with maybe_span(session.tracer, "sweep_scale", kind="sweep",
                         n_points=plan.n_points,
                         shards=plan.n_shards,
                         mode="sharded") as span:
-            for shard_index in range(plan.n_shards):
-                key = shard_checkpoint_key(plan.fingerprint,
-                                           keep_going, shard_index)
-                if resume and cache is not None:
-                    hit, value = cache.get(key)
-                    if hit and isinstance(value, ShardResult):
-                        done += 1
-                        self._note_shard(value, resumed=True)
-                        if progress is not None:
-                            progress(done, plan.n_shards, value)
-                        collected[value.shard] = value
-                        continue
-                todo.append(shard_index)
-            if span is not None:
-                span.attrs.update(resumed_shards=done)
-            self._resumed = done
-            tasks = [(plan.space, index, plan.shards[index][0],
-                      plan.shards[index][1], session.tech,
+            tasks = [(plan.space, index, start, stop, session.tech,
                       self.objectives, self.top_k)
-                     for index in todo]
-            on_fault = _executor_fault_sink(session.sink)
-            tap = (TraceTap.for_span(session.tracer, span)
-                   if span is not None else None)
-            for _, shard in parallel_imap(_shard_worker, tasks,
-                                          jobs=session.jobs,
-                                          pool=session.pool,
-                                          on_fault=on_fault,
-                                          trace=tap):
+                     for index, (start, stop) in enumerate(plan.shards)]
+            keys = [checkpoint_key("explore-shard", plan.fingerprint,
+                                   keep_going, index)
+                    for index in range(plan.n_shards)]
+            for index, shard, resumed in resumable_imap(
+                    session, _shard_worker, tasks, keys, ShardResult,
+                    resume, span):
                 done += 1
-                if cache is not None:
-                    cache.put(shard_checkpoint_key(
-                        plan.fingerprint, keep_going, shard.shard),
-                        shard)
-                self._note_shard(shard, resumed=False)
+                resumed_shards += resumed
+                self._note_shard(shard, resumed=resumed)
                 if progress is not None:
                     progress(done, plan.n_shards, shard)
-                collected[shard.shard] = shard
+                collected[index] = shard
             if span is not None:
-                span.attrs.update(shards_done=done)
-        return self._merge(plan, collected, watch.elapsed())
+                span.attrs.update(resumed_shards=resumed_shards,
+                                  shards_done=done)
+        return self._merge(plan, collected, resumed_shards,
+                           watch.elapsed())
 
     def _note_shard(self, shard: ShardResult, resumed: bool) -> None:
         """Per-shard observability: span + counters + fault events."""
@@ -511,7 +484,7 @@ class SweepEngine:
                     recovered=True))
 
     def _merge(self, plan: ScalePlan,
-               collected: Dict[int, ShardResult],
+               collected: Dict[int, ShardResult], resumed_shards: int,
                wall_clock_s: float) -> ScaleResult:
         """Fold shard survivors into the global frontier/top-K."""
         frontier_acc = ParetoAccumulator()
@@ -538,7 +511,7 @@ class SweepEngine:
             mode="sharded", objectives=self.objectives,
             n_points=plan.n_points, n_priced=n_priced,
             shards_total=plan.n_shards, shards_done=len(collected),
-            resumed_shards=getattr(self, "_resumed", 0),
+            resumed_shards=resumed_shards,
             frontier=frontier_acc.front(),
             top=[(score, item)
                  for score, _, item in top_acc.entries()],

@@ -39,7 +39,6 @@ from ..bricks.batch import (
     estimate_metric_columns,
 )
 from ..errors import ExplorationError
-from ..perf.fingerprint import cache_key
 from ..perf.timer import Stopwatch
 from ..tech.technology import Technology
 from .lattice import Lattice, LatticePoint, SweepSpace
@@ -145,12 +144,6 @@ class ShardResult:
     @property
     def n_points(self) -> int:
         return self.stop - self.start
-
-
-def shard_checkpoint_key(fingerprint: str, keep_going: bool,
-                         shard: int) -> str:
-    """Cache key one shard's completion record lives under."""
-    return cache_key("explore-shard", fingerprint, keep_going, shard)
 
 
 def price_shard(space: SweepSpace, shard: int, start: int, stop: int,

@@ -60,13 +60,12 @@ from .trace import (
     SpanEvent,
     TraceContext,
     Tracer,
-    aggregate_spans,
     maybe_span,
     mint_trace_id,
 )
 
 __all__ = [
-    "Span", "SpanEvent", "Tracer", "aggregate_spans", "maybe_span",
+    "Span", "SpanEvent", "Tracer", "maybe_span",
     "TraceContext", "mint_trace_id", "KIND_REQUEST", "KIND_TASK",
     "OpsLog",
     "render_dashboard", "render_prometheus",

@@ -38,7 +38,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, \
-    Sequence, Tuple
+    Sequence
 
 #: Span kinds used across the codebase (informal; any string works).
 KIND_STAGE = "stage"
@@ -356,24 +356,3 @@ def maybe_span(tracer: Optional[Tracer], name: str, kind: str = "span",
     with tracer.span(name, kind=kind, **attrs) as opened:
         yield opened
 
-
-def aggregate_spans(spans: List[Span], kind: Optional[str] = None
-                    ) -> List[Tuple[str, int, float]]:
-    """``(name, calls, total_seconds)`` rows aggregated by span name.
-
-    Rows come back in first-seen order (deterministic given a
-    deterministic trace).  ``kind`` filters to one span kind.
-    """
-    order: List[str] = []
-    calls: Dict[str, int] = {}
-    totals: Dict[str, float] = {}
-    for span in spans:
-        if kind is not None and span.kind != kind:
-            continue
-        if span.name not in calls:
-            order.append(span.name)
-            calls[span.name] = 0
-            totals[span.name] = 0.0
-        calls[span.name] += 1
-        totals[span.name] += span.dur_s or 0.0
-    return [(name, calls[name], totals[name]) for name in order]

@@ -22,7 +22,8 @@ exploration of Fig. 4c.  This package makes repeated characterization
     for sandboxes that forbid multiprocessing primitives), governed by
     an :class:`ExecutorPolicy` (per-task timeout); a timed-out, failed
     or crashed task is re-executed serially in the parent, and only
-    those tasks.  :func:`parallel_imap` streams the same loop.
+    those tasks.  :func:`parallel_imap` streams the same loop, and
+    ``resumable_imap`` checkpoints it for kill-resumable runs.
 ``repro.perf.characterize``
     Cached + parallel entry points for the expensive brick artifacts:
     closed-form estimates, library cell models and the standard-cell

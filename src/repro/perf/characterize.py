@@ -40,8 +40,8 @@ from ..liberty.models import CellModel, LibraryModel
 from ..tech.technology import Technology
 from .cache import CharacterizationCache
 from .fingerprint import cache_key
-from .parallel import TaskFailure, TraceTap, chunk_slices, parallel_map, \
-    resolve_jobs
+from .parallel import TaskFailure, chunk_slices, executor_kwargs, \
+    parallel_map, resolve_jobs
 
 if TYPE_CHECKING:  # repro.session imports repro.perf at module load.
     from ..session import Session
@@ -112,23 +112,6 @@ _WORKERS = {"cellmodel": _cell_model_worker,
             "estimate": _estimate_batch_worker}
 
 
-def _executor_fault_sink(sink):
-    """An ``on_fault`` callback routing absorbed executor recoveries
-    (timeouts, retried pool failures, broken pools) to a session event
-    sink as FaultEvents; ``None`` when there is no sink to feed."""
-    if sink is None:
-        return None
-    # Deferred import: repro.session imports repro.perf at module load.
-    from ..session import FaultEvent
-
-    def on_fault(kind: str, index: int, error: str) -> None:
-        sink(FaultEvent(domain="executor", name=f"task{index}",
-                        error=f"{kind}: {error}", index=index,
-                        recovered=True))
-
-    return on_fault
-
-
 def plan_estimates(points: Sequence[Point], session: Session,
                    kind: str
                    ) -> Tuple[List[str], Dict[str, Any],
@@ -195,10 +178,7 @@ def _characterize(points: Sequence[Point], session: Session, kind: str,
                 computed = parallel_map(
                     _WORKERS[kind], tasks, jobs=n_chunks,
                     return_errors=keep_going,
-                    on_fault=_executor_fault_sink(session.sink),
-                    pool=session.pool,
-                    trace=(TraceTap.for_span(session.tracer, group)
-                           if group is not None else None))
+                    **executor_kwargs(session, group))
                 elapsed = time.perf_counter() - started
             for chunk, value in zip(chunks, computed):
                 for i in chunk:

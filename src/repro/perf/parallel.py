@@ -18,7 +18,9 @@ subtleties remain:
   tasks always complete and a deterministic task error surfaces with
   its original traceback chained into an
   :class:`~repro.errors.ExecutorError`.  :func:`parallel_imap` streams
-  that loop; :func:`parallel_map` collects it in task order.
+  that loop; :func:`parallel_map` collects it in task order;
+  :func:`resumable_imap` wraps the stream in the checkpoint probe and
+  put of a kill-resumable run (sweep shards, signoff chunks).
 
 Degraded-serial path: sandboxed environments that forbid
 multiprocessing primitives (no ``/dev/shm``, no ``fork``) fall back to
@@ -46,6 +48,7 @@ from typing import (
 )
 
 from ..errors import ExecutorError
+from .fingerprint import cache_key
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -131,6 +134,11 @@ def reset_executor_stats() -> ExecutorStats:
     _executor_stats = ExecutorStats()
     return _executor_stats
 
+
+#: Callback observing a resumable run's records as they land, resumed
+#: ones included: ``progress(done, total, record)``.  The serve layer
+#: uses it to surface ``shards_done/total`` in ``client stats``.
+ProgressCallback = Callable[[int, int, Any], None]
 
 #: Callback invoked once per *absorbed* executor fault — a task timing
 #: out, failing in the pool, or losing its pool — before the task is
@@ -456,12 +464,13 @@ def parallel_imap(fn: Callable[[T], R], tasks: Sequence[T],
     ``trace`` follows :func:`parallel_map`, except that worker-side
     spans graft into the caller's tracer as each result is yielded.
 
-    This is the work-stealing shape the sharded design-space explorer
-    consumes — each completed shard is checkpointed and folded into the
-    running frontier immediately, so progress is observable and a kill
-    loses at most the in-flight shards.  The serial path (``jobs <= 1``,
-    a single task, or a sandbox without multiprocessing) yields in task
-    order, making serial runs exactly the eager loop they always were.
+    This is the work-stealing shape :func:`resumable_imap` wraps for
+    the sharded explorer and signoff — each completed shard or chunk
+    is checkpointed and folded in immediately, so progress is
+    observable and a kill loses at most the in-flight tasks.  The
+    serial path (``jobs <= 1``, a single task, or a sandbox without
+    multiprocessing) yields in task order, making serial runs exactly
+    the eager loop they always were.
 
     Failure semantics follow :func:`parallel_map`: a task that times
     out, loses its pool, or raises in a worker is re-executed serially
@@ -482,6 +491,95 @@ def parallel_imap(fn: Callable[[T], R], tasks: Sequence[T],
         return
     for index, value in stream:
         yield index, _absorb(value, trace)
+
+
+def _executor_fault_sink(sink):
+    """An ``on_fault`` callback routing absorbed executor recoveries
+    (timeouts, retried pool failures, broken pools) to a session event
+    sink as FaultEvents; ``None`` when there is no sink to feed."""
+    if sink is None:
+        return None
+    # Deferred import: repro.session imports repro.perf at module load.
+    from ..session import FaultEvent
+
+    def on_fault(kind: str, index: int, error: str) -> None:
+        sink(FaultEvent(domain="executor", name=f"task{index}",
+                        error=f"{kind}: {error}", index=index,
+                        recovered=True))
+
+    return on_fault
+
+
+def executor_kwargs(session: Any, span: Any) -> Dict[str, Any]:
+    """The executor arguments a session supplies to
+    :func:`parallel_map`/:func:`parallel_imap`: its warm ``pool``, its
+    event sink as ``on_fault``, and a ``trace`` tap parenting worker
+    spans under ``span`` (none when ``span`` is ``None``)."""
+    return {"pool": session.pool,
+            "on_fault": _executor_fault_sink(session.sink),
+            "trace": (TraceTap.for_span(session.tracer, span)
+                      if span is not None else None)}
+
+
+def checkpoint_key(kind: str, fingerprint: str, keep_going: bool,
+                   index: int) -> str:
+    """Cache key of task ``index``'s checkpoint in a resumable run of
+    ``kind`` (``"signoff-chunk"``, ``"explore-shard"``) planned under
+    ``fingerprint``."""
+    return cache_key(kind, fingerprint, keep_going, index)
+
+
+def resumable_imap(session: Any, fn: Callable[[T], R],
+                   tasks: Sequence[T], keys: Sequence[str],
+                   expect: Any, resume: bool, span: Any,
+                   on_failure: Optional[
+                       Callable[[int, TaskFailure], Any]] = None,
+                   stop: Optional[Callable[[], bool]] = None
+                   ) -> Iterator[Tuple[int, Any, bool]]:
+    """The checkpoint -> executor -> checkpoint loop of a kill-resumable
+    run, yielding ``(index, record, resumed)``.
+
+    Under ``resume``, every ``keys[index]`` is probed in index order
+    with ``session.cache.get(key, expect=expect)`` — a record of the
+    wrong type or a truncated entry is quarantined and counts as a
+    miss — and each hit is yielded as resumed before any task is
+    submitted.  The misses fan out through :func:`parallel_imap` under
+    the session's ``jobs`` and :func:`executor_kwargs`; each computed
+    record is put under its key as it lands, then yielded, so a kill
+    loses at most the in-flight tasks.
+
+    ``on_failure(index, failure)`` turns a task that failed even on
+    the executor's serial retry into the record checkpointed in its
+    place; without it the failure raises.  ``stop`` is polled after
+    the probe and after each computed record: once true, the stream
+    ends and the fan-out shuts down.
+    """
+    cache = session.cache
+    misses: List[int] = []
+    for index, key in enumerate(keys):
+        if resume:
+            hit, record = cache.get(key, expect=expect)
+            if hit:
+                yield index, record, True
+                continue
+        misses.append(index)
+    if not misses or (stop is not None and stop()):
+        return
+    stream = parallel_imap(fn, [tasks[index] for index in misses],
+                           jobs=session.jobs,
+                           return_errors=on_failure is not None,
+                           **executor_kwargs(session, span))
+    try:
+        for position, record in stream:
+            index = misses[position]
+            if isinstance(record, TaskFailure):
+                record = on_failure(index, record)
+            cache.put(keys[index], record)
+            yield index, record, False
+            if stop is not None and stop():
+                return
+    finally:
+        stream.close()
 
 
 def _imap_core(fn: Callable[[T], Any], tasks: Sequence[T],

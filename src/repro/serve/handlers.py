@@ -156,8 +156,8 @@ class ServeContext:
         computation, plus a per-request log entry.
 
         ``rejected`` marks a request refused before it reached the
-        coalescer (invalid params): an error of its type that computed
-        nothing.  The cache delta is approximate under concurrency
+        coalescer (invalid params, ``busy``, ``shutting_down``): an
+        error of its type that computed nothing.  The cache delta is approximate under concurrency
         (other requests' lookups land in the same window) but exact for
         serialized traffic, which is what tests assert on."""
         d_hits = cache_after[0] - cache_before[0]

@@ -200,6 +200,8 @@ class BrickServer:
                 self.request_shutdown()
                 continue
             if self._draining:
+                self.ctx.record_request(request, 0.0, ok=False,
+                                        rejected=True)
                 await self._send(writer, write_lock, error_reply(
                     request.id, "shutting_down",
                     "server is draining"))
@@ -207,7 +209,10 @@ class BrickServer:
             if len(inflight) >= self.max_inflight:
                 # Structured backpressure instead of unbounded
                 # queueing: the client knows exactly when to retry.
+                # The refusal counts once, as an error of its type.
                 self.ctx.count("serve.busy_rejections")
+                self.ctx.record_request(request, 0.0, ok=False,
+                                        rejected=True)
                 await self._send(writer, write_lock, error_reply(
                     request.id, "busy",
                     f"{len(inflight)} requests already in flight on "

@@ -18,7 +18,6 @@ from .engine import (
     SignoffPlan,
     SignoffReport,
     chunk_bounds,
-    chunk_checkpoint_key,
 )
 from .rng import normals, resample_indices, stream_key, uniforms
 from .sampling import pvt_columns
@@ -32,7 +31,7 @@ from .stats import (
 __all__ = [
     "DEFAULT_CHUNK", "DEFAULT_CORNERS", "DEFAULT_SAMPLES",
     "ChunkFailure", "ChunkResult", "SignoffEngine", "SignoffPlan",
-    "SignoffReport", "chunk_bounds", "chunk_checkpoint_key",
+    "SignoffReport", "chunk_bounds",
     "normals", "resample_indices", "stream_key", "uniforms",
     "pvt_columns", "bootstrap_mean_ci", "ci_half_width",
     "proportion_summary", "summarize",

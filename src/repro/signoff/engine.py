@@ -21,7 +21,9 @@ chunk workers fanned over :func:`repro.perf.parallel.parallel_imap`.
 Robustness is the headline:
 
 * every chunk checkpoints into ``perf.cache`` under the plan
-  fingerprint — a killed signoff resumes warm, byte-identical;
+  fingerprint through :func:`repro.perf.parallel.resumable_imap`, the
+  loop sweep shards share — a killed signoff resumes warm,
+  byte-identical;
 * an adaptive early-stop ends the stream when the relative 95 % CI
   half-width of the lead metric crosses ``ci_target`` (hard sample
   cap = ``n_samples``), evaluated over the *contiguous chunk prefix*
@@ -34,7 +36,7 @@ Robustness is the headline:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,9 +45,14 @@ from ..errors import SignoffError
 from ..faults.defects import DefectModel
 from ..faults.repair import RepairPlan, apply_repair
 from ..obs.trace import maybe_span
-from ..perf.characterize import _executor_fault_sink, cached_estimate
+from ..perf.characterize import cached_estimate
 from ..perf.fingerprint import cache_key
-from ..perf.parallel import TaskFailure, TraceTap, parallel_imap
+from ..perf.parallel import (
+    ProgressCallback,
+    TaskFailure,
+    checkpoint_key,
+    resumable_imap,
+)
 from ..perf.timer import Stopwatch
 from ..session import FaultEvent, Session
 from ..silicon.variation import VariationModel
@@ -66,11 +73,6 @@ DEFAULT_CORNERS = ("nominal", "best", "worst")
 #: corner-base column it scales from.
 REPORT_METRICS = ("read_delay", "read_energy", "write_energy",
                   "leakage_w")
-
-#: Callback observing chunk completion: ``progress(done, total,
-#: chunk_record)``.
-ProgressCallback = Callable[[int, int, object], None]
-
 
 @dataclass(frozen=True)
 class SignoffPlan:
@@ -135,12 +137,6 @@ class ChunkFailure:
     @property
     def label(self) -> str:
         return f"chunk[{self.start}:{self.stop})"
-
-
-def chunk_checkpoint_key(fingerprint: str, keep_going: bool,
-                         chunk: int) -> str:
-    """Cache key of one chunk's checkpoint under a plan fingerprint."""
-    return cache_key("signoff-chunk", fingerprint, keep_going, chunk)
 
 
 def chunk_bounds(n_samples: int,
@@ -362,7 +358,6 @@ class SignoffEngine:
                         else DefectModel())
         self.repair = repair if repair is not None else RepairPlan()
         self._plan: Optional[SignoffPlan] = None
-        self._resumed = 0
 
     # -- planning ----------------------------------------------------
 
@@ -405,13 +400,11 @@ class SignoffEngine:
         """
         plan = self.plan()
         session = self.session
-        cache = session.cache
         bases = self._corner_bases()
         lead = bases[plan.corners[0]]["read_delay"]
         watch = Stopwatch()
         collected: Dict[int, Union[ChunkResult, ChunkFailure]] = {}
-        self._resumed = 0
-        done = 0
+        done = resumed_chunks = 0
 
         # Early-stop bookkeeping over the contiguous chunk prefix.
         state = {"evaluated": 0, "n": 0, "sum": 0.0, "sumsq": 0.0,
@@ -439,71 +432,44 @@ class SignoffEngine:
                         and state["achieved"] <= plan.ci_target):
                     state["stop_at"] = state["evaluated"]
 
+        def failed(index: int, failure: TaskFailure) -> ChunkFailure:
+            start, stop = plan.chunks[index]
+            return ChunkFailure(chunk=index, start=start, stop=stop,
+                                error=failure.error)
+
         with maybe_span(session.tracer, "signoff", kind="signoff",
                         spec=plan.spec.name, stack=plan.stack,
                         n_samples=plan.n_samples,
                         chunks=plan.n_chunks) as span:
-            todo: List[int] = []
-            for index in range(plan.n_chunks):
-                if resume and cache is not None:
-                    hit, value = cache.get(
-                        chunk_checkpoint_key(plan.fingerprint,
-                                             keep_going, index),
-                        expect=(ChunkResult, ChunkFailure))
-                    if hit:
-                        done += 1
-                        self._resumed += 1
-                        collected[index] = value
-                        self._note_chunk(value, resumed=True)
-                        if progress is not None:
-                            progress(done, plan.n_chunks, value)
-                        fold_prefix()
-                        continue
-                todo.append(index)
+            tasks = [(plan.spec, plan.model, plan.defects, plan.repair,
+                      index, start, stop, plan.stream_key)
+                     for index, (start, stop) in enumerate(plan.chunks)]
+            keys = [checkpoint_key("signoff-chunk", plan.fingerprint,
+                                   keep_going, index)
+                    for index in range(plan.n_chunks)]
+            for index, record, resumed in resumable_imap(
+                    session, _chunk_worker, tasks, keys,
+                    (ChunkResult, ChunkFailure), resume, span,
+                    on_failure=failed if keep_going else None,
+                    stop=lambda: state["stop_at"] is not None):
+                done += 1
+                resumed_chunks += resumed
+                collected[index] = record
+                self._note_chunk(record, resumed=resumed)
+                if progress is not None:
+                    progress(done, plan.n_chunks, record)
+                fold_prefix()
             if span is not None:
-                span.attrs.update(resumed_chunks=self._resumed)
-            if state["stop_at"] is None and todo:
-                tasks = [(plan.spec, plan.model, plan.defects,
-                          plan.repair, index, plan.chunks[index][0],
-                          plan.chunks[index][1], plan.stream_key)
-                         for index in todo]
-                on_fault = _executor_fault_sink(session.sink)
-                tap = (TraceTap.for_span(session.tracer, span)
-                       if span is not None else None)
-                for position, result in parallel_imap(
-                        _chunk_worker, tasks, jobs=session.jobs,
-                        pool=session.pool, on_fault=on_fault,
-                        return_errors=keep_going, trace=tap):
-                    index = todo[position]
-                    if isinstance(result, TaskFailure):
-                        start, stop = plan.chunks[index]
-                        record: Union[ChunkResult, ChunkFailure] = \
-                            ChunkFailure(chunk=index, start=start,
-                                         stop=stop,
-                                         error=result.error)
-                    else:
-                        record = result
-                    done += 1
-                    collected[index] = record
-                    if cache is not None:
-                        cache.put(chunk_checkpoint_key(
-                            plan.fingerprint, keep_going, index),
-                            record)
-                    self._note_chunk(record, resumed=False)
-                    if progress is not None:
-                        progress(done, plan.n_chunks, record)
-                    fold_prefix()
-                    if state["stop_at"] is not None:
-                        break  # generator close shuts the pool down
-            if span is not None:
-                span.attrs.update(chunks_done=done,
+                span.attrs.update(resumed_chunks=resumed_chunks,
+                                  chunks_done=done,
                                   early_stopped=state["stop_at"]
                                   is not None)
         used = (state["stop_at"] if state["stop_at"] is not None
                 else plan.n_chunks)
         return self._reduce(plan, bases, collected, used,
                             state["achieved"],
-                            state["stop_at"] is not None, watch)
+                            state["stop_at"] is not None,
+                            resumed_chunks, watch)
 
     # -- internals ---------------------------------------------------
 
@@ -557,7 +523,7 @@ class SignoffEngine:
                 collected: Dict[int,
                                 Union[ChunkResult, ChunkFailure]],
                 used: int, achieved: float, early_stopped: bool,
-                watch: Stopwatch) -> SignoffReport:
+                resumed_chunks: int, watch: Stopwatch) -> SignoffReport:
         """Assemble the evaluated prefix into the final report, timed
         by ``watch`` up to the end of the reduction."""
         results: List[ChunkResult] = []
@@ -625,7 +591,7 @@ class SignoffEngine:
             chunk_size=plan.chunk_size, ci_target=plan.ci_target,
             corners=plan.corners, samples_used=samples_used,
             samples_ok=samples_ok, chunks_total=plan.n_chunks,
-            chunks_used=used, resumed_chunks=self._resumed,
+            chunks_used=used, resumed_chunks=resumed_chunks,
             early_stopped=early_stopped, achieved_ci=achieved,
             metrics=metrics, raw_yield=raw_yield,
             repaired_yield=repaired_yield,

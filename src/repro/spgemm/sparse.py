@@ -132,11 +132,6 @@ class CSCMatrix:
     def col_nnz(self, j: int) -> int:
         return int(self.indptr[j + 1] - self.indptr[j])
 
-    def max_col_nnz(self) -> int:
-        if self.n_cols == 0:
-            return 0
-        return int(np.max(np.diff(self.indptr)))
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape)
         for j in range(self.n_cols):
@@ -151,17 +146,6 @@ class CSCMatrix:
             entries.extend((j, int(i), float(v))
                            for i, v in zip(rows, values))
         return CSCMatrix.from_coo(self.n_cols, self.n_rows, entries)
-
-    def column_block(self, start: int, width: int) -> "CSCMatrix":
-        """Columns [start, start+width) as a standalone matrix."""
-        stop = min(start + width, self.n_cols)
-        if not 0 <= start < self.n_cols:
-            raise SparseError(f"block start {start} out of range")
-        lo, hi = self.indptr[start], self.indptr[stop]
-        indptr = self.indptr[start:stop + 1] - lo
-        return CSCMatrix(self.n_rows, stop - start, indptr.copy(),
-                         self.indices[lo:hi].copy(),
-                         self.data[lo:hi].copy())
 
     def allclose(self, other: "CSCMatrix", rtol: float = 1e-9,
                  atol: float = 1e-12) -> bool:

@@ -46,17 +46,6 @@ class WireLayer:
             raise TechnologyError("wire length must be non-negative")
         return self.r_per_um * length_um, self.c_per_um * length_um
 
-    def elmore_delay(self, length_um: float, c_load: float = 0.0,
-                     r_drive: float = 0.0) -> float:
-        """Elmore delay of a distributed line of ``length_um``.
-
-        The classic closed form: driver resistance sees the whole wire cap
-        plus the load, while the distributed wire contributes ``R*C/2`` of
-        itself plus ``R`` times the load.
-        """
-        r_w, c_w = self.rc(length_um)
-        return r_drive * (c_w + c_load) + r_w * (c_w / 2.0 + c_load)
-
     def segments(self, length_um: float, n: int) -> List[Tuple[float, float]]:
         """Split the wire into ``n`` equal RC segments (for extraction).
 

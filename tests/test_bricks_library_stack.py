@@ -86,7 +86,6 @@ class TestBankConfig:
         config = single_partition(sram_brick(16, 10), 32)
         assert config.stack == 2
         assert config.words == 32
-        assert config.address_bits == 5
         assert "32x10b" in config.describe()
 
     def test_partitioned_config_e(self):
@@ -95,8 +94,6 @@ class TestBankConfig:
         assert config.stack == 2
         assert config.words_per_partition == 32
         assert config.n_bricks == 8
-        assert config.partition_address_bits == 5
-        assert config.address_bits == 7
 
     def test_indivisible_words_rejected(self):
         with pytest.raises(BrickError):

@@ -45,10 +45,6 @@ class TestElectrical:
         cell = make_bitcell(SRAM_8T, tech)
         assert cell.c_rbl == pytest.approx(tech.c_diff * cell.w_read_um)
 
-    def test_6t_read_disturbs_write_port(self, tech):
-        assert not make_bitcell(SRAM_6T, tech).has_separate_read_port
-        assert make_bitcell(SRAM_8T, tech).has_separate_read_port
-
     def test_edram_read_is_destructive(self, tech):
         assert make_bitcell("EDRAM", tech).destructive_read
 

@@ -26,11 +26,11 @@ from repro.explore import (
     price_shard,
     refine_candidates,
     shard_bounds,
-    shard_checkpoint_key,
 )
 from repro.explore import scale
 from repro.explore.sweep import _plan_grid
 from repro.perf.cache import CharacterizationCache
+from repro.perf.parallel import checkpoint_key
 from repro.session import Session
 
 _settings = settings(max_examples=25, deadline=None,
@@ -297,10 +297,9 @@ class TestCheckpointResume:
         assert fresh.resumed_shards == 0
 
     def test_checkpoint_key_distinguishes_keep_going(self):
-        assert shard_checkpoint_key("fp", True, 0) != \
-            shard_checkpoint_key("fp", False, 0)
-        assert shard_checkpoint_key("fp", True, 0) != \
-            shard_checkpoint_key("fp", True, 1)
+        key = checkpoint_key("explore-shard", "fp", True, 0)
+        assert key != checkpoint_key("explore-shard", "fp", False, 0)
+        assert key != checkpoint_key("explore-shard", "fp", True, 1)
 
 
 class TestRefinement:

@@ -20,11 +20,11 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import maybe_profile
 from repro.obs.report import render_report, stage_breakdown
-from repro.obs.trace import SpanEvent, Tracer, aggregate_spans, maybe_span
+from repro.obs.trace import SpanEvent, Tracer, maybe_span
 from repro.errors import ReproError
 from repro.perf.cache import CharacterizationCache
-from repro.perf.characterize import _executor_fault_sink
 from repro.perf.parallel import (
+    _executor_fault_sink,
     executor_stats,
     parallel_map,
     reset_executor_stats,
@@ -113,20 +113,6 @@ class TestTracer:
     def test_maybe_span_is_noop_without_tracer(self):
         with maybe_span(None, "anything") as span:
             assert span is None
-
-    def test_aggregate_spans(self):
-        tracer = Tracer()
-        with tracer.span("a", kind="stage"):
-            pass
-        with tracer.span("b", kind="stage"):
-            pass
-        with tracer.span("a", kind="stage"):
-            pass
-        with tracer.span("other", kind="cache"):
-            pass
-        rows = aggregate_spans(tracer.spans, kind="stage")
-        assert [(name, calls) for name, calls, _ in rows] == \
-            [("a", 2), ("b", 1)]
 
 
 class TestMetrics:

@@ -428,6 +428,11 @@ class TestBackpressure:
             counters = harness.session.metrics.counter(
                 "serve.busy_rejections")
             assert counters.value == len(busy)
+            # Each refusal is recorded once, as an error of its type.
+            with harness.client() as c:
+                sweeps = c.telemetry()["requests"]["sweep"]
+            assert sweeps["count"] == 3
+            assert sweeps["errors"] == len(busy)
         finally:
             harness.stop()
 

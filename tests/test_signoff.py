@@ -30,6 +30,8 @@ from repro.bricks.estimator import estimate_brick
 from repro.bricks.spec import BrickSpec
 from repro.errors import ServeError, SignoffError
 from repro.perf.cache import CharacterizationCache
+from repro.perf.fingerprint import cache_key
+from repro.perf.parallel import checkpoint_key
 from repro.serve.client import ServeClient
 from repro.serve.handlers import (
     COALESCED_TYPES,
@@ -264,6 +266,25 @@ class TestEarlyStop:
                                 **kwargs).run()
         assert resumed.render() == golden.render()
 
+    def test_stop_among_resumed_chunks_submits_nothing(self, tech,
+                                                       monkeypatch):
+        from repro.signoff import engine as engine_mod
+        kwargs = dict(spec=SPEC, n_samples=4096, chunk_size=128,
+                      ci_target=0.01)
+        cache = CharacterizationCache()
+        golden = SignoffEngine(_session(tech, cache=cache),
+                               **kwargs).run()
+        assert golden.early_stopped
+
+        def exploded(task):
+            raise AssertionError(f"chunk {task[4]} was submitted")
+
+        monkeypatch.setattr(engine_mod, "_chunk_worker", exploded)
+        resumed = SignoffEngine(_session(tech, cache=cache),
+                                **kwargs).run()
+        assert resumed.resumed_chunks == golden.chunks_used
+        assert resumed.render() == golden.render()
+
     def test_cap_reached_without_target(self, tech):
         report = SignoffEngine(_session(tech), spec=SPEC,
                                n_samples=128, chunk_size=64).run()
@@ -471,38 +492,92 @@ class TestVariationStreams:
         assert len(results["A"].chips) == 2
 
 
+class _SignoffCase:
+    """A 4-chunk signoff under the shared checkpoint loop."""
+
+    kind = "signoff-chunk"
+    n_tasks = 4
+
+    @staticmethod
+    def engine(session):
+        return SignoffEngine(session, spec=SPEC, n_samples=256,
+                             chunk_size=64)
+
+    @staticmethod
+    def output(report):
+        return report.render()
+
+    @staticmethod
+    def resumed(report):
+        return report.resumed_chunks
+
+
+class _SweepCase:
+    """A 5-shard sweep under the same loop."""
+
+    kind = "explore-shard"
+    n_tasks = 5
+
+    @staticmethod
+    def engine(session):
+        return session.sweep_engine(
+            mode="sharded", total_words_options=(64, 128, 256),
+            bits_options=(8, 16), brick_words_options=(16, 32, 64),
+            shard_size=4)
+
+    @staticmethod
+    def output(result):
+        return result.frontier_json()
+
+    @staticmethod
+    def resumed(result):
+        return result.resumed_shards
+
+
+@pytest.mark.parametrize("case", [_SignoffCase, _SweepCase],
+                         ids=["signoff", "sweep"])
 class TestCheckpointHardening:
     def test_truncated_checkpoint_quarantined_and_recomputed(
-            self, tech, tmp_path):
+            self, tech, tmp_path, case):
         from repro.perf.cache import KEY_SCHEMA_VERSION
-        from repro.signoff import chunk_checkpoint_key
         cache = CharacterizationCache(cache_dir=str(tmp_path))
-        kwargs = dict(spec=SPEC, n_samples=256, chunk_size=64)
-        golden = SignoffEngine(_session(tech, cache=cache),
-                               **kwargs).run()
-        engine = SignoffEngine(_session(tech, cache=cache), **kwargs)
-        key = chunk_checkpoint_key(engine.plan().fingerprint, False, 1)
+        engine = case.engine(_session(tech, cache=cache))
+        golden = engine.run()
+        key = checkpoint_key(case.kind, engine.plan().fingerprint,
+                             False, 1)
         entry = tmp_path / f"v{KEY_SCHEMA_VERSION}" / f"{key}.pkl"
         assert entry.exists()
         entry.write_bytes(entry.read_bytes()[:10])  # killed mid-write
         fresh_cache = CharacterizationCache(cache_dir=str(tmp_path))
-        resumed = SignoffEngine(
-            _session(tech, cache=fresh_cache), **kwargs).run()
+        resumed = case.engine(_session(tech, cache=fresh_cache)).run()
         assert fresh_cache.stats.quarantined == 1
-        assert resumed.resumed_chunks == 3  # the bad chunk recomputed
-        assert resumed.render() == golden.render()
+        # The bad record is recomputed; every other one resumes.
+        assert case.resumed(resumed) == case.n_tasks - 1
+        assert case.output(resumed) == case.output(golden)
 
-    def test_wrong_type_checkpoint_quarantined(self, tech, tmp_path):
-        from repro.signoff import chunk_checkpoint_key
+    def test_wrong_type_checkpoint_quarantined(self, tech, tmp_path,
+                                               case):
+        golden = case.engine(_session(tech)).run()
         cache = CharacterizationCache(cache_dir=str(tmp_path))
-        kwargs = dict(spec=SPEC, n_samples=128, chunk_size=64)
-        engine = SignoffEngine(_session(tech, cache=cache), **kwargs)
-        key = chunk_checkpoint_key(engine.plan().fingerprint, False, 0)
-        cache.put(key, "not a chunk result")  # poisoned by a bug
-        report = engine.run()
-        assert report.resumed_chunks == 0
+        engine = case.engine(_session(tech, cache=cache))
+        key = checkpoint_key(case.kind, engine.plan().fingerprint,
+                             False, 0)
+        cache.put(key, "not a checkpoint record")  # poisoned by a bug
+        result = engine.run()
+        assert case.resumed(result) == 0
         assert cache.stats.quarantined == 1
-        assert report.samples_ok == 128
+        assert case.output(result) == case.output(golden)
+
+
+def test_checkpoint_keys_match_their_historical_strings():
+    """Checkpoints written before the engines shared one loop still
+    resume: the keys are the old ``cache_key`` digests."""
+    assert checkpoint_key("signoff-chunk", "fp", False, 3) == (
+        "4befcb33628693f206a79e8f1317c2153872ea58e3f1fbb4504f683fa45de096")
+    assert checkpoint_key("explore-shard", "fp", True, 0) == (
+        "12c390a50448d7806b268e135a214647b1194452047abca92d7d69f81c6c7368")
+    assert checkpoint_key("explore-shard", "fp", True, 0) == cache_key(
+        "explore-shard", "fp", True, 0)
 
 
 class TestServeSignoff:

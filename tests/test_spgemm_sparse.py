@@ -51,27 +51,10 @@ class TestConstruction:
 
 
 class TestQueries:
-    def test_column_block(self):
-        m = random_sparse(10, 10, 0.4, seed=1)
-        block = m.column_block(3, 4)
-        assert block.n_cols == 4
-        assert np.array_equal(block.to_dense(),
-                              m.to_dense()[:, 3:7])
-
-    def test_column_block_clamps_at_edge(self):
-        m = random_sparse(6, 10, 0.3, seed=2)
-        block = m.column_block(8, 4)
-        assert block.n_cols == 2
-
     def test_transpose_roundtrip(self):
         m = random_sparse(7, 5, 0.35, seed=3)
         assert np.array_equal(m.transpose().to_dense(),
                               m.to_dense().T)
-
-    def test_max_col_nnz(self):
-        m = CSCMatrix.from_coo(4, 2, [(0, 0, 1.0), (1, 0, 1.0),
-                                      (0, 1, 1.0)])
-        assert m.max_col_nnz() == 2
 
     def test_density(self):
         m = CSCMatrix.identity(4)

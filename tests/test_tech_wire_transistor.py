@@ -24,14 +24,6 @@ class TestWireLayer:
         with pytest.raises(TechnologyError):
             self.layer.rc(-1.0)
 
-    def test_elmore_closed_form(self):
-        r_w, c_w = self.layer.rc(100.0)
-        c_load = 5e-15
-        r_drive = 1000.0
-        expected = r_drive * (c_w + c_load) + r_w * (c_w / 2 + c_load)
-        assert self.layer.elmore_delay(100.0, c_load, r_drive) == \
-            pytest.approx(expected)
-
     def test_segments_sum_to_total(self):
         segments = self.layer.segments(100.0, 7)
         assert len(segments) == 7
