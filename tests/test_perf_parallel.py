@@ -17,6 +17,12 @@ from repro.perf import (
     parallel_map,
     resolve_jobs,
 )
+from repro.perf.parallel import (
+    TaskFailure,
+    checkpoint_key,
+    executor_kwargs,
+    resumable_imap,
+)
 from repro.session import Session
 from repro.tech import cmos65
 
@@ -43,6 +49,129 @@ class TestParallelMap:
         assert resolve_jobs(0) >= 1
         with pytest.raises(ValueError):
             resolve_jobs(-1)
+
+
+def _refuse(x):
+    raise AssertionError(f"task {x} recomputed despite its checkpoint")
+
+
+def _odd_fails(x):
+    if x % 2:
+        raise ValueError(f"odd task {x}")
+    return x * x
+
+
+def _keys(n):
+    return [checkpoint_key("test-task", "fp", False, i) for i in range(n)]
+
+
+class TestResumableImap:
+    def test_fresh_run_checkpoints_every_record(self, tech):
+        session = Session(tech, cache=CharacterizationCache())
+        out = list(resumable_imap(session, _sq, [1, 2, 3], _keys(3),
+                                  expect=int, resume=True, span=None))
+        assert out == [(0, 1, False), (1, 4, False), (2, 9, False)]
+        assert [session.cache.get(k, expect=int) for k in _keys(3)] == \
+            [(True, 1), (True, 4), (True, 9)]
+        # A resumed run reads every record back and computes nothing.
+        again = list(resumable_imap(session, _refuse, [1, 2, 3],
+                                    _keys(3), expect=int, resume=True,
+                                    span=None))
+        assert again == [(0, 1, True), (1, 4, True), (2, 9, True)]
+
+    def test_resumed_hits_come_first_in_index_order(self, tech):
+        session = Session(tech, cache=CharacterizationCache())
+        keys = _keys(4)
+        session.cache.put(keys[3], 90)
+        session.cache.put(keys[1], 10)
+        out = list(resumable_imap(session, _sq, [1, 2, 3, 4], keys,
+                                  expect=int, resume=True, span=None))
+        assert out == [(1, 10, True), (3, 90, True),
+                       (0, 1, False), (2, 9, False)]
+
+    def test_no_resume_recomputes_and_overwrites(self, tech):
+        session = Session(tech, cache=CharacterizationCache())
+        keys = _keys(2)
+        session.cache.put(keys[0], 77)
+        out = list(resumable_imap(session, _sq, [5, 6], keys,
+                                  expect=int, resume=False, span=None))
+        assert out == [(0, 25, False), (1, 36, False)]
+        assert session.cache.get(keys[0], expect=int) == (True, 25)
+
+    def test_wrong_type_checkpoint_is_a_miss(self, tech):
+        session = Session(tech, cache=CharacterizationCache())
+        keys = _keys(2)
+        session.cache.put(keys[0], "not an int")
+        session.cache.put(keys[1], 4)
+        out = list(resumable_imap(session, _sq, [3, 2], keys,
+                                  expect=int, resume=True, span=None))
+        assert out == [(1, 4, True), (0, 9, False)]
+        assert session.cache.get(keys[0], expect=int) == (True, 9)
+
+    def test_on_failure_record_is_checkpointed(self, tech):
+        session = Session(tech, cache=CharacterizationCache())
+        seen = []
+
+        def on_failure(index, failure):
+            assert isinstance(failure, TaskFailure)
+            seen.append((index, failure.kind))
+            return -1
+
+        out = list(resumable_imap(session, _odd_fails, [2, 3, 4],
+                                  _keys(3), expect=int, resume=True,
+                                  span=None, on_failure=on_failure))
+        assert out == [(0, 4, False), (1, -1, False), (2, 16, False)]
+        assert seen == [(1, "ValueError")]
+        assert session.cache.get(_keys(3)[1], expect=int) == (True, -1)
+
+    def test_failure_without_handler_raises(self, tech):
+        session = Session(tech, cache=CharacterizationCache())
+        stream = resumable_imap(session, _odd_fails, [2, 3], _keys(2),
+                                expect=int, resume=True, span=None)
+        assert next(stream) == (0, 4, False)
+        with pytest.raises(ValueError):
+            next(stream)
+        # The record computed before the failure stays checkpointed.
+        assert session.cache.get(_keys(2)[0], expect=int) == (True, 4)
+        assert session.cache.get(_keys(2)[1], expect=int) == (False, None)
+
+    def test_stop_ends_the_stream_after_a_record(self, tech):
+        session = Session(tech, cache=CharacterizationCache())
+        out = []
+        stream = resumable_imap(session, _sq, [1, 2, 3], _keys(3),
+                                expect=int, resume=True, span=None,
+                                stop=lambda: len(out) >= 1)
+        for item in stream:
+            out.append(item)
+        assert out == [(0, 1, False)]
+        assert session.cache.get(_keys(3)[1], expect=int) == (False, None)
+
+    def test_stop_after_probe_submits_nothing(self, tech):
+        session = Session(tech, cache=CharacterizationCache())
+        keys = _keys(2)
+        session.cache.put(keys[0], 1)
+        out = list(resumable_imap(session, _refuse, [1, 2], keys,
+                                  expect=int, resume=True, span=None,
+                                  stop=lambda: True))
+        assert out == [(0, 1, True)]
+
+
+class TestExecutorKwargs:
+    def test_bare_session_supplies_no_sink_or_tap(self, tech):
+        session = Session(tech)
+        assert executor_kwargs(session, None) == \
+            {"pool": None, "on_fault": None, "trace": None}
+
+    def test_sink_becomes_an_executor_fault_event(self, tech):
+        events = []
+        session = Session(tech, sink=events.append)
+        on_fault = executor_kwargs(session, None)["on_fault"]
+        on_fault("Timeout", 3, "no completion within 1.0s")
+        assert len(events) == 1
+        event = events[0]
+        assert (event.domain, event.name, event.index, event.recovered) \
+            == ("executor", "task3", 3, True)
+        assert event.error == "Timeout: no completion within 1.0s"
 
 
 class TestSweepParallel:
