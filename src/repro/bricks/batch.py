@@ -15,12 +15,21 @@ as a one-row batch (:func:`brick_rows`, the inverse of
   (memory-type code, words, bits, stack) — one column per spec field.
 * :func:`compile_batch` runs the paper's logical-effort periphery
   sizing with :func:`repro.circuit.logical_effort.buffer_chain_batch`,
-  including the odd/even polarity forcing.  A row sizes the same bits
-  alone or inside any batch.
+  including the odd/even polarity forcing.  Stack enters the sizing
+  only through the ARBL pull-down width, so it computes that width per
+  point and sizes every block once per distinct *sized brick*
+  ``(memory type, words, bits, w_pull)``: a
+  :class:`CompiledBrickBatch` is a table of those rows plus each
+  point's row index.  A point sizes the same bits alone or inside any
+  batch.
 * :func:`estimate_metric_columns` evaluates every
   delay/energy/area/leakage term element-wise, in the accumulation
-  order of the scalar closed forms kept as the test oracle, so a row is
-  ``==`` to the oracle over the same sizing.
+  order of the scalar closed forms kept as the test oracle, so a point
+  is ``==`` to the oracle over the same sizing.  Terms that neither
+  stack nor the output load enters are evaluated once per sized brick
+  and gathered; only the stack/load terms and the totals that include
+  them are evaluated per point, split at a prefix the scalar forms add
+  first, so the factorization changes no bit.
 """
 
 from __future__ import annotations
@@ -156,31 +165,69 @@ _BITCELL_FIELDS = ("width_um", "height_um", "c_rwl", "c_wwl", "c_rbl",
                    "c_wbl", "r_read", "i_leak", "c_ml", "c_sl", "r_match")
 
 
-def _gather_bitcells(codes: np.ndarray, tech: Technology) -> dict:
-    """Per-point bitcell parameter columns, one ``make_bitcell`` call
-    per memory type present in the batch."""
-    n = codes.shape[0]
-    out = {name: np.zeros(n, dtype=np.float64) for name in _BITCELL_FIELDS}
-    for code in np.unique(codes):
-        cell = make_bitcell(MEMORY_TYPES[int(code)], tech)
-        mask = codes == code
-        for name in _BITCELL_FIELDS:
-            out[name][mask] = getattr(cell, name)
-    return out
+def _bitcell_table(codes: np.ndarray, tech: Technology) -> np.ndarray:
+    """Bitcell parameters, one row per :data:`_BITCELL_FIELDS` entry and
+    one column per memory-type code: one ``make_bitcell`` call per
+    memory type present in ``codes``."""
+    table = np.zeros((len(_BITCELL_FIELDS), len(MEMORY_TYPES)))
+    present = np.bincount(codes, minlength=len(MEMORY_TYPES))
+    for code in np.flatnonzero(present).tolist():
+        cell = make_bitcell(MEMORY_TYPES[code], tech)
+        table[:, code] = [getattr(cell, name) for name in _BITCELL_FIELDS]
+    return table
+
+
+def _groups(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group the equal entries of a 1-D ``key``: each entry's group
+    number (groups in ascending key order) and one entry index per
+    group."""
+    order = key.argsort()
+    ordered = key[order]
+    starts = np.empty(key.shape[0], dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    rank = starts.cumsum()
+    rank -= 1
+    group = np.empty_like(rank)
+    group[order] = rank
+    return group, order[starts]
+
+
+def _sized_rows(batch: BrickSpecBatch,
+                w_pull: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Point -> sized-brick row, and one point per row.
+
+    Points share a row when they agree on memory type, words, bits and
+    ARBL pull-down width, the only stack-dependent compile input.  The
+    key is one int64 per point: the spec in mixed radix, times the
+    number of distinct widths, plus the point's width rank.
+    """
+    w_rank, w_first = _groups(w_pull)
+    key = ((batch.memory_code.astype(np.int64) * (MAX_WORDS + 1)
+            + batch.words) * (MAX_BITS + 1) + batch.bits) \
+        * w_first.shape[0] + w_rank
+    return _groups(key)
 
 
 @dataclass(frozen=True)
 class CompiledBrickBatch:
-    """All sized-periphery columns :func:`estimate_batch` consumes.
+    """A compiled population: its distinct sized bricks, and each
+    point's brick.
 
-    Chain stage caps are ``(n_points, max_stages)`` zero-padded arrays
-    with per-point stage counts alongside, exactly as
+    Points that agree on memory type, words, bits and ARBL pull-down
+    width get the same sizing for every block, so the sized-periphery
+    columns hold one *row* per distinct sized brick: point ``i`` reads
+    row ``row[i]``, and ``first[r]`` is one point of row ``r``.  Chain
+    stage caps are ``(n_rows, max_stages)`` zero-padded arrays with
+    per-row stage counts alongside, exactly as
     :func:`buffer_chain_batch` returns them.  CAM-only columns are
-    stored compactly over ``cam_idx``.
+    stored compactly over ``cam_idx``, the CAM rows.
     """
 
     batch: BrickSpecBatch
     tech_name: str
+    row: np.ndarray
+    first: np.ndarray
     cell: dict
     nand_cap: float
     wl_caps: np.ndarray
@@ -211,25 +258,16 @@ def compile_batch(batch: BrickSpecBatch,
     sized against the stack-dependent ARBL load, the control block
     against the enable fan-out (even) with an odd precharge-bar branch
     off its first stage, and — for CAM points — non-inverting
-    search-line drivers.
+    search-line drivers.  Only the pull-down width is computed per
+    point; every block is then sized once per distinct sized brick.
     """
-    n = batch.n_points
-    cell = _gather_bitcells(batch.memory_code, tech)
+    codes = batch.memory_code
+    table = _bitcell_table(codes, tech)
     layer = tech.layer(tech.local_layer)
     bl_layer = tech.layer(tech.bitline_layer)
     c_unit = unit_input_cap(tech)
-    words = batch.words.astype(np.float64)
-    bits = batch.bits.astype(np.float64)
-    stack = batch.stack.astype(np.float64)
 
-    # --- wordline driver (odd chain, NAND-gated) -------------------------
-    c_wl_wire = layer.c_per_um * (bits * cell["width_um"])
-    wl_load = c_wl_wire + bits * cell["c_rwl"]
-    nand_cap = 1.0 * c_unit
-    wl_caps, wl_n = buffer_chain_batch(
-        np.full(n, nand_cap), wl_load, tech, parity="odd")
-
-    # --- local sense / ARBL pull-down ------------------------------------
+    # --- ARBL pull-down (the one per-point size) -------------------------
     # The pull-down's own diffusion loads the shared ARBL once per
     # stacked brick, so "stage effort 4" is the self-consistent
     #     4 c_gate w = stack (c_wire + c_diff w) + c_out
@@ -237,7 +275,9 @@ def compile_batch(batch: BrickSpecBatch,
     # stack c_diff ~ 4 c_gate bigger devices stop paying for
     # themselves: the denominator keeps a 2-unit margin and the width
     # is capped for area sanity.
-    brick_height = words * cell["height_um"] + 2.0 * cell["height_um"]
+    height = table[_BITCELL_FIELDS.index("height_um")][codes]
+    stack = batch.stack.astype(np.float64)
+    brick_height = batch.words.astype(np.float64) * height + 2.0 * height
     arbl_wire = bl_layer.c_per_um * brick_height
     c_out = 4.0 * c_unit
     c_fixed = stack * arbl_wire + c_out
@@ -245,6 +285,24 @@ def compile_batch(batch: BrickSpecBatch,
                        2.0 * tech.c_gate)
     w_pull = np.minimum(np.maximum(tech.w_min_um, c_fixed / denom),
                         16.0 * tech.w_min_um)
+
+    # --- one sized brick per distinct (type, words, bits, w_pull) --------
+    row, first = _sized_rows(batch, w_pull)
+    n_rows = first.shape[0]
+    code = codes[first]
+    cell = dict(zip(_BITCELL_FIELDS, table[:, code]))
+    words = batch.words[first].astype(np.float64)
+    bits = batch.bits[first].astype(np.float64)
+    w_pull = w_pull[first]
+
+    # --- wordline driver (odd chain, NAND-gated) -------------------------
+    c_wl_wire = layer.c_per_um * (bits * cell["width_um"])
+    wl_load = c_wl_wire + bits * cell["c_rwl"]
+    nand_cap = 1.0 * c_unit
+    wl_caps, wl_n = buffer_chain_batch(
+        np.full(n_rows, nand_cap), wl_load, tech, parity="odd")
+
+    # --- local sense ------------------------------------------------------
     # The sense inverter scales with the pull-down it drives; the LBL
     # precharge has a half-cycle to restore a small local line.
     w_sense_n = np.maximum(2.0 * tech.w_min_um, w_pull / 6.0)
@@ -254,14 +312,14 @@ def compile_batch(batch: BrickSpecBatch,
     # --- control block (even chain + odd precharge-bar branch) -----------
     enable_load = words * nand_cap
     ctrl_caps, ctrl_n = buffer_chain_batch(
-        np.full(n, 2.0 * c_unit), enable_load, tech, parity="even")
+        np.full(n_rows, 2.0 * c_unit), enable_load, tech, parity="even")
     preb_load = 2.0 * bits * tech.c_gate * w_precharge
-    first = ctrl_caps[:, 0] if n else np.zeros(0)
-    preb_caps, preb_n = buffer_chain_batch(first, preb_load, tech,
-                                           parity="odd")
+    preb_caps, preb_n = buffer_chain_batch(
+        ctrl_caps[:, 0] if n_rows else np.zeros(0), preb_load, tech,
+        parity="odd")
 
-    # --- CAM match periphery (compact over the CAM subset) ---------------
-    cam_idx = np.flatnonzero(batch.is_cam)
+    # --- CAM match periphery (compact over the CAM rows) -----------------
+    cam_idx = np.flatnonzero(code == MEMORY_TYPES.index(CAM_10T))
     c_sl_wire = layer.c_per_um * (words[cam_idx]
                                   * cell["height_um"][cam_idx])
     sl_load = c_sl_wire + words[cam_idx] * cell["c_sl"][cam_idx]
@@ -271,7 +329,8 @@ def compile_batch(batch: BrickSpecBatch,
     w_ml_sense_n = np.full(cam_idx.shape[0], 2.0 * tech.w_min_um)
 
     return CompiledBrickBatch(
-        batch=batch, tech_name=tech.name, cell=cell, nand_cap=nand_cap,
+        batch=batch, tech_name=tech.name, row=row, first=first,
+        cell=cell, nand_cap=nand_cap,
         wl_caps=wl_caps, wl_n=wl_n,
         w_sense_n=w_sense_n, w_sense_p=w_sense_p, w_pull=w_pull,
         w_precharge=w_precharge,
@@ -289,11 +348,11 @@ def brick_rows(compiled: CompiledBrick, stack: int,
                ) -> CompiledBrickBatch:
     """One compiled brick as a batch priced at ``stack``.
 
-    The rows carry the brick's own sizing — bitcell, stage caps and
-    widths as :func:`compile_batch` chose them for
-    ``compiled.target_stack`` — so a brick compiled for one stack
-    prices at another with its sizing frozen.  There is one row per
-    entry of ``out_loads``, or one row at the default load.  The
+    The batch has one sized row carrying the brick's own sizing —
+    bitcell, stage caps and widths as :func:`compile_batch` chose them
+    for ``compiled.target_stack`` — so a brick compiled for one stack
+    prices at another with its sizing frozen.  There is one point per
+    entry of ``out_loads``, or one point at the default load.  The
     inverse of :func:`compiled_row`.
     """
     spec = compiled.spec
@@ -301,13 +360,13 @@ def brick_rows(compiled: CompiledBrick, stack: int,
     batch = BrickSpecBatch.from_arrays(
         [spec.memory_type] * n, [spec.words] * n, [spec.bits] * n,
         [stack] * n, out_loads)
-    n_cam = n if spec.is_cam else 0
+    n_cam = 1 if spec.is_cam else 0
 
-    def chain(caps, rows=n):
+    def chain(caps, rows=1):
         return (np.tile(np.asarray(caps, dtype=np.float64), (rows, 1)),
                 np.full(rows, len(caps), dtype=np.int64))
 
-    def column(value, rows=n):
+    def column(value, rows=1):
         return np.full(rows, float(value))
 
     sense = compiled.sense
@@ -318,6 +377,7 @@ def brick_rows(compiled: CompiledBrick, stack: int,
     sl_caps, sl_n = chain(match.sl_stage_caps if match else (), n_cam)
     return CompiledBrickBatch(
         batch=batch, tech_name=compiled.tech_name,
+        row=np.zeros(n, dtype=np.int64), first=np.zeros(1, dtype=np.int64),
         cell={name: column(getattr(compiled.bitcell, name))
               for name in _BITCELL_FIELDS},
         nand_cap=compiled.wl_driver.nand_input_cap,
@@ -336,12 +396,12 @@ def brick_rows(compiled: CompiledBrick, stack: int,
 
 def compiled_row(compiled: CompiledBrickBatch, tech: Technology,
                  i: int) -> CompiledBrick:
-    """Row ``i`` of a compiled population as a :class:`CompiledBrick`
-    carrying the same sizing, compiled for the row's stack.
+    """Point ``i`` of a compiled population as a :class:`CompiledBrick`
+    carrying its row's sizing, compiled for the point's stack.
 
     ``compile_brick`` is this over a one-row batch, and
-    ``brick_rows(compiled_row(c, tech, i), stack)`` gives back row
-    ``i``'s columns.  ``tech`` must be the technology the batch was
+    ``brick_rows(compiled_row(c, tech, i), stack)`` gives back point
+    ``i``'s row.  ``tech`` must be the technology the batch was
     compiled in (it builds the row's bitcell).
     """
     if compiled.tech_name != tech.name:
@@ -350,13 +410,14 @@ def compiled_row(compiled: CompiledBrickBatch, tech: Technology,
             f"read back in {tech.name!r}")
     batch = compiled.batch
     spec = batch.spec(i)
+    r = int(compiled.row[i])
 
     def caps(stage_caps, n_stages, row):
         return tuple(stage_caps[row, :n_stages[row]].tolist())
 
     match = None
     if spec.is_cam:
-        j = int(np.flatnonzero(compiled.cam_idx == i)[0])
+        j = int(np.flatnonzero(compiled.cam_idx == r)[0])
         match = MatchPeriphery(
             sl_stage_caps=caps(compiled.sl_caps, compiled.sl_n, j),
             w_ml_pre=float(compiled.w_ml_pre[j]),
@@ -368,79 +429,83 @@ def compiled_row(compiled: CompiledBrickBatch, tech: Technology,
         bitcell=make_bitcell(spec.memory_type, tech),
         wl_driver=WordlineDriver(
             nand_input_cap=compiled.nand_cap,
-            stage_caps=caps(compiled.wl_caps, compiled.wl_n, i)),
+            stage_caps=caps(compiled.wl_caps, compiled.wl_n, r)),
         sense=LocalSense(
-            w_sense_n=float(compiled.w_sense_n[i]),
-            w_sense_p=float(compiled.w_sense_p[i]),
-            w_pull=float(compiled.w_pull[i]),
-            w_precharge=float(compiled.w_precharge[i])),
+            w_sense_n=float(compiled.w_sense_n[r]),
+            w_sense_p=float(compiled.w_sense_p[r]),
+            w_pull=float(compiled.w_pull[r]),
+            w_precharge=float(compiled.w_precharge[r])),
         control=ControlBlock(
-            stage_caps=caps(compiled.ctrl_caps, compiled.ctrl_n, i),
-            preb_stage_caps=caps(compiled.preb_caps, compiled.preb_n, i)),
+            stage_caps=caps(compiled.ctrl_caps, compiled.ctrl_n, r),
+            preb_stage_caps=caps(compiled.preb_caps, compiled.preb_n, r)),
         match=match)
 
 
 # --------------------------------------------------------------------------
-# Masked per-stage accumulations.  Each helper walks the padded stage
-# columns in stage order, the order a per-point loop over the stage
-# tuples adds them, so the float accumulation order (and therefore the
-# result, to the last ulp) matches the scalar oracle.
+# Masked per-stage accumulations.  Each helper evaluates its per-stage
+# terms over the padded ``(rows, max_stages)`` caps at once, then adds
+# the active ones onto the accumulator one stage column at a time, in
+# stage order — the order a per-point loop over the stage tuples adds
+# them, so the float accumulation order (and therefore the result, to
+# the last ulp) matches the scalar oracle.
 # --------------------------------------------------------------------------
 
 
-def _chain_delay(caps: np.ndarray, n_stages: np.ndarray, load,
-                 tech: Technology) -> np.ndarray:
+def _active(caps: np.ndarray, n_stages: np.ndarray) -> np.ndarray:
+    """Mask of the real (unpadded) stages of each chain."""
+    return np.arange(caps.shape[1]) < n_stages[:, None]
+
+
+def _stage_widths(caps: np.ndarray,
+                  tech: Technology) -> Tuple[np.ndarray, np.ndarray]:
+    """Each stage's ``(w_n, w_p)``, as leafcell ``inverter_widths``
+    sizes an inverter of input cap ``caps``."""
+    w_n = caps / (tech.c_gate * (1.0 + tech.inverter_beta()))
+    return w_n, tech.inverter_beta() * w_n
+
+
+def _add_stages(acc: np.ndarray, terms: np.ndarray,
+                active: np.ndarray) -> np.ndarray:
+    """``acc`` plus each active stage's term, added in stage order."""
+    terms = np.where(active, terms, 0.0)
+    for i in range(terms.shape[1]):
+        acc = acc + terms[:, i]
+    return acc
+
+
+def _chain_delay(caps: np.ndarray, n_stages: np.ndarray,
+                 load: np.ndarray, tech: Technology) -> np.ndarray:
     """50 % delay through each padded inverter chain into ``load``."""
-    n_pts, max_s = caps.shape
-    delay = np.zeros(n_pts)
-    inv_denom = tech.c_gate * (1.0 + tech.inverter_beta())
-    beta_w = tech.inverter_beta()
-    load = np.broadcast_to(np.asarray(load, dtype=np.float64), (n_pts,))
-    for i in range(max_s):
-        active = i < n_stages
-        c_in = caps[:, i]
-        if i + 1 < max_s:
-            c_out = np.where((i + 1) < n_stages, caps[:, i + 1], load)
-        else:
-            c_out = load
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w_n = c_in / inv_denom
-            w_p = beta_w * w_n
-            r_drive = 0.5 * (tech.r_on_n / w_n + tech.r_on_p / w_p)
-            c_self = tech.c_diff * (w_n + w_p)
-            term = _K50 * r_drive * (c_out + c_self)
-        delay = delay + np.where(active, term, 0.0)
-    return delay
+    active = _active(caps, n_stages)
+    # Each stage drives the next stage's input, the last one ``load``.
+    c_out = np.empty_like(caps)
+    c_out[:, :-1] = np.where(active[:, 1:], caps[:, 1:], load[:, None])
+    c_out[:, -1:] = load[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_n, w_p = _stage_widths(caps, tech)
+        r_drive = 0.5 * (tech.r_on_n / w_n + tech.r_on_p / w_p)
+        c_self = tech.c_diff * (w_n + w_p)
+        terms = _K50 * r_drive * (c_out + c_self)
+    return _add_stages(np.zeros(caps.shape[0]), terms, active)
 
 
 def _chain_width(caps: np.ndarray, n_stages: np.ndarray,
                  tech: Technology, acc: np.ndarray) -> np.ndarray:
     """Accumulate per-stage ``w_n + w_p`` onto ``acc`` (leafcell
     ``total_width_um`` loops)."""
-    inv_denom = tech.c_gate * (1.0 + tech.inverter_beta())
-    beta_w = tech.inverter_beta()
-    for i in range(caps.shape[1]):
-        w_n = caps[:, i] / inv_denom
-        w_p = beta_w * w_n
-        acc = acc + np.where(i < n_stages, w_n + w_p, 0.0)
-    return acc
+    w_n, w_p = _stage_widths(caps, tech)
+    return _add_stages(acc, w_n + w_p, _active(caps, n_stages))
 
 
 def _chain_internal_cap(caps: np.ndarray, n_stages: np.ndarray,
                         tech: Technology, acc: np.ndarray,
                         with_stage_cap: bool = True) -> np.ndarray:
     """Accumulate per-stage ``[stage_cap +] c_diff * (w_n + w_p)``."""
-    inv_denom = tech.c_gate * (1.0 + tech.inverter_beta())
-    beta_w = tech.inverter_beta()
-    for i in range(caps.shape[1]):
-        c_in = caps[:, i]
-        w_n = c_in / inv_denom
-        w_p = beta_w * w_n
-        term = tech.c_diff * (w_n + w_p)
-        if with_stage_cap:
-            term = c_in + term
-        acc = acc + np.where(i < n_stages, term, 0.0)
-    return acc
+    w_n, w_p = _stage_widths(caps, tech)
+    terms = tech.c_diff * (w_n + w_p)
+    if with_stage_cap:
+        terms = caps + terms
+    return _add_stages(acc, terms, _active(caps, n_stages))
 
 
 def estimate_metric_columns(compiled: CompiledBrickBatch,
@@ -456,11 +521,19 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
     float arrays — ``read_delay``, ``read_energy``, ``write_energy``,
     ``setup``, ``clock_cap`` (stacked), ``wbl_cap``, ``area_um2``
     (stacked), ``leakage_w`` — plus ``hold`` (a scalar float),
-    ``match_delay``/``match_energy`` compact over ``cam_idx``,
-    ``brick_area`` (one brick's layout area, ``area_um2`` before the
-    ``x stack``), and a ``components`` sub-dict of the 16 delay/energy
-    breakdown columns.
+    ``match_delay``/``match_energy`` compact over ``cam_idx`` (the CAM
+    points), ``brick_area`` (one brick's layout area, ``area_um2``
+    before the ``x stack``), and a ``components`` sub-dict of the 16
+    delay/energy breakdown columns.
     :func:`estimate_batch` is exactly these columns + ``_pack``.
+
+    Every term that neither ``stack`` nor the ARBL output load enters
+    is evaluated once per sized brick and gathered through
+    ``compiled.row``; only the ARBL, idle-bank and write-bitline terms,
+    the ``x stack`` columns and the sums that include them are
+    evaluated per point.  A sum is split only at a prefix the scalar
+    forms add first, so each point sees the same operands in the same
+    order as when priced alone.
     """
     if compiled.tech_name != tech.name:
         raise BrickError(
@@ -483,16 +556,14 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
     bl_layer = tech.layer(tech.bitline_layer)
     c_unit = unit_input_cap(tech)
     vdd = tech.vdd
-    words = batch.words.astype(np.float64)
-    bits = batch.bits.astype(np.float64)
-    stack = batch.stack.astype(np.float64)
-    if batch.out_load is not None:
-        load_out = batch.out_load
-    elif out_load is not None:
-        load_out = np.full(n, float(out_load))
-    else:
-        load_out = np.full(n, 4.0 * c_unit)
+    first = compiled.first
+    n_rows = first.shape[0]
+    int_words = batch.words[first]
+    int_bits = batch.bits[first]
+    words = int_words.astype(np.float64)
+    bits = int_bits.astype(np.float64)
 
+    # ============ per sized brick ========================================
     # ------------------------------------------------------- read delay --
     enable_net = words * compiled.nand_cap
     preb_net_active = bits * tech.c_gate * (compiled.w_precharge
@@ -529,11 +600,9 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
     brick_height = words * cell["height_um"] + 2.0 * cell["height_um"]
     arbl_per_brick = bl_layer.c_per_um * brick_height \
         + tech.c_diff * compiled.w_pull
-    c_arbl = stack * arbl_per_brick + load_out
-    r_arbl_wire = bl_layer.r_per_um * (stack * brick_height)
     r_pull = tech.r_on_n / compiled.w_pull
 
-    # CAM matchline geometry (compact columns over cam_idx).
+    # CAM matchline geometry (compact columns over the CAM rows).
     cam = compiled.cam_idx
     ml_len = bits[cam] * cell["width_um"][cam]
     r_ml_wire = layer.r_per_um * ml_len
@@ -549,19 +618,15 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
     t_wl_wire = _K50 * r_wl_wire * (c_wl_wire / 2.0 + c_wl_taps / 2.0)
     t_cell = _K50 * (cell["r_read"] * c_lbl
                      + r_lbl_wire * (c_lbl_wire / 2.0 + lbl_load))
-    t_arbl = _K50 * (r_pull * c_arbl + r_arbl_wire * (c_arbl / 2.0))
     t_ml = _K50 * (r_match * c_ml + r_ml_wire * c_ml_wire / 2.0)
 
-    read_delay = t_ctrl + t_nand + t_chain + t_wl_wire + t_cell + \
-        t_sense + t_arbl
-
     # ------------------------------------------------------- read energy --
-    n_discharge = ((batch.bits + 1) // 2).astype(np.float64)
+    n_discharge = ((int_bits + 1) // 2).astype(np.float64)
     # Control block switched internal cap, summed in three passes: stage
     # caps past the first, then every stage's diffusion, then the
     # precharge-bar branch (stage cap + diffusion).
     ctrl_internal = _chain_stage_caps_only(
-        compiled.ctrl_caps, compiled.ctrl_n, np.zeros(n))
+        compiled.ctrl_caps, compiled.ctrl_n, np.zeros(n_rows))
     ctrl_internal = _chain_internal_cap(
         compiled.ctrl_caps, compiled.ctrl_n, tech, ctrl_internal,
         with_stage_cap=False)
@@ -570,7 +635,7 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
 
     wl_internal = _chain_internal_cap(
         compiled.wl_caps, compiled.wl_n, tech,
-        np.full(n, c_nand_self), with_stage_cap=True)
+        np.full(n_rows, c_nand_self), with_stage_cap=True)
     sense_internal = tech.c_gate * compiled.w_pull + tech.c_diff * (
         compiled.w_sense_n + compiled.w_sense_p)
     clock_cap = compiled.ctrl_caps[:, 0]
@@ -580,22 +645,16 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
     e_wl = (c_wl_wire + c_wl_taps + wl_internal) * vdd * vdd
     e_lbl = n_discharge * (c_lbl * vdd * vdd)
     e_sense = n_discharge * (sense_internal * vdd * vdd)
-    e_arbl = n_discharge * (c_arbl * vdd * vdd)
-    e_idle = (stack - 1.0) * ((ctrl_internal + enable_net
-                               + preb_net_idle + clock_cap) * vdd * vdd)
+    e_idle_per_bank = (ctrl_internal + enable_net + preb_net_idle
+                       + clock_cap) * vdd * vdd
     t_overlap = _CROWBAR_FO4 * tech.fo4_delay()
     e_crowbar = bits * vdd * vdd * (
         compiled.w_precharge / tech.r_on_p) * t_overlap
-    read_energy = (e_ctrl + e_wl + e_lbl + e_sense + e_arbl + e_idle
-                   + e_crowbar)
 
     # ------------------------------------------------------- write energy --
-    c_wbl_bank = stack * (bl_layer.c_per_um * lbl_len
-                          + words * cell["c_wbl"])
-    e_wbl = n_discharge * (c_wbl_bank * vdd * vdd)
+    c_wbl_per_brick = bl_layer.c_per_um * lbl_len + words * cell["c_wbl"]
     c_wwl = c_wl_wire + bits * cell["c_wwl"]
     e_wwl = (c_wwl + wl_internal) * vdd * vdd
-    write_energy = e_ctrl + e_wwl + e_wbl + e_idle
 
     # ------------------------------------------------------- constraints --
     fo4 = tech.fo4_delay()
@@ -610,23 +669,21 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
         4.0 * c_unit + tech.c_diff * (compiled.w_ml_sense_n + w_sp))
     match_delay = t_ctrl[cam] + t_sl_chain + t_ml + t_ml_sense
 
+    # Search-line driver internal cap: each stage's diffusion, then its
+    # input cap past the first stage.
+    active = _active(compiled.sl_caps, compiled.sl_n)
+    w_n, w_p = _stage_widths(compiled.sl_caps, tech)
+    sl_diff = np.where(active, tech.c_diff * (w_n + w_p), 0.0)
+    sl_stage = np.where(active, compiled.sl_caps, 0.0)
     sl_internal = np.zeros(cam.shape[0])
-    inv_denom = tech.c_gate * (1.0 + tech.inverter_beta())
-    beta_w = tech.inverter_beta()
     for i in range(compiled.sl_caps.shape[1]):
-        c_in = compiled.sl_caps[:, i]
-        active = i < compiled.sl_n
-        w_n = c_in / inv_denom
-        w_p = beta_w * w_n
-        sl_internal = sl_internal + np.where(
-            active, tech.c_diff * (w_n + w_p), 0.0)
+        sl_internal = sl_internal + sl_diff[:, i]
         if i > 0:
-            sl_internal = sl_internal + np.where(active, c_in, 0.0)
+            sl_internal = sl_internal + sl_stage[:, i]
     e_sl = bits[cam] * ((_searchline_cap(compiled, tech) + sl_internal)
                         * vdd * vdd)
-    e_ml = np.maximum(batch.words[cam] - 1, 1).astype(np.float64) * (
+    e_ml = np.maximum(int_words[cam] - 1, 1).astype(np.float64) * (
         c_ml * vdd * vdd)
-    match_energy = e_ctrl[cam] + e_sl + e_ml + e_idle[cam]
 
     # ------------------------------------------------------- area/leak --
     # Analytic transcription of layout.generate_layout: the generated
@@ -635,13 +692,13 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
     # prices area without building a grid.
     wl_total_w = _chain_width(
         compiled.wl_caps, compiled.wl_n, tech,
-        np.full(n, 2 * (2 * w_nand_n + w_nand_p)))
+        np.full(n_rows, 2 * (2 * w_nand_n + w_nand_p)))
     sense_total_w = (compiled.w_sense_n + compiled.w_sense_p
                      + compiled.w_pull + compiled.w_precharge)
     ctrl_total_w = _chain_width(
         compiled.preb_caps, compiled.preb_n, tech,
         _chain_width(compiled.ctrl_caps, compiled.ctrl_n, tech,
-                     np.zeros(n)))
+                     np.zeros(n_rows)))
 
     array_w = bits * cell["width_um"]
     array_h = words * cell["height_um"]
@@ -661,7 +718,8 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
         ctrl_total_w * poly / (2.0 * tech.w_min_um), poly) \
         * tech.row_height_um
 
-    is_cam = batch.is_cam
+    is_cam = np.zeros(n_rows, dtype=bool)
+    is_cam[cam] = True
     sl_area = bits * cell["width_um"] * m1 * 4
     sl_strip_h = np.where(
         is_cam,
@@ -679,32 +737,65 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
     height = height + extra
     brick_area = width * height
 
-    n_cells = (batch.words * batch.bits).astype(np.float64)
+    n_cells = (int_words * int_bits).astype(np.float64)
     leak_cells = n_cells * cell["i_leak"] * vdd
     periph_width = (wl_total_w * words + sense_total_w * bits
                     + ctrl_total_w)
     leak_periph = tech.i_leak_n * periph_width * 0.5 * vdd
-    leakage = stack * (leak_cells + leak_periph)
+    leak_per_brick = leak_cells + leak_periph
+
+    # ============ per point ==============================================
+    row = compiled.row
+    stack = batch.stack.astype(np.float64)
+    if batch.out_load is not None:
+        load_out = batch.out_load
+    elif out_load is not None:
+        load_out = np.full(n, float(out_load))
+    else:
+        load_out = np.full(n, 4.0 * c_unit)
+
+    c_arbl = stack * arbl_per_brick[row] + load_out
+    r_arbl_wire = bl_layer.r_per_um * (stack * brick_height[row])
+    t_arbl = _K50 * (r_pull[row] * c_arbl + r_arbl_wire * (c_arbl / 2.0))
+    read_delay = (t_ctrl + t_nand + t_chain + t_wl_wire + t_cell
+                  + t_sense)[row] + t_arbl
+
+    n_discharge = n_discharge[row]
+    e_arbl = n_discharge * (c_arbl * vdd * vdd)
+    e_idle = (stack - 1.0) * e_idle_per_bank[row]
+    read_energy = (e_ctrl + e_wl + e_lbl + e_sense)[row] + e_arbl \
+        + e_idle + e_crowbar[row]
+
+    c_wbl_bank = stack * c_wbl_per_brick[row]
+    e_wbl = n_discharge * (c_wbl_bank * vdd * vdd)
+    write_energy = (e_ctrl + e_wwl)[row] + e_wbl + e_idle
+
+    cam_points = np.flatnonzero(batch.is_cam)
+    cam_slot = np.zeros(n_rows, dtype=np.int64)
+    cam_slot[cam] = np.arange(cam.shape[0])
+    cam_slot = cam_slot[row[cam_points]]
 
     components = dict(zip(_COMPONENT_KEYS,
-                          (t_ctrl, t_nand, t_chain, t_wl_wire, t_cell,
-                           t_sense, t_arbl, e_ctrl, e_wl, e_lbl,
-                           e_sense, e_arbl, e_idle, e_crowbar, e_wbl,
-                           e_wwl)))
+                          (t_ctrl[row], t_nand[row], t_chain[row],
+                           t_wl_wire[row], t_cell[row], t_sense[row],
+                           t_arbl, e_ctrl[row], e_wl[row], e_lbl[row],
+                           e_sense[row], e_arbl, e_idle, e_crowbar[row],
+                           e_wbl, e_wwl[row])))
     return {
         "read_delay": read_delay,
         "read_energy": read_energy,
         "write_energy": write_energy,
-        "setup": setup,
+        "setup": setup[row],
         "hold": hold,
-        "clock_cap": stack * clock_cap,
+        "clock_cap": stack * clock_cap[row],
         "wbl_cap": c_wbl_bank,
-        "area_um2": brick_area * stack,
-        "brick_area": brick_area,
-        "leakage_w": leakage,
-        "match_delay": match_delay,
-        "match_energy": match_energy,
-        "cam_idx": compiled.cam_idx,
+        "area_um2": brick_area[row] * stack,
+        "brick_area": brick_area[row],
+        "leakage_w": stack * leak_per_brick[row],
+        "match_delay": match_delay[cam_slot],
+        "match_energy": (e_ctrl[cam] + e_sl + e_ml)[cam_slot]
+        + e_idle[cam_points],
+        "cam_idx": cam_points,
         "components": components,
     }
 
@@ -729,11 +820,10 @@ def estimate_batch(compiled: CompiledBrickBatch, tech: Technology,
 
 
 def _searchline_cap(compiled: CompiledBrickBatch,
-                  tech: Technology) -> np.ndarray:
-    """Per-CAM-point searchline capacitance (wire + cell taps)."""
-    batch = compiled.batch
+                    tech: Technology) -> np.ndarray:
+    """Per-CAM-row searchline capacitance (wire + cell taps)."""
     cam = compiled.cam_idx
-    words = batch.words.astype(np.float64)[cam]
+    words = compiled.batch.words[compiled.first[cam]].astype(np.float64)
     height = compiled.cell["height_um"][cam]
     layer = tech.layer(tech.local_layer)
     return layer.c_per_um * (words * height) \
@@ -742,11 +832,9 @@ def _searchline_cap(compiled: CompiledBrickBatch,
 
 def _chain_stage_caps_only(caps: np.ndarray, n_stages: np.ndarray,
                            acc: np.ndarray) -> np.ndarray:
-    """Sum ``stage_caps[1:]`` per point (first control internal-cap
+    """Sum ``stage_caps[1:]`` per chain (first control internal-cap
     loop)."""
-    for i in range(1, caps.shape[1]):
-        acc = acc + np.where(i < n_stages, caps[:, i], 0.0)
-    return acc
+    return _add_stages(acc, caps[:, 1:], _active(caps, n_stages)[:, 1:])
 
 
 #: Delay/energy breakdown columns, in ``BrickPerformance.components``
@@ -768,8 +856,8 @@ def _pack(batch, compiled,
     cols += [columns["components"][key].tolist() for key in comp_keys]
     (rd, re_, we, su, cc, wb, ar, ba, lk) = cols[:9]
     comp_cols = cols[9:]
-    match_pos = {int(idx): j
-                 for j, idx in enumerate(compiled.cam_idx.tolist())}
+    match_pos = {idx: j
+                 for j, idx in enumerate(columns["cam_idx"].tolist())}
     match_delay = columns["match_delay"].tolist()
     match_energy = columns["match_energy"].tolist()
     hold = float(columns["hold"])

@@ -55,31 +55,32 @@ def buffer_chain_batch(c_in, c_load, tech: Technology,
     """
     import numpy as np
 
+    if parity not in (None, "odd", "even"):
+        raise SizingError(f"parity must be None/'odd'/'even', "
+                          f"got {parity!r}")
     c_in = np.asarray(c_in, dtype=np.float64)
     c_load = np.asarray(c_load, dtype=np.float64)
     if c_in.shape != c_load.shape or c_in.ndim != 1:
         raise SizingError("c_in and c_load must be 1-D and same length")
     if c_in.size == 0:
         return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-    if not (np.isfinite(c_in).all() and np.isfinite(c_load).all()):
-        raise SizingError("buffer chain caps must be finite")
-    if (c_in <= 0).any() or (c_load <= 0).any():
+    # min/max propagate NaN, which fails both comparisons.
+    if not (c_in.min() > 0.0 and c_load.min() > 0.0
+            and c_in.max() < math.inf and c_load.max() < math.inf):
+        if not (np.isfinite(c_in).all() and np.isfinite(c_load).all()):
+            raise SizingError("buffer chain caps must be finite")
         raise SizingError("buffer chain caps must be positive")
-    if parity not in (None, "odd", "even"):
-        raise SizingError(f"parity must be None/'odd'/'even', "
-                          f"got {parity!r}")
     fanout = c_load / c_in
     p_inv = parasitic_inv(tech)
     rho = optimal_stage_effort(p_inv)
     with np.errstate(divide="ignore"):
         raw = np.log(fanout) / math.log(rho)
-    n = np.where(fanout <= 1.0, 1,
-                 np.maximum(1, np.round(raw)).astype(np.int64))
-    n = n.astype(np.int64)
+    # rho > 1, so a fanout <= 1 rounds to at most 0 stages: one stage.
+    n = np.maximum(1.0, np.round(raw)).astype(np.int64)
     if parity == "odd":
-        n = n + (n % 2 == 0)
+        n = n | 1
     elif parity == "even":
-        n = n + (n % 2 == 1)
+        n = n + (n & 1)
     f_hat = fanout ** (1.0 / n)
     max_n = int(n.max())
     stages = np.arange(max_n, dtype=np.float64)

@@ -340,6 +340,21 @@ class Tracer:
             self.spans.extend(grafted)
         return grafted
 
+    def discard(self, grafted: Sequence[Span]) -> None:
+        """Forget the spans one :meth:`graft` call returned.
+
+        They are one whole absorbed tree, contiguous in :attr:`spans`,
+        so dropping them leaves a valid tree; a long-lived daemon
+        drops its oldest request traces this way to bound what it
+        retains.  Thread-safe, like :meth:`graft`.
+        """
+        if not grafted:
+            return
+        with self._graft_lock:
+            start = next(i for i, span in enumerate(self.spans)
+                         if span is grafted[0])
+            del self.spans[start:start + len(grafted)]
+
 
 @contextmanager
 def maybe_span(tracer: Optional[Tracer], name: str, kind: str = "span",

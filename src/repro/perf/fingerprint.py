@@ -33,6 +33,13 @@ KEY_SCHEMA_VERSION = 2
 #: outlive the call that created them.
 EncodeMemo = Dict[int, str]
 
+#: Instance attribute where a dataclass whose class sets
+#: ``FINGERPRINT_MEMO = True`` keeps its own pre-joined substream for its
+#: lifetime.  Such a class must be immutable all the way down and keep
+#: the attribute out of its pickled state (see
+#: :class:`repro.tech.technology.Technology`).
+_OWN_STREAM = "_fingerprint_stream"
+
 _SEP = "\x1f"
 
 
@@ -57,11 +64,13 @@ def _encode(obj: Any, out: list,
         out.append(f"b{len(obj)}:")
         out.append(obj.hex())
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if memo is not None:
+        own = getattr(type(obj), "FINGERPRINT_MEMO", False)
+        cached = obj.__dict__.get(_OWN_STREAM) if own else None
+        if cached is None and memo is not None:
             cached = memo.get(id(obj))
-            if cached is not None:
-                out.append(cached)
-                return
+        if cached is not None:
+            out.append(cached)
+            return
         sub: list = []
         fields = dataclasses.fields(obj)
         sub.append(f"D{type(obj).__qualname__}:{len(fields)}(")
@@ -69,12 +78,16 @@ def _encode(obj: Any, out: list,
             sub.append(f.name)
             _encode(getattr(obj, f.name), sub, memo)
         sub.append(")")
-        if memo is not None:
+        if own or memo is not None:
             # Joined with the stream separator, one memoized element
             # splices into the final join byte-identically to the
             # un-memoized multi-element stream.
-            memo[id(obj)] = _SEP.join(sub)
-            out.append(memo[id(obj)])
+            joined = _SEP.join(sub)
+            if own:
+                object.__setattr__(obj, _OWN_STREAM, joined)
+            if memo is not None:
+                memo[id(obj)] = joined
+            out.append(joined)
         else:
             out.extend(sub)
     elif isinstance(obj, dict):

@@ -35,7 +35,7 @@ from ..obs.export import span_record
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import render_report
 from ..obs.telemetry import QUANTILES, OpsLog
-from ..obs.trace import KIND_REQUEST, TraceContext, Tracer
+from ..obs.trace import KIND_REQUEST, Span, TraceContext, Tracer
 from ..perf.characterize import cached_estimate
 from ..perf.fingerprint import cache_key
 from ..session import Session
@@ -52,9 +52,39 @@ MEMORY_TYPES = ("6T", "8T", "CAM", "EDRAM", "DP")
 #: Per-request stats entries a ``stats`` reply lists, newest last.
 REQUEST_LOG_SIZE = 128
 
+#: Spans of finished requests the daemon tracer keeps.  Request trees
+#: are kept or dropped whole, oldest first (the newest always stays),
+#: so a traced daemon's memory stays bounded however long it serves;
+#: far above any test's or CI job's trace.
+TRACE_SPAN_CAP = 8192
+
 #: Registry name prefixes of the serve plane's per-type metrics.
 LATENCY_PREFIX = "serve.request_s."
 INFLIGHT_PREFIX = "serve.inflight."
+
+
+class RequestTraces:
+    """The request trees grafted into the daemon tracer, oldest first,
+    holding at most :data:`TRACE_SPAN_CAP` spans; ``dropped`` counts
+    the trees let go."""
+
+    def __init__(self) -> None:
+        self.trees: "deque[List[Span]]" = deque()
+        self.n_spans = 0
+        self.dropped = 0
+        self._lock = threading.Lock()
+
+    def add(self, tracer: Tracer, tree: List[Span]) -> None:
+        """Keep ``tree`` (as :meth:`Tracer.graft` returned it), then
+        discard the oldest trees from ``tracer`` past the cap."""
+        with self._lock:
+            self.trees.append(tree)
+            self.n_spans += len(tree)
+            while self.n_spans > TRACE_SPAN_CAP and len(self.trees) > 1:
+                oldest = self.trees.popleft()
+                self.n_spans -= len(oldest)
+                tracer.discard(oldest)
+                self.dropped += 1
 
 
 class ServeContext:
@@ -100,6 +130,8 @@ class ServeContext:
         #: instead of appearing hung.
         self.sweeps: Dict[str, Dict[str, Any]] = {}
         self._sweeps_cap = 64
+        #: The finished request trees the daemon tracer still holds.
+        self.traces = RequestTraces()
 
     def with_session(self, session: Session) -> "ServeContext":
         """A shallow view of this context over a different session.
@@ -629,8 +661,12 @@ def handle_report(ctx: ServeContext, request: Request) -> Dict[str, Any]:
                           key=lambda s: s.span_id)]
     snapshot = session.metrics_snapshot(request_id=request.id)
     records.append({"type": "metrics", "metrics": snapshot})
-    return {"render": render_report(records, title="server report"),
-            "n_spans": len(records) - 1}
+    dropped = ctx.traces.dropped
+    render = render_report(records, title="server report")
+    render += (f"\ntrace: {dropped} oldest request trees dropped "
+               f"(keeps the newest {TRACE_SPAN_CAP} spans)")
+    return {"render": render, "n_spans": len(records) - 1,
+            "dropped_requests": dropped}
 
 
 def handle_stats(ctx: ServeContext, request: Request) -> Dict[str, Any]:
@@ -768,7 +804,8 @@ def dispatch(ctx: ServeContext, request: Request) -> Dict[str, Any]:
     finally:
         if rtracer is not None:
             rtracer.close(rspan, ok=ok)
-            base.graft(rtracer.spans, request_id=request.id)
+            ctx.traces.add(base, base.graft(rtracer.spans,
+                                            request_id=request.id))
         ctx.record_request(request, time.perf_counter() - started,
                            ok=ok, cache_before=cache_before,
                            cache_after=ctx.cache_marks())

@@ -15,11 +15,27 @@ all wire parasitics per micrometre of length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict
 
 from ..errors import TechnologyError
 from .wire import WireLayer
+
+
+class _ReadOnlyLayers(dict):
+    """A technology's layer table: a plain ``dict`` to every reader (it
+    compares, prints and fingerprints as one) that refuses mutation, so
+    a technology stays immutable all the way down."""
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> None:
+        raise TechnologyError("a Technology's wire layers are read-only; "
+                              "build a new Technology (e.g. via scaled())")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return (_ReadOnlyLayers, (dict(self),))
 
 
 @dataclass(frozen=True)
@@ -87,7 +103,14 @@ class Technology:
     row_height_tracks: int = 9
     w_min_um: float = 0.12
 
+    #: Immutable all the way down (frozen, with read-only layers of
+    #: frozen :class:`WireLayer`), so :mod:`repro.perf.fingerprint`
+    #: keeps this technology's canonical encoding on the instance for its
+    #: lifetime instead of re-walking it for every cache key.
+    FINGERPRINT_MEMO = True
+
     def __post_init__(self) -> None:
+        object.__setattr__(self, "layers", _ReadOnlyLayers(self.layers))
         if self.vdd <= 0:
             raise TechnologyError(f"vdd must be positive, got {self.vdd}")
         if self.r_on_n <= 0 or self.c_gate <= 0 or self.c_diff < 0:
@@ -103,6 +126,11 @@ class Technology:
                          self.routing_layer):
             if required not in self.layers:
                 raise TechnologyError(f"missing wire layer {required!r}")
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Only the fields: a memoized fingerprint encoding is rebuilt on
+        # demand, never shipped to a worker.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # --- derived electrical quantities ------------------------------------
 

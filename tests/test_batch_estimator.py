@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.bricks import (
     BrickSpecBatch,
@@ -171,37 +173,42 @@ _ROW_SHAPES = ((1, 1), (4, 4), (16, 10), (64, 8), (8, 32), (128, 64),
 
 
 def assert_row_equal(one, population, i):
-    """The one-row batch ``one`` is ``==`` to row ``i`` of
-    ``population`` in every column (chains up to the row's stage
-    count; CAM columns at the row's position in ``cam_idx``)."""
+    """The one-point batch ``one`` is ``==`` to point ``i`` of
+    ``population`` in every column, each read through its batch's
+    point -> sized-row index (chains up to the row's stage count; CAM
+    columns at the row's position in ``cam_idx``)."""
     assert {f.name for f in dataclasses.fields(one)} == {
-        "batch", "tech_name", "cell", "nand_cap", "wl_caps", "wl_n",
-        "w_sense_n", "w_sense_p", "w_pull", "w_precharge", "ctrl_caps",
-        "ctrl_n", "preb_caps", "preb_n", "cam_idx", "sl_caps", "sl_n",
-        "w_ml_pre", "w_ml_sense_n", "w_ml_sense_p"}
+        "batch", "tech_name", "row", "first", "cell", "nand_cap",
+        "wl_caps", "wl_n", "w_sense_n", "w_sense_p", "w_pull",
+        "w_precharge", "ctrl_caps", "ctrl_n", "preb_caps", "preb_n",
+        "cam_idx", "sl_caps", "sl_n", "w_ml_pre", "w_ml_sense_n",
+        "w_ml_sense_p"}
     assert one.batch.n_points == 1
     assert one.batch.out_load is None is population.batch.out_load
     for name in ("memory_code", "words", "bits", "stack"):
         assert getattr(one.batch, name)[0] == \
             getattr(population.batch, name)[i], name
+    assert one.row.tolist() == [0] and one.first.tolist() == [0]
+    r = int(population.row[i])
+    assert population.row[population.first[r]] == r
     assert one.tech_name == population.tech_name
     assert one.nand_cap == population.nand_cap
     assert list(one.cell) == list(population.cell)
     for name, column in population.cell.items():
-        assert one.cell[name][0] == column[i], name
+        assert one.cell[name][0] == column[r], name
     for name in ("w_sense_n", "w_sense_p", "w_pull", "w_precharge"):
-        assert getattr(one, name)[0] == getattr(population, name)[i], name
+        assert getattr(one, name)[0] == getattr(population, name)[r], name
 
     def chain(compiled, name, row):
         n = int(getattr(compiled, name + "_n")[row])
         return getattr(compiled, name + "_caps")[row, :n].tolist()
 
     for name in ("wl", "ctrl", "preb"):
-        assert chain(one, name, 0) == chain(population, name, i), name
+        assert chain(one, name, 0) == chain(population, name, r), name
     cam = population.cam_idx.tolist()
-    assert one.cam_idx.tolist() == ([0] if i in cam else [])
-    if i in cam:
-        j = cam.index(i)
+    assert one.cam_idx.tolist() == ([0] if r in cam else [])
+    if r in cam:
+        j = cam.index(r)
         assert chain(one, "sl", 0) == chain(population, "sl", j)
         for name in ("w_ml_pre", "w_ml_sense_n", "w_ml_sense_p"):
             assert getattr(one, name)[0] == getattr(population, name)[j]
@@ -235,6 +242,127 @@ class TestCompileBrickIsARow:
             BrickSpecBatch.from_points([(sram_brick(16, 10), 1)]), tech)
         with pytest.raises(BrickError, match="compiled for"):
             compiled_row(population, cmos28(), 0)
+
+
+#: Stack counts on both sides of the ARBL pull-down's 16 x w_min cap
+#: (a 1- or 4-word brick saturates only past stack ~8, a 256-word one
+#: at stack 1), so populations mix shared and per-stack sized rows.
+_ORACLE_STACKS = (1, 2, 3, 5, 8, 12, 64, 4096)
+
+_ORACLE_LOADS = (1e-15, 4e-15, 5e-14)
+
+
+@st.composite
+def _oracle_points(draw):
+    """``(type, words, bits, stack, out_load)`` points over a few specs,
+    so that bricks and stacks repeat within a population."""
+    specs = draw(st.lists(
+        st.tuples(st.sampled_from(MEMORY_TYPES),
+                  st.sampled_from((1, 4, 16, 256)),
+                  st.sampled_from((1, 8, 10, 32))),
+        min_size=1, max_size=4))
+    return draw(st.lists(
+        st.builds(lambda spec, stack, load: spec + (stack, load),
+                  st.sampled_from(specs), st.sampled_from(_ORACLE_STACKS),
+                  st.sampled_from(_ORACLE_LOADS)),
+        min_size=1, max_size=24))
+
+
+def _columns(types, words, bits, stacks, loads, tech):
+    batch = BrickSpecBatch.from_arrays(types, words, bits, stacks, loads)
+    return estimate_metric_columns(compile_batch(batch, tech), tech)
+
+
+def _point_values(columns, i):
+    """Every metric and component value of point ``i`` (match values
+    at its position in ``cam_idx``, ``None`` for a non-CAM point)."""
+    values = {name: columns[name][i] for name in (
+        "read_delay", "read_energy", "write_energy", "setup",
+        "clock_cap", "wbl_cap", "area_um2", "brick_area", "leakage_w")}
+    values.update({"c." + key: column[i]
+                   for key, column in columns["components"].items()})
+    cam = columns["cam_idx"].tolist()
+    for name in ("match_delay", "match_energy"):
+        values[name] = columns[name][cam.index(i)] if i in cam else None
+    values["hold"] = columns["hold"]
+    return values
+
+
+class TestFactorizationOracle:
+    """The kernel sizes and prices each distinct sized brick once and
+    only the stack/out_load terms per point; the oracle for that split
+    is the same point priced alone, bit for bit."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(points=_oracle_points(), per_point_load=st.booleans())
+    def test_point_equals_its_one_point_batch(self, tech, points,
+                                              per_point_load):
+        types, words, bits, stacks, loads = (list(c)
+                                             for c in zip(*points))
+        if not per_point_load:
+            loads = None
+        population = _columns(types, words, bits, stacks, loads, tech)
+        for i in range(len(points)):
+            alone = _columns(types[i:i + 1], words[i:i + 1],
+                             bits[i:i + 1], stacks[i:i + 1],
+                             None if loads is None else loads[i:i + 1],
+                             tech)
+            assert _point_values(population, i) == \
+                _point_values(alone, 0), (i, points[i])
+
+    @settings(max_examples=25, deadline=None)
+    @given(memory_type=st.sampled_from(MEMORY_TYPES),
+           shape=st.sampled_from(((1, 8), (4, 10), (16, 32), (256, 1))),
+           target_stack=st.sampled_from(_ORACLE_STACKS),
+           stack=st.sampled_from(_ORACLE_STACKS),
+           loads=st.lists(st.sampled_from(_ORACLE_LOADS), min_size=1,
+                          max_size=5))
+    def test_brick_rows_is_one_row_per_load(self, tech, memory_type, shape,
+                                            target_stack, stack, loads):
+        compiled = compile_brick(BrickSpec(memory_type, *shape), tech,
+                                 target_stack=target_stack)
+        rows = brick_rows(compiled, stack, loads)
+        assert rows.first.tolist() == [0]
+        together = estimate_metric_columns(rows, tech)
+        for i, load in enumerate(loads):
+            alone = estimate_metric_columns(
+                brick_rows(compiled, stack, [load]), tech)
+            assert _point_values(together, i) == _point_values(alone, 0)
+
+    def test_lattice_shard_compiles_few_sized_rows(self, tech):
+        from repro.explore.lattice import Lattice, SweepSpace
+        space = SweepSpace(
+            total_words_options=tuple(64 * k for k in range(1, 129)),
+            bits_options=tuple(range(8, 40, 2)),
+            brick_words_options=(4, 8, 16, 32, 64),
+            memory_types=("8T", "6T"))
+        cols = Lattice(space).columns(0, 8192)
+        batch = BrickSpecBatch(memory_code=cols["memory_code"],
+                               words=cols["words"], bits=cols["bits"],
+                               stack=cols["stack"])
+        compiled = compile_batch(batch, tech)
+        n_rows = compiled.first.shape[0]
+        specs = set(zip(batch.memory_code.tolist(), batch.words.tolist(),
+                        batch.bits.tolist()))
+        # One row per spec and pull-down width: at most a few widths
+        # per spec below saturation, against 8192 points.
+        assert len(specs) <= n_rows < 4 * len(specs)
+        assert n_rows * 50 < batch.n_points
+        # Each row is one distinct sized brick, and every point reads a
+        # row of its own spec.
+        rows = set(zip(batch.memory_code[compiled.first].tolist(),
+                       batch.words[compiled.first].tolist(),
+                       batch.bits[compiled.first].tolist(),
+                       compiled.w_pull.tolist()))
+        assert len(rows) == n_rows
+        for name in ("memory_code", "words", "bits"):
+            column = getattr(batch, name)
+            assert (column[compiled.first][compiled.row] == column).all()
+        # ... sized for the point's own stack.
+        for i in range(0, batch.n_points, 97):
+            assert compiled_row(compiled, tech, i) == compile_brick(
+                batch.spec(i), tech, target_stack=int(batch.stack[i]))
 
 
 class TestChunkSlices:

@@ -60,6 +60,45 @@ class TestFingerprint:
         with pytest.raises(TypeError):
             fingerprint(lambda: None)
 
+    def test_technology_memo_keeps_keys_byte_identical(self):
+        """A technology keeps its encoding for its lifetime; the keys
+        built from the memo are the ones disk caches already hold."""
+        from repro.tech import cmos65
+        spec = sram_brick(16, 10)
+        for tech, want in (
+                (cmos65(), "7ba9a2b7bcf9d45a72a133b589b746b5"
+                           "3a9c4423c587225ca924901ed99b555d"),
+                (WORST.apply(cmos65()), "d5f3ee7392be84a18639ebc67df87808"
+                                        "9996a45222deeea6e82b9b7ff21d5ac1")):
+            assert "_fingerprint_stream" not in tech.__dict__
+            assert cache_key("estimate", spec, tech, 4) == want
+            assert "_fingerprint_stream" in tech.__dict__
+            assert cache_key("estimate", spec, tech, 4) == want
+            assert cache_key("estimate", spec, tech, 4, memo={}) == want
+
+    def test_technology_memo_not_pickled(self, tech):
+        fingerprint(tech)
+        clone = pickle.loads(pickle.dumps(tech))
+        assert "_fingerprint_stream" not in clone.__dict__
+        assert clone == tech
+        assert fingerprint(clone) == fingerprint(tech)
+
+    def test_technology_layers_read_only(self, tech):
+        from repro.errors import TechnologyError
+        layer = tech.layers["M1"]
+        for mutate in (lambda d: d.__setitem__("M9", layer),
+                       lambda d: d.__delitem__("M1"),
+                       lambda d: d.update(M9=layer),
+                       lambda d: d.pop("M1"),
+                       lambda d: d.setdefault("M9", layer),
+                       lambda d: d.clear()):
+            for layers in (tech.layers,
+                           pickle.loads(pickle.dumps(tech)).layers):
+                with pytest.raises(TechnologyError, match="read-only"):
+                    mutate(layers)
+        assert set(tech.layers) >= {"M1", "M2", "M3"}
+        assert tech.layers == dict(tech.layers)
+
     def test_key_includes_schema_version_and_kind(self, tech):
         spec = sram_brick(16, 10)
         assert cache_key("estimate", spec, tech, 2) != \

@@ -43,6 +43,7 @@ from repro.perf.parallel import TraceTap, parallel_map
 from repro.serve import BrickServer, Request, ServeClient, ServeContext
 from repro.serve.handlers import (
     LATENCY_PREFIX,
+    dispatch,
     handle_stats,
     handle_telemetry,
 )
@@ -444,6 +445,70 @@ class TestTraceContext:
         write_trace_jsonl(tracer.spans, path, source="client")
         records = read_trace_jsonl(path)
         assert trace_source(records) == "client"
+
+
+class TestDaemonTraceWindow:
+    """A traced daemon keeps the newest request trees, each whole, in at
+    most ``TRACE_SPAN_CAP`` spans, and ``report`` counts the rest."""
+
+    @staticmethod
+    def _daemon():
+        session = Session(cmos65(), jobs=1, cache=CharacterizationCache())
+        session.tracer = Tracer(source="server")
+        return ServeContext(session), session.tracer
+
+    @staticmethod
+    def _characterize(ctx, request_id, words):
+        dispatch(ctx, Request(id=request_id, type="characterize",
+                              params={"type": "8T", "words": words,
+                                      "bits": 10}))
+
+    @staticmethod
+    def _kept_requests(tracer):
+        return sorted({s.attrs["request_id"] for s in tracer.spans
+                       if "request_id" in s.attrs})
+
+    def test_oldest_trees_dropped_whole(self, monkeypatch):
+        from repro.serve import handlers
+        ctx, tracer = self._daemon()
+        root = tracer.open("cli:serve", kind="command")
+        self._characterize(ctx, "r0", 16)
+        tree = len(ctx.traces.trees[-1])
+        assert tree >= 1
+        monkeypatch.setattr(handlers, "TRACE_SPAN_CAP", 2 * tree)
+        for i, words in enumerate((16, 16, 16, 16), start=1):
+            self._characterize(ctx, f"r{i}", words)
+        sizes = [len(t) for t in ctx.traces.trees]
+        assert sum(sizes) <= 2 * tree or len(sizes) == 1
+        assert ctx.traces.n_spans == sum(sizes)
+        assert ctx.traces.dropped == 5 - len(sizes) >= 1
+        kept = self._kept_requests(tracer)
+        assert kept == [f"r{i}" for i in range(5 - len(sizes), 5)]
+        assert len(tracer.spans) == 1 + ctx.traces.n_spans
+        report = handlers.handle_report(ctx, Request(id="rep",
+                                                     type="report"))
+        assert report["dropped_requests"] == ctx.traces.dropped
+        assert (f"trace: {ctx.traces.dropped} oldest request trees "
+                f"dropped") in report["render"]
+        tracer.close(root)
+        tracer.validate()
+
+    def test_newest_tree_always_kept(self, monkeypatch):
+        from repro.serve import handlers
+        monkeypatch.setattr(handlers, "TRACE_SPAN_CAP", 1)
+        ctx, tracer = self._daemon()
+        for i, words in enumerate((16, 32, 64)):
+            self._characterize(ctx, f"r{i}", words)
+            assert self._kept_requests(tracer) == [f"r{i}"]
+        assert ctx.traces.dropped == 2
+        tracer.validate()
+
+    def test_default_cap_never_drops_a_short_session(self):
+        ctx, tracer = self._daemon()
+        for i, words in enumerate((16, 32, 64, 16)):
+            self._characterize(ctx, f"r{i}", words)
+        assert ctx.traces.dropped == 0
+        assert self._kept_requests(tracer) == ["r0", "r1", "r2", "r3"]
 
 
 class TestTraceTap:
