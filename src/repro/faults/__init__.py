@@ -21,11 +21,19 @@ from .defects import (
     FaultyBrick,
     inject,
 )
-from .repair import RepairOutcome, RepairPlan, apply_repair, repaired_spec
+from .repair import (
+    PopulationRepair,
+    RepairOutcome,
+    RepairPlan,
+    apply_repair,
+    repair_population,
+    repaired_spec,
+)
 from .yield_analysis import YieldReport, analyze_yield
 
 __all__ = [
     "DEFECT_KINDS", "Defect", "DefectModel", "FaultyBrick", "inject",
-    "RepairOutcome", "RepairPlan", "apply_repair", "repaired_spec",
+    "PopulationRepair", "RepairOutcome", "RepairPlan", "apply_repair",
+    "repair_population", "repaired_spec",
     "YieldReport", "analyze_yield",
 ]

@@ -118,14 +118,20 @@ class DefectModel:
         counts = np.empty(u.shape, dtype=np.int64)
         for m, cdf in enumerate(_count_cdfs(self, spec)):
             counts[:, m] = np.searchsorted(cdf, u[:, m])
-        positions: List[np.ndarray] = []
-        for m, n_sites in enumerate(sites):
-            rows = np.flatnonzero(counts[:, m])
-            draw = _with_replacement if m == STUCK else _floyd
-            positions.append(draw(dkey, m, n_sites, start + rows,
-                                  counts[rows, m]))
-        return DefectPopulation(spec=spec, model=self, counts=counts,
-                                positions=tuple(positions))
+        rows = np.flatnonzero(counts[:, STUCK])
+        stuck = _with_replacement(dkey, STUCK, sites[STUCK], start + rows,
+                                  counts[rows, STUCK])
+        # The distinct-site mechanisms draw as one batch of (die,
+        # mechanism) pairs, mechanism by mechanism, die by die.
+        mechanisms, rows = np.nonzero(counts[:, BRIDGE:].T)
+        mechanisms += BRIDGE
+        distinct = _floyd(dkey, mechanisms,
+                          np.take(sites, mechanisms), start + rows,
+                          counts[rows, mechanisms])
+        ends = np.cumsum(counts[:, BRIDGE:].sum(axis=0))
+        return DefectPopulation(
+            spec=spec, model=self, counts=counts,
+            positions=(stuck, *np.split(distinct, ends[:-1])))
 
 
 def _sites(spec: BrickSpec) -> Tuple[int, int, int, int]:
@@ -192,27 +198,30 @@ def _with_replacement(dkey: int, mechanism: int, n_sites: int,
     return np.floor((1.0 - u) * (2 * n_sites)).astype(np.int64)
 
 
-def _floyd(dkey: int, mechanism: int, n_sites: int,
+def _floyd(dkey: int, mechanisms: np.ndarray, n_sites: np.ndarray,
            dies: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Distinct sites of the given dies, die by die in ascending order.
+    """Distinct sites of ``(die, mechanism)`` pairs, pair by pair in
+    ascending order (``n_sites`` sites for each pair).
 
-    Floyd's algorithm, one step across all dies at a time: a die of
+    Floyd's algorithm, one step across all pairs at a time: a pair of
     count ``k`` takes, at step ``s``, ``t = floor(u * (j + 1))`` with
     ``j = n_sites - k + s``, or ``j`` itself when ``t`` is taken.
     """
     if not counts.size:
         return np.zeros(0, dtype=np.int64)
-    picks = np.full((counts.size, int(counts.max())), n_sites,
+    # Unfilled slots hold a sentinel above every pair's sites.
+    sentinel = int(n_sites.max())
+    picks = np.full((counts.size, int(counts.max())), sentinel,
                     dtype=np.int64)
     for s in range(picks.shape[1]):
         live = np.flatnonzero(counts > s)
-        j = n_sites - counts[live] + s
-        u = _uniforms(dkey, _counters(dies[live], mechanism, s + 1))
+        j = n_sites[live] - counts[live] + s
+        u = _uniforms(dkey, _counters(dies[live], mechanisms[live], s + 1))
         t = np.floor((1.0 - u) * (j + 1)).astype(np.int64)
         taken = (picks[live, :s] == t[:, None]).any(axis=1)
         picks[live, s] = np.where(taken, j, t)
     picks.sort(axis=1)
-    return picks[picks < n_sites]
+    return picks[picks < sentinel]
 
 
 @dataclass(frozen=True)
@@ -276,8 +285,9 @@ class DefectPopulation:
     pairs, weak sense amps and open vias (columns :data:`STUCK`,
     :data:`BRIDGE`, :data:`WEAK`, :data:`VIA`).  ``positions[m]`` holds
     mechanism ``m``'s sites of every die, die by die (stuck cells as
-    ``2 * cell + value``).  Yield and derate are column operations;
-    only a defective die needs its :meth:`brick`.
+    ``2 * cell + value``).  Yield, derate and repair
+    (:func:`~repro.faults.repair.repair_population`) are column
+    operations; :meth:`brick` is one die's view.
     """
 
     spec: BrickSpec
@@ -289,10 +299,6 @@ class DefectPopulation:
     def perfect(self) -> np.ndarray:
         """Bool column: the die has no defect at all."""
         return ~self.counts.any(axis=1)
-
-    def defective(self) -> np.ndarray:
-        """Row indices of the dies with at least one defect."""
-        return np.flatnonzero(self.counts.any(axis=1))
 
     def derate(self) -> np.ndarray:
         """Unrepaired read-path derate column

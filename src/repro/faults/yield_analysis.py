@@ -19,14 +19,16 @@ runs ``repro faults`` twice in-process and diffs the reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from ..bricks.spec import BrickSpec
 from ..errors import YieldError
 from ..perf.characterize import cached_stdcell_library, estimate_points
 from ..session import Session
 from .defects import DefectModel
-from .repair import RepairPlan, apply_repair, repaired_spec
+from .repair import RepairPlan, repair_population, repaired_spec
 
 
 def _ecc_logic_area(data_bits: int, session: Session) -> float:
@@ -145,9 +147,12 @@ def analyze_yield(spec: BrickSpec, stack: int = 1, partitions: int = 1,
     seed, the analyzed geometry and ``i``, so reruns (and parallel
     callers with the same session) agree exactly, and a larger
     population extends a smaller one.  Raw yield is the population's
-    zero-defect column; only defective bricks go through
-    :func:`apply_repair`.  Raw and repaired yields score the *same*
-    population, which guarantees repair can only help.
+    zero-defect column and repaired yield the ``ok`` column of
+    :func:`~repro.faults.repair.repair_population`; the spare and ECC
+    totals sum its columns over the repaired bricks, and the first
+    three unrepairable bricks give the report's reasons.  Raw and
+    repaired yields score the *same* population, which guarantees
+    repair can only help.
     """
     model = model or DefectModel()
     plan = plan or RepairPlan()
@@ -158,24 +163,16 @@ def analyze_yield(spec: BrickSpec, stack: int = 1, partitions: int = 1,
     from ..signoff.rng import stream_key
     key = stream_key(session.seed, f"faults:{spec.name}:s{stack}")
 
-    rows_used = cols_used = ecc_words = 0
-    unrepairable: List[str] = []
     with session.span(f"yield:{spec.name}", kind="phase",
                       stack=stack, n_bricks=n_bricks):
         with session.span("sample_population", kind="phase",
                           n_bricks=n_bricks):
             population = model.population(spec, key, 0, n_bricks)
-            brick_raw = population.perfect
-            brick_repaired = brick_raw.copy()
-            for row in population.defective():
-                outcome = apply_repair(population.brick(row), plan)
-                brick_repaired[row] = outcome.ok
-                if outcome.ok:
-                    rows_used += outcome.rows_used
-                    cols_used += outcome.cols_used
-                    ecc_words += outcome.ecc_words
-                elif len(unrepairable) < 3:
-                    unrepairable.append(outcome.reason)
+            repair = repair_population(population, plan)
+            brick_raw, brick_repaired = population.perfect, repair.ok
+            unrepairable = tuple(
+                repair.outcome(die).reason
+                for die in np.flatnonzero(~brick_repaired)[:3])
 
         with session.span("bank_rollup", kind="phase"):
             n_banks = max(1, n_bricks // bricks_per_bank)
@@ -203,8 +200,10 @@ def analyze_yield(spec: BrickSpec, stack: int = 1, partitions: int = 1,
         repaired_yield=int(brick_repaired.sum()) / n_bricks,
         raw_bank_yield=raw_banks / n_banks,
         repaired_bank_yield=repaired_banks / n_banks,
-        rows_used=rows_used, cols_used=cols_used, ecc_words=ecc_words,
-        unrepairable=tuple(unrepairable),
+        rows_used=int(repair.bad_rows[brick_repaired].sum()),
+        cols_used=int(repair.bad_cols[brick_repaired].sum()),
+        ecc_words=int(repair.ecc_words[brick_repaired].sum()),
+        unrepairable=unrepairable,
         area_overhead=(expanded.area_um2 * stack + ecc_area)
         / bank_area - 1.0,
         delay_overhead=expanded.read_delay / nominal.read_delay - 1.0,

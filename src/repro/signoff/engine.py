@@ -14,9 +14,10 @@ Pricing rides the closed-form scaling law: under
 energy by ``c*v**2`` and leakage by ``l*v``, so one cached estimate
 per corner prices the whole population as numpy column ops — no
 per-sample compile.  The defect draw is a population over the same
-counter streams (:meth:`repro.faults.DefectModel.population`); only
-the few defective dies run the repair allocator as Python, inside
-chunk workers fanned over :func:`repro.perf.parallel.parallel_imap`.
+counter streams (:meth:`repro.faults.DefectModel.population`), and its
+repair is one column allocator over the drawn defects
+(:func:`repro.faults.repair.repair_population`), inside chunk workers
+fanned over :func:`repro.perf.parallel.parallel_imap`.
 
 Robustness is the headline:
 
@@ -43,7 +44,7 @@ import numpy as np
 from ..bricks.spec import BrickSpec
 from ..errors import SignoffError
 from ..faults.defects import DefectModel
-from ..faults.repair import RepairPlan, apply_repair
+from ..faults.repair import RepairPlan, repair_population
 from ..obs.trace import maybe_span
 from ..perf.characterize import cached_estimate
 from ..perf.fingerprint import cache_key
@@ -149,28 +150,22 @@ def chunk_bounds(n_samples: int,
 def _chunk_worker(task: Tuple) -> ChunkResult:
     """Price one chunk of the sample stream (module-level: picklable).
 
-    PVT columns and the defect population both come vectorized from
-    the counter streams at the global sample indices, so any chunking
-    or worker count sees the same dies.  Raw yield and derate are
-    columns of the population's counts; a die with no defects is
-    repair-ok (no plan fails an empty brick: spare counts are
-    validated >= 0), so only the defective dies become a
-    :class:`~repro.faults.defects.FaultyBrick` for :func:`apply_repair`.
+    PVT columns, the defect population and its repair all come
+    vectorized from the counter streams at the global sample indices,
+    so any chunking or worker count sees the same dies.  Raw yield and
+    derate are columns of the population's counts; repaired yield is
+    :func:`~repro.faults.repair.repair_population`'s column, which
+    touches only the defects of the few defective dies.
     """
     (spec, model, defects, repair, chunk, start, stop, key) = task
     cols = pvt_columns(model, key, start, stop)
     population = defects.population(spec, key, start, stop)
-    raw_ok = population.perfect
-    repaired_ok = raw_ok.copy()
-    for row in population.defective():
-        repaired_ok[row] = apply_repair(population.brick(row),
-                                        repair).ok
     return ChunkResult(
         chunk=chunk, start=start, stop=stop,
         r_scale=cols["r_scale"], c_scale=cols["c_scale"],
         vdd_scale=cols["vdd_scale"], leak_scale=cols["leak_scale"],
-        derate=population.derate(), raw_ok=raw_ok,
-        repaired_ok=repaired_ok,
+        derate=population.derate(), raw_ok=population.perfect,
+        repaired_ok=repair_population(population, repair).ok,
         defect_counts=population.kind_counts())
 
 
@@ -347,8 +342,10 @@ class SignoffEngine:
         self.corners = tuple(corners)
         if not self.corners:
             raise SignoffError("need at least one corner")
-        for name in self.corners:
+        for index, name in enumerate(self.corners):
             corner(name)  # raises on unknown names
+            if name in self.corners[:index]:
+                raise SignoffError(f"corner {name!r} is listed twice")
         self.stack = stack
         self.n_samples = n_samples
         self.chunk_size = chunk_size

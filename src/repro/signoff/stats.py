@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from .rng import resample_indices
+from .rng import resample_rows
 
 #: Report percentiles (the P50/P95/P99.9 the roadmap asks for).
 PERCENTILES = (50.0, 95.0, 99.9)
@@ -24,9 +24,15 @@ PERCENTILES = (50.0, 95.0, 99.9)
 #: Bootstrap resamples per confidence interval.
 N_BOOT = 200
 
-#: Resample indices generated at a time (rows x samples): three
-#: resamples of a 40k-sample population.
+#: Draw counts per product (resamples x samples): a float block of
+#: 1 MB, 65 resamples of a 2000-sample population ...
 BOOT_BATCH = 1 << 17
+
+#: ... but never fewer than this many resamples.  A product re-reads
+#: the whole ``(k, n)`` block of columns, so a 40k-sample population
+#: takes 8 resamples (2.5 MB of counts) per product rather than the
+#: 3 that :data:`BOOT_BATCH` holds.
+BOOT_MIN_ROWS = 8
 
 #: z-score of the two-sided 95 % normal interval.
 Z95 = 1.959963984540054
@@ -65,11 +71,15 @@ def bootstrap_mean_ci(values: np.ndarray, key: int,
     how the values were produced, and comparable across rows.
     Degenerate inputs (n == 1) collapse the interval onto the value.
 
-    No resample is gathered: the indices are generated a few resamples
-    at a time (:data:`BOOT_BATCH` indices), each resample becomes its
-    ``np.bincount`` draw counts, and the means of every row under every
-    resample of the batch are one ``(k, n) @ (n, rows)`` product.  The
-    resamples are those of the index matrix; only the order of the
+    No resample is gathered.  The indices come a cache-sized group of
+    resamples at a time (:func:`~repro.signoff.rng.resample_rows`, one
+    resample at n = 40k), and each resample becomes its row of
+    ``np.bincount`` draw counts in a block of :data:`BOOT_BATCH` counts
+    or :data:`BOOT_MIN_ROWS` resamples, whichever is larger.  The
+    means of every row under every
+    resample of a block are one ``(k, n) @ (n, rows)`` product, and
+    both CI percentiles of every row come from one ``axis=1`` call.
+    The resamples are those of the index matrix; only the order of the
     summation differs from gathering them, so a mean moves by rounding
     alone (and a 0/1 row's mean, a sum of integers, not at all).
     """
@@ -81,21 +91,18 @@ def bootstrap_mean_ci(values: np.ndarray, key: int,
         out = [{"lo": float(col[0]), "hi": float(col[0])} for col in cols]
     else:
         sums = np.empty((k, n_boot))
-        step = max(1, BOOT_BATCH // n)
-        for first in range(0, n_boot, step):
-            last = min(first + step, n_boot)
-            ir = resample_indices(key, n, last - first, block=block,
-                                  start=first)
-            # Offset each resample into its own n-bin range so one
-            # bincount counts every row of the batch.
-            ir += np.arange(0, ir.size, n, dtype=np.int64)[:, None]
-            counts = np.bincount(ir.ravel(), minlength=ir.size)
-            sums[:, first:last] = cols @ counts.reshape(
-                last - first, n).T.astype(np.float64)
-        out = []
-        for row_means in sums / n:
-            lo, hi = np.percentile(row_means, (2.5, 97.5))
-            out.append({"lo": float(lo), "hi": float(hi)})
+        counts = np.empty(
+            (min(n_boot, max(BOOT_MIN_ROWS, BOOT_BATCH // n)), n))
+        done = filled = 0
+        for group in resample_rows(key, n, n_boot, block=block):
+            for index in group:
+                counts[filled] = np.bincount(index, minlength=n)
+                filled += 1
+                if filled == counts.shape[0] or done + filled == n_boot:
+                    sums[:, done:done + filled] = cols @ counts[:filled].T
+                    done, filled = done + filled, 0
+        bounds = np.percentile(sums / n, (2.5, 97.5), axis=1)
+        out = [{"lo": float(lo), "hi": float(hi)} for lo, hi in bounds.T]
     return out[0] if values.ndim == 1 else out
 
 
@@ -113,15 +120,10 @@ def summarize(values: np.ndarray, key: Optional[int] = None,
     cols = _as_rows(values)
     if cols.shape[1] == 0:
         raise ValueError("cannot summarize an empty sample")
-    out = []
-    for col in cols:
-        p50, p95, p999 = np.percentile(col, PERCENTILES)
-        out.append({
-            "mean": float(col.mean()),
-            "p50": float(p50),
-            "p95": float(p95),
-            "p99_9": float(p999),
-        })
+    p50, p95, p999 = np.percentile(cols, PERCENTILES, axis=1)
+    out = [{"mean": float(col.mean()), "p50": float(a),
+            "p95": float(b), "p99_9": float(c)}
+           for col, a, b, c in zip(cols, p50, p95, p999)]
     if key is not None:
         for summary, ci in zip(out, bootstrap_mean_ci(cols, key,
                                                       block=block)):

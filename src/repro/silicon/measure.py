@@ -95,8 +95,9 @@ def measure_chips(configs: Sequence[str],
     wafer sort: the die's bricks are a defect population keyed by the
     session master seed, the configuration and the die
     (:meth:`~repro.faults.DefectModel.population`), the default
-    :class:`~repro.faults.RepairPlan` is applied to the defective ones,
-    and dies with an unrepairable brick are recorded in
+    :class:`~repro.faults.RepairPlan` is allocated over all of them
+    (:func:`~repro.faults.repair.repair_population`), and dies with an
+    unrepairable brick are recorded in
     :attr:`ConfigMeasurements.dead_chips` instead of being measured.
 
     Every die re-runs the full flow (library regeneration included) at
@@ -129,7 +130,7 @@ def measure_chips(configs: Sequence[str],
         with session.span(f"measure:{config}", kind="flow",
                           n_chips=n_chips) as mspan:
             if defect_model is not None:
-                from ..faults import RepairPlan, apply_repair
+                from ..faults import RepairPlan, repair_population
                 from ..signoff.rng import stream_key
                 from .testchip import config_bank
                 bank = config_bank(config)
@@ -140,8 +141,7 @@ def measure_chips(configs: Sequence[str],
                         f"silicon:{config}:chip{sample.chip_id}")
                     bricks = defect_model.population(
                         bank.brick, key, 0, bank.n_bricks)
-                    if not all(apply_repair(bricks.brick(row), plan).ok
-                               for row in bricks.defective()):
+                    if not repair_population(bricks, plan).ok.all():
                         dead.append(sample.chip_id)
             for sample in samples:
                 if sample.chip_id in dead:

@@ -4,10 +4,10 @@ Three hot loops of the Fig-3 flow are written for speed: placement (a
 BFS seed order that visits each net once, then an annealer over index
 arrays with incremental net bounding boxes), the logic simulator's
 ``settle`` (precompiled gate tuples) and the LUT axis lookup
-(``bisect``).  Three more belong to Monte Carlo signoff: the chunk
-worker over a vectorized defect population (only defective dies are
-repaired), the in-place counter streams, and the count-weighted paired
-bootstrap.  The waveform crossing search of the Table-1 measurements is
+(``bisect``).  Four more belong to Monte Carlo signoff: the chunk
+worker over a vectorized defect population, the column repair
+allocator (against the one-die ``apply_repair``), the in-place counter
+streams, and the count-weighted paired bootstrap.  The waveform crossing search of the Table-1 measurements is
 array operations, the testbench clocks sample a whole time grid in one
 call, the transient reference evaluates its device law in place, and
 the brick compiler and estimator are rows of the batch kernel.  Each
@@ -38,7 +38,7 @@ from typing import Dict, List, Set
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.bricks import brick_cell_model, build_match_testbench, \
@@ -63,7 +63,8 @@ from repro.circuit.logical_effort import optimal_stage_effort, \
     parasitic_inv
 from repro.circuit.spice import TransientResult
 from repro.errors import SimulationError
-from repro.faults import DefectModel, RepairPlan, apply_repair, inject
+from repro.faults import DefectModel, RepairPlan, apply_repair, inject, \
+    repair_population
 from repro.faults.defects import (
     OPEN_VIA,
     STUCK_AT_0,
@@ -79,6 +80,7 @@ from repro.rtl.module import FlatCell, FlatNetlist
 from repro.session import Session
 from repro.signoff import normals, pvt_columns, resample_indices, \
     stream_key, uniforms
+from repro.signoff import rng as rng_module
 from repro.signoff import stats as signoff_stats
 from repro.signoff.engine import ChunkResult, _chunk_worker
 from repro.signoff.stats import N_BOOT, PERCENTILES, proportion_summary, \
@@ -679,6 +681,69 @@ class TestSignoffWorkerMatchesReference:
         assert WORDLINE_BRIDGE not in one_word.defect_counts
 
 
+class TestRepairColumnsMatchApplyRepair:
+    """The column allocator against the one-die rule it replaced in the
+    chunk worker, the yield study and wafer sort: every die's ``ok``,
+    and on a repaired die the spares and ECC words it uses, ``==``
+    :func:`apply_repair`; so is every die's full outcome, reason
+    included (the yield report prints the first three)."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(brick=st.sampled_from(sorted(SIGNOFF_BRICKS)),
+           model=st.sampled_from(sorted(DEFECT_MODELS)),
+           spare_rows=st.integers(0, 3), spare_cols=st.integers(0, 3),
+           ecc=st.booleans(), start=st.integers(0, 1 << 20))
+    @example(brick="8T_64x32", model="hot", spare_rows=3, spare_cols=3,
+             ecc=False, start=0)
+    @example(brick="8T_64x32", model="hot", spare_rows=3, spare_cols=3,
+             ecc=True, start=0)
+    def test_every_die_matches(self, brick, model, spare_rows,
+                               spare_cols, ecc, start):
+        plan = RepairPlan(spare_rows=spare_rows, spare_cols=spare_cols,
+                          ecc=ecc)
+        population = DEFECT_MODELS[model].population(
+            SIGNOFF_BRICKS[brick], stream_key(2015, "faults:oracle"),
+            start, start + 200)
+        repair = repair_population(population, plan)
+        for die in range(200):
+            want = apply_repair(population.brick(die), plan)
+            assert bool(repair.ok[die]) is want.ok, die
+            if want.ok:
+                assert (repair.bad_rows[die], repair.bad_cols[die],
+                        repair.ecc_words[die]) == (
+                    want.rows_used, want.cols_used, want.ecc_words), die
+            assert repair.outcome(die) == want, die
+
+    def test_cases_are_not_vacuous(self):
+        """The pinned examples hold a repaired die with a stuck cell in
+        a replaced column and one with a single stuck bit on a bridged
+        row (the two rules a stuck cell meets before ECC), plus dies
+        refused on columns and on rows."""
+        spec = SIGNOFF_BRICKS["8T_64x32"]
+        population = DEFECT_MODELS["hot"].population(
+            spec, stream_key(2015, "faults:oracle"), 0, 200)
+        plan = RepairPlan(spare_rows=3, spare_cols=3, ecc=True)
+        absorbed = on_dead_row = 0
+        for die in range(200):
+            faulty = population.brick(die)
+            if not apply_repair(faulty, plan).ok:
+                continue
+            bad = faulty.dead_cols | faulty.weak_cols
+            stuck = faulty.stuck_cells
+            absorbed += any(bit in bad for _, bit in stuck)
+            on_dead_row += any(
+                row in faulty.dead_rows and bit not in bad
+                and sum(r == row for r, _ in stuck) == 1
+                for row, bit in stuck)
+        assert absorbed and on_dead_row
+        bare = repair_population(population, RepairPlan(spare_rows=0,
+                                                         spare_cols=0))
+        reasons = {bare.outcome(die).reason.split()[2]
+                   for die in np.flatnonzero(~bare.ok)}
+        assert reasons == {"columns", "rows"}
+
+
 class TestCounterStreamsMatchReference:
     """The in-place stream arithmetic gives the bits of the version that
     allocated a fresh array per operation."""
@@ -730,6 +795,7 @@ class TestBootstrapMatchesReference:
     def test_summaries_match(self, monkeypatch, n, boot_batch):
         if boot_batch is not None:
             monkeypatch.setattr(signoff_stats, "BOOT_BATCH", boot_batch)
+            monkeypatch.setattr(signoff_stats, "BOOT_MIN_ROWS", 1)
         floats, flags = _boot_columns(n)
         key = stream_key(11, "signoff-boot:oracle")
         idx = reference_resample_indices(key, n, N_BOOT)
@@ -748,16 +814,65 @@ class TestBootstrapMatchesReference:
                 "rate": expected["mean"], "ci_lo": expected["ci_lo"],
                 "ci_hi": expected["ci_hi"]}
 
+    @pytest.mark.parametrize("n", [1, 2, 37, 40_000])
     @pytest.mark.parametrize("block", [0, 3])
-    def test_resample_rows_identical(self, block):
+    def test_resample_rows_identical(self, n, block):
+        """Whole matrices, 7-row parts and one-row slices are the rows of
+        the gathered oracle, on both sides of the one-row group size."""
         key = stream_key(9, "boot")
-        whole = reference_resample_indices(key, 37, 50, block=block)
-        assert np.array_equal(resample_indices(key, 37, 50, block=block),
-                              whole)
-        parts = [resample_indices(key, 37, min(7, 50 - first),
+        n_boot = 50 if n < 40_000 else 12
+        whole = reference_resample_indices(key, n, n_boot, block=block)
+        assert np.array_equal(
+            resample_indices(key, n, n_boot, block=block), whole)
+        parts = [resample_indices(key, n, min(7, n_boot - first),
                                   block=block, start=first)
-                 for first in range(0, 50, 7)]
+                 for first in range(0, n_boot, 7)]
         assert np.array_equal(np.concatenate(parts), whole)
+        for row in (0, 1, n_boot - 1):
+            assert np.array_equal(
+                resample_indices(key, n, 1, block=block, start=row),
+                whole[row:row + 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 40_000, 2**31 - 1, 2**31])
+    def test_index_map_at_its_edges(self, n):
+        """Counters crafted to mix to ``z >> 11`` of 0 and 2^53 - 1 (the
+        uniforms 2^-53 and 1) map as ``floor((1 - u) * n)`` does."""
+        key = stream_key(9, "boot")
+        words = [0, 0x7FF, 0x800, (1 << 64) - 0x801,
+                 (1 << 64) - 0x800, (1 << 64) - 1, 0x0123456789ABCDEF]
+        counters = np.array([_counter_for(key, w) for w in words],
+                            dtype=np.uint64)
+        u = reference_uniforms(key, counters)
+        assert u[0] == u[1] == 2.0 ** -53 and u[4] == u[5] == 1.0
+        want = np.floor((1.0 - u) * n).astype(np.int64)
+        z = (counters + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15) \
+            + np.uint64(key)
+        got = rng_module._indices(z, np.empty_like(z),
+                                  np.empty(z.shape), n)
+        assert np.array_equal(got, want)
+        assert got[0] == got[1] == n - 1 and got[4] == got[5] == 0
+
+
+_M64 = (1 << 64) - 1
+
+
+def _unxorshift(z, shift):
+    """Invert ``z ^ (z >> shift)`` on 64-bit ints."""
+    x = z
+    for _ in range(64 // shift + 1):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _counter_for(key, word):
+    """The stream counter whose splitmix64 output under ``key`` is
+    ``word``: the finalizer run backwards, then ``(c + 1) * GAMMA``."""
+    z = _unxorshift(word, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & _M64
+    z = _unxorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _M64
+    z = _unxorshift(z, 30)
+    return ((z - key) * pow(0x9E3779B97F4A7C15, -1, 1 << 64) - 1) & _M64
 
 
 # --- reference transient simulator: dense LU in sorted node order -----------

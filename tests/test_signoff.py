@@ -620,6 +620,16 @@ class TestServeSignoff:
                 dispatch(ctx, Request(id="bad", type="signoff",
                                       params=params))
 
+    def test_duplicate_corners_rejected(self, tech):
+        """A served corner list naming a corner twice is refused, like
+        the CLI's, instead of bootstrapping the corner's rows twice."""
+        ctx = self._ctx(tech)
+        with pytest.raises(SignoffError, match="'nominal' is listed twice"):
+            dispatch(ctx, Request(
+                id="dup", type="signoff",
+                params={"samples": 128, "chunk_size": 64,
+                        "corners": ["nominal", "nominal"]}))
+
     def test_served_seed_param_matches_local_seed(self, tech):
         ctx = self._ctx(tech)
         result = dispatch(ctx, Request(
@@ -721,6 +731,16 @@ class TestCli:
         assert payload["samples_used"] == 128
         assert "render" not in payload
 
+    def test_duplicate_corners_exit_as_signoff_error(self, capsys):
+        from repro.cli import main
+        from repro.errors import exit_code_for
+        code = main(["--no-cache", "signoff", "--samples", "64",
+                     "--corners", "worst", "nominal", "worst"])
+        captured = capsys.readouterr()
+        assert code == exit_code_for(SignoffError("")) == 32
+        assert "'worst' is listed twice" in captured.err
+        assert captured.out == ""
+
     def test_cross_process_jobs_determinism(self, tmp_path):
         """Satellite: two subprocess runs at different --jobs emit
         byte-identical stdout (stderr carries the timing)."""
@@ -753,6 +773,9 @@ class TestPlanValidation:
             SignoffEngine(session, spec=SPEC, corners=())
         with pytest.raises(Exception):
             SignoffEngine(session, spec=SPEC, corners=("typ",))
+        with pytest.raises(SignoffError, match="'best' is listed twice"):
+            SignoffEngine(session, spec=SPEC,
+                          corners=("best", "nominal", "best"))
 
     def test_fingerprint_covers_inputs(self, tech):
         session = _session(tech)
