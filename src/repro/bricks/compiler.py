@@ -95,15 +95,6 @@ class CompiledBrick:
         """Array height plus the sense strip — the ARBL span per brick."""
         return self.array_height_um + 2.0 * self.bitcell.height_um
 
-    def n_transistors(self) -> int:
-        """Total device count (netlist-size report)."""
-        cells = self.spec.words * self.spec.bits * \
-            self.bitcell.n_transistors
-        periphery = self.spec.words * 10 + self.spec.bits * 4 + 8
-        if self.spec.is_cam:
-            periphery += self.spec.bits * 6 + self.spec.words * 4
-        return cells + periphery
-
 
 def compile_brick(spec: BrickSpec, tech: Technology,
                   target_stack: int = 1) -> CompiledBrick:

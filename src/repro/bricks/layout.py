@@ -10,7 +10,6 @@ with matchline sense on the right.  It emits:
 * physical dimensions / area (consumed by the library model and the
   floorplanner),
 * pin positions on the brick boundary (consumed by routing estimation),
-* a routing blockage box (bricks are hard macros to the placer),
 * a :class:`~repro.tech.patterns.PatternGrid`, checked hotspot-free under
   the restrictive-patterning rules — the layout-level guarantee that makes
   fine-grained logic-in-memory integration legal (Fig. 1c).
@@ -81,11 +80,6 @@ class BrickLayout:
     @property
     def area_um2(self) -> float:
         return self.width_um * self.height_um
-
-    @property
-    def blockage(self) -> Rect:
-        """Bricks are opaque macros: the whole extent blocks routing."""
-        return Rect(0.0, 0.0, self.width_um, self.height_um)
 
     @property
     def array_efficiency(self) -> float:

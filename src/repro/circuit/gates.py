@@ -69,10 +69,6 @@ class GateType:
             raise NetlistError(
                 f"gate {self.name!r} missing logical effort for {missing}")
 
-    @property
-    def n_inputs(self) -> int:
-        return len(self.pins)
-
     def evaluate(self, values: Sequence[bool]) -> bool:
         """Evaluate the Boolean function on input values in pin order."""
         if len(values) != len(self.pins):

@@ -34,10 +34,6 @@ class Waveform:
         """Linearly interpolated value at ``time``."""
         return float(np.interp(time, self.t, self.v))
 
-    @property
-    def final(self) -> float:
-        return float(self.v[-1])
-
     def crossing(self, level: float, rising: Optional[bool] = None,
                  after: float = 0.0) -> float:
         """First time the waveform crosses ``level`` after time ``after``.
@@ -79,10 +75,6 @@ class Waveform:
             t1 = self.crossing(v_low, rising=False, after=t0)
         return t1 - t0
 
-    def integral(self) -> float:
-        """Trapezoidal integral of the waveform (used for charge/energy)."""
-        return float(np.trapezoid(self.v, self.t))
-
 
 def ramp(t_start: float, t_rise: float, v0: float, v1: float):
     """Return a piecewise-linear ramp stimulus ``v(t)`` callable."""
@@ -95,18 +87,5 @@ def ramp(t_start: float, t_rise: float, v0: float, v1: float):
         if time >= t_start + t_rise:
             return v1
         return v0 + (v1 - v0) * (time - t_start) / t_rise
-
-    return v_of_t
-
-
-def pulse(t_start: float, width: float, t_edge: float, v0: float, v1: float):
-    """Return a pulse stimulus callable with symmetric edges."""
-    if width <= 0 or t_edge <= 0:
-        raise SimulationError("pulse width and edge time must be positive")
-    rise = ramp(t_start, t_edge, v0, v1)
-    fall = ramp(t_start + t_edge + width, t_edge, 0.0, 1.0)
-
-    def v_of_t(time: float) -> float:
-        return rise(time) + (v0 - v1) * fall(time)
 
     return v_of_t

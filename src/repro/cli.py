@@ -68,7 +68,7 @@ from .perf import (
     reset_executor_stats,
     set_default_executor_policy,
 )
-from .rtl import build_sram, emit_hierarchy
+from .rtl import build_sram, emit_module
 from .session import DEFAULT_SEED, PrintingSink, Session
 from .synth import flow_report, prepare_libraries
 from .tech import by_name
@@ -175,7 +175,7 @@ def cmd_sram(args) -> int:
     module = build_sram(config)
     if args.verilog:
         with open(args.verilog, "w", encoding="utf-8") as handle:
-            handle.write(emit_hierarchy(module))
+            handle.write(emit_module(module))
         print(f"wrote {args.verilog}")
 
     def stimulus(sim):

@@ -3,7 +3,7 @@
 The supported sweep entry point is :class:`SweepEngine` — one facade
 for everything from the 9-point Fig. 4c study to a million-point
 sharded, checkpointed lattice sweep (``plan() -> run() ->
-iter_results()/frontier()``).  The Fig. 4c partition sweep and brick
+frontier()``).  The Fig. 4c partition sweep and brick
 selection are also reachable as :class:`~repro.session.Session`
 methods.
 """

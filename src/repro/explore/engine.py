@@ -2,7 +2,7 @@
 
 :class:`SweepEngine` runs every sweep under one
 :class:`~repro.session.Session` behind a single ``plan() -> run() ->
-iter_results()/frontier()`` shape:
+frontier()`` shape:
 
 * **cached mode** (small sweeps, the Fig. 4c path): delegates to the
   historical grid executor, so per-point cache keys, tracing spans and
@@ -27,7 +27,6 @@ import json
 from dataclasses import dataclass, field
 from typing import (
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -281,20 +280,6 @@ class SweepEngine:
             self.run()
         return list(self._result.frontier)
 
-    def iter_results(self) -> Iterator[ScalePoint]:
-        """Stream the surviving points: frontier first (by index),
-        then any top-K extras not already on the frontier."""
-        if self._result is None:
-            self.run()
-        seen = set()
-        for point in self._result.frontier:
-            seen.add(point.index)
-            yield point
-        for _, point in self._result.top:
-            if point.index not in seen:
-                seen.add(point.index)
-                yield point
-
     # -- refinement --------------------------------------------------
 
     def refine(self, rounds: int = 1,
@@ -367,7 +352,6 @@ class SweepEngine:
         space = plan.space
         memory_type = space.memory_types[0]
         legacy_plan = _plan_grid(
-            session.tech,
             total_words_options=space.total_words_options,
             bits_options=space.bits_options,
             brick_words_options=space.brick_words_options,

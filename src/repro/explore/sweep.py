@@ -16,8 +16,8 @@ like a standard-cell drive selection instead of taking it as an input.
 The supported sweep entry point is the
 :class:`~repro.explore.engine.SweepEngine` facade (one ``plan() ->
 run() -> frontier()`` shape up to 10^6 points).  This module holds the
-grid path its ``cached`` mode runs on: ``_plan_grid`` (pure lattice +
-fingerprint) and ``_execute_grid`` (blocking characterization), plus
+grid path its ``cached`` mode runs on: ``_plan_grid`` (pure lattice)
+and ``_execute_grid`` (blocking characterization), plus
 the private implementations the :class:`~repro.session.Session`
 methods delegate to.
 """
@@ -31,11 +31,9 @@ from ..bricks.spec import BrickSpec
 from ..errors import ExplorationError
 from ..obs.trace import maybe_span
 from ..perf.characterize import estimate_points
-from ..perf.fingerprint import cache_key
 from ..perf.parallel import TaskFailure
 from ..perf.timer import Stopwatch
 from ..session import FaultEvent, Session
-from ..tech.technology import Technology
 
 
 @dataclass(frozen=True)
@@ -127,33 +125,23 @@ class SweepPlan:
 
     Built by ``_plan_grid`` without touching the cache or the
     executor: the lattice ``grid`` (``(bits, brick_words, total_words,
-    stack)`` rows), the characterization ``tasks`` in grid order, and a
-    content ``fingerprint`` over every input that shapes the result —
-    the identity a coalescing server shares one computation under (two
-    clients asking for the same sweep against the same technology hash
-    to the same plan).
+    stack)`` rows) and the characterization ``tasks`` in grid order.
     """
 
     grid: Tuple[Tuple[int, int, int, int], ...]
     tasks: Tuple[Tuple[BrickSpec, int], ...]
     memory_type: str
-    fingerprint: str
 
     @property
     def n_points(self) -> int:
         return len(self.grid)
 
 
-def _plan_grid(tech: Technology,
-               total_words_options: Sequence[int] = (128,),
+def _plan_grid(total_words_options: Sequence[int] = (128,),
                bits_options: Sequence[int] = (8, 16, 32),
                brick_words_options: Sequence[int] = (16, 32, 64),
                memory_type: str = "8T") -> SweepPlan:
-    """Lay out the sweep lattice and fingerprint it (no computation).
-
-    Pure: safe to call on an event loop, and cheap enough to call per
-    request just to learn the coalescing key.
-    """
+    """Lay out the sweep lattice (no computation)."""
     grid: List[Tuple[int, int, int, int]] = []
     for bits in bits_options:
         for brick_words in brick_words_options:
@@ -166,9 +154,8 @@ def _plan_grid(tech: Technology,
         raise ExplorationError("sweep produced no points")
     tasks = tuple((BrickSpec(memory_type, brick_words, bits), stack)
                   for bits, brick_words, _, stack in grid)
-    fp = cache_key("sweep", memory_type, list(grid), tech)
     return SweepPlan(grid=tuple(grid), tasks=tasks,
-                     memory_type=memory_type, fingerprint=fp)
+                     memory_type=memory_type)
 
 
 def _sweep_partitions_impl(
@@ -183,7 +170,7 @@ def _sweep_partitions_impl(
 
     The default arguments are exactly the paper's: 128x{8,16,32} bit
     SRAMs built from 16/32/64-word bricks (9 brick compilations).
-    The composition of ``_plan_grid`` (pure lattice + fingerprint) and
+    The composition of ``_plan_grid`` (pure lattice) and
     ``_execute_grid`` (blocking characterization).
 
     Characterization routes through :mod:`repro.perf` under
@@ -198,8 +185,7 @@ def _sweep_partitions_impl(
     healthy point still comes back, in grid order.  A sweep in which
     *every* point failed raises :class:`ExplorationError`.
     """
-    plan = _plan_grid(session.tech,
-                      total_words_options=total_words_options,
+    plan = _plan_grid(total_words_options=total_words_options,
                       bits_options=bits_options,
                       brick_words_options=brick_words_options,
                       memory_type=memory_type)

@@ -271,9 +271,6 @@ class Tracer:
     def open_depth(self) -> int:
         return len(self._stack)
 
-    def children(self, span_id: Optional[int]) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span_id]
-
     def validate(self) -> None:
         """Raise ``ValueError`` unless the span list forms a valid tree
         (unique ids, every parent id exists, every span closed)."""

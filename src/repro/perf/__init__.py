@@ -49,7 +49,6 @@ from .parallel import (
     TaskFailure,
     WorkerPool,
     chunk_slices,
-    default_executor_policy,
     executor_stats,
     live_worker_pools,
     parallel_imap,
@@ -66,7 +65,7 @@ __all__ = [
     "characterize_cells", "estimate_points", "plan_estimates",
     "KEY_SCHEMA_VERSION", "cache_key", "fingerprint",
     "ExecutorPolicy", "ExecutorStats", "TaskFailure", "WorkerPool",
-    "chunk_slices", "default_executor_policy", "executor_stats",
+    "chunk_slices", "executor_stats",
     "live_worker_pools", "parallel_imap", "parallel_map",
     "reset_executor_stats", "resolve_jobs",
     "set_default_executor_policy",

@@ -225,16 +225,12 @@ _default_policy = ExecutorPolicy()
 
 
 def set_default_executor_policy(policy: ExecutorPolicy) -> ExecutorPolicy:
-    """Install the process-wide policy (the CLI's ``--task-timeout``);
-    returns it for chaining."""
+    """Install the process-wide policy (the CLI's ``--task-timeout``)
+    used when a call passes ``policy=None``; returns the one it
+    replaces, so a caller can put it back."""
     global _default_policy
-    _default_policy = policy
-    return _default_policy
-
-
-def default_executor_policy() -> ExecutorPolicy:
-    """The process-wide policy used when a call passes ``policy=None``."""
-    return _default_policy
+    previous, _default_policy = _default_policy, policy
+    return previous
 
 
 def resolve_jobs(jobs: Optional[int], n_tasks: Optional[int] = None) -> int:
@@ -322,11 +318,6 @@ class WorkerPool:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def running(self) -> bool:
-        """Whether a live executor currently exists (for leak audits)."""
-        return self._executor is not None
-
     def executor(self):
         """The shared ``ProcessPoolExecutor``, created on first use."""
         with self._lock:
@@ -379,9 +370,9 @@ def parallel_map(fn: Callable[[T], R], tasks: Sequence[T],
     back to that path silently.
 
     Failure handling is governed by ``policy`` (default: the
-    process-wide :func:`default_executor_policy`): a task whose worker
-    crashes, times out, or raises is re-executed serially in the
-    parent after the pool round — so one poisoned task never discards
+    process-wide one, :func:`set_default_executor_policy`): a task
+    whose worker crashes, times out, or raises is re-executed serially
+    in the parent after the pool round — so one poisoned task never discards
     its healthy siblings' results.  A task that fails even serially
     raises :class:`~repro.errors.ExecutorError` (chaining the original
     exception) or, under ``return_errors=True``, yields a

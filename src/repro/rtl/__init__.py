@@ -5,7 +5,6 @@ from .components import (
     and_tree,
     buf,
     decoder,
-    equals,
     full_adder,
     inv,
     multiplier,
@@ -16,7 +15,6 @@ from .components import (
     or_tree,
     register,
     ripple_adder,
-    xnor2,
     xor2,
     xor_tree,
 )
@@ -34,7 +32,6 @@ from .module import (
     FlatCell,
     FlatNetlist,
     Module,
-    ModuleRef,
     Port,
     elaborate,
 )
@@ -42,19 +39,19 @@ from .signals import Bus, Net, as_bus, bits_to_int, int_to_bits
 from .simulate import Activity, LogicSimulator
 from .spgemm_datapath import build_update_datapath, \
     update_datapath_reference
-from .verilog import emit_hierarchy, emit_module
+from .verilog import emit_module
 
 __all__ = [
-    "and2", "and_tree", "buf", "decoder", "equals", "full_adder", "inv",
+    "and2", "and_tree", "buf", "decoder", "full_adder", "inv",
     "multiplier", "mux2", "nand2", "onehot_mux", "or2", "or_tree",
-    "register", "ripple_adder", "xnor2", "xor2", "xor_tree",
+    "register", "ripple_adder", "xor2", "xor_tree",
     "DecodeResult", "build_secded_decoder", "build_secded_encoder",
     "secded_decode", "secded_encode", "secded_parity_bits",
     "build_cam", "build_sram", "fig3_sram",
-    "CellRef", "FlatCell", "FlatNetlist", "Module", "ModuleRef", "Port",
+    "CellRef", "FlatCell", "FlatNetlist", "Module", "Port",
     "elaborate",
     "Bus", "Net", "as_bus", "bits_to_int", "int_to_bits",
     "Activity", "LogicSimulator",
     "build_update_datapath", "update_datapath_reference",
-    "emit_hierarchy", "emit_module",
+    "emit_module",
 ]

@@ -59,10 +59,6 @@ def xor2(m: Module, a: Net, b: Net, prefix: str = "xor") -> Net:
     return _gate2(m, "XOR2", a, b, prefix)
 
 
-def xnor2(m: Module, a: Net, b: Net, prefix: str = "xnor") -> Net:
-    return _gate2(m, "XNOR2", a, b, prefix)
-
-
 def mux2(m: Module, a: Net, b: Net, sel: Net,
          prefix: str = "mux") -> Net:
     """2:1 mux: returns ``b`` when ``sel`` else ``a``."""
@@ -212,14 +208,6 @@ def register(m: Module, d: Signal, clk: Net, en: Optional[Net] = None,
     if isinstance(d, Net):
         return q_bits[0]
     return Bus(q_bits)
-
-
-def equals(m: Module, a: Bus, b: Bus, prefix: str = "eq") -> Net:
-    """Word equality comparator (XNOR reduce)."""
-    if a.width != b.width:
-        raise RTLError("comparator widths must match")
-    bits = [xnor2(m, a[i], b[i], prefix + "_x") for i in range(a.width)]
-    return and_tree(m, bits, prefix + "_and")
 
 
 def full_adder(m: Module, a: Net, b: Net, cin: Net,

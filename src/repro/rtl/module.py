@@ -1,11 +1,10 @@
 """Structural modules, instances and elaboration to a flat netlist.
 
-A :class:`Module` holds ports, nets, standard-cell/brick instances and
-submodule instances; :func:`elaborate` flattens a hierarchy against a
-:class:`~repro.liberty.models.LibraryModel` into a :class:`FlatNetlist`,
-the common input of the logic simulator, placer, router, STA and power
-engines — the way a gate-level Verilog netlist plus .lib files feed the
-paper's flow.
+A :class:`Module` holds ports, nets and standard-cell/brick instances;
+:func:`elaborate` binds it to a :class:`~repro.liberty.models.LibraryModel`
+as a :class:`FlatNetlist`, the common input of the logic simulator,
+placer, router, STA and power engines — the way a gate-level Verilog
+netlist plus .lib files feed the paper's flow.
 
 Constants: ``module.constant(value, width)`` creates nets tied to 0/1;
 tie cells are materialized at elaboration as pseudo-drivers.
@@ -52,13 +51,6 @@ class CellRef:
     conns: Dict[str, Signal]
 
 
-@dataclass
-class ModuleRef:
-    name: str
-    module: "Module"
-    conns: Dict[str, Signal]
-
-
 class Module:
     """A structural netlist module."""
 
@@ -68,7 +60,6 @@ class Module:
         self.name = name
         self.ports: Dict[str, Port] = {}
         self.cells: List[CellRef] = []
-        self.children: List[ModuleRef] = []
         self._net_names: Set[str] = set()
         self._cell_names: Set[str] = set()
         self._uid = 0
@@ -138,30 +129,6 @@ class Module:
         self._cell_names.add(name)
         ref = CellRef(name, cell_type, dict(conns))
         self.cells.append(ref)
-        return ref
-
-    def instance(self, name: str, module: "Module",
-                 conns: Dict[str, Signal]) -> ModuleRef:
-        """Instantiate a submodule, binding its ports to parent signals."""
-        if name in self._cell_names:
-            raise RTLError(f"duplicate instance {name!r} in {self.name}")
-        self._cell_names.add(name)
-        for port_name, signal in conns.items():
-            if port_name not in module.ports:
-                raise RTLError(
-                    f"{module.name} has no port {port_name!r}")
-            expected = module.ports[port_name].width
-            actual = 1 if isinstance(signal, Net) else signal.width
-            if expected != actual:
-                raise RTLError(
-                    f"width mismatch binding {module.name}.{port_name}: "
-                    f"port is {expected} bits, signal is {actual}")
-        missing = set(module.ports) - set(conns)
-        if missing:
-            raise RTLError(
-                f"unbound ports on {module.name}: {sorted(missing)}")
-        ref = ModuleRef(name, module, dict(conns))
-        self.children.append(ref)
         return ref
 
 
@@ -288,66 +255,39 @@ def _expand_cell_conns(ref: CellRef, model: CellModel
 
 
 def elaborate(top: Module, library: LibraryModel) -> FlatNetlist:
-    """Flatten a module hierarchy into a :class:`FlatNetlist`.
+    """Bind a module's cells to ``library`` as a :class:`FlatNetlist`.
 
-    Net names are hierarchical (``u_dec.n_3``); ports of submodules merge
-    with their parent nets.  Aliases and port bindings are resolved with a
-    union-find so each electrical net gets exactly one id.
+    Aliases are resolved with a union-find so each electrical net gets
+    exactly one id.
     """
-    net_ids: Dict[Tuple[int, str], int] = {}
+    net_ids: Dict[str, int] = {}
     net_names: List[str] = []
     uf = _UnionFind()
     constants: Dict[int, bool] = {}
     cells: List[FlatCell] = []
 
-    def net_id(scope_id: int, prefix: str, net: Net) -> int:
-        key = (scope_id, net.name)
-        if key not in net_ids:
-            net_ids[key] = len(net_names)
-            net_names.append(prefix + net.name)
-        return net_ids[key]
+    def net_id(net: Net) -> int:
+        if net.name not in net_ids:
+            net_ids[net.name] = len(net_names)
+            net_names.append(net.name)
+        return net_ids[net.name]
 
-    scope_counter = [0]
-
-    def walk(module: Module, prefix: str, scope_id: int,
-             bindings: Dict[str, int]) -> None:
-        # bindings: this module's port net name -> parent net id.
-        for net_name, parent_id in bindings.items():
-            key = (scope_id, net_name)
-            net_ids[key] = parent_id
-        for net, value in module.constants.items():
-            nid = uf.find(net_id(scope_id, prefix, net))
-            constants[nid] = value
-        for net_a, net_b in module.aliases:
-            uf.union(net_id(scope_id, prefix, net_a),
-                     net_id(scope_id, prefix, net_b))
-        for ref in module.cells:
-            model = library.cell(ref.cell_type)
-            expanded = _expand_cell_conns(ref, model)
-            pins = {pin: net_id(scope_id, prefix, net)
-                    for pin, net in expanded.items()}
-            cells.append(FlatCell(prefix + ref.name, model, pins))
-        for child in module.children:
-            scope_counter[0] += 1
-            child_scope = scope_counter[0]
-            child_bindings: Dict[str, int] = {}
-            for port_name, signal in child.conns.items():
-                port = child.module.ports[port_name]
-                parent_bits = as_bus(signal).bits()
-                port_bits = as_bus(port.signal).bits()
-                for p_net, c_net in zip(parent_bits, port_bits):
-                    child_bindings[c_net.name] = net_id(
-                        scope_id, prefix, p_net)
-            walk(child.module, prefix + child.name + ".", child_scope,
-                 child_bindings)
+    for net, value in top.constants.items():
+        constants[uf.find(net_id(net))] = value
+    for net_a, net_b in top.aliases:
+        uf.union(net_id(net_a), net_id(net_b))
+    for ref in top.cells:
+        model = library.cell(ref.cell_type)
+        expanded = _expand_cell_conns(ref, model)
+        pins = {pin: net_id(net) for pin, net in expanded.items()}
+        cells.append(FlatCell(ref.name, model, pins))
 
     inputs: Dict[str, List[int]] = {}
     outputs: Dict[str, List[int]] = {}
-    walk(top, "", 0, {})
     for port in top.ports.values():
         # net_id creates ids on demand: ports nothing references (e.g.
         # an unused clock on a purely combinational block) still exist.
-        ids = [net_id(0, "", net) for net in as_bus(port.signal)]
+        ids = [net_id(net) for net in as_bus(port.signal)]
         if port.direction == IN:
             inputs[port.name] = ids
         else:

@@ -168,9 +168,6 @@ class LogicSimulator:
             raise SimulationError(f"no output port {port!r}") from exc
         return bits_to_int([self.values[n] for n in nets])
 
-    def peek(self, net: int) -> bool:
-        return self.values[net]
-
     def _set_net(self, net: int, value: bool) -> None:
         if self.values[net] != value:
             self.values[net] = value

@@ -1,7 +1,7 @@
 """Structural Verilog emission.
 
 The paper integrates bricks "by Verilog modules at the RTL"; this emitter
-writes the hierarchy in synthesizable structural Verilog so a generated
+writes a module in synthesizable structural Verilog so a generated
 design can be inspected in the exchange format (Fig. 3 shows exactly such
 a listing).  Output is gate-level: library cells appear as module
 instantiations with named port connections.
@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Set
 
-from ..errors import RTLError
 from .module import IN, Module
 from .signals import Bus, Net, as_bus
 
@@ -48,7 +47,7 @@ def _bus_names(module: Module) -> Dict[str, str]:
 
 
 def emit_module(module: Module) -> str:
-    """Render one module (no recursion) as Verilog text."""
+    """Render one module as Verilog text."""
     names = _bus_names(module)
     lines: List[str] = []
     port_decls = []
@@ -89,42 +88,9 @@ def emit_module(module: Module) -> str:
                 conns.append(f".{_vname(pin)}({expr(signal)})")
         body.append(f"  {_vname(ref.cell_type)} {_vname(ref.name)} "
                     f"({', '.join(conns)});")
-    for child in module.children:
-        conns = []
-        for port_name, signal in sorted(child.conns.items()):
-            bus = as_bus(signal)
-            if bus.width == 1:
-                conns.append(f".{_vname(port_name)}({expr(bus[0])})")
-            else:
-                bits = ", ".join(expr(net)
-                                 for net in reversed(bus.bits()))
-                conns.append(f".{_vname(port_name)}({{{bits}}})")
-        body.append(f"  {_vname(child.module.name)} {_vname(child.name)} "
-                    f"({', '.join(conns)});")
 
     if declared:
         lines.append("  wire " + ",\n       ".join(declared) + ";")
     lines.extend(body)
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
-
-
-def emit_hierarchy(top: Module) -> str:
-    """Render a module and every submodule it instantiates (each once)."""
-    seen: Dict[str, Module] = {}
-
-    def collect(module: Module) -> None:
-        if module.name in seen:
-            if seen[module.name] is not module:
-                raise RTLError(
-                    f"two different modules named {module.name!r}")
-            return
-        seen[module.name] = module
-        for child in module.children:
-            collect(child.module)
-
-    collect(top)
-    # Emit leaves first for readability.
-    order = sorted(seen.values(),
-                   key=lambda mod: 0 if mod is not top else 1)
-    return "\n".join(emit_module(mod) for mod in order)

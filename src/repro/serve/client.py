@@ -238,9 +238,6 @@ class ServeClient:
         data["artifact"] = summary["artifact"]
         return data
 
-    def yield_analysis(self, **params: Any) -> Dict[str, Any]:
-        return self.request("yield", params)
-
     def signoff(self, **params: Any) -> Dict[str, Any]:
         """Run (or join) a served Monte-Carlo statistical signoff."""
         return self.request("signoff", params)

@@ -5,7 +5,7 @@ server additionally sees *concurrent* repeats — eight clients asking
 for the same sweep before the first computation lands.  Without
 coalescing each would miss the cache and compute independently.  The
 coalescer keys every computable request on its content fingerprint
-(:class:`~repro.explore.sweep.SweepPlan.fingerprint`, an estimate
+(:class:`~repro.explore.engine.ScalePlan.fingerprint`, an estimate
 cache key, ...) and parks duplicate arrivals on the first request's
 future, so N identical concurrent requests cost exactly one
 computation and N identical replies.

@@ -240,6 +240,26 @@ def _require_int(params: Dict[str, Any], name: str,
     return value
 
 
+def _require_bool(params: Dict[str, Any], name: str,
+                  default: bool) -> bool:
+    """A JSON boolean: ``"false"`` or ``0`` is refused, not truthy."""
+    value = params.get(name, default)
+    if not isinstance(value, bool):
+        raise ServeError(f"param {name!r} must be true or false, "
+                         f"got {value!r}")
+    return value
+
+
+def _require_seed(params: Dict[str, Any]) -> Optional[int]:
+    """The optional ``seed`` param: an integer, or ``None`` if absent."""
+    seed = params.get("seed")
+    if seed is not None and (isinstance(seed, bool)
+                             or not isinstance(seed, int)):
+        raise ServeError(f"param 'seed' must be an integer, "
+                         f"got {seed!r}")
+    return seed
+
+
 def _require_int_list(params: Dict[str, Any], name: str,
                       default: Tuple[int, ...]) -> Tuple[int, ...]:
     value = params.get(name, list(default))
@@ -302,11 +322,8 @@ def _signoff_engine(session: Session, params: Dict[str, Any]):
         DEFAULT_SAMPLES,
         SignoffEngine,
     )
-    seed = params.get("seed")
+    seed = _require_seed(params)
     if seed is not None:
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ServeError(f"param 'seed' must be an integer, "
-                             f"got {seed!r}")
         session = session.derive(seed=seed)
     ci_target = params.get("ci_target")
     if ci_target is not None and (isinstance(ci_target, bool)
@@ -516,8 +533,8 @@ def coalesce_key(request: Request, session: Session) -> Optional[str]:
             _require_int(params, "population", 1000),
             _require_int(params, "spare_rows", 2, minimum=0),
             _require_int(params, "spare_cols", 1, minimum=0),
-            bool(params.get("ecc", False)),
-            params.get("seed"))
+            _require_bool(params, "ecc", False),
+            _require_seed(params))
         return f"yield:{fp}"
     return None
 
@@ -574,9 +591,9 @@ def handle_sweep(ctx: ServeContext, request: Request) -> Dict[str, Any]:
     ctx.note_sweep_progress(fingerprint, {
         "shards_done": 0, "shards_total": plan.n_shards,
         "n_points": plan.n_points, "mode": plan.mode, "done": False})
-    scale = engine.run(keep_going=bool(params.get("keep_going",
-                                                  False)),
-                       progress=progress)
+    scale = engine.run(
+        keep_going=_require_bool(params, "keep_going", False),
+        progress=progress)
     result = scale.to_sweep_result()
     data = sweep_report_data(result)
     artifact = ctx.store.put("sweep", fingerprint, data)
@@ -601,11 +618,7 @@ def handle_yield(ctx: ServeContext, request: Request) -> Dict[str, Any]:
     spec = BrickSpec(_require_type(params),
                      _require_int(params, "words", 16),
                      _require_int(params, "bits", 10))
-    seed = params.get("seed")
-    if seed is not None and (isinstance(seed, bool)
-                             or not isinstance(seed, int)):
-        raise ServeError(f"param 'seed' must be an integer, "
-                         f"got {seed!r}")
+    seed = _require_seed(params)
     report = analyze_yield(
         spec,
         stack=_require_int(params, "stack", 1),
@@ -614,7 +627,7 @@ def handle_yield(ctx: ServeContext, request: Request) -> Dict[str, Any]:
         plan=RepairPlan(
             spare_rows=_require_int(params, "spare_rows", 2, minimum=0),
             spare_cols=_require_int(params, "spare_cols", 1, minimum=0),
-            ecc=bool(params.get("ecc", False))),
+            ecc=_require_bool(params, "ecc", False)),
         session=session if seed is None else session.derive(seed=seed))
     data = {"render": report.render(),
             "raw_yield": report.raw_yield}
@@ -637,7 +650,7 @@ def handle_signoff(ctx: ServeContext,
     engine = _signoff_engine(ctx.session, params)
     plan = engine.plan()
     report = engine.run(
-        keep_going=bool(params.get("keep_going", False)))
+        keep_going=_require_bool(params, "keep_going", False))
     data = signoff_report_data(report)
     artifact = ctx.store.put("signoff", plan.fingerprint, data)
     return {"artifact": artifact, "fingerprint": plan.fingerprint,

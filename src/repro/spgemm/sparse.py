@@ -98,11 +98,6 @@ class CSCMatrix:
         return cls.from_coo(dense.shape[0], dense.shape[1], entries)
 
     @classmethod
-    def identity(cls, n: int) -> "CSCMatrix":
-        return cls(n, n, np.arange(n + 1), np.arange(n),
-                   np.ones(n))
-
-    @classmethod
     def empty(cls, n_rows: int, n_cols: int) -> "CSCMatrix":
         return cls(n_rows, n_cols, np.zeros(n_cols + 1, dtype=np.int64),
                    np.zeros(0, dtype=np.int64), np.zeros(0))
@@ -116,11 +111,6 @@ class CSCMatrix:
     @property
     def shape(self) -> Tuple[int, int]:
         return self.n_rows, self.n_cols
-
-    @property
-    def density(self) -> float:
-        cells = self.n_rows * self.n_cols
-        return self.nnz / cells if cells else 0.0
 
     def column(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
         """(row indices, values) of column ``j``."""

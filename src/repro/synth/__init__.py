@@ -11,7 +11,7 @@ from .flow import (
     prepare_libraries,
     run_flow,
 )
-from .mapper import resize_for_load, synthesize_truth_table
+from .mapper import resize_for_load
 from .pipeline import FlowStage, Pipeline
 from .place import PlacedDesign, place
 from .power import PowerReport, analyze_power, fold_clock_tree_energy
@@ -24,7 +24,7 @@ __all__ = [
     "Floorplan", "Placement", "build_floorplan",
     "FLOW_PIPELINE", "FLOW_STAGE_NAMES", "FlowResult", "FlowState",
     "PartialFlowResult", "prepare_libraries", "run_flow",
-    "resize_for_load", "synthesize_truth_table",
+    "resize_for_load",
     "FlowStage", "Pipeline",
     "PlacedDesign", "place",
     "PowerReport", "analyze_power", "fold_clock_tree_energy",

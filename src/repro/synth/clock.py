@@ -38,10 +38,6 @@ class ClockTree:
     skew_bound: float        # max sink-to-sink arrival spread bound (s)
     energy_per_cycle: float  # CV^2 of the whole network per cycle (J)
 
-    @property
-    def total_cap(self) -> float:
-        return self.sink_cap + self.wire_cap + self.buffer_cap
-
 
 def _clock_sinks(design: PlacedDesign
                  ) -> Tuple[List[Tuple[float, float]], float]:

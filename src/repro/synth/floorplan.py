@@ -53,10 +53,6 @@ class Floorplan:
     def die_area(self) -> float:
         return self.die_width * self.die_height
 
-    @property
-    def macro_area(self) -> float:
-        return sum(p.width * p.height for p in self.macros.values())
-
 
 def _macro_dims(cell) -> Tuple[float, float]:
     """Width/height of a brick macro.

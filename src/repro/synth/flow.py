@@ -108,10 +108,7 @@ class PartialFlowResult:
 
     Carries every artifact the completed stages produced (the rest stay
     ``None``), plus one :class:`~repro.session.FaultEvent` per failed
-    stage.  :attr:`complete` is True when nothing failed — then
-    :meth:`to_flow_result` upgrades to a plain :class:`FlowResult`;
-    otherwise it raises a :class:`~repro.errors.SynthesisError` naming
-    the failed stages.
+    stage.  :attr:`complete` is True when nothing failed.
     """
 
     state: "FlowState"
@@ -124,13 +121,6 @@ class PartialFlowResult:
     @property
     def failed_stages(self) -> List[str]:
         return [fault.name for fault in self.faults]
-
-    def to_flow_result(self) -> "FlowResult":
-        if not self.complete:
-            raise SynthesisError(
-                f"flow incomplete; failed stages: "
-                f"{', '.join(self.failed_stages)}")
-        return _result_from_state(self.state)
 
     def summary(self) -> Dict[str, object]:
         """Whatever metrics the surviving artifacts support."""

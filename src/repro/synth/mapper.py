@@ -1,59 +1,21 @@
 """Technology mapping helpers.
 
-Two pieces of the Design-Compiler role that the generators don't already
-cover:
-
-* :func:`synthesize_truth_table` — two-level AND/OR mapping of an
-  arbitrary Boolean function onto the standard-cell catalog (used for
-  custom periphery the component generators don't provide).
-* :func:`resize_for_load` — post-route drive selection: every cell is
-  re-sized to the smallest drive that keeps its stage effort bounded at
-  its routed load, the paper's "synthesis tools do not have the ability
-  to improve [bricks]" contrast — standard cells *are* resized freely.
+The Design-Compiler role the generators don't already cover:
+:func:`resize_for_load`, post-route drive selection.  Every cell is
+re-sized to the smallest drive that keeps its stage effort bounded at
+its routed load, the paper's "synthesis tools do not have the ability
+to improve [bricks]" contrast — standard cells *are* resized freely.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..cells.stdcells import unit_input_cap
-from ..errors import SynthesisError
 from ..liberty.models import LibraryModel
-from ..rtl.components import and_tree, inv, or_tree
-from ..rtl.module import FlatNetlist, Module
-from ..rtl.signals import Net, as_bus
+from ..rtl.module import FlatNetlist
 from ..tech.technology import Technology
 from .route import Parasitics
-
-
-def synthesize_truth_table(m: Module, inputs: Sequence[Net],
-                           table: Sequence[bool],
-                           prefix: str = "tt") -> Net:
-    """Map a truth table (2^n entries, LSB-first input weighting) to
-    two-level logic: one AND minterm per true row, OR-reduced.
-
-    Constant functions synthesize to tie cells.  This is deliberately a
-    simple sum-of-products mapper — good enough for decoder-adjacent
-    periphery, and exercised by the equivalence tests against the gate
-    catalog.
-    """
-    n = len(inputs)
-    if len(table) != (1 << n):
-        raise SynthesisError(
-            f"truth table must have {1 << n} rows, got {len(table)}")
-    if not any(table):
-        return as_bus(m.constant(0))[0]
-    if all(table):
-        return as_bus(m.constant(1))[0]
-    complements = [inv(m, net, prefix + "_n") for net in inputs]
-    minterms: List[Net] = []
-    for row, value in enumerate(table):
-        if not value:
-            continue
-        literals = [inputs[i] if (row >> i) & 1 else complements[i]
-                    for i in range(n)]
-        minterms.append(and_tree(m, literals, prefix + f"_m{row}"))
-    return or_tree(m, minterms, prefix + "_or")
 
 
 def resize_for_load(netlist: FlatNetlist, library: LibraryModel,

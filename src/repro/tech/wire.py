@@ -9,7 +9,7 @@ parasitics feed static timing analysis the way a .spef file feeds PrimeTime.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import Tuple
 
 from ..errors import TechnologyError
 
@@ -45,17 +45,6 @@ class WireLayer:
         if length_um < 0:
             raise TechnologyError("wire length must be non-negative")
         return self.r_per_um * length_um, self.c_per_um * length_um
-
-    def segments(self, length_um: float, n: int) -> List[Tuple[float, float]]:
-        """Split the wire into ``n`` equal RC segments (for extraction).
-
-        Returns a list of ``(r_segment, c_segment)`` pairs.  Useful for
-        building ladder networks fed to the transient simulator.
-        """
-        if n <= 0:
-            raise TechnologyError("segment count must be positive")
-        r_w, c_w = self.rc(length_um)
-        return [(r_w / n, c_w / n)] * n
 
     def scaled(self, r_scale: float = 1.0, c_scale: float = 1.0) -> "WireLayer":
         """Return a copy with R and C scaled (corner application)."""

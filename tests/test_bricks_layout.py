@@ -100,9 +100,3 @@ class TestPatternLegality:
         counts = layout.pattern_grid.counts()
         assert counts.get("BC", 0) == 16 * 10
         assert counts.get("PH", 0) > 0
-
-    def test_blockage_covers_whole_brick(self, brick_16x10, tech):
-        layout = generate_layout(brick_16x10, tech)
-        blockage = layout.blockage
-        assert blockage.width == layout.width_um
-        assert blockage.height == layout.height_um

@@ -89,10 +89,3 @@ class TestCompiler:
         assert big.array_width_um > small.array_width_um
         assert big.array_height_um > small.array_height_um
         assert big.wordline_length_um() == big.array_width_um
-
-    def test_transistor_count_scales(self, tech):
-        small = compile_brick(sram_brick(8, 8), tech)
-        big = compile_brick(sram_brick(32, 32), tech)
-        assert big.n_transistors() > small.n_transistors()
-        # 8 devices per 8T cell dominate.
-        assert big.n_transistors() > 32 * 32 * 8

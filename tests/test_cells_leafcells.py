@@ -56,7 +56,7 @@ class TestWordlineDriver:
         ckt.add_capacitor("cwl", "wl", 5 * FF)
         result = TransientSimulator(ckt, tech).run(t_stop=1 * NS,
                                                    dt=1 * PS)
-        assert result.waveform("wl").final == pytest.approx(
+        assert result.waveform("wl").v[-1] == pytest.approx(
             tech.vdd, abs=0.05)
 
 
@@ -78,7 +78,7 @@ class TestLocalSense:
         result = TransientSimulator(ckt, tech).run(
             t_stop=1 * NS, dt=1 * PS, v_init={"arbl": tech.vdd})
         # LBL falls -> sense fires -> ARBL pulled low.
-        assert result.waveform("arbl").final == pytest.approx(0.0,
+        assert result.waveform("arbl").v[-1] == pytest.approx(0.0,
                                                               abs=0.05)
 
 
@@ -117,7 +117,7 @@ class TestControlBlock:
         ckt.add_capacitor("cpreb", "preb", 5 * FF)
         result = TransientSimulator(ckt, tech).run(t_stop=1.5 * NS,
                                                    dt=1 * PS)
-        assert result.waveform("en").final == pytest.approx(tech.vdd,
+        assert result.waveform("en").v[-1] == pytest.approx(tech.vdd,
                                                             abs=0.05)
-        assert result.waveform("preb").final == pytest.approx(
+        assert result.waveform("preb").v[-1] == pytest.approx(
             tech.vdd, abs=0.05)

@@ -93,7 +93,7 @@ class TestTransient:
         ckt.add_capacitor("c1", "out", 10 * FF)
         result = TransientSimulator(ckt, tech).run(
             t_stop=0.5 * NS, dt=0.5 * PS)
-        assert result.waveform("out").final == pytest.approx(1.0,
+        assert result.waveform("out").v[-1] == pytest.approx(1.0,
                                                              abs=1e-3)
 
     def test_supply_energy_of_full_charge(self, tech):
@@ -131,7 +131,7 @@ class TestTransient:
         wf = result.waveform("y")
         assert wf.value_at(0.05 * NS) == pytest.approx(tech.vdd,
                                                        abs=0.02)
-        assert wf.final == pytest.approx(0.0, abs=0.02)
+        assert wf.v[-1] == pytest.approx(0.0, abs=0.02)
 
     def test_inverter_chain_propagates_and_inverts(self, tech):
         ckt = SpiceCircuit()
@@ -147,7 +147,7 @@ class TestTransient:
         result = TransientSimulator(ckt, tech).run(
             t_stop=1.5 * NS, dt=0.5 * PS, v_init=init)
         # Odd number of inversions: final output low.
-        assert result.waveform("n3").final == pytest.approx(0.0,
+        assert result.waveform("n3").v[-1] == pytest.approx(0.0,
                                                             abs=0.05)
         # Delay accumulates monotonically along the chain.
         t1 = result.waveform("n1").crossing(tech.vdd / 2, rising=False)

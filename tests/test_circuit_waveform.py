@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuit import Waveform, pulse, ramp
+from repro.circuit import Waveform, ramp
 from repro.errors import SimulationError
 
 
@@ -16,10 +16,6 @@ class TestWaveform:
     def test_value_interpolates(self):
         wf = _wave([0, 1, 2], [0, 10, 20])
         assert wf.value_at(0.5) == pytest.approx(5.0)
-
-    def test_final(self):
-        wf = _wave([0, 1], [0, 3.3])
-        assert wf.final == 3.3
 
     def test_rising_crossing_interpolated(self):
         wf = _wave([0, 1, 2], [0.0, 1.0, 1.0])
@@ -58,10 +54,6 @@ class TestWaveform:
         with pytest.raises(SimulationError):
             wf.slew(0.9, 0.1)
 
-    def test_integral_trapezoid(self):
-        wf = _wave([0, 2], [0, 2])
-        assert wf.integral() == pytest.approx(2.0)
-
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(SimulationError):
             Waveform(np.zeros(3), np.zeros(4))
@@ -81,13 +73,3 @@ class TestStimuli:
     def test_ramp_zero_rise_rejected(self):
         with pytest.raises(SimulationError):
             ramp(0.0, 0.0, 0.0, 1.0)
-
-    def test_pulse_shape(self):
-        v = pulse(t_start=1.0, width=2.0, t_edge=0.5, v0=0.0, v1=1.0)
-        assert v(0.0) == pytest.approx(0.0)
-        assert v(2.0) == pytest.approx(1.0)   # inside the pulse
-        assert v(5.0) == pytest.approx(0.0)   # after the fall
-
-    def test_pulse_bad_width_rejected(self):
-        with pytest.raises(SimulationError):
-            pulse(0.0, -1.0, 0.1, 0.0, 1.0)

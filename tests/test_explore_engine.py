@@ -103,15 +103,6 @@ class TestCachedMode:
             calls.append((done, total)))
         assert calls == [(1, 1)]
 
-    def test_iter_results_frontier_first_no_dupes(self, tech):
-        engine = _session(tech).sweep_engine()
-        engine.run()
-        streamed = list(engine.iter_results())
-        indices = [p.index for p in streamed]
-        assert len(indices) == len(set(indices))
-        front = [p.index for p in engine.frontier()]
-        assert indices[:len(front)] == front
-
 
 class TestShardedMode:
     def _engine(self, tech, **kwargs):

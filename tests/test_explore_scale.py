@@ -80,13 +80,12 @@ class TestSweepSpace:
 
 
 class TestLattice:
-    def test_matches_legacy_grid_order(self, tech):
+    def test_matches_legacy_grid_order(self):
         """Point i of the lattice is row i of the legacy plan grid."""
         space = SweepSpace.from_options(
             (64, 128, 100), (8, 16), (16, 32, 64))
         lattice = Lattice(space)
-        plan = _plan_grid(tech,
-                          total_words_options=(64, 128, 100),
+        plan = _plan_grid(total_words_options=(64, 128, 100),
                           bits_options=(8, 16),
                           brick_words_options=(16, 32, 64))
         assert len(lattice) == len(plan.grid)

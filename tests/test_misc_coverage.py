@@ -62,20 +62,6 @@ class TestVerilogDetails:
                         if ".RWL(" in line)
         assert rwl_line.index("rdec_o31") < rwl_line.index("rdec_o0_")
 
-    def test_hierarchy_name_clash_rejected(self, stdlib):
-        from repro.errors import RTLError
-        from repro.rtl import Module, emit_hierarchy
-        child_a = Module("leaf")
-        child_a.input("x")
-        child_b = Module("leaf")  # same name, different module
-        child_b.input("x")
-        top = Module("top")
-        a = top.input("a")
-        top.instance("u1", child_a, {"x": a})
-        top.instance("u2", child_b, {"x": a})
-        with pytest.raises(RTLError):
-            emit_hierarchy(top)
-
 
 class TestReports:
     def test_timing_report_with_period(self, fig3_library, tech):

@@ -57,17 +57,6 @@ class TestTracer:
         tracer.validate()
         assert tracer.open_depth == 0
 
-    def test_children_query(self):
-        tracer = Tracer()
-        with tracer.span("root") as root:
-            with tracer.span("a"):
-                pass
-            with tracer.span("b"):
-                pass
-        names = [s.name for s in tracer.children(root.span_id)]
-        assert names == ["a", "b"]
-        assert [s.name for s in tracer.children(None)] == ["root"]
-
     def test_exception_marks_span_failed_and_reraises(self):
         tracer = Tracer()
         with pytest.raises(ValueError):

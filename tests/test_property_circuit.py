@@ -101,8 +101,8 @@ class TestGateProperties:
         gate = gate_type(name)
         if name in ("XOR2", "MUX2"):
             return  # non-monotone
-        low = gate.evaluate([False] * gate.n_inputs)
-        high = gate.evaluate([True] * gate.n_inputs)
+        low = gate.evaluate([False] * len(gate.pins))
+        high = gate.evaluate([True] * len(gate.pins))
         assert low != high
 
 

@@ -6,33 +6,11 @@ from hypothesis import strategies as st
 
 from repro.rtl import LogicSimulator, Module, as_bus, elaborate, \
     multiplier, ripple_adder
-from repro.synth import synthesize_truth_table
 
 _settings = settings(max_examples=25, deadline=None,
                      suppress_health_check=[
                          HealthCheck.too_slow,
                          HealthCheck.function_scoped_fixture])
-
-
-class TestTruthTableEquivalence:
-    @given(n_inputs=st.integers(1, 3), data=st.data())
-    @_settings
-    def test_arbitrary_function_synthesis(self, n_inputs, data, stdlib):
-        table = data.draw(st.lists(st.booleans(),
-                                   min_size=1 << n_inputs,
-                                   max_size=1 << n_inputs))
-        m = Module("tt")
-        m.input("clk")
-        inputs = [m.input(f"i{k}") for k in range(n_inputs)]
-        y = m.output("y")
-        out = synthesize_truth_table(m, inputs, table)
-        m.alias(as_bus(y), as_bus(out))
-        sim = LogicSimulator(elaborate(m, stdlib))
-        for code in range(1 << n_inputs):
-            for k in range(n_inputs):
-                sim.set_input(f"i{k}", (code >> k) & 1)
-            sim.settle()
-            assert sim.get_output("y") == int(table[code])
 
 
 class TestArithmeticEquivalence:

@@ -88,7 +88,7 @@ class TestSpGEMMProperties:
     @_settings
     def test_identity_absorption(self, pair):
         a, _ = pair
-        eye = CSCMatrix.identity(a.n_cols)
+        eye = CSCMatrix.from_dense(np.eye(a.n_cols))
         assert spgemm_gustavson(a, eye).allclose(a)
 
 

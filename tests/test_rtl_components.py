@@ -17,7 +17,6 @@ from repro.rtl import (
     buf,
     decoder,
     elaborate,
-    equals,
     inv,
     multiplier,
     mux2,
@@ -27,7 +26,6 @@ from repro.rtl import (
     or_tree,
     register,
     ripple_adder,
-    xnor2,
     xor2,
     xor_tree,
 )
@@ -56,10 +54,8 @@ class TestGatePrimitives:
         (or2, 2, lambda a, b: a | b),
         (nand2, 2, lambda a, b: 1 - (a & b)),
         (xor2, 2, lambda a, b: a ^ b),
-        (xnor2, 2, lambda a, b: 1 - (a ^ b)),
         (mux2, 3, lambda a, b, sel: b if sel else a),
-    ], ids=["inv", "buf", "and2", "or2", "nand2", "xor2", "xnor2",
-            "mux2"])
+    ], ids=["inv", "buf", "and2", "or2", "nand2", "xor2", "mux2"])
     def test_truth_table(self, stdlib, gen, arity, fn):
         def build(m):
             ins = [m.input(f"i{k}") for k in range(arity)]
@@ -183,19 +179,6 @@ class TestArithmetic:
                 sim.set_input("b", y)
                 sim.settle()
                 assert sim.get_output("p") == x * y, (x, y)
-
-    def test_equals_comparator(self, stdlib):
-        def build(m):
-            a = as_bus(m.input("a", 5))
-            b = as_bus(m.input("b", 5))
-            m.alias(as_bus(m.output("eq")), as_bus(equals(m, a, b)))
-        m = _harness(build)
-        sim = _sim(m, stdlib)
-        for x, y in [(0, 0), (5, 5), (5, 6), (31, 31), (31, 30)]:
-            sim.set_input("a", x)
-            sim.set_input("b", y)
-            sim.settle()
-            assert sim.get_output("eq") == int(x == y)
 
 
 class TestRegister:

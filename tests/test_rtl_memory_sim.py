@@ -17,7 +17,6 @@ from repro.rtl import (
     build_cam,
     build_sram,
     elaborate,
-    emit_hierarchy,
     emit_module,
     fig3_sram,
 )
@@ -186,22 +185,6 @@ class TestVerilog:
         assert "brick_16_10_s2 bank0" in text
         assert "input [4:0] raddr" in text
         assert "endmodule" in text
-
-    def test_hierarchy_emits_children_once(self, stdlib):
-        from repro.rtl import Module
-        child = Module("leaf")
-        ca = child.input("x")
-        cy = child.output("y")
-        child.cell("i", "INV_X1", {"A": ca, "Y": cy})
-        top = Module("top")
-        a = top.input("a")
-        y1 = top.output("y1")
-        y2 = top.output("y2")
-        top.instance("u1", child, {"x": a, "y": y1})
-        top.instance("u2", child, {"x": a, "y": y2})
-        text = emit_hierarchy(top)
-        assert text.count("module leaf") == 1
-        assert text.count("leaf u") == 2
 
     def test_balanced_ports_and_brackets(self):
         module, _ = fig3_sram()

@@ -133,8 +133,8 @@ class TestRoundTrips:
         from repro.bricks.spec import BrickSpec
         from repro.faults import RepairPlan, analyze_yield
         with harness.client() as c:
-            result = c.yield_analysis(type="8T", words=16, bits=10,
-                                      population=200)
+            result = c.request("yield", {"type": "8T", "words": 16,
+                                         "bits": 10, "population": 200})
         local = analyze_yield(
             BrickSpec("8T", 16, 10), n_bricks=200,
             plan=RepairPlan(spare_rows=2, spare_cols=1, ecc=False),
@@ -179,14 +179,20 @@ class TestRoundTrips:
         assert err.value.code == "not_found"
 
     def test_bad_params_rejected(self, harness):
-        with harness.client() as c:
-            with pytest.raises(ServeError) as err:
-                c.request("characterize", {"words": -3})
-        assert err.value.code == "bad_request"
-        with harness.client() as c:
-            with pytest.raises(ServeError) as err:
-                c.request("sweep", {"bits": "eight"})
-        assert err.value.code == "bad_request"
+        # Booleans must be JSON booleans: a truthy "false" would turn
+        # ECC on and share the coalescing key of "ecc": true.
+        for op, params in [
+                ("characterize", {"words": -3}),
+                ("sweep", {"bits": "eight"}),
+                ("yield", {"ecc": "false", "population": 50}),
+                ("sweep", {"keep_going": 1}),
+                ("signoff", {"keep_going": "no", "samples": 100}),
+                ("yield", {"seed": "7", "population": 50}),
+                ("signoff", {"seed": 1.5, "samples": 100})]:
+            with harness.client() as c:
+                with pytest.raises(ServeError) as err:
+                    c.request(op, params)
+            assert err.value.code == "bad_request", (op, params)
 
     def test_rejected_request_recorded_once_as_error(self, harness):
         """A request refused while its params are validated still

@@ -126,11 +126,8 @@ class TestWorkerPool:
     def test_pool_restart_replaces_executor(self):
         pool = WorkerPool(max_workers=1)
         try:
-            assert not pool.running
             first = pool.executor()
-            assert pool.running
             pool.restart()
-            assert not pool.running
             second = pool.executor()
             assert second is not first
         finally:

@@ -35,10 +35,6 @@ class TestConstruction:
         assert np.array_equal(m.to_dense(), dense)
         assert m.nnz == 3
 
-    def test_identity(self):
-        eye = CSCMatrix.identity(4)
-        assert np.array_equal(eye.to_dense(), np.eye(4))
-
     def test_invalid_indptr_rejected(self):
         with pytest.raises(SparseError):
             CSCMatrix(2, 2, np.array([0, 1]), np.array([0]),
@@ -56,12 +52,8 @@ class TestQueries:
         assert np.array_equal(m.transpose().to_dense(),
                               m.to_dense().T)
 
-    def test_density(self):
-        m = CSCMatrix.identity(4)
-        assert m.density == pytest.approx(0.25)
-
     def test_allclose_detects_value_difference(self):
-        a = CSCMatrix.identity(3)
+        a = CSCMatrix.from_dense(np.eye(3))
         b = a.scale(1.0 + 1e-6)
         assert not a.allclose(b)
         assert a.allclose(a.scale(1.0))
@@ -77,7 +69,7 @@ class TestGoldenSpGEMM:
 
     def test_identity_is_neutral(self):
         a = random_sparse(8, 8, 0.4, seed=5)
-        c = spgemm_gustavson(a, CSCMatrix.identity(8))
+        c = spgemm_gustavson(a, CSCMatrix.from_dense(np.eye(8)))
         assert c.allclose(a)
 
     def test_empty_product(self):
@@ -98,8 +90,8 @@ class TestGoldenSpGEMM:
         assert c.nnz == 0  # +1 and -1 cancel exactly
 
     def test_multiply_work_counts_flops(self):
-        a = CSCMatrix.identity(4)
-        b = CSCMatrix.identity(4)
+        a = CSCMatrix.from_dense(np.eye(4))
+        b = CSCMatrix.from_dense(np.eye(4))
         assert multiply_work(a, b) == 4
         a2 = random_sparse(6, 6, 0.5, seed=9)
         b2 = random_sparse(6, 6, 0.5, seed=10)

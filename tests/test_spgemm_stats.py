@@ -1,5 +1,6 @@
 """Tests for workload analysis and the analytical speedup model."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SparseError
@@ -15,7 +16,7 @@ from repro.spgemm import (
 
 class TestAnalyzeWorkload:
     def test_identity_product_statistics(self):
-        eye = CSCMatrix.identity(8)
+        eye = CSCMatrix.from_dense(np.eye(8))
         stats = analyze_workload(eye, eye)
         assert stats.work == 8
         assert stats.result_nnz == 8

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import PowerError, SynthesisError, TimingError
-from repro.rtl import LogicSimulator, Module, as_bus, elaborate, fig3_sram
+from repro.rtl import LogicSimulator, Module, elaborate, fig3_sram
 from repro.session import Session
 from repro.synth import (
     analyze_power,
@@ -15,7 +15,6 @@ from repro.synth import (
     resize_for_load,
     route,
     run_flow,
-    synthesize_truth_table,
 )
 from repro.units import GHZ, MHZ
 
@@ -94,37 +93,6 @@ class TestResize:
         sized = run_flow(module2, fig3_library, Session(tech),
                          anneal_moves=0, resize=True)
         assert sized.timing.min_period <= base.timing.min_period * 1.02
-
-
-class TestTruthTableMapper:
-    @pytest.mark.parametrize("table", [
-        [False, True, True, False],           # XOR
-        [True, False, False, True],           # XNOR
-        [False, False, False, True],          # AND
-        [True, True, True, False],            # NAND
-        [False] * 4,                          # constant 0
-        [True] * 4,                           # constant 1
-    ])
-    def test_two_input_functions(self, stdlib, table):
-        m = Module("tt")
-        m.input("clk")
-        a = m.input("a")
-        b = m.input("b")
-        y = m.output("y")
-        out = synthesize_truth_table(m, [a, b], table)
-        m.alias(as_bus(y), as_bus(out))
-        sim = LogicSimulator(elaborate(m, stdlib))
-        for code in range(4):
-            sim.set_input("a", code & 1)
-            sim.set_input("b", (code >> 1) & 1)
-            sim.settle()
-            assert sim.get_output("y") == int(table[code]), code
-
-    def test_wrong_table_size_rejected(self, stdlib):
-        m = Module("tt")
-        a = m.input("a")
-        with pytest.raises(SynthesisError):
-            synthesize_truth_table(m, [a], [True])
 
 
 class TestPower:

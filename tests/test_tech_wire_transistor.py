@@ -24,16 +24,6 @@ class TestWireLayer:
         with pytest.raises(TechnologyError):
             self.layer.rc(-1.0)
 
-    def test_segments_sum_to_total(self):
-        segments = self.layer.segments(100.0, 7)
-        assert len(segments) == 7
-        assert sum(r for r, _ in segments) == pytest.approx(200.0)
-        assert sum(c for _, c in segments) == pytest.approx(30e-15)
-
-    def test_zero_segment_count_rejected(self):
-        with pytest.raises(TechnologyError):
-            self.layer.segments(10.0, 0)
-
     def test_scaled(self):
         derated = self.layer.scaled(r_scale=1.5, c_scale=0.5)
         assert derated.r_per_um == pytest.approx(3.0)
