@@ -274,17 +274,19 @@ class TestAuditOnSyntheticTrees:
             "def c():\n    return 2\n\n\n"
             "class K:\n    def __init__(self):\n        pass\n")
 
-    def _repo(self, tmp_path, perfbench="", core=CORE):
+    def _repo(self, tmp_path, perfbench="", core=CORE, cli=None,
+              extra=None):
         files = {
             "src/repro/__init__.py": "from .core import a, b, c\n"
                                      "__all__ = ['a', 'b', 'c']\n",
-            "src/repro/cli.py": "from .core import a\n\n\n"
-                                "def main():\n    return a()\n",
+            "src/repro/cli.py": cli or "from .core import a\n\n\n"
+                                      "def main():\n    return a()\n",
             "src/repro/core.py": core,
             "tests/test_core.py": "from repro.core import K, c\n\n\n"
                                   "def test_c():\n    assert c() == 2\n"
                                   "    K()\n",
             "perfbench/run.py": perfbench,
+            **(extra or {}),
         }
         for name, text in files.items():
             path = tmp_path / name
@@ -329,6 +331,63 @@ class TestAuditOnSyntheticTrees:
         assert "core.J.__init__" not in unreached
         assert "core.K.__init__" in unreached
 
+    def test_attribute_name_reaches(self, tmp_path):
+        repo = self._repo(tmp_path, perfbench="import repro.core as core\n"
+                                              "core.c()\n")
+        unreached, _ = self._unreached(repo)
+        assert unreached == ["core.K", "core.K.__init__"]
+
+    def test_import_alias_reaches_the_aliased_def(self, tmp_path):
+        # util's own import is no root; using its alias reaches ``c``.
+        extra = {"src/repro/util.py": "from .core import c as see\n"}
+        repo = self._repo(tmp_path, extra=extra)
+        assert "core.c" in self._unreached(repo)[0]
+        repo = self._repo(tmp_path, perfbench="from repro.util import see\n"
+                                              "see()\n", extra=extra)
+        assert "core.c" not in self._unreached(repo)[0]
+
+    def test_module_level_statement_is_a_root(self, tmp_path):
+        repo = self._repo(tmp_path, core=self.CORE + "\n\nHANDLERS = (c,)\n"
+                                                     "__all__ = ['K']\n")
+        unreached, _ = self._unreached(repo)
+        assert unreached == ["core.K", "core.K.__init__"]
+
+    def test_every_root_directory_reaches(self, tmp_path):
+        for top in ROOT_DIRS:
+            extra = {f"{top}/sub/use.py": "from repro.core import c\nc()\n"}
+            repo = self._repo(tmp_path / top, extra=extra)
+            assert self._unreached(repo)[0] == ["core.K", "core.K.__init__"]
+
+    def test_every_cli_def_is_reached(self, tmp_path):
+        cli = ("from .core import a\n\n\n"
+               "def main():\n    return a()\n\n\n"
+               "def unused():\n    return c()\n")
+        unreached, _ = self._unreached(self._repo(tmp_path, cli=cli))
+        assert unreached == ["core.K", "core.K.__init__"]
+
+    def test_reached_class_reaches_bases_and_decorators(self, tmp_path):
+        core = self.CORE + ("\n\nclass Base:\n    pass\n\n\n"
+                            "def deco(cls):\n    return cls\n\n\n"
+                            "@deco\nclass L(Base):\n    pass\n")
+        repo = self._repo(tmp_path, core=core,
+                          perfbench="from repro.core import L\n")
+        unreached, _ = self._unreached(repo)
+        assert unreached == ["core.c", "core.K", "core.K.__init__"]
+
+    def test_field_declaration_reaches_nothing(self, tmp_path):
+        # A field named ``c`` is no read of ``c``; a default value is.
+        core = self.CORE + ("\n\nclass D:\n    c: int = 0\n"
+                            "    k: object = K\n")
+        repo = self._repo(tmp_path, core=core, perfbench="D()\n")
+        unreached, _ = self._unreached(repo)
+        assert unreached == ["core.c"]
+
+    def test_only_identifier_strings_reach(self, tmp_path):
+        repo = self._repo(tmp_path,
+                          perfbench='NAMES = ["repro.core.c", "K()", "a K"]\n')
+        unreached, _ = self._unreached(repo)
+        assert unreached == ["core.K", "core.K.__init__"]
+
     def test_allowlist_covers_oracles(self, tmp_path):
         repo = self._repo(tmp_path)
         result = audit(repo, {"core.c": "oracle", "core.K": "oracle"})
@@ -346,13 +405,29 @@ class TestAuditOnSyntheticTrees:
             "allowlist names 'core.b', which a root now reaches",
             "allowlist names 'core.gone', which is not defined"]
 
+    def test_report_lists_problems_unreached_and_oracles(self, tmp_path,
+                                                         capsys):
+        repo = self._repo(tmp_path)
+        assert main(repo, {"core.K": "oracle", "core.gone": "deleted"}) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "problem: allowlist names 'core.gone', which is not defined",
+            "unreached: src/repro/core.py:9 core.c",
+            "oracle: src/repro/core.py:13 core.K: oracle",
+            "oracle: src/repro/core.py:14 core.K.__init__: oracle"]
+        assert main(repo, {"core.c": "oracle", "core.K": "oracle"}) == 0
 
-if __name__ == "__main__":
-    result = audit()
+
+def main(repo: Path = REPO, allowlist: Dict[str, str] = ALLOWLIST) -> int:
+    """Print the audit report; the exit status is 1 if it fails."""
+    result = audit(repo, allowlist)
     for line in result.problems:
         print(f"problem: {line}")
     for member in result.unreached:
-        print(f"unreached: {where(member)}")
+        print(f"unreached: {where(member, repo)}")
     for member, why in result.allowlisted:
-        print(f"oracle: {where(member)}: {why}")
-    sys.exit(1 if result.problems or result.unreached else 0)
+        print(f"oracle: {where(member, repo)}: {why}")
+    return 1 if result.problems or result.unreached else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -72,6 +72,23 @@ class TestElaborate:
         assert flat.stats()["cells"] == 1
         assert len(flat.inputs["a"]) == 1
 
+    def test_nets_numbered_in_first_use_order(self, stdlib):
+        # Cells number their nets in order, then ports nothing else
+        # references; names are the module's own, unprefixed.
+        m = Module("t")
+        m.input("clk")
+        a = m.input("a")
+        y = m.output("y")
+        mid = m.wire("mid")
+        m.cell("u1", "INV_X1", {"A": a, "Y": mid})
+        m.cell("u2", "INV_X1", {"A": mid, "Y": y})
+        flat = elaborate(m, stdlib)
+        assert flat.net_names == ["a", "mid", "y", "clk"]
+        assert [(c.name, c.pins) for c in flat.cells] == [
+            ("u1", {"A": 0, "Y": 1}), ("u2", {"A": 1, "Y": 2})]
+        assert flat.inputs == {"clk": [3], "a": [0]}
+        assert flat.outputs == {"y": [2]}
+
     def test_aliases_merge_nets(self, stdlib):
         m = Module("t")
         a = m.input("a")

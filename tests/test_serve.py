@@ -30,6 +30,8 @@ from repro.serve import (
     brick_report_data,
     encode_frame,
 )
+from repro.serve.handlers import _require_bool, _require_seed, coalesce_key
+from repro.serve.protocol import Request
 from repro.session import Session
 from repro.tech import cmos65
 
@@ -640,3 +642,55 @@ class TestCoalescerUnit:
             return await coalescer.run("k", healthy)
 
         assert self._run(main()) == "recovered"
+
+
+class TestParamValidation:
+    """The shared param checks, called directly (no daemon)."""
+
+    @pytest.fixture()
+    def yield_key(self):
+        session = Session(cmos65(), jobs=1, cache=CharacterizationCache())
+
+        def key(params):
+            return coalesce_key(Request(id="k", type="yield",
+                                        params=params), session)
+
+        yield key
+        session.close()
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None],
+                             ids=["str-false", "str-true", "zero", "one",
+                                  "null"])
+    def test_require_bool_refuses_non_booleans(self, value):
+        with pytest.raises(ServeError, match="'ecc' must be true or false"):
+            _require_bool({"ecc": value}, "ecc", False)
+
+    def test_require_bool_takes_booleans_and_default(self):
+        assert _require_bool({}, "ecc", False) is False
+        assert _require_bool({}, "keep_going", True) is True
+        assert _require_bool({"ecc": True}, "ecc", False) is True
+        assert _require_bool({"ecc": False}, "ecc", True) is False
+
+    @pytest.mark.parametrize("seed", ["7", 1.5, True],
+                             ids=["string", "float", "bool"])
+    def test_require_seed_refuses_non_integers(self, seed):
+        with pytest.raises(ServeError, match="'seed' must be an integer"):
+            _require_seed({"seed": seed})
+
+    def test_require_seed_is_optional(self):
+        assert _require_seed({}) is None
+        assert _require_seed({"seed": None}) is None
+        assert _require_seed({"seed": 0}) == 0
+
+    def test_yield_key_reads_ecc_as_a_boolean(self, yield_key):
+        assert yield_key({}) == yield_key({"ecc": False})
+        assert yield_key({"ecc": True}) != yield_key({"ecc": False})
+        # "false" used to be truthy and share the key of "ecc": true.
+        with pytest.raises(ServeError):
+            yield_key({"ecc": "false"})
+
+    def test_yield_key_validates_seed(self, yield_key):
+        assert yield_key({"seed": 3}) != yield_key({"seed": 4})
+        assert yield_key({"seed": 3}) == yield_key({"seed": 3, "ecc": False})
+        with pytest.raises(ServeError):
+            yield_key({"seed": "3"})
