@@ -67,7 +67,6 @@ class Bitcell:
     c_wbl: float
     r_read: float
     i_leak: float
-    n_transistors: int
     c_ml: float = 0.0
     c_sl: float = 0.0
     r_match: float = 0.0
@@ -124,7 +123,6 @@ def make_bitcell(memory_type: str, tech: Technology) -> Bitcell:
             # 6T read path: access in series with driver (~1.5x access R).
             r_read=2.4 * tech.r_on_n / w_acc,
             i_leak=6 * tech.i_leak_n * w_min * 0.4,
-            n_transistors=6,
             destructive_read=False)
 
     if memory_type == SRAM_8T:
@@ -139,8 +137,7 @@ def make_bitcell(memory_type: str, tech: Technology) -> Bitcell:
             c_wbl=share * tech.c_diff * w_acc,
             # 8T read: two series NMOS of the read stack.
             r_read=2.0 * tech.r_on_n / w_rd,
-            i_leak=8 * tech.i_leak_n * w_min * 0.4,
-            n_transistors=8)
+            i_leak=8 * tech.i_leak_n * w_min * 0.4)
 
     if memory_type == CAM_10T:
         # 8T storage plus XOR match stack; area anchored at ~1.83x the 8T
@@ -155,7 +152,6 @@ def make_bitcell(memory_type: str, tech: Technology) -> Bitcell:
             c_rbl=base.c_rbl, c_wbl=base.c_wbl,
             r_read=base.r_read,
             i_leak=10 * tech.i_leak_n * w_min * 0.4,
-            n_transistors=10,
             c_ml=tech.c_diff * w_match * 2.0,
             c_sl=tech.c_gate * w_match,
             r_match=2.0 * tech.r_on_n / w_match,
@@ -173,7 +169,6 @@ def make_bitcell(memory_type: str, tech: Technology) -> Bitcell:
             # Charge-sharing read is weaker than an SRAM pull-down.
             r_read=5.0 * tech.r_on_n / w_acc,
             i_leak=1 * tech.i_leak_n * w_min * 0.4,
-            n_transistors=1,
             destructive_read=True)
 
     if memory_type == DUAL_PORT_8T:
@@ -185,7 +180,6 @@ def make_bitcell(memory_type: str, tech: Technology) -> Bitcell:
             c_rwl=base.c_rwl, c_wwl=base.c_wwl,
             c_rbl=base.c_rbl, c_wbl=base.c_wbl,
             r_read=base.r_read,
-            i_leak=8 * tech.i_leak_n * w_min * 0.4,
-            n_transistors=8)
+            i_leak=8 * tech.i_leak_n * w_min * 0.4)
 
     raise BrickError(f"unknown memory type {memory_type!r}")

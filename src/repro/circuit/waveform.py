@@ -62,19 +62,6 @@ class Waveform:
             f"waveform never crosses {level} (rising={rising}) after "
             f"{after}")
 
-    def slew(self, v_low: float, v_high: float, rising: bool = True,
-             after: float = 0.0) -> float:
-        """Transition time between two levels (e.g. 10 % and 90 % of Vdd)."""
-        if v_low >= v_high:
-            raise SimulationError("slew levels must satisfy v_low < v_high")
-        if rising:
-            t0 = self.crossing(v_low, rising=True, after=after)
-            t1 = self.crossing(v_high, rising=True, after=t0)
-        else:
-            t0 = self.crossing(v_high, rising=False, after=after)
-            t1 = self.crossing(v_low, rising=False, after=t0)
-        return t1 - t0
-
 
 def ramp(t_start: float, t_rise: float, v0: float, v1: float):
     """Return a piecewise-linear ramp stimulus ``v(t)`` callable."""

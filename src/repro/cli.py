@@ -493,23 +493,24 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _non_negative_int(zero_means: str) -> Callable[[str], int]:
-    """An argparse ``type`` accepting integers >= 0."""
+def _int_at_least(minimum: int, note: str = "") -> Callable[[str], int]:
+    """An argparse ``type`` accepting integers >= ``minimum``."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"must be an integer, "
                                              f"got {text!r}") from None
-        if value < 0:
+        if value < minimum:
             raise argparse.ArgumentTypeError(
-                f"must be >= 0 (0 = {zero_means})")
+                f"must be >= {minimum}{note}")
         return value
     return parse
 
 
-_jobs_count = _non_negative_int("all cores")
-_anneal_moves = _non_negative_int("no annealing")
+_jobs_count = _int_at_least(0, " (0 = all cores)")
+_anneal_moves = _int_at_least(0, " (0 = no annealing)")
+_partition_count = _int_at_least(1)
 
 
 def _utilization(text: str) -> float:
@@ -573,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="session master seed driving defect "
                             f"sampling (default: {DEFAULT_SEED})")
         if with_partitions:
-            p.add_argument("--partitions", type=int, default=1)
+            p.add_argument("--partitions", type=_partition_count,
+                           default=1)
 
     p = sub.add_parser("brick", parents=[obs],
                        help="compile and estimate one brick")
@@ -612,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--words", type=int, default=32)
     p.add_argument("--bits", type=int, default=10)
     p.add_argument("--brick-words", type=int, default=16)
-    p.add_argument("--partitions", type=int, default=1)
+    p.add_argument("--partitions", type=_partition_count, default=1)
     p.add_argument("--type", default="8T")
     p.add_argument("--cycles", type=int, default=64)
     p.add_argument("--anneal", type=_anneal_moves, default=2000)

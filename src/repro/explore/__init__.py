@@ -3,7 +3,10 @@
 The supported sweep entry point is :class:`SweepEngine` — one facade
 for everything from the 9-point Fig. 4c study to a million-point
 sharded, checkpointed lattice sweep (``plan() -> run() ->
-frontier()``).  The Fig. 4c partition sweep and brick
+frontier()``).  Every sweep yields
+:class:`ScalePoint` records: a cached (small) sweep prices its
+:class:`Lattice` point by point and keeps them all, a sharded one keeps
+the frontier and top-K.  The Fig. 4c partition sweep and brick
 selection are also reachable as :class:`~repro.session.Session`
 methods.
 """
@@ -34,13 +37,7 @@ from .scale import (
     refine_candidates,
     shard_bounds,
 )
-from .sweep import (
-    BrickChoice,
-    FailedPoint,
-    SweepPlan,
-    SweepPoint,
-    SweepResult,
-)
+from .sweep import BrickChoice, SweepResult
 
 __all__ = [
     "AUTO_SHARD_THRESHOLD", "ScalePlan", "ScaleResult", "SweepEngine",
@@ -50,6 +47,5 @@ __all__ = [
     "DEFAULT_OBJECTIVES", "OBJECTIVE_COLUMNS", "ScaleFailure",
     "ScalePoint", "ShardResult", "price_combos", "price_shard",
     "refine_candidates", "shard_bounds",
-    "BrickChoice", "FailedPoint", "SweepPlan", "SweepPoint",
-    "SweepResult",
+    "BrickChoice", "SweepResult",
 ]

@@ -4,10 +4,10 @@
 :class:`~repro.session.Session` behind a single ``plan() -> run() ->
 frontier()`` shape:
 
-* **cached mode** (small sweeps, the Fig. 4c path): delegates to the
-  historical grid executor, so per-point cache keys, tracing spans and
-  rendered tables stay byte-identical with every release before the
-  redesign — and all priced points are retained.
+* **cached mode** (small sweeps, the Fig. 4c path): prices the lattice
+  point by point through :func:`~repro.explore.sweep.price_lattice`,
+  so every point is a per-point ``estimate`` cache entry with its own
+  ``sweep_point`` span — and all priced points are retained.
 * **sharded mode** (10^5–10^6-point lattices): fans fixed-size shards
   over :func:`repro.perf.parallel.resumable_imap`, folds each completed
   shard's local Pareto front and top-K into online accumulators, and
@@ -15,6 +15,7 @@ frontier()`` shape:
   — memory stays bounded by ``frontier + top_k`` and a killed sweep
   resumes warm, reproducing a byte-identical frontier.
 
+Both modes yield :class:`~repro.explore.scale.ScalePoint` records.
 ``mode="auto"`` (the default) picks cached below
 :data:`AUTO_SHARD_THRESHOLD` points and sharded above it, so callers
 never choose; :meth:`SweepEngine.refine` adds successive-halving zoom
@@ -24,6 +25,7 @@ rounds around the frontier after either mode.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -42,7 +44,7 @@ from ..perf.parallel import (
     resumable_imap,
 )
 from ..perf.timer import Stopwatch
-from ..session import FaultEvent, Session
+from ..session import Session
 from .lattice import Lattice, SweepSpace
 from .pareto import ParetoAccumulator, TopKAccumulator
 from .scale import (
@@ -56,14 +58,10 @@ from .scale import (
     refine_candidates,
     shard_bounds,
 )
-from .sweep import (
-    SweepResult,
-    _execute_grid,
-    _plan_grid,
-)
+from .sweep import SweepResult, price_lattice
 
-#: Lattices up to this many points run the exact legacy cached path
-#: under ``mode="auto"``; larger ones go sharded.
+#: Lattices up to this many points run in cached mode under
+#: ``mode="auto"``; larger ones go sharded.
 AUTO_SHARD_THRESHOLD = 512
 
 @dataclass(frozen=True)
@@ -97,8 +95,9 @@ class ScaleResult:
     ``frontier`` is the Pareto archive over ``objectives`` sorted by
     global lattice index; ``top`` the ``(score, point)`` best-K by the
     objective-product score.  ``points`` is only populated in cached
-    mode (where the legacy path materializes everything anyway) — in
-    sharded mode it stays ``None`` so memory is bounded.
+    mode (which prices every point one by one anyway) — in sharded
+    mode it stays ``None`` so memory is bounded.  ``failures`` holds
+    the points a cached run skipped under ``keep_going``.
     """
 
     mode: str
@@ -117,16 +116,15 @@ class ScaleResult:
     n_refined: int = 0
 
     def to_sweep_result(self) -> SweepResult:
-        """Downgrade to the legacy :class:`SweepResult` shape.
+        """The :class:`SweepResult` the sweep table renders.
 
-        Cached mode carries every priced point, so the legacy result is
+        Cached mode carries every priced point, so the table is
         complete; sharded mode only has the survivors (frontier order).
         """
         kept = self.points if self.points is not None else self.frontier
-        return SweepResult(
-            points=[p.as_sweep_point() for p in kept],
-            wall_clock_s=self.wall_clock_s,
-            failures=[f.as_failed_point() for f in self.failures])
+        return SweepResult(points=list(kept),
+                           wall_clock_s=self.wall_clock_s,
+                           failures=list(self.failures))
 
     def frontier_json(self) -> str:
         """Canonical JSON of the frontier (byte-comparable).
@@ -317,14 +315,12 @@ class SweepEngine:
                 frontier_acc.add(key, item, vec)
             for score, key, item in shard.top:
                 top_acc.add(key, item, score)
-            result.failures.extend(shard.failures)
             result.n_priced += shard.n_priced
             result.n_refined += len(combos)
             result.refined_rounds += 1
             if session.metrics is not None:
                 session.metrics.counter(
                     "explore.scale.refined_points").inc(len(combos))
-        result.failures.sort(key=lambda f: f.index)
         result.frontier = frontier_acc.front()
         result.top = [(score, item)
                       for score, _, item in top_acc.entries()]
@@ -347,62 +343,31 @@ class SweepEngine:
     def _run_cached(self, plan: ScalePlan, keep_going: bool,
                     progress: Optional[ProgressCallback]
                     ) -> ScaleResult:
-        """The exact legacy grid path, reduced to engine shape."""
-        session = self.session
-        space = plan.space
-        memory_type = space.memory_types[0]
-        legacy_plan = _plan_grid(
-            total_words_options=space.total_words_options,
-            bits_options=space.bits_options,
-            brick_words_options=space.brick_words_options,
-            memory_type=memory_type)
-        legacy = _execute_grid(legacy_plan, session,
-                               keep_going=keep_going)
-        failed = {f.index for f in legacy.failures}
-        point_iter = iter(legacy.points)
-        scale_points: List[ScalePoint] = []
-        for i, (bits, brick_words, total_words,
-                stack) in enumerate(legacy_plan.grid):
-            if i in failed:
-                continue
-            p = next(point_iter)
-            scale_points.append(ScalePoint(
-                index=i, memory_type=memory_type,
-                total_words=total_words, bits=bits,
-                brick_words=brick_words, stack=stack,
-                read_delay=p.read_delay, read_energy=p.read_energy,
-                write_energy=p.write_energy, area_um2=p.area_um2,
-                leakage_w=p.leakage_w))
+        """Price every lattice point and keep them all."""
+        swept = price_lattice(Lattice(plan.space), self.session,
+                              keep_going=keep_going)
         frontier_acc = ParetoAccumulator()
         top_acc = TopKAccumulator(self.top_k)
-        for point in scale_points:
+        for point in swept.points:
             vec = point.vector(self.objectives)
             frontier_acc.add(point.index, point, vec)
-            score = 1.0
-            for value in vec:
-                score *= value
-            top_acc.add(point.index, point, score)
-        failures = [ScaleFailure(
-            index=f.index, memory_type=memory_type,
-            total_words=f.total_words, bits=f.bits,
-            brick_words=f.brick_words, stack=f.stack, error=f.error)
-            for f in legacy.failures]
+            top_acc.add(point.index, point, math.prod(vec))
         result = ScaleResult(
             mode="cached", objectives=self.objectives,
-            n_points=plan.n_points, n_priced=len(scale_points),
+            n_points=plan.n_points, n_priced=len(swept.points),
             shards_total=1, shards_done=1, resumed_shards=0,
             frontier=frontier_acc.front(),
             top=[(score, item)
                  for score, _, item in top_acc.entries()],
-            failures=failures, wall_clock_s=legacy.wall_clock_s,
-            points=scale_points)
+            failures=swept.failures, wall_clock_s=swept.wall_clock_s,
+            points=swept.points)
         if progress is not None:
             progress(1, 1, ShardResult(
                 shard=0, start=0, stop=plan.n_points,
-                n_priced=len(scale_points),
+                n_priced=len(swept.points),
                 frontier=frontier_acc.entries(),
-                top=top_acc.entries(), failures=list(failures),
-                wall_clock_s=legacy.wall_clock_s))
+                top=top_acc.entries(),
+                wall_clock_s=swept.wall_clock_s))
         return result
 
     def _run_sharded(self, plan: ScalePlan, keep_going: bool,
@@ -440,7 +405,7 @@ class SweepEngine:
                            watch.elapsed())
 
     def _note_shard(self, shard: ShardResult, resumed: bool) -> None:
-        """Per-shard observability: span + counters + fault events."""
+        """Per-shard observability: span + counters."""
         session = self.session
         if session.tracer is not None:
             pspan = session.tracer.open(
@@ -457,15 +422,9 @@ class SweepEngine:
                     "explore.scale.shards_resumed").inc()
             session.metrics.counter(
                 "explore.sweep.points_evaluated").inc(shard.n_priced)
-            session.metrics.counter(
-                "explore.sweep.points_skipped").inc(
-                    len(shard.failures))
-        if not resumed:
-            for failure in shard.failures:
-                session.emit(FaultEvent(
-                    domain="sweep", name=failure.label,
-                    index=failure.index, error=failure.error,
-                    recovered=True))
+            # A shard prices or fails as a whole, so it skips no point;
+            # the counter is created for the --metrics listing.
+            session.metrics.counter("explore.sweep.points_skipped")
 
     def _merge(self, plan: ScalePlan,
                collected: Dict[int, ShardResult], resumed_shards: int,
@@ -473,7 +432,6 @@ class SweepEngine:
         """Fold shard survivors into the global frontier/top-K."""
         frontier_acc = ParetoAccumulator()
         top_acc = TopKAccumulator(self.top_k)
-        failures: List[ScaleFailure] = []
         n_priced = 0
         for shard_index in sorted(collected):
             shard = collected[shard_index]
@@ -482,15 +440,6 @@ class SweepEngine:
                 frontier_acc.add(key, item, vec)
             for score, key, item in shard.top:
                 top_acc.add(key, item, score)
-            failures.extend(shard.failures)
-        failures.sort(key=lambda f: f.index)
-        if not n_priced:
-            if failures:
-                raise ExplorationError(
-                    f"every sweep point failed "
-                    f"({len(failures)} failures; first: "
-                    f"{failures[0].error})")
-            raise ExplorationError("sweep produced no points")
         return ScaleResult(
             mode="sharded", objectives=self.objectives,
             n_points=plan.n_points, n_priced=n_priced,
@@ -499,4 +448,4 @@ class SweepEngine:
             frontier=frontier_acc.front(),
             top=[(score, item)
                  for score, _, item in top_acc.entries()],
-            failures=failures, wall_clock_s=wall_clock_s)
+            wall_clock_s=wall_clock_s)

@@ -12,9 +12,9 @@ directly as numpy columns feeding
 :func:`repro.bricks.batch.estimate_metric_columns` without ever
 constructing per-point Python objects.
 
-For a single memory type the enumeration order is exactly the legacy
-``plan_sweep`` grid order (bits -> brick_words -> total_words), so the
-engine's small-sweep path reproduces historical results byte for byte.
+For a single memory type the enumeration order is bits -> brick_words
+-> total_words, the Fig. 4c table's row order; the engine's cached
+mode prices the lattice point by point in exactly that order.
 """
 
 from __future__ import annotations
@@ -83,7 +83,9 @@ class SweepSpace:
                      brick_words_options: Sequence[int] = (16, 32, 64),
                      memory_type: str = "8T",
                      memory_types: Sequence[str] = ()) -> "SweepSpace":
-        """Build a space from the legacy ``plan_sweep`` keyword shape.
+        """Build a space from per-axis keywords (the shape of
+        :class:`~repro.explore.engine.SweepEngine` and the session
+        sweep methods).
 
         ``memory_types`` (plural) wins over the scalar ``memory_type``
         when given — the multi-type lattice the scaled engine explores.

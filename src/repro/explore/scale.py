@@ -28,7 +28,7 @@ result independent of shard completion order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +43,6 @@ from ..perf.timer import Stopwatch
 from ..tech.technology import Technology
 from .lattice import Lattice, LatticePoint, SweepSpace
 from .pareto import ParetoAccumulator, TopKAccumulator, pareto_mask
-from .sweep import FailedPoint, SweepPoint
 
 #: Metric columns a sweep may minimize over (as produced by
 #: :func:`repro.bricks.batch.estimate_metric_columns`).
@@ -56,7 +55,12 @@ DEFAULT_OBJECTIVES = ("read_delay", "read_energy", "area_um2")
 
 @dataclass(frozen=True)
 class ScalePoint:
-    """One priced lattice point (geometry + metrics + global index)."""
+    """One priced lattice point (geometry + metrics + global index).
+
+    The one point type of both sweep arms: a cached sweep returns every
+    point as one, a sharded sweep its survivors, and shard checkpoints
+    pickle them.
+    """
 
     index: int
     memory_type: str
@@ -86,20 +90,20 @@ class ScalePoint:
     def vector(self, objectives: Sequence[str]) -> Tuple[float, ...]:
         return tuple(self.metric(name) for name in objectives)
 
-    def as_sweep_point(self) -> SweepPoint:
-        """Downgrade to the legacy Fig. 4c point shape."""
-        return SweepPoint(
-            total_words=self.total_words, bits=self.bits,
-            brick_words=self.brick_words, stack=self.stack,
-            read_delay=self.read_delay, read_energy=self.read_energy,
-            write_energy=self.write_energy, area_um2=self.area_um2,
-            leakage_w=self.leakage_w)
+    def normalized(self, ref: "ScalePoint") -> Dict[str, float]:
+        """Metrics normalized to a reference point (Fig. 4c's y-axes)."""
+        return {
+            "delay": self.read_delay / ref.read_delay,
+            "energy": self.read_energy / ref.read_energy,
+            "area": self.area_um2 / ref.area_um2,
+        }
 
 
 @dataclass(frozen=True)
 class ScaleFailure:
-    """One point skipped under ``keep_going`` (recorded by the cached
-    mode's grid path; the sharded path prices whole shards)."""
+    """One point a cached-mode sweep skipped under ``keep_going``
+    (:func:`repro.explore.sweep.price_lattice`); a sharded sweep prices
+    whole shards, so a kernel error fails its shard instead."""
 
     index: int
     memory_type: str
@@ -113,12 +117,6 @@ class ScaleFailure:
     def label(self) -> str:
         return (f"{self.total_words}x{self.bits}b from "
                 f"{self.brick_words}x{self.bits}b bricks")
-
-    def as_failed_point(self) -> FailedPoint:
-        return FailedPoint(
-            total_words=self.total_words, bits=self.bits,
-            brick_words=self.brick_words, stack=self.stack,
-            error=self.error, index=self.index)
 
 
 @dataclass
@@ -138,7 +136,6 @@ class ShardResult:
     n_priced: int
     frontier: List[Tuple[int, ScalePoint, Tuple[float, ...]]]
     top: List[Tuple[float, int, ScalePoint]]
-    failures: List[ScaleFailure] = field(default_factory=list)
     wall_clock_s: float = 0.0
 
     @property

@@ -158,6 +158,9 @@ def analyze_yield(spec: BrickSpec, stack: int = 1, partitions: int = 1,
     plan = plan or RepairPlan()
     if n_bricks < 1:
         raise YieldError("population must be >= 1 brick")
+    if stack < 1 or partitions < 1:
+        raise YieldError(f"stack and partitions must be >= 1, got "
+                         f"stack={stack}, partitions={partitions}")
     bricks_per_bank = stack * partitions
     # Deferred import: repro.signoff imports this package.
     from ..signoff.rng import stream_key

@@ -312,13 +312,14 @@ class Session:
         return generate_brick_library(requests, name=name, session=self)
 
     def sweep_partitions(self, **kwargs):
-        """:func:`repro.explore.sweep` partition sweep, this session."""
+        """The Fig. 4c partition sweep
+        (:func:`repro.explore.sweep.price_lattice`) under this session."""
         from .explore.sweep import _sweep_partitions_impl
         return _sweep_partitions_impl(self, **kwargs)
 
     def optimize_brick_selection(self, total_words: int, bits: int,
                                  **kwargs):
-        """:func:`repro.explore.sweep` brick selection, this session."""
+        """:mod:`repro.explore.sweep` brick selection, this session."""
         from .explore.sweep import _optimize_brick_selection_impl
         return _optimize_brick_selection_impl(self, total_words=total_words,
                                               bits=bits, **kwargs)

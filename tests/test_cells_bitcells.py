@@ -71,10 +71,6 @@ class TestCamCell:
         assert sram.c_ml == 0.0
         assert not sram.is_cam
 
-    def test_cam_more_transistors(self, tech):
-        assert make_bitcell(CAM_10T, tech).n_transistors > \
-            make_bitcell(SRAM_8T, tech).n_transistors
-
     def test_area_ordering_by_complexity(self, tech):
         a6 = make_bitcell(SRAM_6T, tech).area_um2
         a8 = make_bitcell(SRAM_8T, tech).area_um2

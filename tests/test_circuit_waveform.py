@@ -41,19 +41,6 @@ class TestWaveform:
         with pytest.raises(SimulationError):
             wf.crossing(0.5)
 
-    def test_slew_rising(self):
-        wf = _wave([0, 1, 2], [0.0, 0.5, 1.0])
-        assert wf.slew(0.1, 0.9, rising=True) == pytest.approx(1.6)
-
-    def test_slew_falling(self):
-        wf = _wave([0, 1, 2], [1.0, 0.5, 0.0])
-        assert wf.slew(0.1, 0.9, rising=False) == pytest.approx(1.6)
-
-    def test_slew_bad_levels_rejected(self):
-        wf = _wave([0, 1], [0, 1])
-        with pytest.raises(SimulationError):
-            wf.slew(0.9, 0.1)
-
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(SimulationError):
             Waveform(np.zeros(3), np.zeros(4))

@@ -1,6 +1,6 @@
 """The sharded million-point explorer (repro.explore.scale/lattice).
 
-Covers the lattice's fidelity to the legacy grid order, the streaming
+Covers the lattice's enumeration order, the streaming
 Pareto/top-K accumulators against full materialization (property
 tests), batch-only shard pricing and its independence from the shard
 size, checkpoint/resume golden identity, and successive-halving
@@ -28,7 +28,6 @@ from repro.explore import (
     shard_bounds,
 )
 from repro.explore import scale
-from repro.explore.sweep import _plan_grid
 from repro.perf.cache import CharacterizationCache
 from repro.perf.parallel import checkpoint_key
 from repro.session import Session
@@ -81,19 +80,17 @@ class TestSweepSpace:
 
 class TestLattice:
     def test_matches_legacy_grid_order(self):
-        """Point i of the lattice is row i of the legacy plan grid."""
+        """Points run bits -> brick_words -> total_words, skipping
+        memory sizes a brick does not divide (the Fig. 4c row order)."""
         space = SweepSpace.from_options(
             (64, 128, 100), (8, 16), (16, 32, 64))
         lattice = Lattice(space)
-        plan = _plan_grid(total_words_options=(64, 128, 100),
-                          bits_options=(8, 16),
-                          brick_words_options=(16, 32, 64))
-        assert len(lattice) == len(plan.grid)
-        for i, (bits, brick_words, total_words,
-                stack) in enumerate(plan.grid):
-            p = lattice.point(i)
-            assert (p.bits, p.brick_words, p.total_words,
-                    p.stack) == (bits, brick_words, total_words, stack)
+        expected = [(8, 16, 64, 4), (8, 16, 128, 8), (8, 32, 64, 2),
+                    (8, 32, 128, 4), (8, 64, 64, 1), (8, 64, 128, 2),
+                    (16, 16, 64, 4), (16, 16, 128, 8), (16, 32, 64, 2),
+                    (16, 32, 128, 4), (16, 64, 64, 1), (16, 64, 128, 2)]
+        assert [(p.bits, p.brick_words, p.total_words, p.stack)
+                for p in lattice.points(0, len(lattice))] == expected
 
     def test_divisibility_filter(self):
         space = SweepSpace.from_options((100,), (8,), (16, 25, 50))
@@ -202,7 +199,6 @@ class TestPriceShard:
         assert result.n_priced == 8
         assert result.frontier
         assert len(result.top) == 4
-        assert not result.failures
 
     def test_shard_size_does_not_change_results(self, tech):
         # Every point prices identically whatever shard it lands in, so
@@ -336,7 +332,7 @@ class TestRefinement:
         refined = engine.refine(rounds=1)
         assert refined.refined_rounds <= 1
         if refined.n_refined:
-            assert refined.n_priced > n or refined.failures
+            assert refined.n_priced > n
         for point in refined.frontier:
             if point.index >= n:
                 # A refined survivor sits off the original lattice.

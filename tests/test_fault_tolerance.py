@@ -299,6 +299,25 @@ class TestExitCodes:
         assert capsys.readouterr().out == first
         assert "brick yield" in first
 
+    def test_cli_faults_rejects_empty_stack(self, capsys):
+        from repro.cli import main
+        assert main(["--no-cache", "faults", "--stack", "0"]) == 28
+        assert "error: yield: stack and partitions must be >= 1" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["faults", "--partitions", "0"],
+        ["faults", "--partitions", "-2"],
+        ["sram", "--partitions", "0"],
+        ["sram", "--partitions", "-3"],
+        ["client", "--port", "1", "yield", "--partitions", "0"]])
+    def test_cli_partitions_must_be_positive(self, capsys, argv):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--no-cache", *argv])
+        assert excinfo.value.code == 2
+        assert "--partitions: must be >= 1" in capsys.readouterr().err
+
     def test_cli_brick_yield_flag(self, capsys):
         from repro.cli import main
         assert main(["--no-cache", "brick", "--words", "16", "--bits",

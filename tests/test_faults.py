@@ -382,6 +382,14 @@ class TestYieldAnalysis:
             analyze_yield(sram_brick(16, 8), n_bricks=0,
                           session=session)
 
+    @pytest.mark.parametrize("geometry", [
+        dict(stack=0), dict(stack=-1), dict(partitions=0),
+        dict(partitions=-2)])
+    def test_bank_geometry_validation(self, session, geometry):
+        with pytest.raises(YieldError, match="must be >= 1"):
+            analyze_yield(sram_brick(16, 8), n_bricks=10,
+                          session=session, **geometry)
+
 
 class TestWaferSort:
     def test_dead_chips_excluded_from_measurement(self, session):

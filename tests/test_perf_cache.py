@@ -104,6 +104,19 @@ class TestFingerprint:
         assert cache_key("estimate", spec, tech, 2) != \
             cache_key("cellmodel", spec, tech, 2)
 
+    def test_pinned_keys(self, tech):
+        """Keys hash the spec, technology and stack (and a sweep plan's
+        options), never derived models such as the ``Bitcell``: these
+        digests predate the removal of its unread ``n_transistors``."""
+        from repro.explore import SweepEngine
+        assert cache_key("estimate", sram_brick(16, 10), tech, 4) == (
+            "7ba9a2b7bcf9d45a72a133b589b746b5"
+            "3a9c4423c587225ca924901ed99b555d")
+        engine = SweepEngine(Session(tech, cache=CharacterizationCache()))
+        assert engine.plan().fingerprint == (
+            "db2b29ce816a3c905311baa5c907a7b0"
+            "2e93ba43e86b6390eefdd446710223d5")
+
     def test_stable_across_processes(self, tech):
         """The core disk-cache soundness property: a fresh interpreter
         (fresh PYTHONHASHSEED, fresh dict order) derives the same key."""

@@ -13,7 +13,8 @@ The roots are the program's users:
 From the names the roots mention, the walk reaches every def with one of
 those names and then walks through that def's body in turn.  A name is a
 ``Name`` id that is read (binding a variable or declaring a field reaches
-nothing), an ``Attribute`` name (a store may call a property setter), an
+nothing, and neither does reading a local: a name the enclosing function
+or comprehension binds as an argument or a target), an ``Attribute`` name (a store may call a property setter), an
 import alias, or a string constant shaped like a dotted identifier, so
 perfbench's ``"SweepEngine.plan"`` and ``"_shard_worker"`` count.  A class brings its dunder methods along;
 a dunder is never matched by name (``super().__init__`` reaches no other
@@ -43,6 +44,12 @@ ROOT_DIRS = ("benchmarks", "perfbench", "examples")
 #: covers the members defined inside it.  A key that covers no unreached
 #: member fails the audit, so the list cannot outlive its oracles.
 ALLOWLIST: Dict[str, str] = {
+    "circuit.spice.TransientSimulator.bandwidth":
+        "test_circuit_netlist_spice.py::TestBandStructure checks every "
+        "Table-1/CAM testbench orders to a band the pttrf path solves",
+    "circuit.waveform.ramp":
+        "input stimulus of test_crossvalidation.py, which checks NLDM "
+        "delays against a ramp-driven transient",
     "circuit.waveform.Waveform.value_at":
         "test_circuit_netlist_spice.py::TestTransient samples the "
         "transient's output waveform with it",
@@ -58,6 +65,9 @@ ALLOWLIST: Dict[str, str] = {
     "liberty.models.CellModel.input_pins":
         "test_liberty_parser.py::TestRoundTrip compares parsed pins with "
         "the LibertyWriter's cells",
+    "liberty.models.CellModel.arc":
+        "test_crossvalidation.py reads the NLDM arc it checks against "
+        "the transient reference",
     "liberty.parser":
         ".lib reader of test_liberty_parser.py and test_property_system.py, "
         "which round-trip LibertyWriter output through it",
@@ -118,16 +128,85 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _names(nodes: Iterable[ast.AST], imports: bool = True) -> Set[str]:
-    """Every name the nodes mention, nested defs included."""
-    out: Set[str] = set()
-    stack = list(nodes)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
+                   ast.GeneratorExp)
+
+
+def _bound(scope: ast.AST) -> Set[str]:
+    """Names a function or comprehension binds in its own scope:
+    arguments, assignment, loop, ``with`` and comprehension targets and
+    nested defs, less its ``global``/``nonlocal`` declarations."""
+    if isinstance(scope, _COMPREHENSIONS):
+        stack: List[ast.AST] = [g.target for g in scope.generators]
+    else:
+        a = scope.args
+        body = scope.body if isinstance(scope.body, list) else [scope.body]
+        stack = [*body, *a.posonlyargs, *a.args, *a.kwonlyargs,
+                 *(x for x in (a.vararg, a.kwarg) if x)]
+    bound: Set[str] = set()
+    free: Set[str] = set()
     while stack:
         node = stack.pop()
+        if isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                            ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            free.update(node.names)
+        if isinstance(node, _DEFS):
+            bound.add(node.name)
+        if isinstance(node, (*_DEFS, *_COMPREHENSIONS, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+    return bound - free
+
+
+def _scoped_children(node: ast.AST, hidden: Set[str]
+                     ) -> Iterator[Tuple[ast.AST, Set[str]]]:
+    """``node``'s children, each with the local names that read
+    nothing there.  A function's own locals cover its body, not its
+    decorators, defaults or annotations; a comprehension's cover all
+    but its first iterable."""
+    if isinstance(node, _FUNCTIONS):
+        a = node.args
+        args = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+        outer = [*getattr(node, "decorator_list", ()),
+                 getattr(node, "returns", None), *a.defaults,
+                 *a.kw_defaults, *(x.annotation for x in args if x)]
+        yield from ((child, hidden) for child in outer if child)
+        inner = hidden | _bound(node)
+        body = node.body if isinstance(node.body, list) else [node.body]
+        yield from ((child, inner) for child in body)
+    elif isinstance(node, _COMPREHENSIONS):
+        inner = hidden | _bound(node)
+        first = node.generators[0].iter
+        yield first, hidden
+        for child in ast.iter_child_nodes(node):
+            parts = (ast.iter_child_nodes(child)
+                     if isinstance(child, ast.comprehension) else [child])
+            for part in parts:
+                if part is not first:
+                    yield part, inner
+    else:
+        for child in ast.iter_child_nodes(node):
+            yield child, hidden
+
+
+def _names(nodes: Iterable[ast.AST], imports: bool = True) -> Set[str]:
+    """Every name the nodes mention, nested defs included.  A read of a
+    name the enclosing function or comprehension binds itself names a
+    local, so it reaches nothing."""
+    out: Set[str] = set()
+    stack = [(node, set()) for node in nodes]
+    while stack:
+        node, hidden = stack.pop()
         if isinstance(node, (ast.Import, ast.ImportFrom)) and not imports:
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            if node.id not in hidden:
+                out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
@@ -137,7 +216,7 @@ def _names(nodes: Iterable[ast.AST], imports: bool = True) -> Set[str]:
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and _DOTTED.match(node.value)):
             out.update(node.value.split("."))
-        stack.extend(ast.iter_child_nodes(node))
+        stack.extend(_scoped_children(node, hidden))
     return out
 
 
@@ -322,6 +401,29 @@ class TestAuditOnSyntheticTrees:
                                               "    pass\n")
         unreached, _ = self._unreached(repo)
         assert unreached == ["core.c", "core.K", "core.K.__init__"]
+
+    def test_local_name_reaches_nothing(self, tmp_path):
+        # Each read of ``c`` and ``K`` here names a local of its own
+        # function, lambda or comprehension; the default ``K`` and the
+        # first iterable ``c`` are read in the enclosing scope.
+        local = ("def use(c, *K):\n    return c, K\n\n\n"
+                 "def bind():\n    c = 1\n    for K in ():\n"
+                 "        pass\n    with open('x') as (c, K):\n"
+                 "        pass\n    return c, K\n\n\n"
+                 "f = lambda c: c\n"
+                 "squares = [K for K in range(3)]\n"
+                 "def nested():\n    c = 2\n\n"
+                 "    def inner():\n        return c\n    return inner\n")
+        repo = self._repo(tmp_path, perfbench=local)
+        assert self._unreached(repo)[0] == ["core.c", "core.K",
+                                            "core.K.__init__"]
+        outer = ("def use(x=K):\n    return x\n\n\n"
+                 "pairs = [c for c in c()]\n")
+        repo = self._repo(tmp_path, perfbench=outer)
+        assert self._unreached(repo)[0] == []
+        glob = "def use():\n    global c\n    c = 1\n    return c\n"
+        repo = self._repo(tmp_path, perfbench=glob)
+        assert self._unreached(repo)[0] == ["core.K", "core.K.__init__"]
 
     def test_dunder_is_not_matched_by_name(self, tmp_path):
         core = self.CORE + ("\n\nclass J:\n    def __init__(self):\n"
