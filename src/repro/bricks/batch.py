@@ -26,10 +26,12 @@ as a one-row batch (:func:`brick_rows`, the inverse of
   delay/energy/area/leakage term element-wise, in the accumulation
   order of the scalar closed forms kept as the test oracle, so a point
   is ``==`` to the oracle over the same sizing.  Terms that neither
-  stack nor the output load enters are evaluated once per sized brick
-  and gathered; only the stack/load terms and the totals that include
-  them are evaluated per point, split at a prefix the scalar forms add
-  first, so the factorization changes no bit.
+  stack nor the output load enters are evaluated once per sized brick;
+  only the stack/load terms and the totals that include them are
+  evaluated per point, split at a prefix the scalar forms add first, so
+  the factorization changes no bit.  Per-brick columns no total needs
+  stay one per sized brick until :func:`point_columns` gathers them
+  for :func:`estimate_batch`.
 """
 
 from __future__ import annotations
@@ -519,13 +521,15 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
     the per-point object packing (which dominates wall clock above
     ~10^4 points).  The returned dict maps metric names to length-``n``
     float arrays — ``read_delay``, ``read_energy``, ``write_energy``,
-    ``setup``, ``clock_cap`` (stacked), ``wbl_cap``, ``area_um2``
-    (stacked), ``leakage_w`` — plus ``hold`` (a scalar float),
-    ``match_delay``/``match_energy`` compact over ``cam_idx`` (the CAM
-    points), ``brick_area`` (one brick's layout area, ``area_um2``
-    before the ``x stack``), and a ``components`` sub-dict of the 16
-    delay/energy breakdown columns.
-    :func:`estimate_batch` is exactly these columns + ``_pack``.
+    ``wbl_cap``, ``area_um2`` (stacked), ``leakage_w`` — plus ``hold``
+    (a scalar float) and ``match_delay``/``match_energy`` compact over
+    ``cam_idx`` (the CAM points).  ``setup``, ``brick_area`` (one
+    brick's layout area, ``area_um2`` before the ``x stack``) and
+    ``brick_clock_cap`` are length-``n_rows``, one per sized brick, and
+    so are the :data:`_SIZED_COMPONENTS` of the ``components`` sub-dict
+    of the 16 delay/energy breakdown columns; :func:`point_columns`
+    gathers them per point.  :func:`estimate_batch` is exactly these
+    columns + :func:`point_columns` + ``_pack``.
 
     Every term that neither ``stack`` nor the ARBL output load enters
     is evaluated once per sized brick and gathered through
@@ -545,7 +549,7 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
         empty = np.zeros(0)
         return {name: empty for name in
                 ("read_delay", "read_energy", "write_energy", "setup",
-                 "clock_cap", "wbl_cap", "area_um2", "brick_area",
+                 "brick_clock_cap", "wbl_cap", "area_um2", "brick_area",
                  "leakage_w", "match_delay", "match_energy")} | {
                     "hold": 0.5 * tech.fo4_delay(),
                     "cam_idx": np.zeros(0, dtype=np.int64),
@@ -776,21 +780,19 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
     cam_slot = cam_slot[row[cam_points]]
 
     components = dict(zip(_COMPONENT_KEYS,
-                          (t_ctrl[row], t_nand[row], t_chain[row],
-                           t_wl_wire[row], t_cell[row], t_sense[row],
-                           t_arbl, e_ctrl[row], e_wl[row], e_lbl[row],
-                           e_sense[row], e_arbl, e_idle, e_crowbar[row],
-                           e_wbl, e_wwl[row])))
+                          (t_ctrl, t_nand, t_chain, t_wl_wire, t_cell,
+                           t_sense, t_arbl, e_ctrl, e_wl, e_lbl, e_sense,
+                           e_arbl, e_idle, e_crowbar, e_wbl, e_wwl)))
     return {
         "read_delay": read_delay,
         "read_energy": read_energy,
         "write_energy": write_energy,
-        "setup": setup[row],
+        "setup": setup,
         "hold": hold,
-        "clock_cap": stack * clock_cap[row],
+        "brick_clock_cap": clock_cap,
         "wbl_cap": c_wbl_bank,
         "area_um2": brick_area[row] * stack,
-        "brick_area": brick_area[row],
+        "brick_area": brick_area,
         "leakage_w": stack * leak_per_brick[row],
         "match_delay": match_delay[cam_slot],
         "match_energy": (e_ctrl[cam] + e_sl + e_ml)[cam_slot]
@@ -798,6 +800,30 @@ def estimate_metric_columns(compiled: CompiledBrickBatch,
         "cam_idx": cam_points,
         "components": components,
     }
+
+
+def point_columns(compiled: CompiledBrickBatch,
+                  columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """:func:`estimate_metric_columns`' result with every column per
+    point.
+
+    The kernel leaves the terms no stack or load enters once per sized
+    brick, since the sweep reads none of them: ``setup``,
+    ``brick_area``, one brick's ``brick_clock_cap`` and the
+    :data:`_SIZED_COMPONENTS`.  This gathers them through
+    ``compiled.row`` and stacks the clock cap into ``clock_cap``, the
+    per-point shape :func:`estimate_batch` packs.
+    """
+    row = compiled.row
+    out = dict(columns)
+    out["setup"] = columns["setup"][row]
+    out["brick_area"] = columns["brick_area"][row]
+    out["clock_cap"] = compiled.batch.stack.astype(np.float64) \
+        * out.pop("brick_clock_cap")[row]
+    out["components"] = {
+        key: column[row] if key in _SIZED_COMPONENTS else column
+        for key, column in columns["components"].items()}
+    return out
 
 
 def estimate_batch(compiled: CompiledBrickBatch, tech: Technology,
@@ -816,7 +842,8 @@ def estimate_batch(compiled: CompiledBrickBatch, tech: Technology,
     if compiled.batch.n_points == 0:
         return []
     columns = estimate_metric_columns(compiled, tech, out_load=out_load)
-    return _pack(compiled.batch, compiled, columns)
+    return _pack(compiled.batch, compiled,
+                 point_columns(compiled, columns))
 
 
 def _searchline_cap(compiled: CompiledBrickBatch,
@@ -843,6 +870,13 @@ _COMPONENT_KEYS = ("t_ctrl", "t_nand", "t_chain", "t_wl_wire", "t_cell",
                    "t_sense", "t_arbl", "e_ctrl", "e_wl", "e_lbl",
                    "e_sense", "e_arbl", "e_idle", "e_crowbar", "e_wbl",
                    "e_wwl")
+
+#: The components :func:`estimate_metric_columns` keeps once per sized
+#: brick (no stack or load term enters them); the other four are per
+#: point.
+_SIZED_COMPONENTS = ("t_ctrl", "t_nand", "t_chain", "t_wl_wire", "t_cell",
+                     "t_sense", "e_ctrl", "e_wl", "e_lbl", "e_sense",
+                     "e_crowbar", "e_wwl")
 
 
 def _pack(batch, compiled,

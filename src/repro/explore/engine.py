@@ -204,6 +204,7 @@ class SweepEngine:
         self.shard_size = shard_size
         self.mode = mode
         self._plan: Optional[ScalePlan] = None
+        self._lattice: Optional[Lattice] = None
         self._result: Optional[ScaleResult] = None
         self._refine_offset = 0
         self._refined_combos: set = set()
@@ -214,8 +215,8 @@ class SweepEngine:
         """Lay out and fingerprint the sweep (pure, cached)."""
         if self._plan is not None:
             return self._plan
-        lattice = Lattice(self.space)
-        n = len(lattice)
+        self._lattice = Lattice(self.space)
+        n = len(self._lattice)
         if n == 0:
             raise ExplorationError("sweep produced no points")
         mode = self.mode
@@ -344,7 +345,7 @@ class SweepEngine:
                     progress: Optional[ProgressCallback]
                     ) -> ScaleResult:
         """Price every lattice point and keep them all."""
-        swept = price_lattice(Lattice(plan.space), self.session,
+        swept = price_lattice(self._lattice, self.session,
                               keep_going=keep_going)
         frontier_acc = ParetoAccumulator()
         top_acc = TopKAccumulator(self.top_k)

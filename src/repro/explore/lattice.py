@@ -3,14 +3,15 @@
 A million-point design-space sweep cannot afford to materialize its
 point list up front — the lattice here stays *implicit*: a
 :class:`SweepSpace` declares the axis options (total words, bits, brick
-words, memory types), a :class:`Lattice` lays them out as contiguous
-*blocks* (one per ``(memory_type, bits, brick_words)`` combination,
-holding the total-words values that pass the divisibility filter), and
-shards address points by global index range.  A shard materializes only
-its own slice — as :class:`LatticePoint` tuples for bookkeeping, or
-directly as numpy columns feeding
-:func:`repro.bricks.batch.estimate_metric_columns` without ever
-constructing per-point Python objects.
+words, memory types), and a :class:`Lattice` lays them out as a few
+numpy arrays: the total-words values that pass the divisibility filter,
+and one entry per *block* (a run of points sharing memory type, bits
+and brick words).  Shards address points by global index range, and a
+shard materializes only its own slice — as :class:`LatticePoint` tuples
+for bookkeeping, or directly as numpy columns feeding
+:func:`repro.bricks.batch.estimate_metric_columns` — through one
+run-length gather over those arrays, without per-point or per-block
+Python objects.
 
 For a single memory type the enumeration order is bits -> brick_words
 -> total_words, the Fig. 4c table's row order; the engine's cached
@@ -19,9 +20,8 @@ mode prices the lattice point by point in exactly that order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +35,9 @@ class SweepSpace:
     """The declarative axes of one design-space sweep.
 
     Hashable and picklable: workers rebuild their :class:`Lattice` from
-    the space (cheap — block layout is ``O(axes)``, not ``O(points)``),
-    and the plan fingerprint covers it.
+    the space (a few array operations over the axes, never over the
+    points), and the plan fingerprint covers it.  Each axis keeps the
+    first occurrence of a repeated value, so no point is priced twice.
     """
 
     total_words_options: Tuple[int, ...] = (128,)
@@ -76,6 +77,11 @@ class SweepSpace:
             if over:
                 raise ExplorationError(
                     f"{name} must be <= {limit}, got {over}")
+        for name in ("total_words_options", "bits_options",
+                     "brick_words_options", "memory_types"):
+            value = getattr(self, name)
+            if len(set(value)) < len(value):
+                object.__setattr__(self, name, tuple(dict.fromkeys(value)))
 
     @classmethod
     def from_options(cls, total_words_options: Sequence[int] = (128,),
@@ -114,141 +120,129 @@ class LatticePoint(NamedTuple):
                 f"({self.stack}x)")
 
 
-@dataclass(frozen=True)
-class _Block:
-    """One contiguous run of points sharing (type, bits, brick_words)."""
-
-    start: int
-    memory_type: str
-    bits: int
-    brick_words: int
-    total_words: Tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.total_words)
-
-
 class Lattice:
     """Indexed view over a :class:`SweepSpace`'s valid points.
 
     Points are ordered memory_type -> bits -> brick_words ->
     total_words, with combinations failing the paper's divisibility
-    constraint (``total_words % brick_words == 0``) skipped.  Blocks
-    make global indexing O(log blocks) and slicing O(slice).
+    constraint (``total_words % brick_words == 0``) skipped.  The layout
+    is a handful of arrays: the total-words values that pass the filter,
+    concatenated per brick-words option, and one entry per *block* (a
+    run of points sharing type, bits and brick words) for its edges,
+    type code, bits, brick words and offset into those values.  Every
+    read is a gather over them.
     """
 
     def __init__(self, space: SweepSpace) -> None:
         self.space = space
-        # total_words surviving the divisibility filter, per brick size.
-        valid_tw: Dict[int, Tuple[int, ...]] = {}
-        for bw in space.brick_words_options:
-            valid_tw[bw] = tuple(tw for tw in space.total_words_options
-                                 if tw % bw == 0)
-        blocks: List[_Block] = []
-        start = 0
-        for memory_type in space.memory_types:
-            for bits in space.bits_options:
-                for bw in space.brick_words_options:
-                    tws = valid_tw[bw]
-                    if not tws:
-                        continue
-                    blocks.append(_Block(start, memory_type, bits, bw,
-                                         tws))
-                    start += len(tws)
-        self._blocks = blocks
-        self._starts = [block.start for block in blocks]
-        self._n = start
+        totals = np.array(space.total_words_options, dtype=np.int64)
+        brick_words = np.array(space.brick_words_options, dtype=np.int64)
+        # One row per brick-words option; row-major nonzero keeps each
+        # option's passing totals together and in axis order.
+        fits = totals % brick_words[:, None] == 0
+        per_option = fits.sum(axis=1)
+        self._totals = totals[fits.nonzero()[1]]
+        self._segments = _edges(per_option)
+        # One block per (type, bits, brick words with any passing
+        # total), in that nesting order.
+        used = per_option.nonzero()[0]
+        shape = (len(space.memory_types), len(space.bits_options),
+                 used.shape[0])
+        type_pos, bits_pos, used_pos = np.unravel_index(
+            np.arange(shape[0] * shape[1] * shape[2]), shape)
+        option = used[used_pos]
+        self._codes = np.array(
+            [MEMORY_TYPES.index(mt) for mt in space.memory_types],
+            dtype=np.int8)[type_pos]
+        self._bits = np.array(space.bits_options, dtype=np.int64)[bits_pos]
+        self._words = brick_words[option]
+        self._edges = _edges(per_option[option])
+        # Global index + shift = the point's position in ``_totals``.
+        self._shift = self._segments[option] - self._edges[:-1]
+        self._n = int(self._edges[-1])
 
     def __len__(self) -> int:
         return self._n
 
-    def _locate(self, index: int) -> Tuple[_Block, int]:
+    def point(self, index: int) -> LatticePoint:
+        """Materialize one point by global index."""
         if not 0 <= index < self._n:
             raise ExplorationError(
                 f"lattice index {index} out of range [0, {self._n})")
-        pos = bisect_right(self._starts, index) - 1
-        block = self._blocks[pos]
-        return block, index - block.start
-
-    def point(self, index: int) -> LatticePoint:
-        """Materialize one point by global index."""
-        block, offset = self._locate(index)
-        tw = block.total_words[offset]
-        return LatticePoint(index=index, memory_type=block.memory_type,
-                            total_words=tw, bits=block.bits,
-                            brick_words=block.brick_words,
-                            stack=tw // block.brick_words)
-
-    def _block_runs(self, start: int,
-                    stop: int) -> Iterator[Tuple[_Block, int, int]]:
-        """Yield ``(block, lo, hi)`` runs covering ``[start, stop)``."""
-        if start < 0 or stop > self._n or start > stop:
-            raise ExplorationError(
-                f"lattice slice [{start}, {stop}) out of range "
-                f"[0, {self._n})")
-        index = start
-        while index < stop:
-            block, offset = self._locate(index)
-            take = min(stop - index, len(block) - offset)
-            yield block, offset, offset + take
-            index += take
+        block = int(self._edges.searchsorted(index, "right")) - 1
+        tw = int(self._totals[index + self._shift[block]])
+        bw = int(self._words[block])
+        return LatticePoint(index=index,
+                            memory_type=MEMORY_TYPES[self._codes[block]],
+                            total_words=tw, bits=int(self._bits[block]),
+                            brick_words=bw, stack=tw // bw)
 
     def points(self, start: int, stop: int) -> List[LatticePoint]:
         """Materialize the points of ``[start, stop)``, in order."""
-        out: List[LatticePoint] = []
-        for block, lo, hi in self._block_runs(start, stop):
-            bw = block.brick_words
-            for offset in range(lo, hi):
-                tw = block.total_words[offset]
-                out.append(LatticePoint(
-                    index=block.start + offset,
-                    memory_type=block.memory_type,
-                    total_words=tw, bits=block.bits, brick_words=bw,
-                    stack=tw // bw))
-        return out
+        cols = self._gather(start, stop)
+        return [LatticePoint(index=index, memory_type=MEMORY_TYPES[code],
+                             total_words=tw, bits=bits, brick_words=bw,
+                             stack=stack)
+                for index, code, tw, bits, bw, stack in zip(
+                    range(start, stop), cols["memory_code"].tolist(),
+                    cols["total_words"].tolist(), cols["bits"].tolist(),
+                    cols["words"].tolist(), cols["stack"].tolist())]
 
     def columns(self, start: int, stop: int) -> Dict[str, np.ndarray]:
         """The slice as struct-of-arrays columns (no Python objects).
 
-        Returns ``memory_code`` (index into
+        Returns ``memory_code`` (int8 index into
         :data:`repro.cells.bitcells.MEMORY_TYPES`), ``words`` (brick
-        words), ``bits``, ``total_words`` and ``stack`` — the exact
-        shape :class:`repro.bricks.batch.BrickSpecBatch` consumes.
+        words), ``bits``, ``total_words`` and ``stack`` (int64) — the
+        exact shape :class:`repro.bricks.batch.BrickSpecBatch` consumes.
+        One run-length gather: each block the slice touches repeats its
+        fields over the points it contributes.
         """
-        codes: List[np.ndarray] = []
-        words: List[np.ndarray] = []
-        bits: List[np.ndarray] = []
-        totals: List[np.ndarray] = []
-        for block, lo, hi in self._block_runs(start, stop):
-            n = hi - lo
-            tw = np.asarray(block.total_words[lo:hi], dtype=np.int64)
-            codes.append(np.full(
-                n, MEMORY_TYPES.index(block.memory_type),
-                dtype=np.int8))
-            words.append(np.full(n, block.brick_words, dtype=np.int64))
-            bits.append(np.full(n, block.bits, dtype=np.int64))
-            totals.append(tw)
-        if not codes:
-            empty = np.zeros(0, dtype=np.int64)
-            return {"memory_code": np.zeros(0, dtype=np.int8),
-                    "words": empty, "bits": empty,
-                    "total_words": empty, "stack": empty}
-        memory_code = np.concatenate(codes)
-        words_col = np.concatenate(words)
-        totals_col = np.concatenate(totals)
-        return {"memory_code": memory_code,
-                "words": words_col,
-                "bits": np.concatenate(bits),
-                "total_words": totals_col,
-                "stack": totals_col // words_col}
+        return self._gather(start, stop)
+
+    def _gather(self, start: int, stop: int) -> Dict[str, np.ndarray]:
+        """The gather behind :meth:`columns` and :meth:`points`.
+
+        :meth:`points` calls it directly, so a traced run attributes
+        only the shards' column reads to the ``Lattice.columns`` layer.
+        """
+        if start < 0 or stop > self._n or start > stop:
+            raise ExplorationError(
+                f"lattice slice [{start}, {stop}) out of range "
+                f"[0, {self._n})")
+        # Blocks first..last-1 overlap the slice; their edges, clipped
+        # to it, bound each block's run (an empty slice has no runs).
+        first = int(self._edges.searchsorted(start, "right")) - 1
+        last = int(self._edges.searchsorted(stop, "left"))
+        bounds = self._edges[first:last + 1].copy()
+        bounds[0], bounds[-1] = start, stop
+        runs = bounds[1:] - bounds[:-1]
+        totals = self._totals[np.arange(start, stop)
+                              + self._shift[first:last].repeat(runs)]
+        words = self._words[first:last].repeat(runs)
+        return {"memory_code": self._codes[first:last].repeat(runs),
+                "words": words,
+                "bits": self._bits[first:last].repeat(runs),
+                "total_words": totals,
+                "stack": totals // words}
 
     def contains(self, memory_type: str, total_words: int, bits: int,
                  brick_words: int) -> bool:
         """Whether a combination is already on the lattice (used by the
         refinement pass to offer only genuinely new candidates)."""
         space = self.space
-        return (memory_type in space.memory_types
-                and bits in space.bits_options
-                and brick_words in space.brick_words_options
-                and total_words in space.total_words_options
-                and total_words % brick_words == 0)
+        if (memory_type not in space.memory_types
+                or bits not in space.bits_options
+                or brick_words not in space.brick_words_options):
+            return False
+        option = space.brick_words_options.index(brick_words)
+        lo, hi = self._segments[option], self._segments[option + 1]
+        return bool((self._totals[lo:hi] == total_words).any())
+
+
+def _edges(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: the edges of consecutive runs of
+    ``counts`` items."""
+    edges = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.add.accumulate(counts, out=edges[1:])
+    return edges

@@ -11,7 +11,8 @@ Two shapes of extraction coexist:
   point list (the 9-point Fig. 4c path).
 * :func:`pareto_mask` + :class:`ParetoAccumulator` — the streaming
   array path the sharded million-point explorer rides: each shard is
-  reduced to its local front with one vectorized mask, then the shard
+  reduced to its local front with one vectorized mask over its
+  objective columns, then the shard
   fronts merge online into a bounded non-dominated archive whose final
   ordering is independent of merge order.
 """
@@ -57,32 +58,42 @@ def pareto_front(points: Sequence[T], metrics: MetricFn) -> List[T]:
     return front
 
 
-def pareto_mask(vectors: Any) -> np.ndarray:
-    """Boolean mask of the non-dominated rows of an ``(n, k)`` array.
+def pareto_mask(columns: Sequence[Any]) -> np.ndarray:
+    """Boolean mask of the non-dominated points of ``k`` metric columns.
 
+    ``columns`` holds one length-``n`` array per objective; row ``i``
+    of the population is ``(columns[0][i], ..., columns[k-1][i])``.
     Vectorized counterpart of :func:`pareto_front` with identical
-    semantics (minimization; duplicate rows all survive).  Cost is
-    ``O(n * f)`` array work where ``f`` is the front size, so a
-    10^5-row shard reduces in milliseconds.
+    semantics (minimization; duplicate rows all survive).  Each pivot
+    (a row still standing when the scan reaches it) compares the
+    surviving columns elementwise, one contiguous column at a time, so
+    cost is ``O(n * k)`` array work per pivot and a 10^5-row shard
+    reduces in milliseconds.
     """
-    costs = np.asarray(vectors, dtype=np.float64)
-    if costs.ndim != 2:
+    cols = [np.asarray(column, dtype=np.float64) for column in columns]
+    if not cols or any(col.ndim != 1 or col.shape != cols[0].shape
+                       for col in cols):
         raise ExplorationError(
-            f"pareto_mask needs an (n, k) metric array, "
-            f"got shape {costs.shape}")
-    n = costs.shape[0]
+            f"pareto_mask needs k >= 1 equal-length metric columns, "
+            f"got shapes {[col.shape for col in cols]}")
+    n = cols[0].shape[0]
     survivors = np.arange(n)
     pivot = 0
-    while pivot < costs.shape[0]:
-        v = costs[pivot]
+    while pivot < survivors.shape[0]:
         # Keep rows the pivot does NOT dominate: better somewhere, or
         # exactly equal everywhere (duplicates survive, as in
         # pareto_front).
-        keep = (costs < v).any(axis=1) | (costs == v).all(axis=1)
+        better = cols[0] < cols[0][pivot]
+        equal = cols[0] == cols[0][pivot]
+        for col in cols[1:]:
+            value = col[pivot]
+            better |= col < value
+            equal &= col == value
+        keep = better | equal
         keep[pivot] = True
         survivors = survivors[keep]
-        costs = costs[keep]
-        pivot = int(keep[:pivot].sum()) + 1
+        cols = [col[keep] for col in cols]
+        pivot = int(np.count_nonzero(keep[:pivot])) + 1
     mask = np.zeros(n, dtype=bool)
     mask[survivors] = True
     return mask

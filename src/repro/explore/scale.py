@@ -186,12 +186,15 @@ def _reduce(columns: Dict[str, np.ndarray], indices: np.ndarray,
     top = TopKAccumulator(top_k)
     if not n:
         return frontier, top
-    matrix = np.stack([columns[name] for name in objectives], axis=1)
-    # Product of the objective columns: a scale-free scalar aggregate
-    # (energy-delay-area product for the defaults) that is computable
-    # shard-locally, so top-K needs no global pass.
-    score = matrix.prod(axis=1)
-    keep = np.flatnonzero(pareto_mask(matrix))
+    objective_columns = [columns[name] for name in objectives]
+    # Product of the objective columns, multiplied in objective order:
+    # a scale-free scalar aggregate (energy-delay-area product for the
+    # defaults) that is computable shard-locally, so top-K needs no
+    # global pass.
+    score = objective_columns[0]
+    for column in objective_columns[1:]:
+        score = score * column
+    keep = np.flatnonzero(pareto_mask(objective_columns))
     if top.k:
         k = min(top.k, n)
         best = np.argpartition(score, k - 1)[:k]
@@ -204,7 +207,8 @@ def _reduce(columns: Dict[str, np.ndarray], indices: np.ndarray,
                  for row in wanted}
     for row in keep:
         point = survivors[int(row)]
-        frontier.add(point.index, point, matrix[int(row)].tolist())
+        frontier.add(point.index, point,
+                     [column[row] for column in objective_columns])
     for row in best:
         point = survivors[int(row)]
         top.add(point.index, point, float(score[int(row)]))

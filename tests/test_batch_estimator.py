@@ -29,7 +29,7 @@ from repro.bricks import (
     sram_brick,
 )
 from repro.bricks.batch import brick_rows, compile_batch, compiled_row, \
-    estimate_metric_columns
+    estimate_metric_columns, point_columns
 from repro.bricks.spec import BrickSpec
 from repro.cells.bitcells import MEMORY_TYPES
 from repro.errors import BrickError, ExecutorError
@@ -270,7 +270,13 @@ def _oracle_points(draw):
 
 def _columns(types, words, bits, stacks, loads, tech):
     batch = BrickSpecBatch.from_arrays(types, words, bits, stacks, loads)
-    return estimate_metric_columns(compile_batch(batch, tech), tech)
+    return _priced(compile_batch(batch, tech), tech)
+
+
+def _priced(compiled, tech):
+    """The kernel's columns, every one gathered per point."""
+    return point_columns(compiled,
+                         estimate_metric_columns(compiled, tech))
 
 
 def _point_values(columns, i):
@@ -324,10 +330,9 @@ class TestFactorizationOracle:
                                  target_stack=target_stack)
         rows = brick_rows(compiled, stack, loads)
         assert rows.first.tolist() == [0]
-        together = estimate_metric_columns(rows, tech)
+        together = _priced(rows, tech)
         for i, load in enumerate(loads):
-            alone = estimate_metric_columns(
-                brick_rows(compiled, stack, [load]), tech)
+            alone = _priced(brick_rows(compiled, stack, [load]), tech)
             assert _point_values(together, i) == _point_values(alone, 0)
 
     def test_lattice_shard_compiles_few_sized_rows(self, tech):

@@ -96,6 +96,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "pareto-optimal" in out
 
+    def test_sweep_prints_each_point_once(self, capsys):
+        """Repeated axis values name one point: it is priced and
+        printed once, as if each value were given once."""
+        assert main(["--no-cache", "sweep", "--total-words", "128", "128",
+                     "--bits", "8", "8", "--brick-words", "16",
+                     "16"]) == 0
+        repeated = capsys.readouterr().out
+        assert main(["--no-cache", "sweep", "--total-words", "128",
+                     "--bits", "8", "--brick-words", "16"]) == 0
+        once = capsys.readouterr().out
+        rows = [line for line in repeated.splitlines()
+                if line.split()[:2] == ["128x8b", "16x8b"]]
+        assert len(rows) == 1
+        assert repeated.count("pareto-optimal") == 1
+        assert repeated == once
+
     def test_sram_command_with_verilog(self, tmp_path, capsys):
         verilog = tmp_path / "sram.v"
         assert main(["sram", "--words", "16", "--bits", "8",

@@ -87,15 +87,6 @@ class TestPlanModes:
 
 
 class TestCachedMode:
-    def test_matches_legacy_sweep(self, tech):
-        session = _session(tech)
-        legacy = session.sweep_partitions()
-        result = session.sweep_engine().run()
-        assert result.mode == "cached"
-        downgraded = result.to_sweep_result()
-        assert downgraded.points == legacy.points
-        assert not downgraded.failures
-
     def test_progress_reports_single_shard(self, tech):
         calls = []
         _session(tech).sweep_engine().run(

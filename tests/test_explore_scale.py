@@ -9,11 +9,14 @@ refinement.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.cells.bitcells import MEMORY_TYPES
 from repro.errors import ExplorationError
 from repro.explore import (
     Lattice,
@@ -41,6 +44,41 @@ _vectors = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
     min_size=1, max_size=40)
 
+#: Small axes over values whose divisibility varies: some spaces have
+#: no total-words value any brick size divides.
+_spaces = st.builds(
+    SweepSpace,
+    total_words_options=st.lists(st.integers(1, 96), min_size=1,
+                                 max_size=6).map(tuple),
+    bits_options=st.lists(st.integers(1, 64), min_size=1,
+                          max_size=3).map(tuple),
+    brick_words_options=st.lists(st.integers(1, 48), min_size=1,
+                                 max_size=4).map(tuple),
+    memory_types=st.lists(st.sampled_from(MEMORY_TYPES), min_size=1,
+                          max_size=3).map(tuple))
+
+
+@st.composite
+def _sliced_spaces(draw):
+    space = draw(_spaces)
+    n = len(_enumerate(space))
+    slices = []
+    for _ in range(4):
+        start = draw(st.integers(0, n))
+        slices.append((start, draw(st.integers(start, n))))
+    return space, slices
+
+
+def _enumerate(space):
+    """Brute-force lattice: type -> bits -> brick_words -> total_words,
+    keeping the sizes a brick divides."""
+    combos = [(mt, tw, bits, bw) for mt, bits, bw, tw in itertools.product(
+        space.memory_types, space.bits_options, space.brick_words_options,
+        space.total_words_options) if tw % bw == 0]
+    return [LatticePoint(index=i, memory_type=mt, total_words=tw,
+                         bits=bits, brick_words=bw, stack=tw // bw)
+            for i, (mt, tw, bits, bw) in enumerate(combos)]
+
 
 class TestSweepSpace:
     def test_from_options_single_type(self):
@@ -52,6 +90,22 @@ class TestSweepSpace:
             (128,), (8,), (16,), memory_type="8T",
             memory_types=("8T", "6T"))
         assert space.memory_types == ("8T", "6T")
+
+    def test_repeated_axis_values_keep_first_seen_order(self):
+        space = SweepSpace(total_words_options=(256, 128, 256, 64, 128),
+                           bits_options=(16, 8, 16),
+                           brick_words_options=(32, 32),
+                           memory_types=("6T", "8T", "6T"))
+        assert space == SweepSpace((256, 128, 64), (16, 8), (32,),
+                                   ("6T", "8T"))
+        assert len(Lattice(space)) == 2 * 2 * 3
+
+    def test_space_without_repeats_keeps_its_tuples(self):
+        space = SweepSpace.from_options((128, 64), (32, 8, 16),
+                                        (64, 16, 32))
+        assert (space.total_words_options, space.bits_options,
+                space.brick_words_options) == \
+            ((128, 64), (32, 8, 16), (64, 16, 32))
 
     def test_rejects_empty_axis(self):
         with pytest.raises(ExplorationError):
@@ -129,6 +183,62 @@ class TestLattice:
             lattice.point(1)
 
 
+class TestLatticeProperty:
+    """The array layout against a brute-force enumeration."""
+
+    @_settings
+    @given(_spaces)
+    @example(SweepSpace((3, 5, 7), (8,), (2, 4), ("8T", "6T")))
+    def test_points_match_enumeration(self, space):
+        lattice = Lattice(space)
+        expected = _enumerate(space)
+        assert len(lattice) == len(expected)
+        assert lattice.points(0, len(lattice)) == expected
+        for point in expected:
+            assert lattice.point(point.index) == point
+            assert lattice.points(point.index, point.index + 1) == [point]
+
+    @_settings
+    @given(_sliced_spaces())
+    @example((SweepSpace((3, 5), (8, 16), (2,), ("6T",)), [(0, 0)]))
+    def test_columns_equal_points(self, case):
+        """Random slices, empty and block-straddling ones included."""
+        space, slices = case
+        lattice = Lattice(space)
+        n = len(lattice)
+        for start, stop in [(0, n), (0, 0), (n, n)] + slices:
+            cols = lattice.columns(start, stop)
+            assert cols["memory_code"].dtype == np.int8
+            for name in ("words", "bits", "total_words", "stack"):
+                assert cols[name].dtype == np.int64, name
+            points = lattice.points(start, stop)
+            assert [MEMORY_TYPES[c] for c in cols["memory_code"]] == \
+                [p.memory_type for p in points]
+            for name, field in (("words", "brick_words"), ("bits", "bits"),
+                                ("total_words", "total_words"),
+                                ("stack", "stack")):
+                assert cols[name].tolist() == \
+                    [getattr(p, field) for p in points], name
+
+    @_settings
+    @given(_spaces)
+    def test_contains_is_membership(self, space):
+        lattice = Lattice(space)
+        on_lattice = {(p.memory_type, p.total_words, p.bits, p.brick_words)
+                      for p in _enumerate(space)}
+        for combo in itertools.product(
+                MEMORY_TYPES[:3], space.total_words_options + (96, 97),
+                space.bits_options + (65,),
+                space.brick_words_options + (1, 49)):
+            assert lattice.contains(*combo) == (combo in on_lattice), combo
+
+    def test_slices_out_of_range(self):
+        lattice = Lattice(SweepSpace.from_options((64,), (8,), (16, 32)))
+        for start, stop in ((-1, 1), (0, 3), (2, 1)):
+            with pytest.raises(ExplorationError):
+                lattice.columns(start, stop)
+
+
 class TestShardBounds:
     def test_covers_range_without_overlap(self):
         bounds = shard_bounds(10, 3)
@@ -139,17 +249,71 @@ class TestShardBounds:
             shard_bounds(10, 0)
 
 
+def _rows(k, low, high, max_size=40):
+    return st.lists(st.tuples(*[st.integers(low, high)] * k),
+                    min_size=1, max_size=max_size)
+
+
 class TestParetoMaskProperty:
+    @staticmethod
+    def _check(rows):
+        columns = [np.asarray(column, dtype=np.float64)
+                   for column in zip(*rows)]
+        mask = pareto_mask(columns)
+        expected = pareto_front(list(range(len(rows))),
+                                lambda i: rows[i])
+        assert np.flatnonzero(mask).tolist() == expected
+        return expected
+
     @_settings
     @given(_vectors)
     def test_mask_matches_object_front(self, rows):
         """pareto_mask == pareto_front on every random population
         (duplicates survive in both)."""
-        arr = np.asarray(rows, dtype=np.float64)
-        mask = pareto_mask(arr)
-        expected = pareto_front(list(range(len(rows))),
-                                lambda i: rows[i])
-        assert sorted(np.flatnonzero(mask).tolist()) == expected
+        self._check(rows)
+
+    @_settings
+    @given(st.integers(1, 4).flatmap(lambda k: _rows(k, 0, 2)))
+    def test_ties_match_object_front(self, rows):
+        """Three levels per objective: most rows tie with others on
+        some objective, at one to four objectives."""
+        self._check(rows)
+
+    @_settings
+    @given(_rows(3, 0, 6, max_size=12).flatmap(
+        lambda rows: st.lists(st.sampled_from(rows), min_size=1,
+                              max_size=3 * len(rows))))
+    def test_duplicate_rows_survive_together(self, rows):
+        front = set(self._check(rows))
+        for i, row in enumerate(rows):
+            twins = {j for j, other in enumerate(rows) if other == row}
+            assert twins <= front if i in front else not twins & front
+
+    def test_rejects_ragged_or_missing_columns(self):
+        for columns in ([], [np.zeros(3), np.zeros(2)],
+                        [np.zeros((2, 2))]):
+            with pytest.raises(ExplorationError):
+                pareto_mask(columns)
+
+    @_settings
+    @given(st.lists(st.tuples(*[st.floats(1e-15, 1e3)] * 3), min_size=1,
+                    max_size=40), st.integers(0, 8))
+    def test_top_scores_are_row_products(self, rows, k):
+        """A shard's top-K score is the product of the objective
+        columns, ``==`` to ``prod(axis=1)`` over the stacked rows."""
+        matrix = np.asarray(rows, dtype=np.float64)
+        columns = {name: np.zeros(len(rows))
+                   for name in scale.OBJECTIVE_COLUMNS}
+        columns.update(zip(scale.DEFAULT_OBJECTIVES, matrix.T.copy()))
+        indices = np.arange(len(rows), dtype=np.int64)
+        _, top = scale._reduce(
+            columns, indices,
+            lambda i: LatticePoint(i, "8T", 64, 8, 16, 4),
+            scale.DEFAULT_OBJECTIVES, k)
+        products = matrix.prod(axis=1)
+        assert [(score, key) for score, key, _ in top.entries()] == \
+            sorted((float(products[i]), i) for i in
+                   range(len(rows)))[:k]
 
 
 class TestAccumulatorProperty:
@@ -241,6 +405,22 @@ class TestEngineEquivalence:
         b = sharded.run()
         assert a.frontier_json() == b.frontier_json()
         assert b.points is None  # sharded never materializes the bulk
+
+    def test_two_jobs_equal_one(self, tech):
+        """Pool workers rebuild the lattice from the pickled space; the
+        frontier they find is the serial one, byte for byte."""
+        kwargs = dict(total_words_options=(64, 128, 256),
+                      bits_options=(8, 16), brick_words_options=(16, 32, 64),
+                      memory_types=("8T", "6T"), mode="sharded",
+                      shard_size=5)
+        runs = []
+        for jobs in (1, 2):
+            with Session(tech, jobs=jobs) as session:
+                runs.append(session.sweep_engine(**kwargs).run())
+        serial, parallel = runs
+        assert serial.shards_total >= 4
+        assert parallel.frontier_json() == serial.frontier_json()
+        assert parallel.top == serial.top
 
 
 class TestCheckpointResume:
